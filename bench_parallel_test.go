@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"testing"
 
-	"suifx/internal/exec"
 	"suifx/internal/experiments"
 )
 
@@ -30,7 +29,7 @@ func BenchmarkParallelEngine(b *testing.B) {
 			b.Run(app+"/"+strconv.Itoa(n)+"w", func(b *testing.B) {
 				for j := 0; j < b.N; j++ {
 					_, _, err := experiments.RunParallel(app, experiments.ParallelRunOptions{
-						Workers: n, Mode: exec.ModeBytecode, Staggered: true, Chunks: 4,
+						Workers: n, Staggered: true, Chunks: 4,
 					})
 					if err != nil {
 						b.Fatal(err)

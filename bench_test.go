@@ -213,65 +213,6 @@ func BenchmarkAnalyzeSuiteCached(b *testing.B) {
 	reportSpeedup(b, seq)
 }
 
-// BenchmarkInterpretMdg measures the interpreter on a profiled workload,
-// including a fresh parse and lowering per iteration (cold-start cost).
-func BenchmarkInterpretMdg(b *testing.B) {
-	w := workloads.ByName("mdg")
-	for i := 0; i < b.N; i++ {
-		in := exec.New(w.Fresh())
-		if err := in.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// ---- Execution engines (BENCH_exec.json) ----
-
-// benchEngine measures one engine's steady-state execution: the program is
-// parsed (and, for the bytecode engine, lowered) once, then each iteration
-// creates a fresh interpreter and runs it end to end. instrumented attaches
-// the profiler and the dynamic dependence analyzer, the configuration the
-// compile-then-run redesign targets.
-func benchEngine(b *testing.B, mode exec.ExecMode, instrumented bool, sampleEvery int64) {
-	prog := workloads.ByName("mdg").Program()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := exec.New(prog)
-		in.Mode = mode
-		if instrumented {
-			exec.NewProfiler(in)
-			d := exec.NewDynDep(in)
-			d.SampleEvery = sampleEvery
-			if sampleEvery > 1 {
-				d.SampleWarm = 2
-			}
-		}
-		if err := in.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpTreeDDA(b *testing.B)       { benchEngine(b, exec.ModeTree, true, 0) }
-func BenchmarkInterpBytecodeDDA(b *testing.B)   { benchEngine(b, exec.ModeBytecode, true, 0) }
-func BenchmarkInterpTieredDDA(b *testing.B)     { benchEngine(b, exec.ModeTiered, true, 0) }
-func BenchmarkInterpRegisterDDA(b *testing.B)   { benchEngine(b, exec.ModeRegister, true, 0) }
-func BenchmarkInterpTreePlain(b *testing.B)     { benchEngine(b, exec.ModeTree, false, 0) }
-func BenchmarkInterpBytecodePlain(b *testing.B) { benchEngine(b, exec.ModeBytecode, false, 0) }
-func BenchmarkInterpTieredPlain(b *testing.B)   { benchEngine(b, exec.ModeTiered, false, 0) }
-func BenchmarkInterpRegisterPlain(b *testing.B) { benchEngine(b, exec.ModeRegister, false, 0) }
-
-// The §2.5.2 iteration-sampled DDA configuration (SampleEvery=10, two warm
-// iterations): the production setting for long-running instrumented runs,
-// and the one where the specializing tier's instrumentation strip applies —
-// unsampled iterations dispatch the checkless alt body instead of paying
-// per-access analyzer callbacks.
-func BenchmarkInterpTreeSampledDDA(b *testing.B)     { benchEngine(b, exec.ModeTree, true, 10) }
-func BenchmarkInterpBytecodeSampledDDA(b *testing.B) { benchEngine(b, exec.ModeBytecode, true, 10) }
-func BenchmarkInterpTieredSampledDDA(b *testing.B)   { benchEngine(b, exec.ModeTiered, true, 10) }
-func BenchmarkInterpRegisterSampledDDA(b *testing.B) { benchEngine(b, exec.ModeRegister, true, 10) }
-
 // ---- Ablations (DESIGN.md) ----
 
 // BenchmarkAblationSliceSummaries compares memoized hierarchical slicing

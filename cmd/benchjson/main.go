@@ -1,16 +1,14 @@
 // Command benchjson converts `go test -bench` output into the JSON format
-// committed as BENCH_exec.json and uploaded by CI's bench-smoke job (see
-// EXPERIMENTS.md for the format).
+// of the committed BENCH_*.json files, uploaded by CI's bench-smoke job
+// (see EXPERIMENTS.md for the format).
 //
 // Usage:
 //
-//	go test -bench 'Interp' -benchtime=10x . | benchjson [-label note] [-o out.json]
+//	go test -bench 'Session' -benchtime=10x . | benchjson [-label note] [-o out.json]
 //
 // Lines that are not benchmark results (headers, PASS/ok) populate the
 // environment fields or are ignored, so raw `go test` output pipes straight
-// through. When both BenchmarkInterpTreeDDA and BenchmarkInterpBytecodeDDA
-// are present, the derived block records the tree/bytecode ns-per-op and
-// allocs-per-op ratios the acceptance criteria are stated in.
+// through. The derived block records each harness's acceptance numbers.
 package main
 
 import (
@@ -34,7 +32,7 @@ type Benchmark struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the top-level BENCH_exec.json document.
+// Report is the top-level BENCH_*.json document.
 type Report struct {
 	Label      string             `json:"label,omitempty"`
 	Date       string             `json:"date"`
@@ -138,50 +136,13 @@ func parseLine(rep *Report, line string) {
 	rep.Benchmarks = append(rep.Benchmarks, b)
 }
 
-// derive records the tree-vs-bytecode ratios when both engines appear, and
-// the cold-vs-incremental session re-analysis speedup when the session
-// benchmarks appear (committed as BENCH_session.json).
+// derive records each harness's derived block: parallel, scale, tune and
+// cluster rows, and the cold-vs-incremental session re-analysis speedup
+// when the session benchmarks appear (committed as BENCH_session.json).
 func derive(rep *Report) {
 	byName := map[string]Benchmark{}
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
-	}
-	// Engine-tier ratios (BENCH_exec.json v3): numerator ns/op over
-	// denominator ns/op under the given key, so every tier's win over the
-	// tier below it is recorded explicitly. The sampled-DDA row is the
-	// headline specialization metric: the §2.5.2 iteration-sampled
-	// instrumented run is where the tiered engine's strip dispatch applies.
-	// v3 adds the register-tier rows: register vs tiered is the tier-4
-	// acceptance ratio.
-	ratios := []struct {
-		num, den, nsKey, allocKey string
-	}{
-		{"InterpTreeDDA", "InterpBytecodeDDA", "dda_ns_ratio", "dda_alloc_ratio"},
-		{"InterpTreePlain", "InterpBytecodePlain", "plain_ns_ratio", "plain_alloc_ratio"},
-		{"InterpTreeSampledDDA", "InterpBytecodeSampledDDA", "sampled_dda_ns_ratio", ""},
-		{"InterpBytecodeDDA", "InterpTieredDDA", "tiered_dda_vs_bytecode", ""},
-		{"InterpBytecodePlain", "InterpTieredPlain", "tiered_plain_vs_bytecode", ""},
-		{"InterpBytecodeSampledDDA", "InterpTieredSampledDDA", "tiered_sampled_dda_vs_bytecode", ""},
-		{"InterpTreeDDA", "InterpTieredDDA", "tiered_dda_vs_tree", ""},
-		{"InterpTieredDDA", "InterpRegisterDDA", "register_dda_vs_tiered", ""},
-		{"InterpTieredPlain", "InterpRegisterPlain", "register_plain_vs_tiered", ""},
-		{"InterpTieredSampledDDA", "InterpRegisterSampledDDA", "register_sampled_dda_vs_tiered", ""},
-		{"InterpBytecodePlain", "InterpRegisterPlain", "register_plain_vs_bytecode", ""},
-		{"InterpTreePlain", "InterpRegisterPlain", "register_plain_vs_tree", ""},
-	}
-	for _, r := range ratios {
-		num, okN := byName[r.num]
-		den, okD := byName[r.den]
-		if !okN || !okD || den.NsPerOp == 0 {
-			continue
-		}
-		if rep.Derived == nil {
-			rep.Derived = map[string]float64{}
-		}
-		rep.Derived[r.nsKey] = round2(num.NsPerOp / den.NsPerOp)
-		if r.allocKey != "" && den.AllocsPerOp > 0 {
-			rep.Derived[r.allocKey] = round2(float64(num.AllocsPerOp) / float64(den.AllocsPerOp))
-		}
 	}
 	// ParallelEngine/<app>/<N>w sub-benchmarks (BENCH_parallel.json): copy
 	// each run's virtual-time speedup up into the derived block and record

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	suifpar [-noreductions] [-liveness] [-workers n] [-exec-tier tiered] file.f
+//	suifpar [-noreductions] [-liveness] [-workers n] file.f
 //	suifpar -workload mdg
 //	suifpar -auto [-budget n] [-depth d] [-machine alpha] -workload mdg
 //
@@ -23,7 +23,6 @@ import (
 	"os/signal"
 
 	"suifx/internal/driver"
-	"suifx/internal/exec"
 	"suifx/internal/liveness"
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
@@ -41,20 +40,9 @@ func main() {
 	depth := flag.Int("depth", 1, "auto: max interchange depth to search")
 	machName := flag.String("machine", "alpha", "auto: cost model (alpha, challenge, origin)")
 	asJSON := flag.Bool("json", false, "auto: emit the full tune report as JSON")
-	execTier := flag.String("exec-tier", "", "execution engine tier for -auto runs (tree, bytecode, tiered or register)")
 	connect := flag.String("connect", "",
 		"run the analysis on a suifxd server (or cluster coordinator) at this base URL instead of locally")
 	flag.Parse()
-
-	if *execTier != "" {
-		tier, err := exec.ParseTier(*execTier)
-		if err != nil {
-			fatal(err)
-		}
-		// The tune search resolves ModeAuto through the package default, so
-		// pinning the default pins every execution this process makes.
-		exec.DefaultMode = tier
-	}
 
 	var name, src string
 	switch {
@@ -83,7 +71,7 @@ func main() {
 			base: *connect, name: name, src: src, workload: *wl,
 			noRed: *noRed, liveness: *useLive, workers: *workers,
 			auto: *auto, budget: *budget, depth: *depth,
-			machine: *machName, tier: *execTier, asJSON: *asJSON,
+			machine: *machName, asJSON: *asJSON,
 		})
 		if err != nil {
 			fatal(err)

@@ -21,7 +21,7 @@ type connectOpts struct {
 	workers                   int
 	auto                      bool
 	budget, depth             int
-	machine, tier             string
+	machine                   string
 	asJSON                    bool
 }
 
@@ -49,7 +49,6 @@ func runConnect(ctx context.Context, o connectOpts) error {
 			MaxRuns:   o.budget,
 			MaxDepth:  o.depth,
 			Machine:   o.machine,
-			Tier:      o.tier,
 		}, &resp)
 		if err != nil {
 			return err

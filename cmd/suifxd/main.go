@@ -27,8 +27,6 @@
 //
 //	suifxd [-addr host:port] [-timeout 30s] [-max-concurrent 32]
 //	       [-max-body 1048576] [-cache-cap 128] [-workers n]
-//	       [-exec-mode auto|bytecode|tiered|tree]
-//	       [-exec-tier tree|bytecode|tiered]
 //	       [-max-sessions 64] [-session-ttl 15m] [-session-sweep 30s]
 //
 // Coordinator mode shards programs and sessions across worker suifxd
@@ -57,7 +55,6 @@ import (
 
 	"suifx/internal/cluster"
 	"suifx/internal/driver"
-	"suifx/internal/exec"
 	"suifx/internal/server"
 )
 
@@ -69,8 +66,6 @@ func main() {
 	cacheCap := flag.Int("cache-cap", driver.DefaultCacheCapacity, "summary cache capacity (LRU entries)")
 	workers := flag.String("workers", "",
 		"analysis worker pool size (0 = GOMAXPROCS); with -coordinator, the comma-separated worker URLs instead")
-	execMode := flag.String("exec-mode", "auto", "default /v1/profile execution engine (auto, bytecode, tiered or tree)")
-	execTier := flag.String("exec-tier", "", "pin the default engine to a concrete tier (tree, bytecode, tiered or register); overrides -exec-mode")
 	maxSessions := flag.Int("max-sessions", 64, "max live interactive sessions (older sessions evicted LRU)")
 	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle time before a session is evicted")
 	sessionSweep := flag.Duration("session-sweep", 30*time.Second, "session eviction janitor period")
@@ -106,19 +101,6 @@ func main() {
 		poolSize = n
 	}
 
-	mode, err := exec.ParseMode(*execMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "suifxd:", err)
-		os.Exit(2)
-	}
-	if *execTier != "" {
-		mode, err = exec.ParseTier(*execTier)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "suifxd:", err)
-			os.Exit(2)
-		}
-	}
-
 	cache := driver.Shared()
 	if *cacheCap != driver.DefaultCacheCapacity {
 		cache = driver.NewCacheCap(*cacheCap)
@@ -130,7 +112,6 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		Workers:        poolSize,
 		Cache:          cache,
-		ExecMode:       mode,
 		MaxSessions:    *maxSessions,
 		SessionTTL:     *sessionTTL,
 		SessionSweep:   *sessionSweep,
@@ -139,7 +120,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err = srv.ListenAndServe(ctx, func(addr string) {
+	err := srv.ListenAndServe(ctx, func(addr string) {
 		// The e2e harness parses this line to find the bound port.
 		fmt.Printf("suifxd: listening on %s\n", addr)
 	})

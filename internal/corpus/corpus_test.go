@@ -179,7 +179,6 @@ func TestSizeLadder(t *testing.T) {
 			t.Errorf("tier %s: no parallel loops chosen", tier.Name)
 		}
 		in := exec.New(prog)
-		in.Mode = exec.ModeBytecode
 		if err := in.Run(); err != nil {
 			t.Fatalf("tier %s: exec: %v", tier.Name, err)
 		}

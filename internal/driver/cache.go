@@ -41,9 +41,9 @@ const DefaultCacheCapacity = 128
 
 // Cache memoizes analysis results by source content hash, bounded to a
 // fixed number of entries with LRU eviction. Concurrent callers asking for
-// the same program share one analysis run (singleflight per entry); every
-// waiter on a cancelled run observes the same cancellation error, and the
-// cancelled entry is dropped so a later request retries from scratch.
+// the same program share one analysis run (singleflight per entry). A
+// cancelled run's entry is dropped, and its waiters whose own contexts are
+// still live retry from scratch instead of inheriting the cancellation.
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int
@@ -104,23 +104,32 @@ func (c *Cache) Analyze(name, src string, opt Options) (*Result, error) {
 // AnalyzeCtx is Analyze with cancellation. The first caller for a key runs
 // the parse+analysis under its own ctx; concurrent callers for the same key
 // wait for that run. A waiter whose own ctx ends returns its ctx error and
-// leaves the run going for the others; if the running caller's ctx ends,
-// the run is abandoned, every waiter observes that same cancellation error,
-// and the entry is removed so the next request recomputes.
+// leaves the run going for the others. If the running caller's ctx ends,
+// the run is abandoned and the entry removed; a waiter whose own ctx is
+// still live then re-enters — the first becomes the new running caller, the
+// rest wait on it — so one caller's cancellation never fails another's
+// request.
 func (c *Cache) AnalyzeCtx(ctx context.Context, name, src string, opt Options) (*Result, error) {
 	key := Key(name, src)
 
 	c.mu.Lock()
-	if e := c.entries[key]; e != nil {
+	for e := c.entries[key]; e != nil; e = c.entries[key] {
 		c.hits.Add(1)
 		c.order.MoveToFront(e.elem)
 		c.mu.Unlock()
 		select {
 		case <-e.done:
-			return e.res, e.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if !isCtxErr(e.err) {
+			return e.res, e.err
+		}
+		// The run died of its caller's ctx, not ours — unless ours ended too.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
 	e.elem = c.order.PushFront(e)
@@ -132,7 +141,7 @@ func (c *Cache) AnalyzeCtx(ctx context.Context, name, src string, opt Options) (
 	e.res, e.err = c.compute(ctx, name, src, opt)
 
 	c.mu.Lock()
-	if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
+	if isCtxErr(e.err) {
 		// Cancelled, not failed: drop the entry so a later request retries.
 		// Deterministic failures (parse errors) stay cached.
 		c.removeLocked(e)
@@ -141,6 +150,10 @@ func (c *Cache) AnalyzeCtx(ctx context.Context, name, src string, opt Options) (
 	c.mu.Unlock()
 	close(e.done)
 	return e.res, e.err
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func (c *Cache) compute(ctx context.Context, name, src string, opt Options) (*Result, error) {

@@ -133,56 +133,104 @@ func TestCacheResetInFlightRace(t *testing.T) {
 	}
 }
 
-// TestCacheCancelledRunSharedAndRetried: every waiter on a cancelled run
-// observes the same cancellation, and the key is retried fresh afterwards.
-func TestCacheCancelledRunSharedAndRetried(t *testing.T) {
-	w := workloads.All()[0]
-	c := NewCache()
-
+// parkedLeader starts an AnalyzeCtx run under a cancellable context and
+// parks it on the onProc hook until that context ends. It returns once the
+// run is in flight. Workers: 1 makes abandonment deterministic: the
+// sequential path re-checks ctx before every component, so the wave after
+// the gated one always observes the cancellation.
+func parkedLeader(c *Cache, name, src string) (cancel context.CancelFunc, done <-chan error) {
+	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var gateOnce sync.Once
-	ctx, cancel := context.WithCancel(context.Background())
-	// Workers: 1 makes abandonment deterministic: the sequential path
-	// re-checks ctx before every component, so the wave after the gated one
-	// always observes the cancellation.
 	opt := Options{Workers: 1, onProc: func(wave int, proc string) {
 		gateOnce.Do(func() { close(started) })
 		<-ctx.Done() // hold the run until cancellation
 	}}
-
-	const waiters = 4
-	errs := make(chan error, waiters+1)
+	errc := make(chan error, 1)
 	go func() {
-		_, err := c.AnalyzeCtx(ctx, w.Name, w.Source, opt)
-		errs <- err
+		_, err := c.AnalyzeCtx(ctx, name, src, opt)
+		errc <- err
 	}()
 	<-started
+	return cancel, errc
+}
+
+// TestCacheCancelledLeaderHandsOver is the singleflight regression: a
+// waiter that joined a run whose caller is then cancelled must not inherit
+// that cancellation. With its own context live it re-enters as the new
+// running caller — one extra miss — and gets a result.
+func TestCacheCancelledLeaderHandsOver(t *testing.T) {
+	w := workloads.All()[0]
+	c := NewCache()
+	cancel, leader := parkedLeader(c, w.Name, w.Source)
+
+	type out struct {
+		res *Result
+		err error
+	}
+	waiter := make(chan out, 1)
+	go func() {
+		res, err := c.AnalyzeCtx(context.Background(), w.Name, w.Source, Options{})
+		waiter <- out{res, err}
+	}()
+	for c.Stats().Hits < 1 { // the waiter is registered on the doomed entry
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	if o := <-waiter; o.err != nil || o.res == nil {
+		t.Fatalf("waiter with a live context: res = %v, err = %v; want a result", o.res, o.err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("misses = %d, entries = %d; want the leader's miss plus the waiter's re-entry, one cached entry",
+			st.Misses, st.Entries)
+	}
+}
+
+// TestCacheCancelledRunSharedAndRetried: of the waiters on a cancelled run,
+// those whose own context also ended get their own error; the live ones
+// retry the key together — one new run, shared — and all succeed.
+func TestCacheCancelledRunSharedAndRetried(t *testing.T) {
+	w := workloads.All()[0]
+	c := NewCache()
+	cancel, leader := parkedLeader(c, w.Name, w.Source)
+
+	const waiters = 4
+	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
 			_, err := c.AnalyzeCtx(context.Background(), w.Name, w.Source, Options{})
 			errs <- err
 		}()
 	}
+	dctx, dcancel := context.WithCancel(context.Background())
+	doomed := make(chan error, 1)
+	go func() {
+		_, err := c.AnalyzeCtx(dctx, w.Name, w.Source, Options{})
+		doomed <- err
+	}()
 	// Every waiter registers on the in-flight entry as a cache hit; wait for
-	// all of them before cancelling, or a late waiter would find the removed
-	// entry and recompute fresh (succeeding with its own context).
-	for c.Stats().Hits < waiters {
+	// all of them before cancelling, so each one exercises the hand-over.
+	for c.Stats().Hits < waiters+1 {
 		time.Sleep(time.Millisecond)
 	}
+	dcancel()
+	if err := <-doomed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiter with its own cancelled context: err = %v, want context.Canceled", err)
+	}
 	cancel()
-	for i := 0; i < waiters+1; i++ {
-		if err := <-errs; !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter %d: err = %v, want context.Canceled", i, err)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("live waiter %d: err = %v, want a result", i, err)
 		}
 	}
-
-	// The cancelled entry must be gone: a fresh request succeeds.
-	res, err := c.Analyze(w.Name, w.Source, Options{})
-	if err != nil || res == nil {
-		t.Fatalf("retry after cancellation: %v", err)
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after retry, want 1", st.Entries)
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("misses = %d, entries = %d; want one shared retry and one cached entry", st.Misses, st.Entries)
 	}
 }
 

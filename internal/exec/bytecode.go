@@ -10,9 +10,10 @@ import (
 
 // This file defines the compiled ("lowered") form of a program: a flat
 // arena layout shared by both engines, a closure-free bytecode instruction
-// stream, and the per-program cache that holds them. Lowering happens once
-// per ir.Program; the bytecode VM (vm.go) then executes it with no
-// interface dispatch or per-node type switches on the hot path.
+// stream, and the per-program cache that holds them. A program is compiled
+// once per ir.Program — lowered (compile.go), then fused to fixpoint
+// (fuse.go) — and the VM (vm.go) executes it with no interface dispatch or
+// per-node type switches on the hot path.
 
 // layout is the deterministic arena layout of a program: commons first (in
 // name order), then per-procedure static locals (in Procs order, symbols in
@@ -140,32 +141,31 @@ const (
 	opErr   // fail with errs[a]
 
 	// ------------------------------------------------------------------
-	// Tiered execution (fuse.go, DESIGN.md "Tiered execution"). Everything
-	// below is only ever emitted into the tiered instruction streams; the
-	// baseline bytecode variants never contain these opcodes.
+	// Everything below is produced by the fusion pass (fuse.go) or emitted
+	// into specialized alt loop bodies (DESIGN.md "The VM"); the lowering
+	// of generic code never emits these opcodes directly.
 
 	// Fused superinstructions: semantics-preserving peephole combinations
-	// of the pairs/triples that dominate dynamic traces (FusionCensus).
+	// of the pairs/triples that dominate dynamic traces (FusionCensus). The
+	// set is what survived the reverse census: every form here (or a form
+	// fused from it) is >= 0.5% of dispatched instructions on at least one
+	// benchmark program, so some families have holes (no param-held-index
+	// stores, no opLL*) — see DESIGN.md "The VM".
 	// Ticks of the fused window are summed onto the fused instruction, so
 	// virtual-time totals at loop events are unchanged, and bounds/divide
 	// checks keep their source-line attribution through the idx table.
 	opLGIdx    // opLoadG+opIdx: a=var addr, b=idx id; push offset
 	opLPIdx    // opLoadP+opIdx: a=param slot, b=idx id
 	opLGIdxAdd // opLoadG+opIdxAdd
-	opLPIdxAdd // opLoadP+opIdxAdd
 	// Full 1-D element access in one dispatch: a=index var addr, b=idx id;
 	// idx[b].base holds the array base folded with -lo*stride (global) or
 	// the -lo*stride fold alone with idx[b].pslot = array param slot.
 	opLGIdxLoadGE
-	opLGIdxLoadPE
 	opLGIdxStoreGE
 	opLGIdxStorePE
-	// Final-dimension access: a=array base (or param slot), b=idx id; the
-	// accumulated offset stays on the stack (multi-dim arrays).
+	// Final-dimension load: a=array base, b=idx id; the accumulated offset
+	// stays on the stack (multi-dim arrays).
 	opIdxAddLoadGE
-	opIdxAddLoadPE
-	opIdxAddStoreGE
-	opIdxAddStorePE
 	opConstAddStoreG // opConst+opAdd+opStoreG: mem[a] = pop + f
 	// Compare-and-branch: pops two operands, jumps to a when the
 	// comparison is FALSE (the opJZ half of the fused pair).
@@ -175,9 +175,6 @@ const (
 	opJLE
 	opJGT
 	opJGE
-	opLLAdd // opLoadG+opLoadG+arith: push mem[a] OP mem[b]
-	opLLSub
-	opLLMul
 	opLCAdd // opLoadG+opConst+arith: push mem[a] OP f
 	opLCSub
 	opLCMul
@@ -188,19 +185,11 @@ const (
 	opLGIdxI
 	opLPIdxI
 	opLGIdxAddI
-	opLPIdxAddI
 	opLGIdxLoadGEI
-	opLGIdxLoadPEI
 	opLGIdxStoreGEI
 	opLGIdxStorePEI
 	opIdxAddLoadGEI
-	opIdxAddLoadPEI
-	opIdxAddStoreGEI
-	opIdxAddStorePEI
 	opConstAddStoreGI
-	opLLAddI
-	opLLSubI
-	opLLMulI
 	opLCAddI
 	opLCSubI
 	opLCMulI
@@ -214,18 +203,14 @@ const (
 	opSpecLoadG
 	opSpecStoreG
 	opSpecLoadP // array bound to a param slot: idx[b].pslot
-	opSpecStoreP
 
 	// Second-order fusions: the fusion pass runs to fixpoint, so pairs
 	// whose head is itself a round-one fused op collapse further. These are
 	// the chains the census shows dominating real traces once the
 	// first-round set is applied (param-indexed element accesses, element
 	// load feeding arithmetic, load-scale-accumulate).
-	opLPIdxLoadGE  // opLPIdx+opLoadGE: a=index param slot, b=idx id (base folded)
-	opLPIdxLoadPE  // element via idx[b].pslot
-	opLPIdxStoreGE // opLPIdx+opStoreGE
-	opLPIdxStorePE
-	opLoadGEAdd // opLoadGE+arith: ..., x, off -> ..., x OP mem[a+off]
+	opLPIdxLoadGE // opLPIdx+opLoadGE: a=index param slot, b=idx id (base folded)
+	opLoadGEAdd   // opLoadGE+arith: ..., x, off -> ..., x OP mem[a+off]
 	opLoadGESub
 	opLoadGEMul
 	opLCMulAdd    // opLCMul+opAdd: stack top += mem[a]*f
@@ -237,9 +222,6 @@ const (
 	// Instrumented twins of the second-order fusions (contiguous block —
 	// isAccessOp depends on the range).
 	opLPIdxLoadGEI
-	opLPIdxLoadPEI
-	opLPIdxStoreGEI
-	opLPIdxStorePEI
 	opLoadGEAddI
 	opLoadGESubI
 	opLoadGEMulI
@@ -255,145 +237,8 @@ const (
 	// (body entry is a+1), b=the head's exit target.
 	opLoopNextHead
 
-	// ------------------------------------------------------------------
-	// Register-form opcodes (register.go, DESIGN.md "Register-form tier").
-	// Emitted only into the register-lowered alt-body region appended at
-	// code.regStart of register-tier streams, and executed only by the
-	// vm's dedicated register runner (runRegBody). Operands name virtual
-	// registers — eval-stack slots allocated at compile time, which is
-	// possible because the stack depth at every point of a straight-line
-	// alt body is statically known — instead of implicit stack positions.
-	// Register operands are packed into one int32 field 10 bits each
-	// (rPack/rsh below); the other fields keep the source instruction's
-	// addresses, table ids, and immediates.
-
-	opRConst // reg[b] = f
-	opRLoadG // reg[b] = mem[a]
-	opRLoadP // reg[b] = mem[params[a]]
-	opRStoreG
-	opRStoreP
-	opRNeg  // reg[b] = -reg[b]
-	opRNot  // reg[b] = !reg[b]
-	opRBool // reg[b] = bool(reg[b])
-	// Three-register arithmetic/compare: b = dst | s1<<10 | s2<<20.
-	opRAdd
-	opRSub
-	opRMul
-	opRDiv // a = source line
-	opREQ
-	opRNE
-	opRLT
-	opRLE
-	opRGT
-	opRGE
-	opRIntrin // a = intrinsic id, b = argc | base<<10; result in reg[base]
-	// Jumps: a = target pc; register operands in b.
-	opRJmp
-	opRJZ     // if reg[b] == 0 jump
-	opRAndJmp // if reg[b] == 0 jump (keep 0)
-	opROrJmp  // if reg[b] != 0 { reg[b] = 1; jump }
-	opRJEQ    // b = s1 | s2<<10; jump when the comparison is FALSE
-	opRJNE
-	opRJLT
-	opRJLE
-	opRJGT
-	opRJGE
-	// Checked element addressing (non-specialized refs inside alt bodies).
-	opRIdx    // a = idx id, b = slot (in place: index value -> offset)
-	opRIdxAdd // a = idx id, b = acc | iv<<10
-	opRLoadGE // a = array base, b = slot (in place: offset -> value)
-	opRLoadPE
-	opRStoreGE // a = base, b = val | off<<10
-	opRStorePE
-	// Specialized (checkless) accesses: b = idx id; the index value is the
-	// runner's hoisted induction register, converted once per iteration.
-	opRSpecLoadG // a = dst
-	opRSpecStoreG
-	opRSpecLoadP
-	opRSpecStoreP
-	// Register twins of the fused superinstructions that appear in alt
-	// bodies. Field use mirrors the stack form; the extra register operand
-	// rides in b (free in the stack form) or f (full-access forms).
-	opRLGIdxLoadGE // a = index var addr, b = idx id, f = float64(dst)
-	opRLGIdxLoadPE
-	opRLGIdxStoreGE // f = float64(src)
-	opRLGIdxStorePE
-	opRIdxAddLoadGE  // a = base/pslot, b = idx id, f = float64(acc|iv<<10)
-	opRIdxAddLoadPE  //
-	opRIdxAddStoreGE // f = float64(val|acc<<10|iv<<20)
-	opRIdxAddStorePE
-	opRLGIdx    // a = var addr, b = idx id, f = float64(dst)
-	opRLGIdxAdd // f = float64(acc)
-	opRLLAdd    // a, b = addrs, f = float64(dst)
-	opRLLSub
-	opRLLMul
-	opRLCAdd // a = addr, b = dst, f = const
-	opRLCSub
-	opRLCMul
-	opRLCMulAdd // reg[b] += mem[a] * f
-	opRLPJGT    // a = target, b = pslot | src<<10
-	opRLPJLE
-	opRLCIdx          // a = addr, b = idx id | dst<<20, f = const
-	opRLoadGEAdd      // a = base, b = acc | off<<10
-	opRLoadGESub      //
-	opRLoadGEMul      //
-	opRConstAddStoreG // mem[a] = reg[b] + f
-	// Register peephole products: whole-pattern superinstructions the
-	// explicit operands make legal (the consumed register is provably dead
-	// because the stack depth dropped below it).
-	opRSpecJGTP // spec load + opRLPJGT: a = target, b = pslot, f = float64(idx id)
-	opRSpecJLEP
-	opRMemAxpy // load/opRLCMulAdd/store, same cell: mem[a] += mem[b] * f
-
-	// Param-held index forms (mirror opLPIdx*: index read via params[a]).
-	opRLPIdx        // a = index pslot, b = idx id, f = float64(dst)
-	opRLPIdxAdd     // a = index pslot, b = idx id, f = float64(acc)
-	opRLPIdxLoadGE  // a = index pslot, b = idx id, f = float64(dst)
-	opRLPIdxLoadPE  // like opRLPIdxLoadGE through the array's pslot base
-	opRLPIdxStoreGE // a = index pslot, b = idx id, f = float64(src)
-	opRLPIdxStorePE
-
-	// Constant-folded register binops (opRConst + opRAdd/Sub/Mul where the
-	// constant slot dies): b = dst | s1<<10, f = the constant.
-	opRAddC
-	opRSubC
-	opRMulC
-	opRSpecStoreC // opRConst + opRSpecStoreG: b = idx id, f = the constant
-
-	opRAbs // single-arg ABS intrinsic, open-coded: b = slot (in place)
-
-	// opRLPIdx + opRLoadGE{Add,Sub,Mul}: param-held-index element access
-	// folded into the accumulating binop. a = element base,
-	// b = idx id | index pslot<<20, f = float64(acc).
-	opRLPIdxLoadGEAdd
-	opRLPIdxLoadGESub
-	opRLPIdxLoadGEMul
-
-	// opRLCMulAdd + opRSpecStoreG over the same register:
-	// a = scalar addr, b = reg | idx id<<10, f = the constant.
-	opRLCMulAddSpecStore
-
-	// opRSpecJGTP/JLEP whose taken edge skips exactly one mem[x] += 1
-	// (opLCAddStoreG, a == b, f == 1): the compare executes the increment
-	// itself instead of branching around it. The increment's tick is
-	// charged only on the taken path, so virtual time stays path-exact.
-	// a = increment addr, b = pslot, f = float64(idx id | incTick<<20).
-	opRSpecJGTPInc
-	opRSpecJLEPInc
-
 	opcodeCount // sentinel: number of opcodes (name table, census)
 )
-
-// Register-operand packing: up to three virtual registers in one int32,
-// 10 bits each. Register indices are eval-stack depths; the lowering pass
-// refuses bodies that would need a register >= rLimit.
-const (
-	rBits  = 10
-	rMask  = 1<<rBits - 1
-	rLimit = 1 << rBits
-)
-
-func rPack(r1, r2, r3 int32) int32 { return r1 | r2<<rBits | r3<<(2*rBits) }
 
 // instr is one 24-byte instruction. tick is the amount of virtual time
 // charged when the instruction executes (statement + expression-node ticks
@@ -427,17 +272,11 @@ type loopMeta struct {
 	line     int32
 	idxParam bool  // index variable storage: parameter slot vs absolute
 	idxOp    int32 // param slot or absolute address
-	// Tiered streams only: altEntry is the pc of the loop's specialized
-	// alternate body (-1 = none), guards the idx-table entries whose ranges
-	// the arm-time preflight must prove in bounds before the checkless body
-	// may run.
+	// altEntry is the pc of the loop's specialized alternate body (-1 =
+	// none), guards the idx-table entries whose ranges the arm-time
+	// preflight must prove in bounds before the checkless body may run.
 	altEntry int32
 	guards   []int32
-	// Register streams only: regEntry is the pc of the register-form
-	// lowering of the alt body in the appended region at code.regStart
-	// (-1 = the body could not be register-lowered; arming falls back to
-	// the stack-form alt body).
-	regEntry int32
 }
 
 // argKind distinguishes how a call argument slot binds.
@@ -466,12 +305,6 @@ type code struct {
 	entry        int32 // pc of the main program
 	maxStack     int   // eval-stack high-water mark (statically known)
 	instrumented bool
-	tiered       bool // superinstruction-fused stream with alt loop bodies
-	// Register tier: register-form alt bodies are appended at regStart, so
-	// an armed activation whose alt pc is >= regStart dispatches to the
-	// register runner instead of the stack-form alt body.
-	register bool
-	regStart int32
 }
 
 // lowered is the per-program compilation cache plus pooled run state. It is
@@ -481,9 +314,8 @@ type lowered struct {
 	lay *layout
 
 	mu sync.Mutex
-	// variants[instrumented + 2*tier]: plain, DDA-instrumented, and the
-	// tiered (fused + specializable) and register-form twins of each.
-	variants [6]*code
+	// variants[instrumented]: the plain and the DDA-instrumented stream.
+	variants [2]*code
 
 	vmPool     sync.Pool // *vmScratch
 	shadowPool sync.Pool // *ddaShadow
@@ -504,42 +336,25 @@ func loweredOf(prog *ir.Program) *lowered {
 // InvalidateProgram drops prog's compiled-code cache so the next run
 // recompiles every variant from the current IR. driver.Incremental calls
 // this when an invalidation dirties the program: specialized and fused
-// tiered code must not be served stale across analysis runs. In-flight
+// code must not be served stale across analysis runs. In-flight
 // interpreters keep executing the code they already resolved; only new
 // runs see the fresh cache.
 func InvalidateProgram(prog *ir.Program) {
 	prog.ExecCache.Store(&lowered{lay: newLayout(prog)})
 }
 
-// tierKind selects which compiled variant of a program codeFor returns.
-type tierKind int
-
-const (
-	tierPlain    tierKind = iota // baseline bytecode
-	tierFused                    // superinstruction fusion + specialization
-	tierRegister                 // tierFused + register-form alt bodies
-)
-
 // codeFor returns the plain or instrumented instruction stream, compiling
-// it on first use. Tiered variants additionally lower specializable loop
-// bodies twice (generic + alt) and run the superinstruction fusion pass;
-// the register tier then lowers each alt body to register form.
-func (low *lowered) codeFor(prog *ir.Program, instrumented bool, tier tierKind) *code {
-	i := int(tier)*2 + 0
+// it on first use: specializable loop bodies are lowered twice (generic +
+// alt) and the superinstruction fusion pass runs to fixpoint.
+func (low *lowered) codeFor(prog *ir.Program, instrumented bool) *code {
+	i := 0
 	if instrumented {
-		i++
+		i = 1
 	}
 	low.mu.Lock()
 	defer low.mu.Unlock()
 	if low.variants[i] == nil {
-		cd := compileProgram(prog, low.lay, instrumented, tier != tierPlain)
-		if tier != tierPlain {
-			cd = fuseCode(cd)
-		}
-		if tier == tierRegister {
-			regLowerCode(cd)
-		}
-		low.variants[i] = cd
+		low.variants[i] = fuseCode(compileProgram(prog, low.lay, instrumented))
 		counters.compiledProcs.Add(int64(len(prog.Procs)))
 		counters.compiledPrograms.Add(1)
 	}
@@ -548,7 +363,7 @@ func (low *lowered) codeFor(prog *ir.Program, instrumented bool, tier tierKind) 
 
 // Engine counters exported through suifxd's /v1/stats. The fallback*
 // counters attribute every tree-walker run to its cause, so a plan that
-// unexpectedly runs off the fast engine is visible instead of silent.
+// unexpectedly runs off the VM is visible instead of silent.
 var counters struct {
 	compiledPrograms atomic.Int64
 	compiledProcs    atomic.Int64
@@ -561,24 +376,14 @@ var counters struct {
 	parallelWorkers  atomic.Int64
 
 	fallbackMode      atomic.Int64
-	fallbackHooks     atomic.Int64
 	fallbackAnalyzers atomic.Int64
 
-	// Tiered engine: runs dispatched to the fused variant, instructions
-	// eliminated by fusion at compile time, loop activations that armed a
-	// specialized alt body, and loop iterations executed on a stripped
-	// (uninstrumented) alt body while DDA sampling was off.
-	tieredRuns        atomic.Int64
+	// Instructions eliminated by fusion at compile time, loop activations
+	// that armed a specialized alt body, and loop iterations executed on a
+	// stripped (uninstrumented) alt body while DDA sampling was off.
 	fusedInstructions atomic.Int64
 	specInvocations   atomic.Int64
 	stripIterations   atomic.Int64
-
-	// Register tier: runs dispatched to the register variant, alt bodies
-	// successfully lowered to register form at compile time, and loop
-	// iterations executed by the register runner.
-	registerRuns  atomic.Int64
-	regBodies     atomic.Int64
-	regIterations atomic.Int64
 }
 
 // Counters is a snapshot of the execution engine's global counters.
@@ -595,25 +400,21 @@ type Counters struct {
 	ParallelLoopRuns int64 `json:"parallel_loop_runs"`
 	ParallelWorkers  int64 `json:"parallel_workers"`
 
-	// Tree-walker fallbacks by cause: explicit tree mode, user-installed
-	// hooks, unsupported analyzer attachments.
+	// Tree-walker runs by cause: explicit ModeTree, or analyzer
+	// attachments the VM cannot drive.
 	FallbackMode      int64 `json:"fallbacks_mode"`
-	FallbackHooks     int64 `json:"fallbacks_hooks"`
 	FallbackAnalyzers int64 `json:"fallbacks_analyzers"`
 
-	// Tiered engine: fused-variant runs, instructions removed by the
-	// superinstruction pass, specialized-loop activations, and iterations
-	// executed on a stripped alt body.
-	TieredRuns        int64 `json:"tiered_runs"`
+	// Instructions removed by the superinstruction pass, specialized-loop
+	// activations, and iterations executed on a stripped alt body.
 	FusedInstructions int64 `json:"fused_instructions"`
 	SpecInvocations   int64 `json:"spec_invocations"`
 	StripIterations   int64 `json:"strip_iterations"`
 
-	// Register tier: register-variant runs, alt bodies lowered to register
-	// form at compile time, and iterations executed by the register runner.
-	RegisterRuns  int64 `json:"register_runs"`
-	RegBodies     int64 `json:"register_bodies"`
-	RegIterations int64 `json:"register_iterations"`
+	// Compat shim (benchmark/ compiles against these; see ModeBytecode):
+	// always 0 — user hooks and the register tier are gone.
+	FallbackHooks int64 `json:"-"`
+	RegIterations int64 `json:"-"`
 }
 
 // ReadCounters returns the current engine counters.
@@ -628,14 +429,9 @@ func ReadCounters() Counters {
 		ParallelLoopRuns:  counters.parallelLoopRuns.Load(),
 		ParallelWorkers:   counters.parallelWorkers.Load(),
 		FallbackMode:      counters.fallbackMode.Load(),
-		FallbackHooks:     counters.fallbackHooks.Load(),
 		FallbackAnalyzers: counters.fallbackAnalyzers.Load(),
-		TieredRuns:        counters.tieredRuns.Load(),
 		FusedInstructions: counters.fusedInstructions.Load(),
 		SpecInvocations:   counters.specInvocations.Load(),
 		StripIterations:   counters.stripIterations.Load(),
-		RegisterRuns:      counters.registerRuns.Load(),
-		RegBodies:         counters.regBodies.Load(),
-		RegIterations:     counters.regIterations.Load(),
 	}
 }

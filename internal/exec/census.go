@@ -9,11 +9,11 @@ import (
 )
 
 // The fusion-pattern census: the measurement tool that chose the fused
-// opcode set in fuse.go. It runs a program on the baseline bytecode engine
-// with per-pc execution counting enabled and aggregates the dynamic
-// frequency of every adjacent fusable pair and triple, so the
-// superinstruction set is grounded in real traces (the parallel workloads,
-// the Nanz suite, and the corpus ladder) instead of guesses.
+// opcode set in fuse.go. It runs a program's unfused stream with per-pc
+// execution counting enabled and aggregates the dynamic frequency of every
+// adjacent fusable pair and triple, so the superinstruction set is grounded
+// in real traces (the parallel workloads, the Nanz suite, and the corpus
+// ladder) instead of guesses.
 
 // PatternCount is one adjacent opcode sequence and its dynamic frequency.
 type PatternCount struct {
@@ -21,21 +21,19 @@ type PatternCount struct {
 	Count   int64  // executions of the window head
 }
 
-// FusionCensus executes prog once on the baseline (non-tiered, plain)
-// bytecode engine and returns the dynamic pair/triple frequencies sorted
+// FusionCensus executes prog once on the plain stream as lowered — compiled
+// here, uncached, without the fusion pass: it is the only reader of an
+// unfused stream — and returns the dynamic pair/triple frequencies sorted
 // by descending count. Windows starting at or crossing a control transfer
 // are excluded, mirroring the fusion pass's window rule.
 func FusionCensus(prog *ir.Program, out io.Writer) ([]PatternCount, error) {
 	in := New(prog)
-	in.Mode = ModeBytecode
 	if out != nil {
 		in.Out = out
-	} else {
-		in.Out = io.Discard
 	}
-	cd := loweredOf(prog).codeFor(prog, false, tierPlain)
+	cd := compileProgram(prog, loweredOf(prog).lay, false)
 	in.pcCount = make([]int64, len(cd.ins))
-	if err := in.Run(); err != nil {
+	if err := in.runCode(cd); err != nil {
 		return nil, err
 	}
 	counts := map[string]int64{}
@@ -69,10 +67,7 @@ func isControlTransfer(op opcode) bool {
 	switch op {
 	case opJmp, opJZ, opAndJmp, opOrJmp, opLoopInit, opLoopHead, opLoopNext,
 		opLoopNextHead, opLPJGT, opLPJLE, opLPJGTI, opLPJLEI,
-		opCall, opReturn, opErr,
-		opRJmp, opRJZ, opRAndJmp, opROrJmp,
-		opRJEQ, opRJNE, opRJLT, opRJLE, opRJGT, opRJGE,
-		opRLPJGT, opRLPJLE, opRSpecJGTP, opRSpecJLEP:
+		opCall, opReturn, opErr:
 		return true
 	}
 	return false
@@ -99,67 +94,23 @@ var opNames = [opcodeCount]string{
 	opLoopInit: "opLoopInit", opLoopHead: "opLoopHead", opLoopNext: "opLoopNext",
 	opArgAddrG: "opArgAddrG", opArgAddrP: "opArgAddrP", opCall: "opCall", opReturn: "opReturn",
 	opWrite: "opWrite", opErr: "opErr",
-	opLGIdx: "opLGIdx", opLPIdx: "opLPIdx", opLGIdxAdd: "opLGIdxAdd", opLPIdxAdd: "opLPIdxAdd",
-	opLGIdxLoadGE: "opLGIdxLoadGE", opLGIdxLoadPE: "opLGIdxLoadPE",
-	opLGIdxStoreGE: "opLGIdxStoreGE", opLGIdxStorePE: "opLGIdxStorePE",
-	opIdxAddLoadGE: "opIdxAddLoadGE", opIdxAddLoadPE: "opIdxAddLoadPE",
-	opIdxAddStoreGE: "opIdxAddStoreGE", opIdxAddStorePE: "opIdxAddStorePE",
-	opConstAddStoreG: "opConstAddStoreG",
-	opJEQ:            "opJEQ", opJNE: "opJNE", opJLT: "opJLT", opJLE: "opJLE", opJGT: "opJGT", opJGE: "opJGE",
-	opLLAdd: "opLLAdd", opLLSub: "opLLSub", opLLMul: "opLLMul",
+	opLGIdx: "opLGIdx", opLPIdx: "opLPIdx", opLGIdxAdd: "opLGIdxAdd",
+	opLGIdxLoadGE: "opLGIdxLoadGE", opLGIdxStoreGE: "opLGIdxStoreGE", opLGIdxStorePE: "opLGIdxStorePE",
+	opIdxAddLoadGE: "opIdxAddLoadGE", opConstAddStoreG: "opConstAddStoreG",
+	opJEQ: "opJEQ", opJNE: "opJNE", opJLT: "opJLT", opJLE: "opJLE", opJGT: "opJGT", opJGE: "opJGE",
 	opLCAdd: "opLCAdd", opLCSub: "opLCSub", opLCMul: "opLCMul",
-	opLGIdxI: "opLGIdxI", opLPIdxI: "opLPIdxI", opLGIdxAddI: "opLGIdxAddI", opLPIdxAddI: "opLPIdxAddI",
-	opLGIdxLoadGEI: "opLGIdxLoadGEI", opLGIdxLoadPEI: "opLGIdxLoadPEI",
-	opLGIdxStoreGEI: "opLGIdxStoreGEI", opLGIdxStorePEI: "opLGIdxStorePEI",
-	opIdxAddLoadGEI: "opIdxAddLoadGEI", opIdxAddLoadPEI: "opIdxAddLoadPEI",
-	opIdxAddStoreGEI: "opIdxAddStoreGEI", opIdxAddStorePEI: "opIdxAddStorePEI",
-	opConstAddStoreGI: "opConstAddStoreGI",
-	opLLAddI:          "opLLAddI", opLLSubI: "opLLSubI", opLLMulI: "opLLMulI",
+	opLGIdxI: "opLGIdxI", opLPIdxI: "opLPIdxI", opLGIdxAddI: "opLGIdxAddI",
+	opLGIdxLoadGEI: "opLGIdxLoadGEI", opLGIdxStoreGEI: "opLGIdxStoreGEI", opLGIdxStorePEI: "opLGIdxStorePEI",
+	opIdxAddLoadGEI: "opIdxAddLoadGEI", opConstAddStoreGI: "opConstAddStoreGI",
 	opLCAddI: "opLCAddI", opLCSubI: "opLCSubI", opLCMulI: "opLCMulI",
-	opSpecLoadG: "opSpecLoadG", opSpecStoreG: "opSpecStoreG",
-	opSpecLoadP: "opSpecLoadP", opSpecStoreP: "opSpecStoreP",
-	opLPIdxLoadGE: "opLPIdxLoadGE", opLPIdxLoadPE: "opLPIdxLoadPE",
-	opLPIdxStoreGE: "opLPIdxStoreGE", opLPIdxStorePE: "opLPIdxStorePE",
-	opLoadGEAdd: "opLoadGEAdd", opLoadGESub: "opLoadGESub", opLoadGEMul: "opLoadGEMul",
+	opSpecLoadG: "opSpecLoadG", opSpecStoreG: "opSpecStoreG", opSpecLoadP: "opSpecLoadP",
+	opLPIdxLoadGE: "opLPIdxLoadGE",
+	opLoadGEAdd:   "opLoadGEAdd", opLoadGESub: "opLoadGESub", opLoadGEMul: "opLoadGEMul",
 	opLCMulAdd: "opLCMulAdd", opLPJGT: "opLPJGT", opLPJLE: "opLPJLE",
 	opLCIdx: "opLCIdx", opLCAddStoreG: "opLCAddStoreG",
-	opLPIdxLoadGEI: "opLPIdxLoadGEI", opLPIdxLoadPEI: "opLPIdxLoadPEI",
-	opLPIdxStoreGEI: "opLPIdxStoreGEI", opLPIdxStorePEI: "opLPIdxStorePEI",
-	opLoadGEAddI: "opLoadGEAddI", opLoadGESubI: "opLoadGESubI", opLoadGEMulI: "opLoadGEMulI",
+	opLPIdxLoadGEI: "opLPIdxLoadGEI",
+	opLoadGEAddI:   "opLoadGEAddI", opLoadGESubI: "opLoadGESubI", opLoadGEMulI: "opLoadGEMulI",
 	opLCMulAddI: "opLCMulAddI", opLPJGTI: "opLPJGTI", opLPJLEI: "opLPJLEI",
 	opLCIdxI: "opLCIdxI", opLCAddStoreGI: "opLCAddStoreGI",
 	opLoopNextHead: "opLoopNextHead",
-	opRConst:       "opRConst", opRLoadG: "opRLoadG", opRLoadP: "opRLoadP",
-	opRStoreG: "opRStoreG", opRStoreP: "opRStoreP",
-	opRNeg: "opRNeg", opRNot: "opRNot", opRBool: "opRBool",
-	opRAdd: "opRAdd", opRSub: "opRSub", opRMul: "opRMul", opRDiv: "opRDiv",
-	opREQ: "opREQ", opRNE: "opRNE", opRLT: "opRLT", opRLE: "opRLE", opRGT: "opRGT", opRGE: "opRGE",
-	opRIntrin: "opRIntrin",
-	opRJmp:    "opRJmp", opRJZ: "opRJZ", opRAndJmp: "opRAndJmp", opROrJmp: "opROrJmp",
-	opRJEQ: "opRJEQ", opRJNE: "opRJNE", opRJLT: "opRJLT", opRJLE: "opRJLE", opRJGT: "opRJGT", opRJGE: "opRJGE",
-	opRIdx: "opRIdx", opRIdxAdd: "opRIdxAdd",
-	opRLoadGE: "opRLoadGE", opRLoadPE: "opRLoadPE", opRStoreGE: "opRStoreGE", opRStorePE: "opRStorePE",
-	opRSpecLoadG: "opRSpecLoadG", opRSpecStoreG: "opRSpecStoreG",
-	opRSpecLoadP: "opRSpecLoadP", opRSpecStoreP: "opRSpecStoreP",
-	opRLGIdxLoadGE: "opRLGIdxLoadGE", opRLGIdxLoadPE: "opRLGIdxLoadPE",
-	opRLGIdxStoreGE: "opRLGIdxStoreGE", opRLGIdxStorePE: "opRLGIdxStorePE",
-	opRIdxAddLoadGE: "opRIdxAddLoadGE", opRIdxAddLoadPE: "opRIdxAddLoadPE",
-	opRIdxAddStoreGE: "opRIdxAddStoreGE", opRIdxAddStorePE: "opRIdxAddStorePE",
-	opRLGIdx: "opRLGIdx", opRLGIdxAdd: "opRLGIdxAdd",
-	opRLLAdd: "opRLLAdd", opRLLSub: "opRLLSub", opRLLMul: "opRLLMul",
-	opRLCAdd: "opRLCAdd", opRLCSub: "opRLCSub", opRLCMul: "opRLCMul",
-	opRLCMulAdd: "opRLCMulAdd", opRLPJGT: "opRLPJGT", opRLPJLE: "opRLPJLE",
-	opRLCIdx:     "opRLCIdx",
-	opRLoadGEAdd: "opRLoadGEAdd", opRLoadGESub: "opRLoadGESub", opRLoadGEMul: "opRLoadGEMul",
-	opRConstAddStoreG: "opRConstAddStoreG",
-	opRSpecJGTP:       "opRSpecJGTP", opRSpecJLEP: "opRSpecJLEP", opRMemAxpy: "opRMemAxpy",
-	opRLPIdx: "opRLPIdx", opRLPIdxAdd: "opRLPIdxAdd",
-	opRLPIdxLoadGE: "opRLPIdxLoadGE", opRLPIdxLoadPE: "opRLPIdxLoadPE",
-	opRLPIdxStoreGE: "opRLPIdxStoreGE", opRLPIdxStorePE: "opRLPIdxStorePE",
-	opRAddC: "opRAddC", opRSubC: "opRSubC", opRMulC: "opRMulC",
-	opRSpecStoreC: "opRSpecStoreC", opRAbs: "opRAbs",
-	opRLPIdxLoadGEAdd: "opRLPIdxLoadGEAdd", opRLPIdxLoadGESub: "opRLPIdxLoadGESub",
-	opRLPIdxLoadGEMul: "opRLPIdxLoadGEMul",
-	opRLCMulAddSpecStore: "opRLCMulAddSpecStore",
-	opRSpecJGTPInc:       "opRSpecJGTPInc", opRSpecJLEPInc: "opRSpecJLEPInc",
 }

@@ -27,11 +27,12 @@ type compiler struct {
 	depth        int // static eval-stack depth at the current emit point
 	maxDepth     int
 
-	// Tiered lowering: specializable loops additionally get an alternate
-	// (checkless, uninstrumented) body after their opLoopNext. While that
-	// body lowers, inAlt is set and spec-qualifying accesses through
-	// specIdxSym collapse to opSpec* forms guarded by loops[specLI].guards.
-	tiered     bool
+	// Whole-program lowering (altBodies): specializable loops additionally
+	// get an alternate (checkless, uninstrumented) body after their
+	// opLoopNext. While that body lowers, inAlt is set and spec-qualifying
+	// accesses through specIdxSym collapse to opSpec* forms guarded by
+	// loops[specLI].guards. Worker views lower generic bodies only.
+	altBodies  bool
 	inAlt      bool
 	specLI     int32
 	specIdxSym *ir.Symbol
@@ -45,13 +46,15 @@ type compiler struct {
 	privCommon map[string]map[int64]int64
 }
 
-func compileProgram(prog *ir.Program, lay *layout, instrumented, tiered bool) *code {
+// compileProgram lowers a whole program to the unfused stream; every
+// caller but FusionCensus runs fuseCode over the result.
+func compileProgram(prog *ir.Program, lay *layout, instrumented bool) *code {
 	c := &compiler{
 		prog:         prog,
 		lay:          lay,
 		instrumented: instrumented,
-		tiered:       tiered,
-		c:            &code{lay: lay, instrumented: instrumented, tiered: tiered},
+		altBodies:    true,
+		c:            &code{lay: lay, instrumented: instrumented},
 		entryOf:      map[string]int32{},
 	}
 	for _, p := range prog.Procs {
@@ -82,15 +85,14 @@ func compileProgram(prog *ir.Program, lay *layout, instrumented, tiered bool) *c
 // per-call map lookups with fixed addresses. Views are never instrumented:
 // worker clones drop hooks on the tree path too.
 func compileLoopBody(prog *ir.Program, lay *layout, proc *ir.Proc, l *ir.DoLoop,
-	rebind map[*ir.Symbol]int64, privCommon map[string]map[int64]int64, tiered bool) *code {
+	rebind map[*ir.Symbol]int64, privCommon map[string]map[int64]int64) *code {
 	c := &compiler{
 		prog:       prog,
 		lay:        lay,
-		c:          &code{lay: lay, tiered: tiered},
+		c:          &code{lay: lay},
 		entryOf:    map[string]int32{},
 		rebind:     rebind,
 		privCommon: privCommon,
-		tiered:     tiered,
 	}
 	c.curProc = proc
 	c.stmts(l.Body)
@@ -187,7 +189,7 @@ func (c *compiler) stmt(s ir.Stmt) {
 
 func (c *compiler) loop(l *ir.DoLoop) {
 	li := int32(len(c.c.loops))
-	lm := loopMeta{loop: l, proc: c.curProc.Name, line: int32(l.Pos.Line), altEntry: -1, regEntry: -1}
+	lm := loopMeta{loop: l, proc: c.curProc.Name, line: int32(l.Pos.Line), altEntry: -1}
 	switch sym := l.Index; {
 	case sym.IsParam && !c.rebound(sym):
 		lm.idxParam, lm.idxOp = true, int32(sym.ParamIndex)
@@ -211,7 +213,7 @@ func (c *compiler) loop(l *ir.DoLoop) {
 	c.stmts(l.Body)
 	c.curStmt = l
 	c.emit(opLoopNext, head, 0, 0)
-	if c.tiered && !c.inAlt && c.specializable(l) {
+	if c.altBodies && !c.inAlt && c.specializable(l) {
 		alt := int32(len(c.c.ins))
 		c.lowerAltBody(l, head, li)
 		c.c.loops[li].altEntry = alt
@@ -247,9 +249,6 @@ func (c *compiler) lowerAltBody(l *ir.DoLoop, head, li int32) {
 // make the alt body worth dispatching to.
 func (c *compiler) specializable(l *ir.DoLoop) bool {
 	sym := l.Index
-	// A rebound (worker-private) index is fine: it resolves to a fixed
-	// absolute cell in this view's bank, disjoint from every other symbol's
-	// cells, so the aliasing exclusions below still hold.
 	if sym.IsParam || sym.Common != "" {
 		return false
 	}
@@ -358,13 +357,13 @@ func (c *compiler) specAccess(x *ir.ArrayRef, store bool) {
 		line: int32(c.curStmt.Position().Line), dim: 1, name: sym.Name,
 	}
 	var op opcode
-	if sym.IsParam && !c.rebound(sym) {
+	if sym.IsParam {
+		// Loads only: specializable rejects stores through param arrays. No
+		// rebound check: only worker views rebind, and they lower no alt
+		// bodies.
 		d.pslot = int32(sym.ParamIndex)
 		d.base = -dim.Lo
 		op = opSpecLoadP
-		if store {
-			op = opSpecStoreP
-		}
 	} else {
 		d.base = int64(c.absAddr(sym)) - dim.Lo
 		op = opSpecLoadG

@@ -1,8 +1,8 @@
 package exec_test
 
 // Differential tests: every program is executed by both engines — the
-// tree-walking interpreter and the bytecode VM — and every observable must
-// match exactly: arena image (bit-for-bit), printed output, the virtual
+// tree-walking interpreter (the oracle) and the VM — and every observable
+// must match exactly: arena image (bit-for-bit), printed output, the virtual
 // clock, loop profiles, and the dynamic dependence analyzer's counts.
 
 import (
@@ -144,18 +144,13 @@ func compareRuns(t *testing.T, label string, tree, bc runResult) {
 	}
 }
 
-// diffBoth is a four-way differential: the tree-walker is the reference,
-// and the baseline bytecode VM, the tiered VM (fusion + specialization),
-// and the register-form VM (tier 4) must all match it on every observable.
-func diffBoth(t *testing.T, label, name, src string, cfg runConfig) {
+// diffBoth is the two-way differential: the tree-walker is the reference
+// and the VM must match it on every observable. It returns the tree run.
+func diffBoth(t *testing.T, label, name, src string, cfg runConfig) runResult {
 	t.Helper()
 	tree := runEngine(t, name, src, exec.ModeTree, cfg)
-	bc := runEngine(t, name, src, exec.ModeBytecode, cfg)
-	compareRuns(t, label+"/vm", tree, bc)
-	td := runEngine(t, name, src, exec.ModeTiered, cfg)
-	compareRuns(t, label+"/tiered", tree, td)
-	rg := runEngine(t, name, src, exec.ModeRegister, cfg)
-	compareRuns(t, label+"/register", tree, rg)
+	compareRuns(t, label+"/vm", tree, runEngine(t, name, src, exec.ModeAuto, cfg))
+	return tree
 }
 
 // TestDifferentialWorkloads runs every benchmark workload through both
@@ -251,16 +246,10 @@ func TestDifferentialErrors(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := runConfig{profile: true, instrument: true, maxOps: tc.maxOps}
-			tree := runEngine(t, tc.name, tc.src, exec.ModeTree, cfg)
+			tree := diffBoth(t, tc.name, tc.name, tc.src, cfg)
 			if !strings.Contains(tree.err, tc.wantErr) {
 				t.Fatalf("tree error %q does not contain %q", tree.err, tc.wantErr)
 			}
-			bc := runEngine(t, tc.name, tc.src, exec.ModeBytecode, cfg)
-			compareRuns(t, tc.name+"/vm", tree, bc)
-			td := runEngine(t, tc.name, tc.src, exec.ModeTiered, cfg)
-			compareRuns(t, tc.name+"/tiered", tree, td)
-			rg := runEngine(t, tc.name, tc.src, exec.ModeRegister, cfg)
-			compareRuns(t, tc.name+"/register", tree, rg)
 		})
 	}
 }
@@ -290,16 +279,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			cfg.sampleEvery = 7
 			cfg.sampleWarm = 3
 		}
-		tree := runEngine(t, name, src, exec.ModeTree, cfg)
-		if tree.err != "" {
+		if tree := diffBoth(t, name, name, src, cfg); tree.err != "" {
 			t.Fatalf("seed %d: generated program failed on tree engine: %v\n%s", s, tree.err, src)
 		}
-		bc := runEngine(t, name, src, exec.ModeBytecode, cfg)
-		compareRuns(t, name+"/vm", tree, bc)
-		td := runEngine(t, name, src, exec.ModeTiered, cfg)
-		compareRuns(t, name+"/tiered", tree, td)
-		rg := runEngine(t, name, src, exec.ModeRegister, cfg)
-		compareRuns(t, name+"/register", tree, rg)
 		if t.Failed() {
 			t.Fatalf("seed %d diverged; source:\n%s", s, src)
 		}
@@ -333,12 +315,12 @@ func TestDifferentialCorpusScale(t *testing.T) {
 func TestReportOrderStability(t *testing.T) {
 	w := workloads.All()[0]
 	cfg := runConfig{profile: true, instrument: true}
-	base := runEngine(t, w.Name, w.Source, exec.ModeBytecode, cfg)
+	base := runEngine(t, w.Name, w.Source, exec.ModeAuto, cfg)
 	if base.profiles == "" {
 		t.Fatal("no profiles produced")
 	}
 	for i := 0; i < 3; i++ {
-		again := runEngine(t, w.Name, w.Source, exec.ModeBytecode, cfg)
+		again := runEngine(t, w.Name, w.Source, exec.ModeAuto, cfg)
 		if again.profiles != base.profiles {
 			t.Fatalf("run %d: profile order changed:\n%s\nvs\n%s", i, again.profiles, base.profiles)
 		}
@@ -349,13 +331,5 @@ func TestReportOrderStability(t *testing.T) {
 	tree := runEngine(t, w.Name, w.Source, exec.ModeTree, cfg)
 	if tree.profiles != base.profiles || tree.deploops != base.deploops {
 		t.Fatalf("tree/vm report order differs:\n%s\nvs\n%s", tree.profiles, base.profiles)
-	}
-	tiered := runEngine(t, w.Name, w.Source, exec.ModeTiered, cfg)
-	if tiered.profiles != base.profiles || tiered.deploops != base.deploops {
-		t.Fatalf("tiered/vm report order differs:\n%s\nvs\n%s", tiered.profiles, base.profiles)
-	}
-	reg := runEngine(t, w.Name, w.Source, exec.ModeRegister, cfg)
-	if reg.profiles != base.profiles || reg.deploops != base.deploops {
-		t.Fatalf("register/vm report order differs:\n%s\nvs\n%s", reg.profiles, base.profiles)
 	}
 }

@@ -68,15 +68,15 @@ func (d *DynDep) install(in *Interp) {
 		return
 	}
 	d.installed = true
-	prevEnter, prevExit, prevIter := in.Hooks.OnLoopEnter, in.Hooks.OnLoopExit, in.Hooks.OnLoopIter
-	prevRead, prevWrite := in.Hooks.OnRead, in.Hooks.OnWrite
-	in.Hooks.OnLoopEnter = func(proc string, l *ir.DoLoop) {
+	prevEnter, prevExit, prevIter := in.hooks.OnLoopEnter, in.hooks.OnLoopExit, in.hooks.OnLoopIter
+	prevRead, prevWrite := in.hooks.OnRead, in.hooks.OnWrite
+	in.hooks.OnLoopEnter = func(proc string, l *ir.DoLoop) {
 		if prevEnter != nil {
 			prevEnter(proc, l)
 		}
 		d.stack = append(d.stack, &dynLoop{loop: l, iter: -1})
 	}
-	in.Hooks.OnLoopIter = func(proc string, l *ir.DoLoop, iter int64) {
+	in.hooks.OnLoopIter = func(proc string, l *ir.DoLoop, iter int64) {
 		if prevIter != nil {
 			prevIter(proc, l, iter)
 		}
@@ -84,7 +84,7 @@ func (d *DynDep) install(in *Interp) {
 		top.iter = iter
 		top.sampled = d.sampleIter(iter)
 	}
-	in.Hooks.OnLoopExit = func(proc string, l *ir.DoLoop) {
+	in.hooks.OnLoopExit = func(proc string, l *ir.DoLoop) {
 		if prevExit != nil {
 			prevExit(proc, l)
 		}
@@ -92,13 +92,13 @@ func (d *DynDep) install(in *Interp) {
 			d.stack = d.stack[:len(d.stack)-1]
 		}
 	}
-	in.Hooks.OnRead = func(addr int64, proc string, s ir.Stmt) {
+	in.hooks.OnRead = func(addr int64, proc string, s ir.Stmt) {
 		if prevRead != nil {
 			prevRead(addr, proc, s)
 		}
 		d.onRead(addr, s)
 	}
-	in.Hooks.OnWrite = func(addr int64, proc string, s ir.Stmt) {
+	in.hooks.OnWrite = func(addr int64, proc string, s ir.Stmt) {
 		if prevWrite != nil {
 			prevWrite(addr, proc, s)
 		}

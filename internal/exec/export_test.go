@@ -6,19 +6,18 @@ import (
 	"suifx/internal/ir"
 )
 
-// fusedPairCensus is a test-only probe: it runs prog on the tiered engine
+// FusedPairCensusForTest is a test-only probe: it runs prog on the VM
 // (optionally instrumented) with per-pc counting and returns the dynamic
 // pair frequencies remaining in the fused stream plus single-op counts —
 // the data the fusion set is tuned against.
 func FusedPairCensusForTest(prog *ir.Program, instrumented bool) (pairs, singles map[string]int64, err error) {
 	in := New(prog)
-	in.Mode = ModeTiered
 	in.Out = io.Discard
 	if instrumented {
 		NewProfiler(in)
 		NewDynDep(in)
 	}
-	cd := loweredOf(prog).codeFor(prog, instrumented, tierFused)
+	cd := loweredOf(prog).codeFor(prog, instrumented)
 	in.pcCount = make([]int64, len(cd.ins))
 	if err := in.Run(); err != nil {
 		return nil, nil, err

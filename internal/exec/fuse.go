@@ -2,8 +2,8 @@ package exec
 
 import "suifx/internal/ir"
 
-// The superinstruction fusion pass (tiered engine, DESIGN.md "Tiered
-// execution"). A post-lowering peephole over the whole instruction stream
+// The superinstruction fusion pass (DESIGN.md "The VM"). A post-lowering
+// peephole over the whole instruction stream
 // fuses the opcode pairs and triples that dominate dynamic traces
 // (FusionCensus over the parallel workloads, the Nanz suite, and the corpus
 // ladder) into single fused opcodes with precomputed operand addresses.
@@ -167,9 +167,6 @@ func fuse3(cd *code, a, b, c *instr) (instr, bool) {
 		case opLoadGE:
 			d.base = int64(c.a) - d.lo*d.stride
 			return mk(opLGIdxLoadGE, a.a, b.a, 0)
-		case opLoadPE:
-			d.base, d.pslot = -d.lo*d.stride, c.a
-			return mk(opLGIdxLoadPE, a.a, b.a, 0)
 		case opStoreGE:
 			d.base = int64(c.a) - d.lo*d.stride
 			return mk(opLGIdxStoreGE, a.a, b.a, 0)
@@ -183,9 +180,6 @@ func fuse3(cd *code, a, b, c *instr) (instr, bool) {
 		case opLoadGEI:
 			d.base = int64(c.a) - d.lo*d.stride
 			return mk(opLGIdxLoadGEI, a.a, b.a, 0)
-		case opLoadPEI:
-			d.base, d.pslot = -d.lo*d.stride, c.a
-			return mk(opLGIdxLoadPEI, a.a, b.a, 0)
 		case opStoreGEI:
 			d.base = int64(c.a) - d.lo*d.stride
 			return mk(opLGIdxStoreGEI, a.a, b.a, 0)
@@ -197,24 +191,6 @@ func fuse3(cd *code, a, b, c *instr) (instr, bool) {
 		return mk(opConstAddStoreG, c.a, 0, a.f)
 	case a.op == opConst && b.op == opAdd && c.op == opStoreGI:
 		return mk(opConstAddStoreGI, c.a, 0, a.f)
-	case a.op == opLoadG && b.op == opLoadG:
-		switch c.op {
-		case opAdd:
-			return mk(opLLAdd, a.a, b.a, 0)
-		case opSub:
-			return mk(opLLSub, a.a, b.a, 0)
-		case opMul:
-			return mk(opLLMul, a.a, b.a, 0)
-		}
-	case a.op == opLoadGI && b.op == opLoadGI:
-		switch c.op {
-		case opAdd:
-			return mk(opLLAddI, a.a, b.a, 0)
-		case opSub:
-			return mk(opLLSubI, a.a, b.a, 0)
-		case opMul:
-			return mk(opLLMulI, a.a, b.a, 0)
-		}
 	case a.op == opLoadG && b.op == opConst:
 		switch c.op {
 		case opAdd:
@@ -249,36 +225,16 @@ func fuse2(cd *code, a, b *instr) (instr, bool) {
 	}
 	switch a.op {
 	case opLPIdx:
-		d := &cd.idx[a.b]
-		switch b.op {
-		case opLoadGE:
+		if b.op == opLoadGE {
+			d := &cd.idx[a.b]
 			d.base = int64(b.a) - d.lo*d.stride
 			return mk(opLPIdxLoadGE, a.a, a.b, 0)
-		case opLoadPE:
-			d.base, d.pslot = -d.lo*d.stride, b.a
-			return mk(opLPIdxLoadPE, a.a, a.b, 0)
-		case opStoreGE:
-			d.base = int64(b.a) - d.lo*d.stride
-			return mk(opLPIdxStoreGE, a.a, a.b, 0)
-		case opStorePE:
-			d.base, d.pslot = -d.lo*d.stride, b.a
-			return mk(opLPIdxStorePE, a.a, a.b, 0)
 		}
 	case opLPIdxI:
-		d := &cd.idx[a.b]
-		switch b.op {
-		case opLoadGEI:
+		if b.op == opLoadGEI {
+			d := &cd.idx[a.b]
 			d.base = int64(b.a) - d.lo*d.stride
 			return mk(opLPIdxLoadGEI, a.a, a.b, 0)
-		case opLoadPEI:
-			d.base, d.pslot = -d.lo*d.stride, b.a
-			return mk(opLPIdxLoadPEI, a.a, a.b, 0)
-		case opStoreGEI:
-			d.base = int64(b.a) - d.lo*d.stride
-			return mk(opLPIdxStoreGEI, a.a, a.b, 0)
-		case opStorePEI:
-			d.base, d.pslot = -d.lo*d.stride, b.a
-			return mk(opLPIdxStorePEI, a.a, a.b, 0)
 		}
 	case opLoadGE:
 		switch b.op {
@@ -338,8 +294,6 @@ func fuse2(cd *code, a, b *instr) (instr, bool) {
 		switch b.op {
 		case opIdx:
 			return mk(opLPIdx, a.a, b.a, 0)
-		case opIdxAdd:
-			return mk(opLPIdxAdd, a.a, b.a, 0)
 		case opJGT:
 			return mk(opLPJGT, b.a, a.a, 0)
 		case opJLE:
@@ -349,8 +303,6 @@ func fuse2(cd *code, a, b *instr) (instr, bool) {
 		switch b.op {
 		case opIdx:
 			return mk(opLPIdxI, a.a, b.a, 0)
-		case opIdxAdd:
-			return mk(opLPIdxAddI, a.a, b.a, 0)
 		case opJGT:
 			return mk(opLPJGTI, b.a, a.a, 0)
 		case opJLE:
@@ -360,20 +312,8 @@ func fuse2(cd *code, a, b *instr) (instr, bool) {
 		switch b.op {
 		case opLoadGE:
 			return mk(opIdxAddLoadGE, b.a, a.a, 0)
-		case opLoadPE:
-			return mk(opIdxAddLoadPE, b.a, a.a, 0)
-		case opStoreGE:
-			return mk(opIdxAddStoreGE, b.a, a.a, 0)
-		case opStorePE:
-			return mk(opIdxAddStorePE, b.a, a.a, 0)
 		case opLoadGEI:
 			return mk(opIdxAddLoadGEI, b.a, a.a, 0)
-		case opLoadPEI:
-			return mk(opIdxAddLoadPEI, b.a, a.a, 0)
-		case opStoreGEI:
-			return mk(opIdxAddStoreGEI, b.a, a.a, 0)
-		case opStorePEI:
-			return mk(opIdxAddStorePEI, b.a, a.a, 0)
 		}
 	case opEQ:
 		if b.op == opJZ {

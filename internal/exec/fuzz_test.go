@@ -1,21 +1,27 @@
 package exec_test
 
-// FuzzTieredDifferential drives arbitrary (parser-accepted) programs
-// through the tree-walker, the baseline bytecode VM, and the tiered VM, and
-// requires every observable to agree — the fuzz-shaped version of the
-// differential suite, seeded the same way as FuzzMiniFParser so CI mutates
-// from real program shapes.
+// The fuzz-shaped version of the differential suite: arbitrary
+// (parser-accepted) programs run on the tree-walker and the VM and every
+// observable must agree. One body, one seed corpus, and one target per
+// compiled variant of the VM: the instrumented stream (profile + DDA, full
+// or sampled — sampled runs strip and re-arm instrumentation around armed
+// alt bodies) and the plain stream (where an armed alt body runs every
+// iteration). The target names predate the one-VM collapse; they are kept
+// so CI's fuzz history carries over.
 
 import (
 	"testing"
 
 	"suifx/internal/corpus"
-	"suifx/internal/exec"
 	"suifx/internal/minif"
 	"suifx/internal/workloads"
 )
 
-func FuzzTieredDifferential(f *testing.F) {
+// fuzzDifferential seeds f the same way as FuzzMiniFParser (so CI mutates
+// from real program shapes) plus shapes that stress specialized bodies (IF
+// arms and intrinsics inside hot loops, faults), and checks tree-vs-VM
+// agreement under the config cfgFor derives from the input.
+func fuzzDifferential(f *testing.F, cfgFor func(src string) runConfig) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source)
 	}
@@ -24,6 +30,8 @@ func FuzzTieredDifferential(f *testing.F) {
 	}
 	f.Add("      PROGRAM T\n      REAL A(10)\n      INTEGER I\n      DO 10 I = 1, 10\n      A(I) = A(I) + 1.0\n   10 CONTINUE\n      END\n")
 	f.Add("      PROGRAM T\n      REAL X\n      X = 1.0 / 0.0\n      END\n")
+	f.Add("      PROGRAM T\n      REAL A(10)\n      INTEGER I\n      DO 10 I = 1, 10\n      A(I) = ABS(A(I) - 3.0) + 1.0\n   10 CONTINUE\n      END\n")
+	f.Add("      PROGRAM T\n      REAL A(10), S\n      INTEGER I\n      DO 10 I = 1, 10\n      IF (A(I) .GT. 2.0) S = S + 1\n   10 CONTINUE\n      END\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, err := minif.Parse("fuzz.f", src); err != nil {
@@ -32,46 +40,25 @@ func FuzzTieredDifferential(f *testing.F) {
 		// Bound runtime: arbitrary accepted programs may loop for a long
 		// time. Budget errors are part of the differential contract (error
 		// text and output identical; arena relaxed — see compareRuns).
-		cfg := runConfig{profile: true, instrument: true, maxOps: 200000}
-		if len(src)%2 == 1 {
-			cfg.sampleEvery = 3
-			cfg.sampleWarm = 1
-		}
-		tree := runEngine(t, "fuzz.f", src, exec.ModeTree, cfg)
-		bc := runEngine(t, "fuzz.f", src, exec.ModeBytecode, cfg)
-		compareRuns(t, "fuzz/vm", tree, bc)
-		td := runEngine(t, "fuzz.f", src, exec.ModeTiered, cfg)
-		compareRuns(t, "fuzz/tiered", tree, td)
+		cfg := cfgFor(src)
+		cfg.maxOps = 200000
+		diffBoth(t, "fuzz", "fuzz.f", src, cfg)
 	})
 }
 
-// FuzzRegisterDifferential is the register-tier (tier 4) twin: arbitrary
-// accepted programs must behave identically under register-form lowering —
-// arming, lowering bails, peephole fusion and runner fallbacks included.
-// Seeded like FuzzTieredDifferential, plus shapes that exercise the
-// lowering's bail paths (IF arms inside hot loops, intrinsics, nested
-// specializable loops).
-func FuzzRegisterDifferential(f *testing.F) {
-	for _, w := range workloads.All() {
-		f.Add(w.Source)
-	}
-	for seed := int64(0); seed < 4; seed++ {
-		f.Add(corpus.DiffProgram(seed))
-	}
-	f.Add("      PROGRAM T\n      REAL A(10)\n      INTEGER I\n      DO 10 I = 1, 10\n      A(I) = ABS(A(I) - 3.0) + 1.0\n   10 CONTINUE\n      END\n")
-	f.Add("      PROGRAM T\n      REAL A(10), S\n      INTEGER I\n      DO 10 I = 1, 10\n      IF (A(I) .GT. 2.0) S = S + 1\n   10 CONTINUE\n      END\n")
-
-	f.Fuzz(func(t *testing.T, src string) {
-		if _, err := minif.Parse("fuzz.f", src); err != nil {
-			return
-		}
-		cfg := runConfig{profile: true, instrument: true, maxOps: 200000}
+func FuzzTieredDifferential(f *testing.F) {
+	fuzzDifferential(f, func(src string) runConfig {
+		cfg := runConfig{profile: true, instrument: true}
 		if len(src)%2 == 1 {
 			cfg.sampleEvery = 3
 			cfg.sampleWarm = 1
 		}
-		tree := runEngine(t, "fuzz.f", src, exec.ModeTree, cfg)
-		rg := runEngine(t, "fuzz.f", src, exec.ModeRegister, cfg)
-		compareRuns(t, "fuzz/register", tree, rg)
+		return cfg
+	})
+}
+
+func FuzzRegisterDifferential(f *testing.F) {
+	fuzzDifferential(f, func(src string) runConfig {
+		return runConfig{profile: len(src)%2 == 1}
 	})
 }

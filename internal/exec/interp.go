@@ -1,12 +1,11 @@
-// Package exec executes MiniF programs with two interchangeable engines —
-// a compile-then-run bytecode VM (the default) and the original
-// tree-walking interpreter — over a flat memory arena, with
-// instrumentation that implements the paper's Execution Analyzers (§2.5):
-// the Loop Profile Analyzer and the Dynamic Dependence Analyzer. Both
-// engines share a deterministic virtual-time (operation count) clock the
-// machine cost models consume, and produce byte-identical results; the
-// tree-walker is kept for differential testing and for parallel-plan
-// execution.
+// Package exec executes MiniF programs with two engines — a
+// compile-then-run bytecode VM (the engine every caller gets) and the
+// original tree-walking interpreter, kept strictly as the differential
+// oracle — over a flat memory arena, with instrumentation that implements
+// the paper's Execution Analyzers (§2.5): the Loop Profile Analyzer and the
+// Dynamic Dependence Analyzer. Both engines share a deterministic
+// virtual-time (operation count) clock the machine cost models consume,
+// and produce byte-identical results.
 package exec
 
 import (
@@ -17,70 +16,25 @@ import (
 	"suifx/internal/ir"
 )
 
-// ExecMode selects the execution engine.
+// ExecMode is the library-level oracle switch: ModeTree runs the
+// tree-walker, every other value runs the VM.
 type ExecMode int
 
 const (
-	// ModeAuto follows the package-level DefaultMode.
+	// ModeAuto (the zero value) runs the VM: the program is lowered once,
+	// fused to fixpoint and loop-specialized (DESIGN.md "The VM"), and the
+	// flat stream executes approved parallel loops on per-worker views.
 	ModeAuto ExecMode = iota
-	// ModeBytecode compiles the program once and runs the flat instruction
-	// stream, including approved parallel loops (per-worker bytecode views
-	// over the shared arena). It falls back to the tree-walker only for
-	// user-installed hooks, which the VM does not model.
+	// Compat shim: ModeBytecode, ModeTiered and ModeRegister are synonyms
+	// of ModeAuto, kept with their old String() names only because
+	// benchmark/ compiles against them; they go when its per-tier sidecar
+	// rows do.
 	ModeBytecode
-	// ModeTree forces the original tree-walking interpreter.
+	// ModeTree forces the tree-walking interpreter (differential oracle).
 	ModeTree
-	// ModeTiered runs the superinstruction-fused bytecode variant with
-	// profile-guided loop specialization (alt bodies armed after an
-	// invocation threshold, bounds checks hoisted to a preflight, DDA
-	// instrumentation stripped on unsampled iterations).
-	ModeTiered
-	// ModeRegister stacks a fourth tier on ModeTiered: specialized alt
-	// bodies are additionally lowered to a register-addressed instruction
-	// form (eval-stack slots become virtual registers, resolved at compile
-	// time) executed by a dedicated inner dispatch loop. Arming, preflight,
-	// sampled-DDA fallback and incremental invalidation behave exactly as
-	// in ModeTiered; loops whose bodies cannot be register-lowered fall
-	// back to the stack-form alt body.
-	ModeRegister
+	ModeTiered   // compat shim, see ModeBytecode
+	ModeRegister // compat shim, see ModeBytecode
 )
-
-// ParseMode maps a user-facing engine name to an ExecMode. Accepts
-// "bytecode", "tree", "tiered", "register", "auto" and "" (auto).
-func ParseMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "auto":
-		return ModeAuto, nil
-	case "bytecode":
-		return ModeBytecode, nil
-	case "tree":
-		return ModeTree, nil
-	case "tiered":
-		return ModeTiered, nil
-	case "register":
-		return ModeRegister, nil
-	}
-	return ModeAuto, fmt.Errorf("exec: unknown mode %q (want auto, bytecode, tiered, register or tree)", s)
-}
-
-// ParseTier maps the user-facing `tier` knob to an ExecMode. Unlike
-// ParseMode it does not accept "auto" — a tier names a concrete engine —
-// but "" still means "no override".
-func ParseTier(s string) (ExecMode, error) {
-	switch s {
-	case "":
-		return ModeAuto, nil
-	case "tree":
-		return ModeTree, nil
-	case "bytecode":
-		return ModeBytecode, nil
-	case "tiered":
-		return ModeTiered, nil
-	case "register":
-		return ModeRegister, nil
-	}
-	return ModeAuto, fmt.Errorf("exec: unknown tier %q (want tree, bytecode, tiered or register)", s)
-}
 
 func (m ExecMode) String() string {
 	switch m {
@@ -96,9 +50,6 @@ func (m ExecMode) String() string {
 	return "auto"
 }
 
-// DefaultMode is the engine used by interpreters in ModeAuto.
-var DefaultMode = ModeBytecode
-
 // Ref is a variable binding in a frame: a base address in the arena plus
 // the declared dimensions (nil for scalars). Subarray arguments bind with a
 // shifted base (Fortran sequence association).
@@ -107,8 +58,9 @@ type Ref struct {
 	Dims []ir.Dim
 }
 
-// Hooks intercept execution events. Any hook may be nil.
-type Hooks struct {
+// hooks intercept the tree-walker's execution events; attached analyzers
+// chain themselves in (see analyzer.install). Any hook may be nil.
+type hooks struct {
 	OnLoopEnter func(proc string, l *ir.DoLoop)
 	OnLoopIter  func(proc string, l *ir.DoLoop, iter int64)
 	OnLoopExit  func(proc string, l *ir.DoLoop)
@@ -120,11 +72,10 @@ type Hooks struct {
 type Interp struct {
 	Prog  *ir.Program
 	Out   io.Writer
-	Hooks Hooks
+	hooks hooks
 
-	// Mode selects the engine for this interpreter (ModeAuto follows
-	// DefaultMode). The tree-walker is used regardless when user hooks are
-	// installed; both engines execute parallel plans.
+	// Mode selects the engine: ModeTree is the tree-walker, anything else
+	// the VM. Both engines execute parallel plans.
 	Mode ExecMode
 
 	arena []float64
@@ -142,17 +93,14 @@ type Interp struct {
 	tempLimit int64
 
 	// analyzers are attached by NewProfiler/NewDynDep. The tree engine
-	// installs them as hook chains; the bytecode engine drives them
-	// natively.
-	analyzers      []analyzer
-	hooksInstalled bool
-	userSetHooks   bool
+	// installs them as hook chains; the VM drives them natively.
+	analyzers []analyzer
 
 	// MaxOps aborts runaway executions (0 = unlimited).
 	MaxOps int64
 
-	// pcCount, when non-nil and sized to the compiled stream, receives
-	// per-pc dynamic execution counts (FusionCensus only).
+	// pcCount, when non-nil, receives per-pc dynamic execution counts of
+	// the stream passed to runCode (FusionCensus only).
 	pcCount []int64
 
 	// Parallel execution state (see parallel.go).
@@ -252,21 +200,14 @@ func (in *Interp) Run() error {
 	return err
 }
 
-// useBytecode decides the engine for this run. User-set hooks and duplicate
-// analyzers of one kind fall back to the tree-walker, which models them
-// all; every fallback is attributed to its cause in the engine counters so
-// a plan that unexpectedly runs off the fast engine is visible.
+// useBytecode decides the engine for this run: the VM unless the mode is
+// ModeTree or an analyzer combination the VM cannot drive (duplicates of
+// one kind) is attached. Every tree-walker run is attributed to its cause
+// in the engine counters so a plan that unexpectedly runs off the VM is
+// visible.
 func (in *Interp) useBytecode() bool {
-	mode := in.Mode
-	if mode == ModeAuto {
-		mode = DefaultMode
-	}
-	if mode != ModeBytecode && mode != ModeTiered && mode != ModeRegister {
+	if in.Mode == ModeTree {
 		counters.fallbackMode.Add(1)
-		return false
-	}
-	if in.userHooks() {
-		counters.fallbackHooks.Add(1)
 		return false
 	}
 	np, nd := 0, 0
@@ -276,9 +217,6 @@ func (in *Interp) useBytecode() bool {
 			np++
 		case *DynDep:
 			nd++
-		default:
-			counters.fallbackAnalyzers.Add(1)
-			return false
 		}
 	}
 	if np > 1 || nd > 1 {
@@ -288,35 +226,22 @@ func (in *Interp) useBytecode() bool {
 	return true
 }
 
-// userHooks reports whether hooks beyond the attached analyzers' own were
-// installed on this interpreter.
-func (in *Interp) userHooks() bool {
-	if in.hooksInstalled {
-		return in.userSetHooks
-	}
-	h := &in.Hooks
-	return h.OnLoopEnter != nil || h.OnLoopIter != nil || h.OnLoopExit != nil ||
-		h.OnRead != nil || h.OnWrite != nil
-}
-
 // installAnalyzers chains the attached analyzers into the hook fields for
 // tree-walking execution (idempotent).
 func (in *Interp) installAnalyzers() {
-	if !in.hooksInstalled {
-		in.userSetHooks = in.userHooks()
-		in.hooksInstalled = true
-	}
 	for _, a := range in.analyzers {
 		a.install(in)
 	}
 }
 
-// runBytecode compiles (or reuses) the program's instruction stream and
-// executes it, then folds the analyzer results back into the attached
-// Profiler/DynDep so their public APIs answer identically to a tree run.
+// runBytecode executes the program's cached compiled stream.
 func (in *Interp) runBytecode() error {
-	var prof *Profiler
-	var dyn *DynDep
+	_, dyn := in.attached()
+	return in.runCode(loweredOf(in.Prog).codeFor(in.Prog, dyn != nil))
+}
+
+// attached returns the analyzers the VM drives natively (nil when absent).
+func (in *Interp) attached() (prof *Profiler, dyn *DynDep) {
 	for _, a := range in.analyzers {
 		switch x := a.(type) {
 		case *Profiler:
@@ -325,26 +250,16 @@ func (in *Interp) runBytecode() error {
 			dyn = x
 		}
 	}
-	mode := in.Mode
-	if mode == ModeAuto {
-		mode = DefaultMode
-	}
-	tier := tierPlain
-	switch mode {
-	case ModeTiered:
-		tier = tierFused
-	case ModeRegister:
-		tier = tierRegister
-	}
+	return prof, dyn
+}
+
+// runCode executes one compiled stream of in.Prog, then folds the analyzer
+// results back into the attached Profiler/DynDep so their public APIs
+// answer identically to a tree run.
+func (in *Interp) runCode(cd *code) error {
+	prof, dyn := in.attached()
 	low := loweredOf(in.Prog)
-	cd := low.codeFor(in.Prog, dyn != nil, tier)
 	counters.bytecodeRuns.Add(1)
-	switch mode {
-	case ModeTiered:
-		counters.tieredRuns.Add(1)
-	case ModeRegister:
-		counters.registerRuns.Add(1)
-	}
 
 	sc, _ := low.vmPool.Get().(*vmScratch)
 	if sc == nil {
@@ -364,15 +279,11 @@ func (in *Interp) runBytecode() error {
 		tempLimit:  in.tempLimit,
 		ops:        in.ops,
 		maxOps:     in.MaxOps,
+		spec:       sc.specInv,
+		pcCount:    in.pcCount,
 	}
 	if v.maxOps <= 0 {
 		v.maxOps = math.MaxInt64
-	}
-	if cd.tiered {
-		v.spec = sc.specInv
-	}
-	if in.pcCount != nil && len(in.pcCount) == len(cd.ins) {
-		v.pcCount = in.pcCount
 	}
 	if in.plan != nil {
 		v.par = in.ensurePlanRT(cd)
@@ -506,13 +417,13 @@ func (in *Interp) execLoop(f *frame, l *ir.DoLoop) (signal, error) {
 	}
 	idx := in.refOf(f, l.Index)
 	trips := tripCount(lo, hi, step)
-	if h := in.Hooks.OnLoopEnter; h != nil {
+	if h := in.hooks.OnLoopEnter; h != nil {
 		h(f.proc.Name, l)
 	}
 	if lp := in.planFor(l); lp != nil {
 		sig, err := in.execParallelLoop(f, l, lp, lo, hi, step, trips)
 		in.arena[idx.Base] = lo + float64(trips)*step
-		if h := in.Hooks.OnLoopExit; h != nil {
+		if h := in.hooks.OnLoopExit; h != nil {
 			h(f.proc.Name, l)
 		}
 		return sig, err
@@ -520,12 +431,12 @@ func (in *Interp) execLoop(f *frame, l *ir.DoLoop) (signal, error) {
 	v := lo
 	for it := int64(0); it < trips; it++ {
 		in.arena[idx.Base] = v
-		if h := in.Hooks.OnLoopIter; h != nil {
+		if h := in.hooks.OnLoopIter; h != nil {
 			h(f.proc.Name, l, it)
 		}
 		sig, err := in.execStmts(f, l.Body)
 		if err != nil || sig != sigNone {
-			if h := in.Hooks.OnLoopExit; h != nil {
+			if h := in.hooks.OnLoopExit; h != nil {
 				h(f.proc.Name, l)
 			}
 			return sig, err
@@ -533,7 +444,7 @@ func (in *Interp) execLoop(f *frame, l *ir.DoLoop) (signal, error) {
 		v += step
 	}
 	in.arena[idx.Base] = v // Fortran leaves the index past the bound
-	if h := in.Hooks.OnLoopExit; h != nil {
+	if h := in.hooks.OnLoopExit; h != nil {
 		h(f.proc.Name, l)
 	}
 	return sigNone, nil
@@ -656,7 +567,7 @@ func (in *Interp) load(f *frame, e ir.Expr, s ir.Stmt) (float64, error) {
 	switch x := e.(type) {
 	case *ir.VarRef:
 		r := in.refOf(f, x.Sym)
-		if h := in.Hooks.OnRead; h != nil {
+		if h := in.hooks.OnRead; h != nil {
 			h(r.Base, f.proc.Name, s)
 		}
 		return in.arena[r.Base], nil
@@ -666,7 +577,7 @@ func (in *Interp) load(f *frame, e ir.Expr, s ir.Stmt) (float64, error) {
 			return 0, err
 		}
 		r := in.refOf(f, x.Sym)
-		if h := in.Hooks.OnRead; h != nil {
+		if h := in.hooks.OnRead; h != nil {
 			h(r.Base+off, f.proc.Name, s)
 		}
 		return in.arena[r.Base+off], nil
@@ -678,7 +589,7 @@ func (in *Interp) store(f *frame, ref ir.Ref, v float64, s ir.Stmt) error {
 	switch x := ref.(type) {
 	case *ir.VarRef:
 		r := in.refOf(f, x.Sym)
-		if h := in.Hooks.OnWrite; h != nil {
+		if h := in.hooks.OnWrite; h != nil {
 			h(r.Base, f.proc.Name, s)
 		}
 		in.arena[r.Base] = v
@@ -689,7 +600,7 @@ func (in *Interp) store(f *frame, ref ir.Ref, v float64, s ir.Stmt) error {
 			return err
 		}
 		r := in.refOf(f, x.Sym)
-		if h := in.Hooks.OnWrite; h != nil {
+		if h := in.hooks.OnWrite; h != nil {
 			h(r.Base+off, f.proc.Name, s)
 		}
 		in.arena[r.Base+off] = v

@@ -509,18 +509,7 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 					rebind[sym] = addr
 				}
 			}
-			view := compileLoopBody(in.Prog, cd.lay, proc, l, rebind, privCommon, cd.register)
-			if cd.tiered {
-				// Tiered runs fuse worker views too. Register runs go further:
-				// views compile with alt bodies (worker-private rebinding kept
-				// the nested sequential loops specializable) and lower them to
-				// register form, so tier 4 applies inside DOALL bodies too.
-				view = fuseCode(view)
-				view.tiered = true
-				if cd.register {
-					regLowerCode(view)
-				}
-			}
+			view := fuseCode(compileLoopBody(in.Prog, cd.lay, proc, l, rebind, privCommon))
 			counters.compiledViews.Add(1)
 			lrt.views[w] = workerView{cd: view, idxAddr: rebind[l.Index], inits: inits}
 		}
@@ -571,11 +560,6 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 				tempTop:    tb,
 				tempLimit:  tb + tempCells,
 				maxOps:     math.MaxInt64,
-			}
-			if view.cd.register {
-				// Nested sequential loops inside this worker's assignment
-				// arm across its iterations, same threshold as whole runs.
-				wv.spec = make([]int32, len(view.cd.loops))
 			}
 			if err := forEachAssigned(lrt.lp.Schedule, trips, workers, p, func(it int64) error {
 				in.arena[view.idxAddr] = lo + float64(it)*step

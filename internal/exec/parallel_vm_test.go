@@ -91,12 +91,11 @@ func TestFractionalStepEnginesAgree(t *testing.T) {
 			t.Fatalf("case %d tree: %v", i, err)
 		}
 		vm := New(minif.MustParse("t", src))
-		vm.Mode = ModeBytecode
 		if err := vm.Run(); err != nil {
-			t.Fatalf("case %d bytecode: %v", i, err)
+			t.Fatalf("case %d vm: %v", i, err)
 		}
 		if tree.Ops() != vm.Ops() {
-			t.Errorf("case %d: ops differ: tree %d vs bytecode %d", i, tree.Ops(), vm.Ops())
+			t.Errorf("case %d: ops differ: tree %d vs vm %d", i, tree.Ops(), vm.Ops())
 		}
 		ta, va := tree.Arena(), vm.Arena()
 		for k := range ta {
@@ -129,7 +128,7 @@ func runPlanned(t *testing.T, mode ExecMode, workers int, staggered bool) *Inter
 // finalization let goroutines race for one mutex, so the floating-point
 // combine order — and the low bits of the result — varied run to run.)
 func TestParallelReductionDeterminism(t *testing.T) {
-	for _, mode := range []ExecMode{ModeTree, ModeBytecode, ModeTiered} {
+	for _, mode := range []ExecMode{ModeTree, ModeAuto} {
 		for _, staggered := range []bool{false, true} {
 			var first []uint64
 			for run := 0; run < 20; run++ {
@@ -153,29 +152,27 @@ func TestParallelReductionDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelVMMatchesTree runs the planned reduction kernel on all three
+// TestParallelVMMatchesTree runs the planned reduction kernel on both
 // engines at several worker counts: the full arenas — worker banks
 // included — must be bit-identical, and the virtual clocks equal.
 func TestParallelVMMatchesTree(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, staggered := range []bool{false, true} {
 			tree := runPlanned(t, ModeTree, workers, staggered)
-			for _, mode := range []ExecMode{ModeBytecode, ModeTiered} {
-				vm := runPlanned(t, mode, workers, staggered)
-				if tree.Ops() != vm.Ops() {
-					t.Errorf("workers=%d staggered=%v mode=%v: ops differ: tree %d vs vm %d",
-						workers, staggered, mode, tree.Ops(), vm.Ops())
-				}
-				ta, va := tree.Arena(), vm.Arena()
-				if len(ta) != len(va) {
-					t.Fatalf("workers=%d: arena sizes differ: %d vs %d", workers, len(ta), len(va))
-				}
-				for i := range ta {
-					if math.Float64bits(ta[i]) != math.Float64bits(va[i]) {
-						t.Errorf("workers=%d staggered=%v mode=%v: cell %d differs: %g vs %g",
-							workers, staggered, mode, i, ta[i], va[i])
-						break
-					}
+			vm := runPlanned(t, ModeAuto, workers, staggered)
+			if tree.Ops() != vm.Ops() {
+				t.Errorf("workers=%d staggered=%v: ops differ: tree %d vs vm %d",
+					workers, staggered, tree.Ops(), vm.Ops())
+			}
+			ta, va := tree.Arena(), vm.Arena()
+			if len(ta) != len(va) {
+				t.Fatalf("workers=%d: arena sizes differ: %d vs %d", workers, len(ta), len(va))
+			}
+			for i := range ta {
+				if math.Float64bits(ta[i]) != math.Float64bits(va[i]) {
+					t.Errorf("workers=%d staggered=%v: cell %d differs: %g vs %g",
+						workers, staggered, i, ta[i], va[i])
+					break
 				}
 			}
 		}
@@ -186,7 +183,7 @@ func TestParallelVMMatchesTree(t *testing.T) {
 // engine counters surfaced through /v1/stats.
 func TestParallelStatsCounters(t *testing.T) {
 	before := ReadCounters()
-	in := runPlanned(t, ModeBytecode, 4, true)
+	in := runPlanned(t, ModeAuto, 4, true)
 	after := ReadCounters()
 	stats := in.ParallelStats()
 	if len(stats) != 1 {

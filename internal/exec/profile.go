@@ -61,8 +61,8 @@ func (p *Profiler) install(in *Interp) {
 		return
 	}
 	p.installed = true
-	prevEnter, prevExit, prevIter := in.Hooks.OnLoopEnter, in.Hooks.OnLoopExit, in.Hooks.OnLoopIter
-	in.Hooks.OnLoopEnter = func(proc string, l *ir.DoLoop) {
+	prevEnter, prevExit, prevIter := in.hooks.OnLoopEnter, in.hooks.OnLoopExit, in.hooks.OnLoopIter
+	in.hooks.OnLoopEnter = func(proc string, l *ir.DoLoop) {
 		if prevEnter != nil {
 			prevEnter(proc, l)
 		}
@@ -74,7 +74,7 @@ func (p *Profiler) install(in *Interp) {
 		lp.Invocations++
 		p.stack = append(p.stack, profEntry{lp: lp, startOp: in.Ops()})
 	}
-	in.Hooks.OnLoopIter = func(proc string, l *ir.DoLoop, iter int64) {
+	in.hooks.OnLoopIter = func(proc string, l *ir.DoLoop, iter int64) {
 		if prevIter != nil {
 			prevIter(proc, l, iter)
 		}
@@ -82,7 +82,7 @@ func (p *Profiler) install(in *Interp) {
 			lp.Iterations++
 		}
 	}
-	in.Hooks.OnLoopExit = func(proc string, l *ir.DoLoop) {
+	in.hooks.OnLoopExit = func(proc string, l *ir.DoLoop) {
 		if prevExit != nil {
 			prevExit(proc, l)
 		}

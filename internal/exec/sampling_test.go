@@ -82,7 +82,7 @@ func firstLoopCarried(t *testing.T, src string, mode exec.ExecMode, every, warm 
 
 func bothModes(t *testing.T, f func(t *testing.T, mode exec.ExecMode)) {
 	t.Run("tree", func(t *testing.T) { f(t, exec.ModeTree) })
-	t.Run("bytecode", func(t *testing.T) { f(t, exec.ModeBytecode) })
+	t.Run("bytecode", func(t *testing.T) { f(t, exec.ModeAuto) })
 }
 
 func TestSamplingWarmupAndBoundary(t *testing.T) {

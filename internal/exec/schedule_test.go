@@ -132,7 +132,7 @@ func TestScheduleDispatchAgreement(t *testing.T) {
 	for _, sched := range Schedules() {
 		for _, workers := range []int{2, 4, 8} {
 			tree := runPlannedSched(t, ModeTree, workers, true, sched)
-			vm := runPlannedSched(t, ModeBytecode, workers, true, sched)
+			vm := runPlannedSched(t, ModeAuto, workers, true, sched)
 			for _, in := range []*Interp{tree, vm} {
 				stats := in.ParallelStats()
 				if len(stats) != 1 {
@@ -167,7 +167,7 @@ func TestScheduleDispatchAgreement(t *testing.T) {
 // combination on both engines, since worker contributions merge in fixed
 // index order whatever the assignment policy.
 func TestScheduleReductionDeterminism(t *testing.T) {
-	for _, mode := range []ExecMode{ModeTree, ModeBytecode} {
+	for _, mode := range []ExecMode{ModeTree, ModeAuto} {
 		for _, sched := range Schedules() {
 			for _, staggered := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
@@ -271,7 +271,7 @@ const boundarySrc = `
 func TestScheduleBoundaryTierAgreement(t *testing.T) {
 	for _, sched := range Schedules() {
 		var ref *Interp
-		for _, mode := range []ExecMode{ModeTree, ModeBytecode, ModeTiered, ModeRegister} {
+		for _, mode := range []ExecMode{ModeTree, ModeAuto} {
 			prog := minif.MustParse("t", boundarySrc)
 			main := prog.Main()
 			plan := &ParallelPlan{Workers: 4, Loops: map[*ir.DoLoop]*LoopPlan{}}
@@ -355,7 +355,6 @@ func TestScheduleBalanceTriangular(t *testing.T) {
 			},
 		}
 		in := NewWithPlan(parProg, plan)
-		in.Mode = ModeBytecode
 		if err := in.Run(); err != nil {
 			t.Fatalf("sched=%v: %v", sched, err)
 		}

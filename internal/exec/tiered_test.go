@@ -1,7 +1,6 @@
 package exec_test
 
-// Tier-transition tests for the tiered engine (fusion + profile-guided
-// specialization): a loop crossing the invocation threshold mid-run, the
+// Tier-transition tests for the VM's profile-guided specialization: a loop crossing the invocation threshold mid-run, the
 // sampled DDA re-arming instrumentation after a stripped iteration, a
 // specialized program invalidated through driver.Incremental, and the
 // block-boundary budget-check contract. Every transition must stay
@@ -49,11 +48,11 @@ func TestTierThresholdCrossing(t *testing.T) {
 	if d := after.SpecInvocations - before.SpecInvocations; d < 1 {
 		t.Fatalf("expected specialized invocations after threshold crossing, counter delta = %d", d)
 	}
-	if d := after.TieredRuns - before.TieredRuns; d < 1 {
-		t.Fatalf("expected tiered runs, counter delta = %d", d)
+	if d := after.BytecodeRuns - before.BytecodeRuns; d < 1 {
+		t.Fatalf("expected VM runs, counter delta = %d", d)
 	}
 	if d := after.FusedInstructions - before.FusedInstructions; d < 1 {
-		t.Fatalf("expected fused instructions in tiered compile, counter delta = %d", d)
+		t.Fatalf("expected fused instructions in the compile, counter delta = %d", d)
 	}
 }
 
@@ -90,7 +89,6 @@ func TestTierIncrementalInvalidation(t *testing.T) {
 	}
 	run := func() (string, int64) {
 		in := exec.New(prog)
-		in.Mode = exec.ModeTiered
 		var out bytes.Buffer
 		in.Out = &out
 		if err := in.Run(); err != nil {
@@ -128,9 +126,9 @@ func TestTierIncrementalInvalidation(t *testing.T) {
 }
 
 // TestBudgetBlockBoundary pins the budget-check hoist contract: for a sweep
-// of budgets, all three engines agree on error presence and exact error
-// text, and the VMs stop within one basic block of the tree-walker's
-// trigger point (bounded op-count overshoot).
+// of budgets, both engines agree on error presence and exact error text,
+// and the VM stops within one basic block of the tree-walker's trigger
+// point (bounded op-count overshoot).
 func TestBudgetBlockBoundary(t *testing.T) {
 	const src = `
       PROGRAM bdg
@@ -149,21 +147,19 @@ func TestBudgetBlockBoundary(t *testing.T) {
 		label := fmt.Sprintf("maxops=%d", maxOps)
 		cfg := runConfig{maxOps: maxOps}
 		tree := runEngine(t, "bdg", src, exec.ModeTree, cfg)
-		for _, mode := range []exec.ExecMode{exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
-			vm := runEngine(t, "bdg", src, mode, cfg)
-			if (tree.err == "") != (vm.err == "") {
-				t.Fatalf("%s/%s: error presence differs: tree %q vs vm %q", label, mode, tree.err, vm.err)
-			}
-			if tree.err != vm.err {
-				t.Fatalf("%s/%s: error text differs: tree %q vs vm %q", label, mode, tree.err, vm.err)
-			}
-			if tree.output != vm.output {
-				t.Fatalf("%s/%s: output differs: %q vs %q", label, mode, tree.output, vm.output)
-			}
-			if d := vm.ops - tree.ops; d < -blockBound || d > blockBound {
-				t.Fatalf("%s/%s: budget trigger drifted %d ops past the tree-walker (bound %d)",
-					label, mode, d, blockBound)
-			}
+		vm := runEngine(t, "bdg", src, exec.ModeAuto, cfg)
+		if (tree.err == "") != (vm.err == "") {
+			t.Fatalf("%s: error presence differs: tree %q vs vm %q", label, tree.err, vm.err)
+		}
+		if tree.err != vm.err {
+			t.Fatalf("%s: error text differs: tree %q vs vm %q", label, tree.err, vm.err)
+		}
+		if tree.output != vm.output {
+			t.Fatalf("%s: output differs: %q vs %q", label, tree.output, vm.output)
+		}
+		if d := vm.ops - tree.ops; d < -blockBound || d > blockBound {
+			t.Fatalf("%s: budget trigger drifted %d ops past the tree-walker (bound %d)",
+				label, d, blockBound)
 		}
 	}
 }

@@ -41,8 +41,8 @@ type vmScratch struct {
 	profOps   []int64
 	profStack []profFrame
 
-	// specInv counts per-loop invocations within one run for the tiered
-	// engine's specialization threshold. Per-run (reset here) so repeated
+	// specInv counts per-loop invocations within one run for the
+	// specialization threshold. Per-run (reset here) so repeated
 	// runs of one program behave identically.
 	specInv []int32
 }
@@ -290,9 +290,9 @@ type vm struct {
 	// par dispatches approved parallel loops to per-worker views (nil on
 	// worker VMs, so nested planned loops stay sequential inside a region).
 	par *planRT
-	// spec enables profile-guided specialization on tiered runs: per-loop
-	// invocation counters (from vmScratch). nil on non-tiered runs and on
-	// worker VMs.
+	// spec enables profile-guided specialization: per-loop invocation
+	// counters (from vmScratch). nil on worker VMs, whose views carry no
+	// alt bodies.
 	spec []int32
 	// pcCount, when non-nil, counts executions per pc (fusion census runs
 	// only — the branch predicts perfectly on normal runs).
@@ -655,19 +655,13 @@ func (v *vm) run() error {
 				}
 			}
 			act := loopAct{li: i.a, alt: -1, trips: trips, v: lo, step: step, idxAddr: ia}
-			// Tiered specialization: once this loop's invocation count
+			// Specialization: once this loop's invocation count
 			// crosses the threshold and the preflight proves every guarded
 			// index in range for this activation, arm the checkless alt body.
 			if v.spec != nil && lm.altEntry >= 0 {
 				v.spec[i.a]++
 				if v.spec[i.a] >= specThreshold && specPreflight(cd, lm, lo, step, trips) {
-					// Prefer the register form when this body lowered; both
-					// entries have identical semantics and virtual-time cost.
-					if cd.register && lm.regEntry >= 0 {
-						act.alt = lm.regEntry
-					} else {
-						act.alt = lm.altEntry
-					}
+					act.alt = lm.altEntry
 					counters.specInvocations.Add(1)
 				}
 			}
@@ -705,18 +699,6 @@ func (v *vm) run() error {
 						break
 					}
 					stripIters++
-				}
-				if act.alt >= cd.regStart && cd.register {
-					v.ops = ops
-					np, ni, si, err := v.runRegBody(act, params)
-					ops = v.ops
-					nInstr += ni
-					stripIters += si
-					if err != nil {
-						return fail(err)
-					}
-					pc = np
-					continue
 				}
 				pc = act.alt
 				continue
@@ -758,18 +740,6 @@ func (v *vm) run() error {
 						continue
 					}
 					stripIters++
-				}
-				if act.alt >= cd.regStart && cd.register {
-					v.ops = ops
-					np, ni, si, err := v.runRegBody(act, params)
-					ops = v.ops
-					nInstr += ni
-					stripIters += si
-					if err != nil {
-						return fail(err)
-					}
-					pc = np
-					continue
 				}
 				pc = act.alt
 				continue
@@ -869,7 +839,7 @@ func (v *vm) run() error {
 			}
 			return fail(fmt.Errorf("%s", cd.errs[i.a]))
 
-		// ---- Tiered: fused superinstructions (uninstrumented) ----
+		// ---- fused superinstructions (uninstrumented) ----
 
 		case opLGIdx:
 			if ops > maxOps {
@@ -903,16 +873,6 @@ func (v *vm) run() error {
 				return fail(boundsErr(d, iv))
 			}
 			stack[sp-1] += float64((iv - d.lo) * d.stride)
-		case opLPIdxAdd:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			stack[sp-1] += float64((iv - d.lo) * d.stride)
 
 		case opLGIdxLoadGE:
 			if ops > maxOps {
@@ -924,17 +884,6 @@ func (v *vm) run() error {
 				return fail(boundsErr(d, iv))
 			}
 			stack[sp] = mem[d.base+iv*d.stride]
-			sp++
-		case opLGIdxLoadPE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			stack[sp] = mem[params[d.pslot]+d.base+iv*d.stride]
 			sp++
 		case opLGIdxStoreGE:
 			if ops > maxOps {
@@ -970,42 +919,6 @@ func (v *vm) run() error {
 			}
 			sp--
 			stack[sp-1] = mem[int64(i.a)+int64(stack[sp-1])+(iv-d.lo)*d.stride]
-		case opIdxAddLoadPE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			sp--
-			stack[sp-1] = mem[params[i.a]+int64(stack[sp-1])+(iv-d.lo)*d.stride]
-		case opIdxAddStoreGE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			off := int64(stack[sp-2]) + (iv-d.lo)*d.stride
-			sp -= 3
-			mem[int64(i.a)+off] = stack[sp]
-		case opIdxAddStorePE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			off := int64(stack[sp-2]) + (iv-d.lo)*d.stride
-			sp -= 3
-			mem[params[i.a]+off] = stack[sp]
-
 		case opConstAddStoreG:
 			sp--
 			mem[i.a] = stack[sp] + i.f
@@ -1065,15 +978,6 @@ func (v *vm) run() error {
 				continue
 			}
 
-		case opLLAdd:
-			stack[sp] = mem[i.a] + mem[i.b]
-			sp++
-		case opLLSub:
-			stack[sp] = mem[i.a] - mem[i.b]
-			sp++
-		case opLLMul:
-			stack[sp] = mem[i.a] * mem[i.b]
-			sp++
 		case opLCAdd:
 			stack[sp] = mem[i.a] + i.f
 			sp++
@@ -1084,7 +988,7 @@ func (v *vm) run() error {
 			stack[sp] = mem[i.a] * i.f
 			sp++
 
-		// ---- Tiered: instrumented twins. Analyzer calls replay the exact
+		// ---- instrumented twins. Analyzer calls replay the exact
 		// component order of the unfused window, so access counts, skip
 		// decisions and fault-time shadow state are bit-identical. ----
 
@@ -1124,18 +1028,6 @@ func (v *vm) run() error {
 				return fail(boundsErr(d, iv))
 			}
 			stack[sp-1] += float64((iv - d.lo) * d.stride)
-		case opLPIdxAddI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			addr := params[i.a]
-			v.dda.read(addr, pc)
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			stack[sp-1] += float64((iv - d.lo) * d.stride)
 
 		case opLGIdxLoadGEI:
 			if ops > maxOps {
@@ -1148,20 +1040,6 @@ func (v *vm) run() error {
 				return fail(boundsErr(d, iv))
 			}
 			addr := d.base + iv*d.stride
-			v.dda.read(addr, pc)
-			stack[sp] = mem[addr]
-			sp++
-		case opLGIdxLoadPEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			v.dda.read(int64(i.a), pc)
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			addr := params[d.pslot] + d.base + iv*d.stride
 			v.dda.read(addr, pc)
 			stack[sp] = mem[addr]
 			sp++
@@ -1207,66 +1085,11 @@ func (v *vm) run() error {
 			addr := int64(i.a) + int64(stack[sp-1]) + (iv-d.lo)*d.stride
 			v.dda.read(addr, pc)
 			stack[sp-1] = mem[addr]
-		case opIdxAddLoadPEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			sp--
-			addr := params[i.a] + int64(stack[sp-1]) + (iv-d.lo)*d.stride
-			v.dda.read(addr, pc)
-			stack[sp-1] = mem[addr]
-		case opIdxAddStoreGEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			addr := int64(i.a) + int64(stack[sp-2]) + (iv-d.lo)*d.stride
-			v.dda.write(addr, pc)
-			sp -= 3
-			mem[addr] = stack[sp]
-		case opIdxAddStorePEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			addr := params[i.a] + int64(stack[sp-2]) + (iv-d.lo)*d.stride
-			v.dda.write(addr, pc)
-			sp -= 3
-			mem[addr] = stack[sp]
-
 		case opConstAddStoreGI:
 			v.dda.write(int64(i.a), pc)
 			sp--
 			mem[i.a] = stack[sp] + i.f
 
-		case opLLAddI:
-			v.dda.read(int64(i.a), pc)
-			v.dda.read(int64(i.b), pc)
-			stack[sp] = mem[i.a] + mem[i.b]
-			sp++
-		case opLLSubI:
-			v.dda.read(int64(i.a), pc)
-			v.dda.read(int64(i.b), pc)
-			stack[sp] = mem[i.a] - mem[i.b]
-			sp++
-		case opLLMulI:
-			v.dda.read(int64(i.a), pc)
-			v.dda.read(int64(i.b), pc)
-			stack[sp] = mem[i.a] * mem[i.b]
-			sp++
 		case opLCAddI:
 			v.dda.read(int64(i.a), pc)
 			stack[sp] = mem[i.a] + i.f
@@ -1280,11 +1103,11 @@ func (v *vm) run() error {
 			stack[sp] = mem[i.a] * i.f
 			sp++
 
-		// ---- Tiered: specialized (checkless) accesses. Only reachable
+		// ---- specialized (checkless) accesses. Only reachable
 		// through an armed activation, whose preflight proved every index of
 		// this run in range; the index cell provably holds the exact integer
 		// induction value (specializable forbids anything that could clobber
-		// it), so truncation equals the generic tier's rounding. ----
+		// it), so truncation equals the generic body's rounding. ----
 
 		case opSpecLoadG:
 			d := &cd.idx[i.b]
@@ -1298,12 +1121,8 @@ func (v *vm) run() error {
 			d := &cd.idx[i.b]
 			stack[sp] = mem[params[d.pslot]+d.base+int64(mem[i.a])*d.stride]
 			sp++
-		case opSpecStoreP:
-			d := &cd.idx[i.b]
-			sp--
-			mem[params[d.pslot]+d.base+int64(mem[i.a])*d.stride] = stack[sp]
 
-		// ---- Tiered: second-order fusions (uninstrumented) ----
+		// ---- second-order fusions (uninstrumented) ----
 
 		case opLPIdxLoadGE:
 			if ops > maxOps {
@@ -1316,39 +1135,6 @@ func (v *vm) run() error {
 			}
 			stack[sp] = mem[d.base+iv*d.stride]
 			sp++
-		case opLPIdxLoadPE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			stack[sp] = mem[params[d.pslot]+d.base+iv*d.stride]
-			sp++
-		case opLPIdxStoreGE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			sp--
-			mem[d.base+iv*d.stride] = stack[sp]
-		case opLPIdxStorePE:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			sp--
-			mem[params[d.pslot]+d.base+iv*d.stride] = stack[sp]
 
 		case opLoadGEAdd:
 			sp--
@@ -1393,7 +1179,7 @@ func (v *vm) run() error {
 		case opLCAddStoreG:
 			mem[i.b] = mem[i.a] + i.f
 
-		// ---- Tiered: second-order instrumented twins ----
+		// ---- second-order instrumented twins ----
 
 		case opLPIdxLoadGEI:
 			if ops > maxOps {
@@ -1410,51 +1196,6 @@ func (v *vm) run() error {
 			v.dda.read(ea, pc)
 			stack[sp] = mem[ea]
 			sp++
-		case opLPIdxLoadPEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			addr := params[i.a]
-			v.dda.read(addr, pc)
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			ea := params[d.pslot] + d.base + iv*d.stride
-			v.dda.read(ea, pc)
-			stack[sp] = mem[ea]
-			sp++
-		case opLPIdxStoreGEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			addr := params[i.a]
-			v.dda.read(addr, pc)
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			ea := d.base + iv*d.stride
-			v.dda.write(ea, pc)
-			sp--
-			mem[ea] = stack[sp]
-		case opLPIdxStorePEI:
-			if ops > maxOps {
-				return fail(budgetErr(maxOps))
-			}
-			addr := params[i.a]
-			v.dda.read(addr, pc)
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
-			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
-			}
-			ea := params[d.pslot] + d.base + iv*d.stride
-			v.dda.write(ea, pc)
-			sp--
-			mem[ea] = stack[sp]
 
 		case opLoadGEAddI:
 			sp--
@@ -1518,628 +1259,6 @@ func (v *vm) run() error {
 		}
 		pc++
 	}
-}
-
-// runRegBody executes an armed register-form body (tier 4) natively: a
-// compact dispatch loop whose back edge (the body's opLoopNextHead
-// terminator) is handled inline, so consecutive unsampled iterations never
-// re-enter the main switch. Registers are eval-stack slots addressed
-// absolutely (body entry depth is 0 — see register.go), and the induction
-// index is hoisted into idxI once per iteration: act.v mirrors
-// mem[act.idxAddr] exactly and preflight proved integer induction, so
-// int64(act.v) equals the generic tier's rounding.
-//
-// Returns the pc the main loop resumes at plus instruction/strip-iteration
-// deltas for the caller's counters. Virtual time (ops) and event ordering
-// are identical to the stack alt body: every instruction keeps its source
-// tick (fused windows sum theirs), budget checks sit at the same opcodes,
-// and iter/exit events fire from the same back-edge points.
-func (v *vm) runRegBody(act *loopAct, params []int64) (int32, int64, int64, error) {
-	cd := v.cd
-	ins := cd.ins
-	mem := v.mem
-	stack := v.stack
-	ops := v.ops
-	maxOps := v.maxOps
-	var nInstr, stripIters, iters int64
-	defer func() { counters.regIterations.Add(iters) }()
-
-	entry := act.alt
-	idxI := int64(act.v)
-	pc := entry
-	for {
-		i := &ins[pc]
-		ops += int64(i.tick)
-		nInstr++
-		switch i.op {
-		case opNop:
-
-		case opLoopNextHead:
-			// Inline back edge: verbatim copy of the loop's fused
-			// opLoopNext+opLoopHead terminator (i.a = head pc, i.b = exit pc).
-			iters++
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			act.it++
-			act.v += act.step
-			mem[act.idxAddr] = act.v
-			if act.it >= act.trips {
-				v.ops = ops
-				if v.events {
-					v.exitLoopTop()
-				} else {
-					v.loopActs = v.loopActs[:len(v.loopActs)-1]
-				}
-				return i.b, nInstr, stripIters, nil
-			}
-			if v.events {
-				v.iterLoop(act.li, act.it)
-			}
-			if d := v.dda; d != nil {
-				if d.unsampled == 0 {
-					// Sampled iteration: hand back to the instrumented
-					// generic body, exactly as the stack tier does.
-					v.ops = ops
-					return i.a + 1, nInstr, stripIters, nil
-				}
-				stripIters++
-			}
-			idxI = int64(act.v)
-			pc = entry
-			continue
-
-		case opRConst:
-			stack[i.b] = i.f
-		case opRLoadG:
-			stack[i.b] = mem[i.a]
-		case opRLoadP:
-			stack[i.b] = mem[params[i.a]]
-		case opRStoreG:
-			mem[i.a] = stack[i.b]
-		case opRStoreP:
-			mem[params[i.a]] = stack[i.b]
-		case opRNeg:
-			stack[i.b] = -stack[i.b]
-		case opRNot:
-			if stack[i.b] == 0 {
-				stack[i.b] = 1
-			} else {
-				stack[i.b] = 0
-			}
-		case opRBool:
-			if stack[i.b] != 0 {
-				stack[i.b] = 1
-			}
-		case opRAdd:
-			b := i.b
-			stack[b&rMask] = stack[b>>rBits&rMask] + stack[b>>(2*rBits)&rMask]
-		case opRSub:
-			b := i.b
-			stack[b&rMask] = stack[b>>rBits&rMask] - stack[b>>(2*rBits)&rMask]
-		case opRMul:
-			b := i.b
-			stack[b&rMask] = stack[b>>rBits&rMask] * stack[b>>(2*rBits)&rMask]
-		case opRDiv:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			b := i.b
-			den := stack[b>>(2*rBits)&rMask]
-			if den == 0 {
-				v.ops = ops
-				return 0, nInstr, stripIters,
-					fmt.Errorf("exec: line %d: division by zero", i.a)
-			}
-			stack[b&rMask] = stack[b>>rBits&rMask] / den
-		case opREQ:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] == stack[b>>(2*rBits)&rMask])
-		case opRNE:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] != stack[b>>(2*rBits)&rMask])
-		case opRLT:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] < stack[b>>(2*rBits)&rMask])
-		case opRLE:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] <= stack[b>>(2*rBits)&rMask])
-		case opRGT:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] > stack[b>>(2*rBits)&rMask])
-		case opRGE:
-			b := i.b
-			stack[b&rMask] = boolVal(stack[b>>rBits&rMask] >= stack[b>>(2*rBits)&rMask])
-		case opRIntrin:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			argc := i.b & rMask
-			base := i.b >> rBits
-			r, err := applyIntrinsicID(i.a, stack[base:base+argc])
-			if err != nil {
-				v.ops = ops
-				return 0, nInstr, stripIters, err
-			}
-			stack[base] = r
-		case opRJmp:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			pc = i.a
-			continue
-		case opRJZ:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			if stack[i.b] == 0 {
-				pc = i.a
-				continue
-			}
-		case opRAndJmp:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			if stack[i.b] == 0 {
-				pc = i.a
-				continue
-			}
-		case opROrJmp:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			if stack[i.b] != 0 {
-				stack[i.b] = 1
-				pc = i.a
-				continue
-			}
-		case opRJEQ, opRJNE, opRJLT, opRJLE, opRJGT, opRJGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			a := stack[i.b&rMask]
-			b := stack[i.b>>rBits&rMask]
-			var cond bool
-			switch i.op {
-			case opRJEQ:
-				cond = a == b
-			case opRJNE:
-				cond = a != b
-			case opRJLT:
-				cond = a < b
-			case opRJLE:
-				cond = a <= b
-			case opRJGT:
-				cond = a > b
-			default:
-				cond = a >= b
-			}
-			if !cond {
-				pc = i.a
-				continue
-			}
-		case opRIdx:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.a]
-			iv := int64(math.Round(stack[i.b]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[i.b] = float64((iv - d.lo) * d.stride)
-		case opRIdxAdd:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.a]
-			iv := int64(math.Round(stack[i.b>>rBits&rMask]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[i.b&rMask] += float64((iv - d.lo) * d.stride)
-		case opRLoadGE:
-			stack[i.b] = mem[int64(i.a)+int64(stack[i.b])]
-		case opRLoadPE:
-			stack[i.b] = mem[params[i.a]+int64(stack[i.b])]
-		case opRStoreGE:
-			mem[int64(i.a)+int64(stack[i.b>>rBits&rMask])] = stack[i.b&rMask]
-		case opRStorePE:
-			mem[params[i.a]+int64(stack[i.b>>rBits&rMask])] = stack[i.b&rMask]
-		case opRSpecLoadG:
-			d := &cd.idx[i.b]
-			stack[i.a] = mem[d.base+idxI*d.stride]
-		case opRSpecStoreG:
-			d := &cd.idx[i.b]
-			mem[d.base+idxI*d.stride] = stack[i.a]
-		case opRSpecLoadP:
-			d := &cd.idx[i.b]
-			stack[i.a] = mem[params[d.pslot]+d.base+idxI*d.stride]
-		case opRSpecStoreP:
-			d := &cd.idx[i.b]
-			mem[params[d.pslot]+d.base+idxI*d.stride] = stack[i.a]
-		case opRLGIdxLoadGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = mem[d.base+iv*d.stride]
-		case opRLGIdxLoadPE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = mem[params[d.pslot]+d.base+iv*d.stride]
-		case opRLGIdxStoreGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			mem[d.base+iv*d.stride] = stack[int32(i.f)]
-		case opRLGIdxStorePE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			mem[params[d.pslot]+d.base+iv*d.stride] = stack[int32(i.f)]
-		case opRIdxAddLoadGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			r := int32(i.f)
-			acc := r & rMask
-			iv := int64(math.Round(stack[r>>rBits&rMask]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[acc] = mem[int64(i.a)+int64(stack[acc])+(iv-d.lo)*d.stride]
-		case opRIdxAddLoadPE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			r := int32(i.f)
-			acc := r & rMask
-			iv := int64(math.Round(stack[r>>rBits&rMask]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[acc] = mem[params[i.a]+int64(stack[acc])+(iv-d.lo)*d.stride]
-		case opRIdxAddStoreGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			r := int32(i.f)
-			iv := int64(math.Round(stack[r>>(2*rBits)&rMask]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			off := int64(stack[r>>rBits&rMask]) + (iv-d.lo)*d.stride
-			mem[int64(i.a)+off] = stack[r&rMask]
-		case opRIdxAddStorePE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			r := int32(i.f)
-			iv := int64(math.Round(stack[r>>(2*rBits)&rMask]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			off := int64(stack[r>>rBits&rMask]) + (iv-d.lo)*d.stride
-			mem[params[i.a]+off] = stack[r&rMask]
-		case opRLGIdx:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = float64((iv - d.lo) * d.stride)
-		case opRLGIdxAdd:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] += float64((iv - d.lo) * d.stride)
-		case opRLLAdd:
-			stack[int32(i.f)] = mem[i.a] + mem[i.b]
-		case opRLLSub:
-			stack[int32(i.f)] = mem[i.a] - mem[i.b]
-		case opRLLMul:
-			stack[int32(i.f)] = mem[i.a] * mem[i.b]
-		case opRLCAdd:
-			stack[i.b] = mem[i.a] + i.f
-		case opRLCSub:
-			stack[i.b] = mem[i.a] - i.f
-		case opRLCMul:
-			stack[i.b] = mem[i.a] * i.f
-		case opRLCMulAdd:
-			stack[i.b] += mem[i.a] * i.f
-		case opRLPJGT:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			if !(stack[i.b>>rBits&rMask] > mem[params[i.b&rMask]]) {
-				pc = i.a
-				continue
-			}
-		case opRLPJLE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			if !(stack[i.b>>rBits&rMask] <= mem[params[i.b&rMask]]) {
-				pc = i.a
-				continue
-			}
-		case opRLCIdx:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b&(1<<(2*rBits)-1)]
-			iv := int64(math.Round(mem[i.a] + i.f))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[i.b>>(2*rBits)] = float64((iv - d.lo) * d.stride)
-		case opLCAddStoreG:
-			// Stack-free fused op kept verbatim by the lowering.
-			mem[i.b] = mem[i.a] + i.f
-		case opRConstAddStoreG:
-			mem[i.a] = stack[i.b] + i.f
-		case opRLoadGEAdd:
-			stack[i.b&rMask] += mem[int64(i.a)+int64(stack[i.b>>rBits&rMask])]
-		case opRLoadGESub:
-			stack[i.b&rMask] -= mem[int64(i.a)+int64(stack[i.b>>rBits&rMask])]
-		case opRLoadGEMul:
-			stack[i.b&rMask] *= mem[int64(i.a)+int64(stack[i.b>>rBits&rMask])]
-		case opRSpecJGTP:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[int32(i.f)]
-			if !(mem[d.base+idxI*d.stride] > mem[params[i.b]]) {
-				pc = i.a
-				continue
-			}
-		case opRSpecJLEP:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[int32(i.f)]
-			if !(mem[d.base+idxI*d.stride] <= mem[params[i.b]]) {
-				pc = i.a
-				continue
-			}
-		case opRMemAxpy:
-			mem[i.a] += mem[i.b] * i.f
-		case opRLPIdx:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = float64((iv - d.lo) * d.stride)
-		case opRLPIdxAdd:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] += float64((iv - d.lo) * d.stride)
-		case opRLPIdxLoadGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = mem[d.base+iv*d.stride]
-		case opRLPIdxLoadPE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] = mem[params[d.pslot]+d.base+iv*d.stride]
-		case opRLPIdxStoreGE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			mem[d.base+iv*d.stride] = stack[int32(i.f)]
-		case opRLPIdxStorePE:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			mem[params[d.pslot]+d.base+iv*d.stride] = stack[int32(i.f)]
-		case opRAddC:
-			stack[i.b&rMask] = stack[i.b>>rBits&rMask] + i.f
-		case opRSubC:
-			stack[i.b&rMask] = stack[i.b>>rBits&rMask] - i.f
-		case opRMulC:
-			stack[i.b&rMask] = stack[i.b>>rBits&rMask] * i.f
-		case opRSpecStoreC:
-			d := &cd.idx[i.b]
-			mem[d.base+idxI*d.stride] = i.f
-		case opRAbs:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			stack[i.b] = math.Abs(stack[i.b])
-		case opRLPIdxLoadGEAdd:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b&(1<<(2*rBits)-1)]
-			iv := int64(math.Round(mem[params[i.b>>(2*rBits)]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] += mem[int64(i.a)+(iv-d.lo)*d.stride]
-		case opRLPIdxLoadGESub:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b&(1<<(2*rBits)-1)]
-			iv := int64(math.Round(mem[params[i.b>>(2*rBits)]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] -= mem[int64(i.a)+(iv-d.lo)*d.stride]
-		case opRLPIdxLoadGEMul:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			d := &cd.idx[i.b&(1<<(2*rBits)-1)]
-			iv := int64(math.Round(mem[params[i.b>>(2*rBits)]]))
-			if iv < d.lo || iv > d.hi {
-				v.ops = ops
-				return 0, nInstr, stripIters, boundsErr(d, iv)
-			}
-			stack[int32(i.f)] *= mem[int64(i.a)+(iv-d.lo)*d.stride]
-		case opRLCMulAddSpecStore:
-			r := i.b & rMask
-			stack[r] += mem[i.a] * i.f
-			d := &cd.idx[i.b>>rBits]
-			mem[d.base+idxI*d.stride] = stack[r]
-		case opRSpecJGTPInc:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			enc := int32(i.f)
-			d := &cd.idx[enc&(1<<(2*rBits)-1)]
-			if mem[d.base+idxI*d.stride] > mem[params[i.b]] {
-				ops += int64(enc >> (2 * rBits)) // taken path pays the increment's tick
-				mem[i.a]++
-			}
-		case opRSpecJLEPInc:
-			if ops > maxOps {
-				v.ops = ops
-				return 0, nInstr, stripIters, budgetErr(maxOps)
-			}
-			enc := int32(i.f)
-			d := &cd.idx[enc&(1<<(2*rBits)-1)]
-			if mem[d.base+idxI*d.stride] <= mem[params[i.b]] {
-				ops += int64(enc >> (2 * rBits)) // taken path pays the increment's tick
-				mem[i.a]++
-			}
-
-		default:
-			v.ops = ops
-			return 0, nInstr, stripIters,
-				fmt.Errorf("exec: bad register opcode %d at pc %d", i.op, pc)
-		}
-		pc++
-	}
-}
-
-func boolVal(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func budgetErr(maxOps int64) error {

@@ -35,19 +35,16 @@ func TestNanzParallelCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s W=%d tree: %v", w.Name, workers, err)
 			}
-			for _, mode := range []exec.ExecMode{exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
-				vmRun, _, err := RunParallel(w.Name, ParallelRunOptions{
-					Workers: workers, Mode: mode, Staggered: true, Chunks: 4,
-				})
-				if err != nil {
-					t.Fatalf("%s W=%d %v: %v", w.Name, workers, mode, err)
-				}
-				if i, ok := bitsEqual(tree.Arena(), vmRun.Arena()); !ok {
-					t.Errorf("%s W=%d mode=%v: arenas differ from tree at cell %d",
-						w.Name, workers, mode, i)
-				}
+			vmRun, _, err := RunParallel(w.Name, ParallelRunOptions{
+				Workers: workers, Staggered: true, Chunks: 4,
+			})
+			if err != nil {
+				t.Fatalf("%s W=%d vm: %v", w.Name, workers, err)
 			}
-			for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
+			if i, ok := bitsEqual(tree.Arena(), vmRun.Arena()); !ok {
+				t.Errorf("%s W=%d: arenas differ from tree at cell %d", w.Name, workers, i)
+			}
+			for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeAuto} {
 				if err := validateParallelRun(w.Name, workers, mode, true); err != nil {
 					t.Errorf("%s W=%d mode=%v: %v", w.Name, workers, mode, err)
 				}

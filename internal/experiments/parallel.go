@@ -64,14 +64,13 @@ func ParallelSpeedups(name string, workers []int) ([]ParallelPoint, error) {
 	}
 	prog, _ := cachedAnalysis(w)
 	seq := exec.New(prog)
-	seq.Mode = exec.ModeBytecode
 	if err := seq.Run(); err != nil {
 		return nil, err
 	}
 	out := make([]ParallelPoint, 0, len(workers))
 	for _, n := range workers {
 		in, _, err := RunParallel(name, ParallelRunOptions{
-			Workers: n, Mode: exec.ModeBytecode, Staggered: true, Chunks: 4,
+			Workers: n, Staggered: true, Chunks: 4,
 		})
 		if err != nil {
 			return nil, err

@@ -50,7 +50,7 @@ func bitsEqual(a, b []float64) (int, bool) {
 }
 
 // TestParallelDifferentialEngines runs every parallel workload under its
-// plan at W ∈ {1, 2, 4} on all three engines. They execute the same
+// plan at W ∈ {1, 2, 4} on both engines. They execute the same
 // schedule with the same deterministic finalization order, so the full
 // arena images — worker banks included — must be bit-identical at every
 // worker count, not merely tolerance-close.
@@ -63,21 +63,19 @@ func TestParallelDifferentialEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s W=%d tree: %v", name, workers, err)
 			}
-			for _, mode := range []exec.ExecMode{exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
-				vmRun, _, err := RunParallel(name, ParallelRunOptions{
-					Workers: workers, Mode: mode, Staggered: true, Chunks: 4,
-				})
-				if err != nil {
-					t.Fatalf("%s W=%d %v: %v", name, workers, mode, err)
-				}
-				if i, ok := bitsEqual(tree.Arena(), vmRun.Arena()); !ok {
-					t.Errorf("%s W=%d mode=%v: arenas differ from tree at cell %d: %g vs %g",
-						name, workers, mode, i, tree.Arena()[i], vmRun.Arena()[i])
-				}
-				if tree.Ops() != vmRun.Ops() {
-					t.Errorf("%s W=%d mode=%v: ops differ: tree %d vs vm %d",
-						name, workers, mode, tree.Ops(), vmRun.Ops())
-				}
+			vmRun, _, err := RunParallel(name, ParallelRunOptions{
+				Workers: workers, Staggered: true, Chunks: 4,
+			})
+			if err != nil {
+				t.Fatalf("%s W=%d vm: %v", name, workers, err)
+			}
+			if i, ok := bitsEqual(tree.Arena(), vmRun.Arena()); !ok {
+				t.Errorf("%s W=%d: arenas differ from tree at cell %d: %g vs %g",
+					name, workers, i, tree.Arena()[i], vmRun.Arena()[i])
+			}
+			if tree.Ops() != vmRun.Ops() {
+				t.Errorf("%s W=%d: ops differ: tree %d vs vm %d",
+					name, workers, tree.Ops(), vmRun.Ops())
 			}
 		}
 	}
@@ -89,7 +87,7 @@ func TestParallelDifferentialEngines(t *testing.T) {
 func TestParallelVsSequential(t *testing.T) {
 	for _, name := range parallelWorkloads(t) {
 		for _, workers := range []int{1, 2, 4} {
-			for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
+			for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeAuto} {
 				if err := validateParallelRun(name, workers, mode, true); err != nil {
 					t.Errorf("%s W=%d mode=%v: %v", name, workers, mode, err)
 				}
@@ -103,7 +101,7 @@ func TestParallelVsSequential(t *testing.T) {
 // their results must be bit-identical — on both engines.
 func TestFinalizationEquivalence(t *testing.T) {
 	for _, name := range parallelWorkloads(t) {
-		for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeBytecode, exec.ModeTiered, exec.ModeRegister} {
+		for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeAuto} {
 			single, _, err := RunParallel(name, ParallelRunOptions{
 				Workers: 4, Mode: mode, Staggered: false,
 			})

@@ -92,7 +92,6 @@ func ScaleRun(tier corpus.Tier) (*ScalePoint, error) {
 
 	t0 = time.Now()
 	in := exec.New(prog)
-	in.Mode = exec.ModeBytecode
 	if err := in.Run(); err != nil {
 		return nil, fmt.Errorf("tier %s: exec: %w", tier.Name, err)
 	}

@@ -104,7 +104,6 @@ func TestCorpusScaleSoundness(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			seq := exec.New(seqProg)
-			seq.Mode = exec.ModeBytecode
 			if err := seq.Run(); err != nil {
 				t.Fatalf("sequential run: %v", err)
 			}
@@ -116,7 +115,6 @@ func TestCorpusScaleSoundness(t *testing.T) {
 					t.Fatalf("tier %s: no loops approved for parallel execution", tier.Name)
 				}
 				par := exec.NewWithPlan(parProg, plan)
-				par.Mode = exec.ModeBytecode
 				if err := par.Run(); err != nil {
 					t.Fatalf("W=%d parallel run: %v", workers, err)
 				}

@@ -287,14 +287,6 @@ type ProfileRequest struct {
 	SourceRef
 	// MaxOps bounds the interpreted execution (default 50M operations).
 	MaxOps int64 `json:"max_ops,omitempty"`
-	// Mode selects the execution engine: "auto" (default), "bytecode",
-	// "tiered", "register" or "tree" — the tree-walker is kept for
-	// differential debugging.
-	Mode string `json:"mode,omitempty"`
-	// Tier names a concrete engine tier ("tree", "bytecode", "tiered" or
-	// "register") and, when set, overrides Mode. Unknown values are a 422,
-	// mirroring the mode contract.
-	Tier string `json:"tier,omitempty"`
 	// Workers, when > 1, lowers the analysis' approved parallel loops to a
 	// runtime plan and executes them on that many workers (§4.5 even-chunk
 	// schedule). Loops nested inside a planned body run in workers without
@@ -340,21 +332,6 @@ func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error
 	if err := s.decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	mode := s.cfg.ExecMode
-	if req.Mode != "" {
-		m, err := exec.ParseMode(req.Mode)
-		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		mode = m
-	}
-	if req.Tier != "" {
-		m, err := exec.ParseTier(req.Tier)
-		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		mode = m
-	}
 	if req.Workers < 0 || req.Workers > 64 {
 		return nil, errf(http.StatusUnprocessableEntity, "workers must be in [0, 64], got %d", req.Workers)
 	}
@@ -387,7 +364,6 @@ func (s *Server) handleProfile(ctx context.Context, r *http.Request) (any, error
 		} else {
 			in = exec.New(res.Prog)
 		}
-		in.Mode = mode
 		in.MaxOps = maxOps
 		prof := exec.NewProfiler(in)
 		if err := in.Run(); err != nil {
@@ -440,10 +416,8 @@ type StatsResponse struct {
 	MaxConcurrent int               `json:"max_concurrent"`
 	UptimeSec     float64           `json:"uptime_sec"`
 	// Exec reports the execution engine's process-wide counters (compiled
-	// programs/procedures, instructions retired, runs per engine);
-	// ExecMode is the engine /v1/profile uses when requests don't override.
-	Exec     exec.Counters `json:"exec"`
-	ExecMode string        `json:"exec_mode"`
+	// programs/procedures, instructions retired, runs per engine).
+	Exec exec.Counters `json:"exec"`
 	// Sessions reports the interactive session subsystem: live/created/
 	// evicted counts plus the aggregate incremental re-analysis split.
 	Sessions session.Stats `json:"sessions"`
@@ -463,7 +437,6 @@ func (s *Server) statsSnapshot() *StatsResponse {
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		UptimeSec:     time.Since(s.start).Seconds(),
 		Exec:          exec.ReadCounters(),
-		ExecMode:      s.cfg.ExecMode.String(),
 		Tune:          tune.ReadCounters(),
 		Endpoints:     s.m.endpoints(),
 	}

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strings"
 
-	"suifx/internal/exec"
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
 	"suifx/internal/tune"
@@ -33,12 +32,6 @@ type TuneRequest struct {
 	// /v1/profile); it also bounds how long a cancelled search's in-flight
 	// run can straggle.
 	MaxOps int64 `json:"max_ops,omitempty"`
-	// Mode selects the engine: "auto" (default), "bytecode", "tiered",
-	// "register" or "tree".
-	Mode string `json:"mode,omitempty"`
-	// Tier names a concrete engine tier and overrides Mode when set, as on
-	// /v1/profile.
-	Tier string `json:"tier,omitempty"`
 	// Machine selects the cost model: "alpha" (default, AlphaServer 8400),
 	// "challenge" (SGI Challenge) or "origin" (SGI Origin 2000).
 	Machine string `json:"machine,omitempty"`
@@ -70,21 +63,6 @@ func (s *Server) handleTune(ctx context.Context, r *http.Request) (any, error) {
 	if err := s.decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
-	mode := s.cfg.ExecMode
-	if req.Mode != "" {
-		m, err := exec.ParseMode(req.Mode)
-		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		mode = m
-	}
-	if req.Tier != "" {
-		m, err := exec.ParseTier(req.Tier)
-		if err != nil {
-			return nil, errf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		mode = m
-	}
 	model, err := tuneModel(req.Machine)
 	if err != nil {
 		return nil, err
@@ -99,7 +77,6 @@ func (s *Server) handleTune(ctx context.Context, r *http.Request) (any, error) {
 		MaxRuns:        req.MaxRuns,
 		DefaultWorkers: req.DefaultWorkers,
 		MaxOps:         maxOps,
-		Mode:           mode,
 		Model:          model,
 	}
 	if req.MaxDepth == 0 {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"suifx/internal/driver"
-	"suifx/internal/exec"
 	"suifx/internal/session"
 )
 
@@ -51,9 +50,6 @@ type Config struct {
 	Cache *driver.Cache
 	// ShutdownGrace bounds graceful shutdown (default 5s).
 	ShutdownGrace time.Duration
-	// ExecMode selects the execution engine for /v1/profile runs unless the
-	// request carries its own "mode" (default auto = the bytecode engine).
-	ExecMode exec.ExecMode
 	// MaxSessions bounds the interactive session table; creating past the
 	// bound evicts the least recently used session. Default 64.
 	MaxSessions int

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"suifx/internal/driver"
-	"suifx/internal/exec"
 	"suifx/internal/workloads"
 )
 
@@ -414,91 +413,68 @@ func TestServerProfile(t *testing.T) {
 	}
 }
 
-// TestServerProfileMode: the per-request engine knob. Every engine must
-// yield identical profile payloads; unknown modes are a client error.
-func TestServerProfileMode(t *testing.T) {
+// TestServerLegacyEngineKnobs: /v1/profile and /v1/tune no longer select an
+// engine. Bodies still carrying the removed `mode` / `tier` knobs — valid
+// or bogus — decode leniently and answer 200 with a body byte-identical to
+// the knob-free request.
+func TestServerLegacyEngineKnobs(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	w := workloads.All()[0]
-	var bodies []string
-	for _, mode := range []string{"bytecode", "tree", "tiered"} {
-		status, fields := postJSON(t, ts, "/v1/profile", map[string]any{"workload": w.Name, "mode": mode})
+	post := func(path string, body map[string]any) string {
+		t.Helper()
+		status, fields := postJSON(t, ts, path, body)
 		if status != http.StatusOK {
-			t.Fatalf("mode=%s: status = %d (%s)", mode, status, fields["error"])
+			t.Fatalf("%s %v: status = %d (%s)", path, body, status, fields["error"])
 		}
-		bodies = append(bodies, string(fields["total_ops"])+string(fields["loops"]))
+		b, _ := json.Marshal(fields)
+		return string(b)
 	}
-	for i := 1; i < len(bodies); i++ {
-		if bodies[0] != bodies[i] {
-			t.Fatalf("engines disagree over HTTP:\nbytecode: %s\nother:    %s", bodies[0], bodies[i])
+	knobs := []map[string]any{
+		{"mode": "tree"},
+		{"tier": "register"},
+		{"tier": "bogus"},
+		{"mode": "quantum", "tier": "tiered"},
+	}
+	for _, path := range []string{"/v1/profile", "/v1/tune"} {
+		base := map[string]any{"workload": "mdg"}
+		if path == "/v1/tune" {
+			base["max_runs"] = 2
 		}
-	}
-	status, fields := postJSON(t, ts, "/v1/profile", map[string]any{"workload": w.Name, "mode": "jit"})
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("mode=jit: status = %d (%s), want 422", status, fields["error"])
-	}
-
-	// The stats snapshot exposes the engine counters the runs just bumped,
-	// including the tiered tier's.
-	_, sr := getStats(t, ts)
-	if sr.Exec.CompiledProcs < 1 || sr.Exec.Instructions < 1 || sr.Exec.BytecodeRuns < 1 {
-		t.Fatalf("exec counters not visible: %+v", sr.Exec)
-	}
-	if sr.Exec.TreeRuns < 1 {
-		t.Fatalf("tree run not counted: %+v", sr.Exec)
-	}
-	if sr.Exec.TieredRuns < 1 || sr.Exec.FusedInstructions < 1 {
-		t.Fatalf("tiered run not counted: %+v", sr.Exec)
-	}
-	if sr.ExecMode != "auto" {
-		t.Fatalf("exec_mode = %q, want auto", sr.ExecMode)
+		want := post(path, base)
+		for _, k := range knobs {
+			body := map[string]any{}
+			for key, v := range base {
+				body[key] = v
+			}
+			for key, v := range k {
+				body[key] = v
+			}
+			if got := post(path, body); got != want {
+				t.Errorf("%s %v: body differs from the knob-free request:\n got: %s\nwant: %s", path, k, got, want)
+			}
+		}
 	}
 }
 
-// TestServerProfileTier: the `tier` knob names a concrete engine and
-// overrides `mode`; unknown tiers are a 422, mirroring the mode contract.
-func TestServerProfileTier(t *testing.T) {
+// TestServerProfileMode: profile runs execute on the VM whatever a legacy
+// `mode` says, and the stats snapshot exposes the engine counters the run
+// just bumped.
+func TestServerProfileMode(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	w := workloads.All()[0]
-	var bodies []string
-	for _, tier := range []string{"bytecode", "tiered", "register"} {
-		status, fields := postJSON(t, ts, "/v1/profile",
-			map[string]any{"workload": w.Name, "mode": "tree", "tier": tier})
-		if status != http.StatusOK {
-			t.Fatalf("tier=%s: status = %d (%s)", tier, status, fields["error"])
-		}
-		bodies = append(bodies, string(fields["total_ops"])+string(fields["loops"]))
+	_, before := getStats(t, ts)
+	status, fields := postJSON(t, ts, "/v1/profile", map[string]any{"workload": w.Name, "mode": "tree"})
+	if status != http.StatusOK {
+		t.Fatalf("status = %d (%s)", status, fields["error"])
 	}
-	for i := 1; i < len(bodies); i++ {
-		if bodies[0] != bodies[i] {
-			t.Fatalf("tiers disagree over HTTP:\nbytecode: %s\nother:    %s", bodies[0], bodies[i])
-		}
+	_, sr := getStats(t, ts)
+	if sr.Exec.CompiledProcs < 1 || sr.Exec.Instructions < 1 || sr.Exec.FusedInstructions < 1 {
+		t.Fatalf("exec counters not visible: %+v", sr.Exec)
 	}
-	// The register-tier run above must be visible in /v1/stats: the exec
-	// counters carry the tier-4 activity (runs and lowered bodies).
-	var stats struct {
-		Exec exec.Counters `json:"exec"`
+	if sr.Exec.BytecodeRuns <= before.Exec.BytecodeRuns {
+		t.Fatalf("VM run not counted: %+v", sr.Exec)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Exec.RegisterRuns < 1 {
-		t.Fatalf("/v1/stats exec.register_runs = %d after a register-tier profile, want >= 1",
-			stats.Exec.RegisterRuns)
-	}
-
-	status, fields := postJSON(t, ts, "/v1/profile", map[string]any{"workload": w.Name, "tier": "auto"})
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("tier=auto: status = %d (%s), want 422 (a tier names a concrete engine)",
-			status, fields["error"])
-	}
-	status, fields = postJSON(t, ts, "/v1/profile", map[string]any{"workload": w.Name, "tier": "jit"})
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("tier=jit: status = %d (%s), want 422", status, fields["error"])
+	if sr.Exec.TreeRuns != before.Exec.TreeRuns {
+		t.Fatalf("a legacy mode=tree request ran the tree-walker: %+v", sr.Exec)
 	}
 }
 

@@ -120,7 +120,7 @@ func TestTuneBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestTuneErrors is the error contract: invalid knobs, machine, and mode are
+// TestTuneErrors is the error contract: invalid knobs and machine are
 // 422; unknown workloads 404; malformed JSON 400.
 func TestTuneErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -136,7 +136,6 @@ func TestTuneErrors(t *testing.T) {
 		{"negative budget", map[string]any{"workload": "mdg", "max_runs": -1}, http.StatusUnprocessableEntity},
 		{"absurd depth", map[string]any{"workload": "mdg", "max_depth": 99}, http.StatusUnprocessableEntity},
 		{"unknown machine", map[string]any{"workload": "mdg", "machine": "cray"}, http.StatusUnprocessableEntity},
-		{"unknown mode", map[string]any{"workload": "mdg", "mode": "quantum"}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

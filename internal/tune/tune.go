@@ -27,7 +27,7 @@ import (
 // Config is the search space and budget for one tuning run. The zero value
 // selects the full default space: workers {1,2,4,8}, all three schedules,
 // both disciplines, interchange depth ≤ 1, unlimited runs, the AlphaServer
-// 8400 cost model, and the bytecode engine.
+// 8400 cost model.
 type Config struct {
 	// Workers are the candidate per-loop worker counts. Order matters: it
 	// is the tie-break preference and the audit-trail enumeration order.
@@ -48,8 +48,6 @@ type Config struct {
 	Chunks int
 	// MaxOps bounds each execution's virtual time (0 = unlimited).
 	MaxOps int64
-	// Mode selects the engine; the default resolves to the bytecode VM.
-	Mode exec.ExecMode
 	// Model is the cost model scoring overhead terms (default AlphaServer).
 	Model *machine.Model
 }
@@ -161,7 +159,6 @@ type LoopReport struct {
 // marshal byte-identically.
 type Report struct {
 	Machine        string `json:"machine"`
-	Mode           string `json:"mode"`
 	DefaultWorkers int    `json:"default_workers"`
 	// SeqOps is the sequential baseline's total virtual time.
 	SeqOps int64 `json:"seq_ops"`
@@ -284,7 +281,6 @@ func Search(ctx context.Context, res *parallel.Result, cfg Config) (*Report, err
 	// feeds both the W=1 scores and the serial remainder of interchange
 	// variants (outer levels of a depth-d plan run sequentially).
 	seqIn := exec.New(res.Prog)
-	seqIn.Mode = cfg.Mode
 	seqIn.MaxOps = cfg.MaxOps
 	prof := exec.NewProfiler(seqIn)
 	if err := seqIn.Run(); err != nil {
@@ -298,7 +294,6 @@ func Search(ctx context.Context, res *parallel.Result, cfg Config) (*Report, err
 
 	rep := &Report{
 		Machine:        cfg.Model.Name,
-		Mode:           cfg.Mode.String(),
 		DefaultWorkers: cfg.DefaultWorkers,
 		SeqOps:         seqIn.Ops(),
 	}
@@ -465,7 +460,6 @@ func executeJob(res *parallel.Result, nests []*nest, job *runJob, cfg Config) (m
 		plan.Loops[pl.Region.Loop] = parallel.LowerLoop(pl, opt)
 	}
 	in := exec.NewWithPlan(res.Prog, plan)
-	in.Mode = cfg.Mode
 	in.MaxOps = cfg.MaxOps
 	if err := in.Run(); err != nil {
 		return nil, fmt.Errorf("tune: variant %dw/%s/stag=%v/d%d: %w",

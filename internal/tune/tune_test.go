@@ -126,7 +126,7 @@ func TestChosenNeverWorse(t *testing.T) {
 func TestTunedPlanBitIdentical(t *testing.T) {
 	for name, tu := range tunedAll(t) {
 		plan := tu.rep.BuildPlan(tu.res, tune.Config{})
-		if err := experiments.ValidatePlanned(tu.res, plan, exec.ModeBytecode); err != nil {
+		if err := experiments.ValidatePlanned(tu.res, plan, exec.ModeAuto); err != nil {
 			t.Errorf("%s: tuned plan diverges from sequential: %v", name, err)
 		}
 	}
@@ -161,7 +161,7 @@ func TestEveryVariantBitIdentical(t *testing.T) {
 					t.Errorf("%s %s: variant %+v did not lower to a plan", name, lr.ID, sc.Variant)
 					continue
 				}
-				if err := experiments.ValidatePlanned(tu.res, plan, exec.ModeBytecode); err != nil {
+				if err := experiments.ValidatePlanned(tu.res, plan, exec.ModeAuto); err != nil {
 					t.Errorf("%s %s variant %+v: diverges from sequential: %v", name, lr.ID, sc.Variant, err)
 				}
 			}
@@ -348,7 +348,7 @@ func TestCorpusQuickTune(t *testing.T) {
 				t.Errorf("program speedup %.4f < 1", rep.Speedup)
 			}
 			plan := rep.BuildPlan(res, cfg)
-			if err := experiments.ValidatePlanned(res, plan, exec.ModeBytecode); err != nil {
+			if err := experiments.ValidatePlanned(res, plan, exec.ModeAuto); err != nil {
 				t.Errorf("tuned plan diverges from sequential: %v", err)
 			}
 			a, b := searchTwice(t, res, cfg)
