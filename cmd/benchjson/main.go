@@ -136,33 +136,14 @@ func parseLine(rep *Report, line string) {
 	rep.Benchmarks = append(rep.Benchmarks, b)
 }
 
-// derive records each harness's derived block: parallel, scale, tune and
-// cluster rows, and the cold-vs-incremental session re-analysis speedup
-// when the session benchmarks appear (committed as BENCH_session.json).
+// derive records each harness's derived block: scale and cluster rows, and
+// the cold-vs-incremental session re-analysis speedup when the session
+// benchmarks appear (committed as BENCH_session.json).
 func derive(rep *Report) {
 	byName := map[string]Benchmark{}
 	for _, b := range rep.Benchmarks {
 		byName[b.Name] = b
 	}
-	// ParallelEngine/<app>/<N>w sub-benchmarks (BENCH_parallel.json): copy
-	// each run's virtual-time speedup up into the derived block and record
-	// the wall-clock ratio against the same app's 1-worker run.
-	for _, bm := range rep.Benchmarks {
-		app, n, ok := parseParallelName(bm.Name)
-		if !ok {
-			continue
-		}
-		if rep.Derived == nil {
-			rep.Derived = map[string]float64{}
-		}
-		if v, ok := bm.Metrics["vt_speedup"]; ok {
-			rep.Derived[app+"_vt_speedup_"+n+"w"] = round2(v)
-		}
-		if base, ok := byName["ParallelEngine/"+app+"/1w"]; ok && bm.NsPerOp > 0 {
-			rep.Derived[app+"_wall_ratio_"+n+"w"] = round2(base.NsPerOp / bm.NsPerOp)
-		}
-	}
-
 	// Scale/<tier> rows (BENCH_scale.json): record each tier's analysis
 	// cost per thousand source lines, plus the ladder's superlinearity —
 	// the largest tier's per-kloc cost over the smallest's. 1.0 means the
@@ -195,41 +176,6 @@ func derive(rep *Report) {
 	}
 	if scaleMin != nil && scaleMax != scaleMin && scaleMin.perKloc > 0 {
 		rep.Derived["scale_analyze_superlinearity"] = round2(scaleMax.perKloc / scaleMin.perKloc)
-	}
-
-	// Tune/<app> rows (BENCH_tune.json): copy each search's modeled
-	// chosen-vs-default speedup and its per-nest floor into the derived
-	// block, plus the ladder-wide acceptance numbers — the worst per-nest
-	// speedup anywhere (must stay ≥ 1: the default plan is in the candidate
-	// set) and the best whole-program win.
-	tuneWorst, tuneBest := 0.0, 0.0
-	tuneSeen := false
-	for _, bm := range rep.Benchmarks {
-		app, found := strings.CutPrefix(bm.Name, "Tune/")
-		if !found || strings.Contains(app, "/") {
-			continue
-		}
-		sp, okS := bm.Metrics["tune_speedup"]
-		fl, okF := bm.Metrics["min_loop_speedup"]
-		if !okS || !okF {
-			continue
-		}
-		if rep.Derived == nil {
-			rep.Derived = map[string]float64{}
-		}
-		rep.Derived["tune_"+app+"_speedup"] = round2(sp)
-		rep.Derived["tune_"+app+"_min_loop_speedup"] = round2(fl)
-		if !tuneSeen || fl < tuneWorst {
-			tuneWorst = fl
-		}
-		if !tuneSeen || sp > tuneBest {
-			tuneBest = sp
-		}
-		tuneSeen = true
-	}
-	if tuneSeen {
-		rep.Derived["tune_min_loop_speedup"] = round2(tuneWorst)
-		rep.Derived["tune_best_speedup"] = round2(tuneBest)
 	}
 
 	// ClusterBatch/<N>w rows (BENCH_cluster.json): the batch fan-out scaling
@@ -270,23 +216,6 @@ func derive(rep *Report) {
 			rep.Derived["session_incremental_alloc_ratio"] = round2(float64(cold.AllocsPerOp) / float64(incr.AllocsPerOp))
 		}
 	}
-}
-
-// parseParallelName splits "ParallelEngine/<app>/<N>w" into app and N.
-func parseParallelName(name string) (app, n string, ok bool) {
-	rest, found := strings.CutPrefix(name, "ParallelEngine/")
-	if !found {
-		return "", "", false
-	}
-	app, nw, found := strings.Cut(rest, "/")
-	if !found || !strings.HasSuffix(nw, "w") {
-		return "", "", false
-	}
-	n = strings.TrimSuffix(nw, "w")
-	if _, err := strconv.Atoi(n); err != nil {
-		return "", "", false
-	}
-	return app, n, true
 }
 
 func round2(f float64) float64 { return float64(int64(f*100+0.5)) / 100 }

@@ -9,9 +9,9 @@
 //	suifpar -auto [-budget n] [-depth d] [-machine alpha] -workload mdg
 //
 // With -auto it additionally runs the tuning search: every approved nest's
-// strategy space (worker count, schedule, reduction discipline, interchange
-// depth) is executed under virtual time and scored with the machine cost
-// model, and the winning plan is reported per nest.
+// strategy space (worker count × interchange depth) is executed under
+// virtual time and scored with the machine cost model, and the winning plan
+// is reported per nest.
 package main
 
 import (
@@ -166,18 +166,14 @@ func printTuneReport(progName string, rep *tune.Report, asJSON bool) error {
 	if rep.BudgetExhausted {
 		fmt.Println("  search budget exhausted: unexecuted variants counted as pruned")
 	}
-	fmt.Printf("  machine %s, default plan %dw/even/staggered\n\n", rep.Machine, rep.DefaultWorkers)
+	fmt.Printf("  machine %s, default plan %dw\n\n", rep.Machine, rep.DefaultWorkers)
 	fmt.Printf("%-20s %8s  %-28s %10s\n", "NEST", "SEQ OPS", "CHOSEN PLAN", "SPEEDUP")
 	for _, lr := range rep.Loops {
 		plan := "sequential (parallel loses)"
 		if lr.Chosen.Workers > 1 {
-			disc := "single-lock"
-			if lr.Chosen.Staggered {
-				disc = "staggered"
-			}
-			plan = fmt.Sprintf("%dw/%s/%s", lr.Chosen.Workers, lr.Chosen.Schedule, disc)
+			plan = fmt.Sprintf("%dw", lr.Chosen.Workers)
 			if lr.Chosen.Depth > 0 {
-				plan += fmt.Sprintf("/depth-%d", lr.Chosen.Depth)
+				plan += fmt.Sprintf("/d%d", lr.Chosen.Depth)
 			}
 		}
 		fmt.Printf("%-20s %8d  %-28s %9.2fx\n", lr.ID, lr.SeqOps, plan, lr.Speedup)

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -248,5 +250,57 @@ func TestDynDepSampling(t *testing.T) {
 	// The hint survives sampling: consecutive warm iterations see the dep.
 	if dS.Carried(prog2.Main().Loops()[0]) == 0 {
 		t.Fatal("sampled analyzer should still catch the recurrence")
+	}
+}
+
+// TestArenaCap: a program whose declared storage is over MaxArenaCells —
+// by its static layout, by dimensions whose product overflows int64, or
+// only with per-worker banks on top — gets an interpreter that holds no
+// arena and refuses to run, on either engine and under the analyzers.
+func TestArenaCap(t *testing.T) {
+	const prog = `
+      PROGRAM main
+      REAL a(%s), b(10)
+      INTEGER i
+      DO 10 i = 1, 10
+        a(i) = i
+        b(i) = a(i)
+10    CONTINUE
+      END
+`
+	refused := func(label string, in *Interp) {
+		t.Helper()
+		if in.ArenaSize() != 0 {
+			t.Fatalf("%s: %d cells allocated for an over-cap program", label, in.ArenaSize())
+		}
+		NewProfiler(in)
+		NewDynDep(in)
+		if err := in.Run(); !errors.Is(err, ErrArenaTooLarge) {
+			t.Fatalf("%s: Run = %v, want ErrArenaTooLarge", label, err)
+		}
+		if err := in.RunProc(in.Prog.Main(), nil); !errors.Is(err, ErrArenaTooLarge) {
+			t.Fatalf("%s: RunProc = %v, want ErrArenaTooLarge", label, err)
+		}
+	}
+	for _, dims := range []string{"100000,100000", "3000000000,3000000000,3000000000", "16777216"} {
+		for _, mode := range []ExecMode{ModeAuto, ModeTree} {
+			in := New(minif.MustParse("t", fmt.Sprintf(prog, dims)))
+			in.Mode = mode
+			refused(dims, in)
+		}
+	}
+
+	// 5M cells fit, and with two banks of A on top; with four they do not.
+	p := minif.MustParse("t", fmt.Sprintf(prog, "5000000"))
+	if err := New(p).Run(); err != nil {
+		t.Fatalf("under the cap: %v", err)
+	}
+	plan := &ParallelPlan{Workers: 4, Loops: map[*ir.DoLoop]*LoopPlan{
+		p.Main().Loops()[0]: {Private: []*ir.Symbol{p.Main().Lookup("A")}},
+	}}
+	refused("banks", NewWithPlan(p, plan))
+	plan.Workers = 2
+	if in := NewWithPlan(p, plan); in.ArenaSize() == 0 {
+		t.Fatal("two banks of 5M cells fit under the cap")
 	}
 }

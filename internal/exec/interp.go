@@ -128,19 +128,42 @@ type analyzer interface {
 	install(in *Interp)
 }
 
+// MaxArenaCells caps one interpreter's storage, per-worker banks included:
+// the arena is sized by declared dimensions, so uncapped, a one-line
+// REAL A(100000,100000) asks for 80 GB. The repo's largest is 450,896 cells.
+const MaxArenaCells = 1 << 24
+
+// ErrArenaTooLarge is what Run and RunProc return, with nothing allocated,
+// for a program whose storage would exceed MaxArenaCells.
+var ErrArenaTooLarge = fmt.Errorf("exec: program storage exceeds %d cells", MaxArenaCells)
+
 // New allocates an interpreter with all static storage (commons and
 // locals). The arena layout is computed once per program and shared.
 func New(prog *ir.Program) *Interp {
+	in := newInterp(prog)
+	in.allocArena(in.tempLimit) // the end of the static layout
+	return in
+}
+
+// newInterp is New short of allocating the arena.
+func newInterp(prog *ir.Program) *Interp {
 	lay := loweredOf(prog).lay
 	return &Interp{
 		Prog:      prog,
 		Out:       io.Discard,
 		base:      lay.base,
 		blockOff:  lay.blockOff,
-		arena:     make([]float64, lay.size),
 		tempBase:  lay.tempBase,
 		tempTop:   lay.tempBase,
 		tempLimit: lay.size,
+	}
+}
+
+// allocArena allocates the storage unless it is over the cap: the arena
+// then stays nil and Run refuses.
+func (in *Interp) allocArena(cells int64) {
+	if cells <= MaxArenaCells {
+		in.arena = make([]float64, cells)
 	}
 }
 
@@ -186,6 +209,9 @@ func (in *Interp) refOf(f *frame, sym *ir.Symbol) Ref {
 
 // Run executes the program from its PROGRAM unit.
 func (in *Interp) Run() error {
+	if in.arena == nil {
+		return ErrArenaTooLarge
+	}
 	main := in.Prog.Main()
 	if main == nil {
 		return fmt.Errorf("exec: no main program")
@@ -329,6 +355,9 @@ func (in *Interp) runCode(cd *code) error {
 // RunProc invokes one subroutine with pre-bound argument refs (used by the
 // parallel runtime).
 func (in *Interp) RunProc(p *ir.Proc, refs map[*ir.Symbol]Ref) error {
+	if in.arena == nil {
+		return ErrArenaTooLarge
+	}
 	f := &frame{proc: p, refs: refs}
 	_, err := in.execStmts(f, p.Body)
 	return err

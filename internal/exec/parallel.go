@@ -22,10 +22,6 @@ type LoopPlan struct {
 	Private    []*ir.Symbol
 	Finalize   []*ir.Symbol // privates written back from the last iteration
 	Reductions []ReductionPlan
-	// Schedule is the §4.5 dispatcher policy for this loop. The dispatcher
-	// reads it from the plan — there is no engine-side default that could
-	// silently disagree with what the plan's builder intended.
-	Schedule Schedule
 	// MaxWorkers, when > 0, caps this loop's schedule width below the
 	// plan-wide worker count — the tuner's per-loop worker-count knob.
 	// Storage banks are still allocated for the plan-wide count, and the
@@ -38,7 +34,7 @@ type LoopPlan struct {
 	Chunks    int
 }
 
-// width returns the loop's schedule width for a trip count: the plan-wide
+// width returns the loop's dispatch width for a trip count: the plan-wide
 // worker count, clamped by the loop's MaxWorkers knob and by trips.
 func (lp *LoopPlan) width(planWorkers int, trips int64) int {
 	workers := planWorkers
@@ -63,10 +59,10 @@ type ParallelPlan struct {
 // grows during execution. Loops are laid out in source order so the arena
 // image is deterministic regardless of plan-map iteration order.
 func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
-	in := New(prog)
 	if plan == nil || plan.Workers < 1 {
-		return in
+		return New(prog)
 	}
+	in := newInterp(prog)
 	in.plan = plan
 	in.workerBase = map[*ir.DoLoop]map[*ir.Symbol][]int64{}
 	in.workerLocals = map[*ir.DoLoop][]map[*ir.Symbol]int64{}
@@ -80,15 +76,24 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 		}
 		return loops[i].Index.Name < loops[j].Index.Name
 	})
+	// Banks are laid out past the static storage and everything is allocated
+	// once at the end, so an over-cap plan is refused with nothing allocated.
+	top := min(in.tempLimit, MaxArenaCells+1) // tempLimit ends the static layout
+	bank := func(n int64) int64 {
+		base := top
+		if top += n; top > MaxArenaCells {
+			top = MaxArenaCells + 1
+		}
+		return base
+	}
 	for _, l := range loops {
 		lp := plan.Loops[l]
 		m := map[*ir.Symbol][]int64{}
 		in.workerBase[l] = m
 		alloc := func(sym *ir.Symbol) {
 			bases := make([]int64, plan.Workers)
-			for w := 0; w < plan.Workers; w++ {
-				bases[w] = int64(len(in.arena))
-				in.arena = append(in.arena, make([]float64, sym.NElems())...)
+			for w := range bases {
+				bases[w] = bank(sym.NElems())
 			}
 			m[sym] = bases
 		}
@@ -114,8 +119,7 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 					continue
 				}
 				for w := 0; w < plan.Workers; w++ {
-					perWorker[w][sym] = int64(len(in.arena))
-					in.arena = append(in.arena, make([]float64, sym.NElems())...)
+					perWorker[w][sym] = bank(sym.NElems())
 				}
 			}
 		}
@@ -127,9 +131,9 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	// spills from different workers would collide in the main scratch.
 	in.workerTemp = make([]int64, plan.Workers)
 	for w := range in.workerTemp {
-		in.workerTemp[w] = int64(len(in.arena))
-		in.arena = append(in.arena, make([]float64, tempCells)...)
+		in.workerTemp[w] = bank(tempCells)
 	}
+	in.allocArena(top)
 	return in
 }
 
@@ -191,22 +195,29 @@ func combine(op string, a, b float64) float64 {
 	return a
 }
 
-// planWorkerIDs maps schedule positions to storage-bank IDs when the worker
-// count is clamped to the trip count (or capped per loop). The LAST plan
-// worker keeps the original storage as its private copy (§5.4), so the
-// position executing the globally last iteration — which the schedule
-// determines — must always be that worker; every other position uses its
-// own bank.
-func planWorkerIDs(planWorkers, workers, lastPos int) []int {
+// forEachAssigned is the §4.5 dispatcher both runtimes share: position pos
+// of a workers-wide loop runs the contiguous chunk
+// [pos*trips/W, (pos+1)*trips/W) in increasing order.
+func forEachAssigned(trips int64, workers, pos int, body func(it int64) error) error {
+	w := int64(workers)
+	for it := int64(pos) * trips / w; it < int64(pos+1)*trips/w; it++ {
+		if err := body(it); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// planWorkerIDs maps dispatch positions to storage banks. The last plan
+// worker keeps the original storage as its private copy (§5.4) and position
+// workers-1 always runs iteration trips-1, so that position takes bank
+// planWorkers-1; every other position uses its own.
+func planWorkerIDs(planWorkers, workers int) []int {
 	ids := make([]int, workers)
 	for p := range ids {
 		ids[p] = p
 	}
-	old := ids[lastPos]
-	ids[lastPos] = planWorkers - 1
-	if planWorkers == workers && lastPos != workers-1 {
-		ids[workers-1] = old // keep the bank set distinct
-	}
+	ids[workers-1] = planWorkers - 1
 	return ids
 }
 
@@ -219,15 +230,11 @@ func (in *Interp) execParallelLoop(f *frame, l *ir.DoLoop, lp *LoopPlan, lo, hi,
 	}
 	counters.parallelLoopRuns.Add(1)
 	counters.parallelWorkers.Add(int64(workers))
-	ids := planWorkerIDs(in.plan.Workers, workers, lastPosition(lp.Schedule, trips, workers))
+	ids := planWorkerIDs(in.plan.Workers, workers)
 	bases := in.workerBase[l]
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	wops := make([]int64, workers)
-
-	// Iterations are assigned to positions by the plan's schedule (§4.5):
-	// even contiguous chunks, cyclic interleaving, or guided shrinking
-	// chunks — forEachAssigned is the single source of truth.
 	for p := 0; p < workers; p++ {
 		wg.Add(1)
 		go func(p int) {
@@ -274,7 +281,7 @@ func (in *Interp) execParallelLoop(f *frame, l *ir.DoLoop, lp *LoopPlan, lo, hi,
 				bind(r.Sym, true, r.Op)
 			}
 			idx := wi.refOf(wf, l.Index)
-			if err := forEachAssigned(lp.Schedule, trips, workers, p, func(it int64) error {
+			if err := forEachAssigned(trips, workers, p, func(it int64) error {
 				wi.arena[idx.Base] = lo + float64(it)*step
 				_, err := wi.execStmts(wf, l.Body)
 				return err
@@ -294,27 +301,25 @@ func (in *Interp) execParallelLoop(f *frame, l *ir.DoLoop, lp *LoopPlan, lo, hi,
 			return sigNone, err
 		}
 	}
-	in.noteParallel(l, lp, wops)
-	in.finalizeParallel(f, l, lp, workers, ids)
+	in.noteParallel(l, wops)
+	in.finalizeParallel(l, lp, ids, func(sym *ir.Symbol) int64 { return in.refOf(f, sym).Base })
 	return sigNone, nil
 }
 
-// finalizeParallel merges reduction accumulators into the shared variables
-// (§6.3.1, §6.3.4).
-func (in *Interp) finalizeParallel(f *frame, l *ir.DoLoop, lp *LoopPlan, workers int, ids []int) {
-	bases := in.workerBase[l]
+// finalizeParallel merges the positions' reduction accumulators into the
+// shared variables (§6.3.1, §6.3.4); shared resolves a variable's shared
+// storage in the dispatching frame. No private write-back is needed: the
+// last worker used the original storage as its private copy (§5.4), so the
+// shared state already equals the sequential final state. The Finalize list
+// only drives the cost model's accounting.
+func (in *Interp) finalizeParallel(l *ir.DoLoop, lp *LoopPlan, ids []int, shared func(*ir.Symbol) int64) {
 	for _, red := range lp.Reductions {
-		shared := in.refOf(f, red.Sym)
-		wb := make([]int64, workers)
-		for p := 0; p < workers; p++ {
-			wb[p] = bases[red.Sym][ids[p]]
+		wb := make([]int64, len(ids))
+		for p, id := range ids {
+			wb[p] = in.workerBase[l][red.Sym][id]
 		}
-		in.mergeReduction(red, wb, shared.Base, lp)
+		in.mergeReduction(red, wb, shared(red.Sym), lp)
 	}
-	// No private write-back is needed: the last worker used the original
-	// storage as its private copy (§5.4), so the shared state already equals
-	// the sequential final state. The Finalize list only drives the cost
-	// model's accounting.
 }
 
 // mergeReduction folds each worker's accumulator into the shared storage.
@@ -519,8 +524,8 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 	return rt
 }
 
-// runLoop executes one planned loop on the bytecode engine: the plan's
-// §4.5 schedule with one VM instance per worker over the shared arena,
+// runLoop executes one planned loop on the bytecode engine: the §4.5 even
+// chunks with one VM instance per worker over the shared arena,
 // followed by deterministic reduction finalization. Worker ops are folded
 // into the dispatching VM's clock, matching the tree-walker.
 func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64, trips int64) error {
@@ -531,7 +536,7 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 	}
 	counters.parallelLoopRuns.Add(1)
 	counters.parallelWorkers.Add(int64(workers))
-	ids := planWorkerIDs(in.plan.Workers, workers, lastPosition(lrt.lp.Schedule, trips, workers))
+	ids := planWorkerIDs(in.plan.Workers, workers)
 	psnap := append([]int64(nil), params...)
 	errs := make([]error, workers)
 	wops := make([]int64, workers)
@@ -561,7 +566,7 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 				tempLimit:  tb + tempCells,
 				maxOps:     math.MaxInt64,
 			}
-			if err := forEachAssigned(lrt.lp.Schedule, trips, workers, p, func(it int64) error {
+			if err := forEachAssigned(trips, workers, p, func(it int64) error {
 				in.arena[view.idxAddr] = lo + float64(it)*step
 				return wv.run()
 			}); err != nil {
@@ -580,14 +585,8 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 			return err
 		}
 	}
-	in.noteParallel(lrt.l, lrt.lp, wops)
-	for _, red := range lrt.lp.Reductions {
-		wb := make([]int64, workers)
-		for p := 0; p < workers; p++ {
-			wb[p] = in.workerBase[lrt.l][red.Sym][ids[p]]
-		}
-		in.mergeReduction(red, wb, in.sharedBase(red.Sym, psnap), lrt.lp)
-	}
+	in.noteParallel(lrt.l, wops)
+	in.finalizeParallel(lrt.l, lrt.lp, ids, func(sym *ir.Symbol) int64 { return in.sharedBase(sym, psnap) })
 	return nil
 }
 
@@ -598,22 +597,21 @@ func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64
 type ParLoopStat struct {
 	Line        int    // source line of the DO statement
 	Index       string // loop index variable name
-	Schedule    string // the dispatcher policy the plan selected
 	Invocations int64
-	Workers     int   // widest schedule observed
+	Workers     int   // widest dispatch observed
 	WorkerOps   int64 // Σ over invocations and workers of worker ops
 	CritOps     int64 // Σ over invocations of the slowest worker's ops
 }
 
-// noteParallel accumulates one planned-loop invocation's schedule profile.
+// noteParallel accumulates one planned-loop invocation's dispatch profile.
 // Dispatch is always from the sequential part of the run, so no locking.
-func (in *Interp) noteParallel(l *ir.DoLoop, lp *LoopPlan, wops []int64) {
+func (in *Interp) noteParallel(l *ir.DoLoop, wops []int64) {
 	if in.parStats == nil {
 		in.parStats = map[*ir.DoLoop]*ParLoopStat{}
 	}
 	st := in.parStats[l]
 	if st == nil {
-		st = &ParLoopStat{Line: l.Pos.Line, Index: l.Index.Name, Schedule: lp.Schedule.String()}
+		st = &ParLoopStat{Line: l.Pos.Line, Index: l.Index.Name}
 		in.parStats[l] = st
 	}
 	st.Invocations++

@@ -60,11 +60,20 @@ type Symbol struct {
 // IsArray reports whether the symbol is an array.
 func (s *Symbol) IsArray() bool { return len(s.Dims) > 0 }
 
-// NElems returns the total declared element count (1 for scalars).
+// maxElems is where NElems saturates, so neither the product of declared
+// bounds nor a sum of counts over a program's symbols can overflow.
+const maxElems = 1 << 40
+
+// NElems returns the total declared element count (1 for scalars),
+// saturating at 2^40.
 func (s *Symbol) NElems() int64 {
 	n := int64(1)
 	for _, d := range s.Dims {
-		n *= d.Size()
+		sz := d.Size()
+		if sz <= 0 || sz > maxElems/n {
+			return maxElems
+		}
+		n *= sz
 	}
 	return n
 }

@@ -63,6 +63,18 @@ func Parallelize(prog *ir.Program, cfg Config) *Result {
 
 // ParallelizeWith reuses an existing array data-flow analysis.
 func ParallelizeWith(sum *summary.Analysis, cfg Config) *Result {
+	return ReparallelizeWith(nil, sum, cfg, nil)
+}
+
+// ReparallelizeWith is the incremental variant of ParallelizeWith for the
+// interactive loop: dependence analysis is re-run only for loops in
+// procedures where dirty reports true, and every other loop reuses prev's
+// dependence verdict (valid whenever the clean procedures' summaries,
+// liveness facts, and assertions are unchanged — the invalidation contract
+// the driver's Incremental maintains). Loop choice (Chosen/UnderParallel)
+// is global and cheap, so it is always recomputed from scratch. prev == nil
+// or dirty == nil is a full run.
+func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty func(proc string) bool) *Result {
 	if cfg.DeadAtExit == nil {
 		// Even the pre-Chapter-5 system performs scalar liveness (Fig 5-6's
 		// base configuration): conditionally-written scalars that are dead
@@ -83,53 +95,9 @@ func ParallelizeWith(sum *summary.Analysis, cfg Config) *Result {
 		Loops: map[*region.Region]*LoopInfo{},
 	}
 	for _, r := range sum.Reg.LoopRegions() {
-		opts := depend.Options{
-			UseReductions: cfg.UseReductions,
-			DeadAtExit:    cfg.DeadAtExit,
-		}
-		if as, ok := cfg.Assertions[r.ID()]; ok {
-			opts.AssertPrivate = as.Private
-			opts.AssertIndependent = as.Independent
-		}
-		li := &LoopInfo{Region: r, Dep: depend.AnalyzeLoop(sum, r, opts)}
-		res.Loops[r] = li
-		res.Ordered = append(res.Ordered, li)
-	}
-	res.chooseOutermost()
-	return res
-}
-
-// ReparallelizeWith is the incremental variant of ParallelizeWith for the
-// interactive loop: dependence analysis is re-run only for loops in
-// procedures where dirty reports true, and every other loop reuses prev's
-// dependence verdict (valid whenever the clean procedures' summaries,
-// liveness facts, and assertions are unchanged — the invalidation contract
-// the driver's Incremental maintains). Loop choice (Chosen/UnderParallel)
-// is global and cheap, so it is always recomputed from scratch. prev == nil
-// or dirty == nil degrades to a full run.
-func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty func(proc string) bool) *Result {
-	if prev == nil || dirty == nil {
-		return ParallelizeWith(sum, cfg)
-	}
-	if cfg.DeadAtExit == nil {
-		scalarLive := liveness.Analyze(sum, liveness.Full)
-		cfg.DeadAtExit = func(r *region.Region, sym *ir.Symbol) bool {
-			if sym.IsArray() {
-				return false
-			}
-			return scalarLive.DeadAtExit(r, sym)
-		}
-	}
-	res := &Result{
-		Prog:  sum.Prog,
-		Sum:   sum,
-		Cfg:   cfg,
-		Loops: map[*region.Region]*LoopInfo{},
-	}
-	for _, r := range sum.Reg.LoopRegions() {
 		li := &LoopInfo{Region: r}
-		if old := prev.Loops[r]; old != nil && !dirty(r.Proc.Name) {
-			li.Dep = old.Dep
+		if prev != nil && dirty != nil && prev.Loops[r] != nil && !dirty(r.Proc.Name) {
+			li.Dep = prev.Loops[r].Dep
 		} else {
 			opts := depend.Options{
 				UseReductions: cfg.UseReductions,

@@ -6,32 +6,33 @@ import (
 	"suifx/internal/region"
 )
 
-// PlanOptions selects the runtime schedule for an execution plan built from
-// a parallelization result. The schedule travels inside the plan (one field
-// per loop), so the §4.5 dispatcher executes exactly the policy the plan
-// was built with — a variant enumerated by the tuner cannot silently
-// disagree with what the engine runs.
+// PlanOptions selects the worker count and the reduction finalization of an
+// execution plan built from a parallelization result. Dispatch is always the
+// §4.5 even contiguous chunks.
 type PlanOptions struct {
 	Workers int
-	// Schedule is the iteration-assignment policy (§4.5): even contiguous
-	// chunks (default), cyclic interleaving, or guided shrinking chunks.
-	Schedule exec.Schedule
 	// Staggered selects the §6.3.4 chunked reduction finalization; false is
 	// the §6.3.2 single-lock (serial-order) baseline.
 	Staggered bool
 	Chunks    int
 }
 
-// BuildPlan converts a parallelization result into a runtime execution plan
-// for the chosen loops — privatized variables (inner indices included),
-// last-iteration finalization lists, and reduction accumulators — with the
-// even-chunk schedule and the staggered finalization of §6.3.4.
-func BuildPlan(res *Result, workers int) *exec.ParallelPlan {
-	return BuildPlanOpts(res, PlanOptions{Workers: workers, Staggered: true, Chunks: 4})
+// DefaultPlanOptions is the finalization every production plan uses —
+// BuildPlan's and the tuner's: §6.3.4 staggered over four chunks.
+func DefaultPlanOptions(workers int) PlanOptions {
+	return PlanOptions{Workers: workers, Staggered: true, Chunks: 4}
 }
 
-// BuildPlanOpts is BuildPlan with an explicit schedule and finalization
-// discipline applied to every chosen loop.
+// BuildPlan converts a parallelization result into a runtime execution plan
+// for the chosen loops — privatized variables (inner indices included),
+// last-iteration finalization lists, and reduction accumulators — under
+// DefaultPlanOptions.
+func BuildPlan(res *Result, workers int) *exec.ParallelPlan {
+	return BuildPlanOpts(res, DefaultPlanOptions(workers))
+}
+
+// BuildPlanOpts is BuildPlan with an explicit finalization discipline
+// applied to every chosen loop.
 func BuildPlanOpts(res *Result, opt PlanOptions) *exec.ParallelPlan {
 	plan := &exec.ParallelPlan{Workers: opt.Workers, Loops: map[*ir.DoLoop]*exec.LoopPlan{}}
 	for _, li := range res.Ordered {
@@ -45,11 +46,11 @@ func BuildPlanOpts(res *Result, opt PlanOptions) *exec.ParallelPlan {
 
 // LowerLoop lowers one loop's dependence verdict to a runtime loop plan:
 // the variable classification becomes private/finalize/reduction lists and
-// the options become the dispatch policy. The loop need not be Chosen —
+// the options become the finalization discipline. The loop need not be Chosen —
 // the tuner lowers proven-parallelizable inner loops when an interchange
 // variant parallelizes a deeper nest level.
 func LowerLoop(li *LoopInfo, opt PlanOptions) *exec.LoopPlan {
-	lp := &exec.LoopPlan{Schedule: opt.Schedule, Staggered: opt.Staggered, Chunks: opt.Chunks}
+	lp := &exec.LoopPlan{Staggered: opt.Staggered, Chunks: opt.Chunks}
 	for _, vr := range li.Dep.Vars {
 		switch vr.Class.String() {
 		case "private":

@@ -13,9 +13,9 @@ import (
 // --- POST /v1/tune ---
 
 // TuneRequest asks for an auto-tuning parallelization search: every
-// approved parallel nest's strategy space (worker count, schedule,
-// reduction discipline, interchange depth) is executed under virtual time
-// and scored with the machine cost model.
+// approved parallel nest's strategy space (worker count × interchange
+// depth) is executed under virtual time and scored with the machine cost
+// model.
 type TuneRequest struct {
 	SourceRef
 	// Workers are the candidate per-loop worker counts (default 1,2,4,8).

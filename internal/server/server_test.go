@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -599,5 +600,72 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "internal error") {
 		t.Fatalf("body %q lacks the recovery message", rec.Body.String())
+	}
+}
+
+// arenaBombs are few-hundred-byte programs whose storage is beyond
+// exec.MaxArenaCells: one by its static layout (80 GB), one (2.4 MB static)
+// only once 64 workers each get a bank for the privatized T.
+var arenaBombs = []struct{ name, source string }{
+	{"static", `
+      PROGRAM main
+      REAL a(100000,100000)
+      INTEGER i
+      DO 10 i = 1, 10
+        a(i,1) = i
+10    CONTINUE
+      END
+`},
+	{"banks", `
+      PROGRAM main
+      REAL t(300000), b(100)
+      INTEGER i, j
+      DO 10 i = 1, 100
+        DO 5 j = 1, 10
+          t(j) = i + j
+5       CONTINUE
+        DO 7 j = 1, 10
+          b(i) = b(i) + t(j)
+7       CONTINUE
+10    CONTINUE
+      END
+`},
+}
+
+// TestServerArenaCap: every endpoint that executes a program answers 422 to
+// one over the arena cap, and the refusal comes before the allocation — the
+// whole request allocates less than 8 MB.
+func TestServerArenaCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, bomb := range arenaBombs {
+		for _, c := range []struct {
+			path string
+			body map[string]any
+		}{
+			{"/v1/profile", map[string]any{"workers": 64}},
+			{"/v1/tune", map[string]any{"default_workers": 64}},
+			{"/v1/session", map[string]any{}},
+		} {
+			if bomb.name == "banks" && c.path == "/v1/session" {
+				continue // its profiling run is sequential: no banks
+			}
+			path, body := c.path, c.body
+			body["name"], body["source"] = "bomb.f", bomb.source
+			t.Run(bomb.name+path, func(t *testing.T) {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				status, fields := postJSON(t, ts, path, body)
+				runtime.ReadMemStats(&m1)
+				if status != http.StatusUnprocessableEntity {
+					t.Fatalf("status = %d, want 422 (%s)", status, fields["error"])
+				}
+				if !strings.Contains(string(fields["error"]), "program storage exceeds") {
+					t.Errorf("error = %s, want the arena-cap refusal", fields["error"])
+				}
+				if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 8<<20 {
+					t.Errorf("the rejected request allocated %d MB, want < 8", grew>>20)
+				}
+			})
+		}
 	}
 }

@@ -39,22 +39,22 @@ const fuzzKernel = `
 func FuzzTuneConfig(f *testing.F) {
 	// Seed corpus: a healthy search, each invalid-knob class, and the
 	// degenerate trip shapes.
-	f.Add(int64(1), false, 1, 2, 4, 1, 0, 4, 4, 1, 64, 1)    // valid, full space
-	f.Add(int64(2), false, 0, 2, 4, 0, 0, 4, 4, 1, 64, 1)    // worker count 0
-	f.Add(int64(3), false, 2, 2, 4, 0, 0, 4, 4, 1, 64, 1)    // duplicate workers
-	f.Add(int64(4), false, 1, 2, 200, 0, 0, 4, 4, 1, 64, 1)  // worker beyond cap
-	f.Add(int64(5), false, 1, 2, 4, 99, 0, 4, 4, 1, 64, 1)   // absurd depth
-	f.Add(int64(6), false, 1, 2, 4, 1, -7, 4, 4, 1, 64, 1)   // negative budget
-	f.Add(int64(7), false, 1, 2, 4, 1, 1, 4, 4, 1, 64, 1)    // one-run budget
-	f.Add(int64(8), false, 1, 2, 4, 0, 0, 0, 0, 1, 64, 1)    // zeroed defaults
-	f.Add(int64(9), false, 1, 2, 4, 0, 0, 4, 4, 64, 1, 1)    // zero-trip loop
-	f.Add(int64(10), false, 1, 2, 4, 0, 0, 4, 4, 64, 1, -1)  // negative step
-	f.Add(int64(11), false, 1, 2, 4, 0, 0, 4, 4, 1, 64, 0)   // step 0: op budget stops it
-	f.Add(int64(12), true, 1, 2, 4, 1, 0, 4, 4, 1, 64, 1)    // corpus differential program
-	f.Add(int64(99), true, 1, 4, 8, 0, 3, 2, 2, 1, 64, 1)    // corpus, budgeted
+	f.Add(int64(1), false, 1, 2, 4, 1, 0, 4, 1, 64, 1)   // valid, full space
+	f.Add(int64(2), false, 0, 2, 4, 0, 0, 4, 1, 64, 1)   // worker count 0
+	f.Add(int64(3), false, 2, 2, 4, 0, 0, 4, 1, 64, 1)   // duplicate workers
+	f.Add(int64(4), false, 1, 2, 200, 0, 0, 4, 1, 64, 1) // worker beyond cap
+	f.Add(int64(5), false, 1, 2, 4, 99, 0, 4, 1, 64, 1)  // absurd depth
+	f.Add(int64(6), false, 1, 2, 4, 1, -7, 4, 1, 64, 1)  // negative budget
+	f.Add(int64(7), false, 1, 2, 4, 1, 1, 4, 1, 64, 1)   // one-run budget
+	f.Add(int64(8), false, 1, 2, 4, 0, 0, 0, 1, 64, 1)   // zeroed defaults
+	f.Add(int64(9), false, 1, 2, 4, 0, 0, 4, 64, 1, 1)   // zero-trip loop
+	f.Add(int64(10), false, 1, 2, 4, 0, 0, 4, 64, 1, -1) // negative step
+	f.Add(int64(11), false, 1, 2, 4, 0, 0, 4, 1, 64, 0)  // step 0: op budget stops it
+	f.Add(int64(12), true, 1, 2, 4, 1, 0, 4, 1, 64, 1)   // corpus differential program
+	f.Add(int64(99), true, 1, 4, 8, 0, 3, 2, 1, 64, 1)   // corpus, budgeted
 
 	f.Fuzz(func(t *testing.T, seed int64, useCorpus bool,
-		w1, w2, w3, depth, runs, defW, chunks, lo, hi, step int) {
+		w1, w2, w3, depth, runs, defW, lo, hi, step int) {
 		var src string
 		if useCorpus {
 			src = corpus.DiffProgram(seed)
@@ -71,7 +71,6 @@ func FuzzTuneConfig(f *testing.F) {
 			MaxDepth:       depth,
 			MaxRuns:        runs,
 			DefaultWorkers: defW,
-			Chunks:         chunks,
 			// Hard ceiling so non-terminating fuzz loops stop in bounded
 			// virtual time instead of hanging the fuzzer.
 			MaxOps: 2_000_000,

@@ -1,16 +1,16 @@
 // Package tune implements the auto-tuning parallelization search: for every
 // approved parallelizable loop nest it enumerates strategy variants — worker
-// count, §4.5 dispatch schedule, reduction-finalization discipline and
-// interchange depth — executes candidate plans on the bytecode engine under
-// virtual time, scores each variant with the measured critical-path profile
-// combined with the machine cost model, and reports the winning plan per
-// nest with a searched/pruned/score audit trail.
+// count × interchange depth, the two dimensions that have ever moved a
+// verdict (DESIGN.md "Plan search") — executes candidate plans on the
+// bytecode engine under virtual time, scores each variant with the measured
+// critical-path profile combined with the machine cost model, and reports
+// the winning plan per nest with a searched/pruned/score audit trail.
 //
-// SUIF Explorer stops at one approved plan per loop; ComPar-style sweeps
-// show no single static choice is best everywhere. Because the engine's
-// clock is virtual (operation counts, not wall time) every run is
-// deterministic, so the whole sweep is reproducible on one CI core and a
-// report for a fixed (program, config) is byte-identical across machines.
+// SUIF Explorer stops at one approved plan per loop, always as wide as the
+// machine. Because the engine's clock is virtual (operation counts, not
+// wall time) every run is deterministic, so the whole sweep is reproducible
+// on one CI core and a report for a fixed (program, config) is
+// byte-identical across machines.
 package tune
 
 import (
@@ -25,9 +25,8 @@ import (
 )
 
 // Config is the search space and budget for one tuning run. The zero value
-// selects the full default space: workers {1,2,4,8}, all three schedules,
-// both disciplines, interchange depth ≤ 1, unlimited runs, the AlphaServer
-// 8400 cost model.
+// selects the default space: workers {1,2,4,8}, interchange depth 0,
+// unlimited runs, the AlphaServer 8400 cost model.
 type Config struct {
 	// Workers are the candidate per-loop worker counts. Order matters: it
 	// is the tie-break preference and the audit-trail enumeration order.
@@ -41,11 +40,8 @@ type Config struct {
 	// BudgetExhausted with the unexecuted variants counted as pruned.
 	MaxRuns int
 	// DefaultWorkers is the baseline the report's speedups compare against:
-	// parallel.BuildPlan(res, DefaultWorkers), i.e. even schedule and
-	// staggered finalization. Default 4.
+	// parallel.BuildPlan(res, DefaultWorkers). Default 4.
 	DefaultWorkers int
-	// Chunks is the staggered-finalization chunk count (default 4).
-	Chunks int
 	// MaxOps bounds each execution's virtual time (0 = unlimited).
 	MaxOps int64
 	// Model is the cost model scoring overhead terms (default AlphaServer).
@@ -66,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultWorkers == 0 {
 		c.DefaultWorkers = 4
-	}
-	if c.Chunks == 0 {
-		c.Chunks = 4
 	}
 	if c.Model == nil {
 		c.Model = machine.AlphaServer8400()
@@ -101,9 +94,6 @@ func (c Config) Validate() error {
 	if c.DefaultWorkers < 1 || c.DefaultWorkers > maxWorkerCount {
 		return fmt.Errorf("tune: default worker count %d out of range [1,%d]", c.DefaultWorkers, maxWorkerCount)
 	}
-	if c.Chunks < 1 {
-		return fmt.Errorf("tune: chunk count %d < 1", c.Chunks)
-	}
 	if c.MaxOps < 0 {
 		return fmt.Errorf("tune: negative op budget %d", c.MaxOps)
 	}
@@ -113,17 +103,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Variant is one point of the per-nest search space.
+// Variant is one point of the per-nest search space. Every variant runs
+// the §4.5 even dispatcher under parallel.DefaultPlanOptions.
 type Variant struct {
-	Workers   int    `json:"workers"`
-	Schedule  string `json:"schedule"`
-	Staggered bool   `json:"staggered"`
-	Depth     int    `json:"depth"`
+	Workers int `json:"workers"`
+	Depth   int `json:"depth"`
 }
 
 // Score is a variant plus its measured virtual-time profile and modeled
 // cost. CritOps/WorkerOps/Invocations come from the §4.5 dispatcher's
-// schedule stats for the planned loop of the variant's run; Cycles folds
+// stats for the planned loop of the variant's run; Cycles folds
 // them through the machine model (bus contention, spawn, reduction
 // init/finalize, private init/write-back). Lower Cycles wins.
 type Score struct {
@@ -136,8 +125,8 @@ type Score struct {
 
 // LoopReport is one nest's audit trail: every variant actually scored (in
 // enumeration order), how many were pruned (illegal depth, worker count
-// beyond the machine, discipline without a reduction, W=1 duplicates, or
-// budget cuts), and the chosen-vs-default verdict.
+// beyond the machine, W=1 at depth > 0, or budget cuts), and the
+// chosen-vs-default verdict.
 type LoopReport struct {
 	ID     string `json:"id"`
 	Line   int    `json:"line"`
@@ -211,10 +200,6 @@ func elemsOf(li *parallel.LoopInfo) nestElems {
 	return e
 }
 
-// hasReduction reports whether the planned loop carries a reduction — the
-// only case where the finalization discipline can matter.
-func (e nestElems) hasReduction() bool { return e.red > 0 }
-
 // nest is one chosen loop's search state.
 type nest struct {
 	li     *parallel.LoopInfo
@@ -244,10 +229,8 @@ func (n *nest) legal(d int) bool {
 // is scored from the same run (nests are independent, so one run serves one
 // variant of each nest).
 type runKey struct {
-	workers   int
-	depth     int
-	sched     exec.Schedule
-	staggered bool
+	workers int
+	depth   int
 }
 
 type runJob struct {
@@ -355,11 +338,10 @@ func collectNests(res *parallel.Result, prof *exec.Profiler, cfg Config) []*nest
 }
 
 // enumerate walks the global variant space in canonical order — workers,
-// then depth, then schedule, then discipline — allocating one candidate
-// slot per surviving (nest, variant) pair and grouping them into shared run
-// jobs. The default plan's job is always first so a budget of one run still
-// produces a baseline. W=1 variants are scored from the sequential profile
-// and need no run.
+// then depth — allocating one candidate slot per surviving (nest, variant)
+// pair and grouping them into shared run jobs. The default plan's job is
+// always first so a budget of one run still produces a baseline. W=1
+// variants are scored from the sequential profile and need no run.
 func enumerate(nests []*nest, cfg Config) []*runJob {
 	var jobs []*runJob
 	index := map[runKey]*runJob{}
@@ -373,12 +355,11 @@ func enumerate(nests []*nest, cfg Config) []*runJob {
 		return j
 	}
 
-	defaultKey := runKey{workers: cfg.DefaultWorkers, depth: 0, sched: exec.ScheduleEven, staggered: true}
 	if cfg.DefaultWorkers > 1 {
 		// Reserve position 0 for the baseline run; the per-nest default
 		// scores are extracted from it even when the default variant is
 		// itself pruned from the candidate enumeration.
-		j := jobFor(defaultKey)
+		j := jobFor(runKey{workers: cfg.DefaultWorkers})
 		for _, n := range nests {
 			j.refs = append(j.refs, runRef{nest: n})
 		}
@@ -386,13 +367,8 @@ func enumerate(nests []*nest, cfg Config) []*runJob {
 
 	for _, w := range cfg.Workers {
 		for d := 0; d <= cfg.MaxDepth; d++ {
-			for _, s := range exec.Schedules() {
-				for _, g := range []bool{true, false} {
-					v := Variant{Workers: w, Schedule: s.String(), Staggered: g, Depth: d}
-					for _, n := range nests {
-						addCandidate(n, v, w, d, s, g, cfg, jobFor)
-					}
-				}
+			for _, n := range nests {
+				addCandidate(n, Variant{Workers: w, Depth: d}, cfg, jobFor)
 			}
 		}
 	}
@@ -401,56 +377,38 @@ func enumerate(nests []*nest, cfg Config) []*runJob {
 
 // addCandidate decides one (nest, variant) pair: prune it, score it from
 // the sequential baseline (W=1), or attach it to its run job.
-func addCandidate(n *nest, v Variant, w, d int, s exec.Schedule, g bool, cfg Config, jobFor func(runKey) *runJob) {
-	if !n.legal(d) {
+func addCandidate(n *nest, v Variant, cfg Config, jobFor func(runKey) *runJob) {
+	if !n.legal(v.Depth) {
 		n.pruned++ // interchange depth not proven legal for this nest
 		return
 	}
-	if w == 1 {
-		// One worker runs every iteration in order whatever the schedule or
-		// discipline: only the canonical (even, staggered, depth 0) point
-		// is kept, scored directly from the sequential profile.
-		if s != exec.ScheduleEven || !g || d != 0 {
+	if v.Workers == 1 {
+		// One worker runs every iteration in order at any depth: only the
+		// depth-0 point is kept, scored directly from the sequential profile.
+		if v.Depth != 0 {
 			n.pruned++
 			return
 		}
-		sc := &Score{
-			Variant:     v,
-			Invocations: n.seqInv,
-			WorkerOps:   n.seqOps,
-			CritOps:     n.seqOps,
-			Cycles:      float64(n.seqOps) * cfg.Model.CyclesPerOp,
-		}
-		n.cands = append(n.cands, &candidate{v: v, score: sc})
+		sc := seqScore(n, cfg)
+		n.cands = append(n.cands, &candidate{v: v, score: &sc})
 		return
 	}
-	if w > cfg.Model.Procs {
+	if v.Workers > cfg.Model.Procs {
 		n.pruned++ // wider than the machine: the model cannot favor it
-		return
-	}
-	if !n.elems[d].hasReduction() && !g {
-		// Without a reduction the finalization discipline is inert; the
-		// single-lock twin would score identically to the staggered one.
-		n.pruned++
 		return
 	}
 	c := &candidate{v: v}
 	n.cands = append(n.cands, c)
-	j := jobFor(runKey{workers: w, depth: d, sched: s, staggered: g})
+	j := jobFor(runKey{workers: v.Workers, depth: v.Depth})
 	j.refs = append(j.refs, runRef{nest: n, cand: c})
 }
 
 // executeJob builds and runs one candidate plan: every nest is planned at
-// the job's depth where legal (its outermost loop otherwise), under the
-// job's schedule, discipline and worker count.
+// the job's depth where legal (its outermost loop otherwise), at the job's
+// worker count.
 func executeJob(res *parallel.Result, nests []*nest, job *runJob, cfg Config) (map[statKey]exec.ParLoopStat, error) {
 	plan := &exec.ParallelPlan{Workers: job.key.workers, Loops: map[*ir.DoLoop]*exec.LoopPlan{}}
-	opt := parallel.PlanOptions{
-		Workers:   job.key.workers,
-		Schedule:  job.key.sched,
-		Staggered: job.key.staggered,
-		Chunks:    cfg.Chunks,
-	}
+	opt := parallel.DefaultPlanOptions(job.key.workers)
 	for _, n := range nests {
 		d := job.key.depth
 		if !n.legal(d) {
@@ -462,8 +420,7 @@ func executeJob(res *parallel.Result, nests []*nest, job *runJob, cfg Config) (m
 	in := exec.NewWithPlan(res.Prog, plan)
 	in.MaxOps = cfg.MaxOps
 	if err := in.Run(); err != nil {
-		return nil, fmt.Errorf("tune: variant %dw/%s/stag=%v/d%d: %w",
-			job.key.workers, job.key.sched, job.key.staggered, job.key.depth, err)
+		return nil, fmt.Errorf("tune: variant %dw/d%d: %w", job.key.workers, job.key.depth, err)
 	}
 	stats := map[statKey]exec.ParLoopStat{}
 	for _, st := range in.ParallelStats() {
@@ -488,13 +445,7 @@ func scoreJob(nests []*nest, job *runJob, stats map[statKey]exec.ParLoopStat, cf
 		}
 		pl := n.at[d].Region.Loop
 		st := stats[statKey{pl.Pos.Line, pl.Index.Name}]
-		v := Variant{
-			Workers:   job.key.workers,
-			Schedule:  job.key.sched.String(),
-			Staggered: job.key.staggered,
-			Depth:     d,
-		}
-		sc := scoreVariant(cfg.Model, v, n.seqOps, st, n.elems[d])
+		sc := scoreVariant(cfg.Model, Variant{Workers: job.key.workers, Depth: d}, n.seqOps, st, n.elems[d])
 		if ref.cand != nil {
 			ref.cand.score = &sc
 		} else {
@@ -507,7 +458,7 @@ func scoreJob(nests []*nest, job *runJob, stats map[statKey]exec.ParLoopStat, cf
 // model. The nest's modeled cost is its sequential remainder (outer levels
 // and dispatch that stay serial) plus the critical path under bus
 // contention plus per-invocation overheads: spawn, reduction
-// initialization/finalization under the chosen discipline, private-copy
+// initialization and §6.3.4 staggered finalization, private-copy
 // initialization and last-iteration write-back. All terms are deterministic
 // functions of virtual-time counts, so scores are reproducible bit-for-bit.
 func scoreVariant(m *machine.Model, v Variant, nestSeqOps int64, st exec.ParLoopStat, el nestElems) Score {
@@ -531,14 +482,8 @@ func scoreVariant(m *machine.Model, v Variant, nestSeqOps int64, st exec.ParLoop
 	cycles += inv * m.SpawnCost
 	if el.red > 0 {
 		init := inv * float64(el.red) * m.CyclesPerOp
-		final := inv * float64(el.red) * m.CyclesPerOp
-		if v.Staggered {
-			// §6.3.4: disjoint chunks finalize concurrently.
-			final += inv * m.LockCost * 4
-		} else {
-			// §6.3.2: each worker takes the one lock in turn.
-			final = final*float64(eff) + inv*m.LockCost*float64(eff)
-		}
+		// §6.3.4: disjoint chunks finalize concurrently, one lock each.
+		final := init + inv*m.LockCost*4
 		cycles += init + final
 	}
 	cycles += inv * float64(el.priv+el.fin) * m.CyclesPerOp
@@ -603,7 +548,7 @@ func assemble(rep *Report, nests []*nest, cfg Config) {
 // seqScore is the W=1 score derived from the sequential baseline profile.
 func seqScore(n *nest, cfg Config) Score {
 	return Score{
-		Variant:     Variant{Workers: 1, Schedule: exec.ScheduleEven.String(), Staggered: true},
+		Variant:     Variant{Workers: 1},
 		Invocations: n.seqInv,
 		WorkerOps:   n.seqOps,
 		CritOps:     n.seqOps,
@@ -623,8 +568,7 @@ func ratio(a, b float64) float64 {
 // one worker are left out (sequential beat every parallel variant); the
 // plan-wide worker count is the widest chosen nest, with narrower nests
 // capped per loop via MaxWorkers.
-func (r *Report) BuildPlan(res *parallel.Result, cfg Config) *exec.ParallelPlan {
-	cfg = cfg.withDefaults()
+func (r *Report) BuildPlan(res *parallel.Result) *exec.ParallelPlan {
 	byID := map[string]*parallel.LoopInfo{}
 	for _, li := range res.Ordered {
 		if li.Chosen {
@@ -633,17 +577,11 @@ func (r *Report) BuildPlan(res *parallel.Result, cfg Config) *exec.ParallelPlan 
 	}
 	plan := &exec.ParallelPlan{Workers: 1, Loops: map[*ir.DoLoop]*exec.LoopPlan{}}
 	for _, lr := range r.Loops {
-		if lr.Chosen.Workers <= 1 {
-			continue
-		}
 		li := byID[lr.ID]
-		if li == nil {
+		if lr.Chosen.Workers <= 1 || li == nil {
 			continue
 		}
-		if !addVariant(plan, res, li, lr.Chosen.Variant, cfg.Chunks) {
-			continue
-		}
-		if lr.Chosen.Workers > plan.Workers {
+		if addVariant(plan, res, li, lr.Chosen.Variant) && lr.Chosen.Workers > plan.Workers {
 			plan.Workers = lr.Chosen.Workers
 		}
 	}
@@ -654,16 +592,9 @@ func (r *Report) BuildPlan(res *parallel.Result, cfg Config) *exec.ParallelPlan 
 // — the exact plan the search executed that nest under (modulo the other
 // nests sharing the run). The property suite uses it to prove every
 // enumerated variant is semantics-preserving, not just the winner.
-func VariantPlan(res *parallel.Result, li *parallel.LoopInfo, v Variant, chunks int) *exec.ParallelPlan {
-	if chunks < 1 {
-		chunks = 4
-	}
-	plan := &exec.ParallelPlan{Workers: v.Workers, Loops: map[*ir.DoLoop]*exec.LoopPlan{}}
-	if v.Workers <= 1 {
-		plan.Workers = 1
-		return plan
-	}
-	if !addVariant(plan, res, li, v, chunks) {
+func VariantPlan(res *parallel.Result, li *parallel.LoopInfo, v Variant) *exec.ParallelPlan {
+	plan := &exec.ParallelPlan{Workers: max(v.Workers, 1), Loops: map[*ir.DoLoop]*exec.LoopPlan{}}
+	if v.Workers > 1 && !addVariant(plan, res, li, v) {
 		return nil
 	}
 	return plan
@@ -671,20 +602,12 @@ func VariantPlan(res *parallel.Result, li *parallel.LoopInfo, v Variant, chunks 
 
 // addVariant lowers one nest at one variant into plan. It reports false
 // when the variant's depth is not resolvable on this result.
-func addVariant(plan *exec.ParallelPlan, res *parallel.Result, li *parallel.LoopInfo, v Variant, chunks int) bool {
+func addVariant(plan *exec.ParallelPlan, res *parallel.Result, li *parallel.LoopInfo, v Variant) bool {
 	pl := parallel.LoopAtDepth(res, li, v.Depth)
 	if pl == nil {
 		return false
 	}
-	sched, err := exec.ParseSchedule(v.Schedule)
-	if err != nil {
-		sched = exec.ScheduleEven
-	}
-	lp := parallel.LowerLoop(pl, parallel.PlanOptions{
-		Schedule:  sched,
-		Staggered: v.Staggered,
-		Chunks:    chunks,
-	})
+	lp := parallel.LowerLoop(pl, parallel.DefaultPlanOptions(v.Workers))
 	lp.MaxWorkers = v.Workers
 	plan.Loops[pl.Region.Loop] = lp
 	return true

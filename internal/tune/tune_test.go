@@ -73,7 +73,7 @@ func enumeratedSpace(cfg tune.Config) int {
 	if workers == 0 {
 		workers = 4 // default {1,2,4,8}
 	}
-	return workers * (cfg.MaxDepth + 1) * len(exec.Schedules()) * 2
+	return workers * (cfg.MaxDepth + 1)
 }
 
 // TestChosenNeverWorse is property 1 over the whole workload set: the search
@@ -125,7 +125,7 @@ func TestChosenNeverWorse(t *testing.T) {
 // the sequential answer under the differential masks.
 func TestTunedPlanBitIdentical(t *testing.T) {
 	for name, tu := range tunedAll(t) {
-		plan := tu.rep.BuildPlan(tu.res, tune.Config{})
+		plan := tu.rep.BuildPlan(tu.res)
 		if err := experiments.ValidatePlanned(tu.res, plan, exec.ModeAuto); err != nil {
 			t.Errorf("%s: tuned plan diverges from sequential: %v", name, err)
 		}
@@ -133,8 +133,8 @@ func TestTunedPlanBitIdentical(t *testing.T) {
 }
 
 // TestEveryVariantBitIdentical is property 2 for the losers too: every
-// variant the search scored — every schedule, discipline, worker count and
-// interchange depth in the audit trail — must itself be a sound plan.
+// variant the search scored — every worker count and interchange depth in
+// the audit trail — must itself be a sound plan.
 // W=1 variants lower to the empty plan and are trivially sequential.
 func TestEveryVariantBitIdentical(t *testing.T) {
 	apps := []string{"mdg", "hydro", "chain", "randmat"}
@@ -156,7 +156,7 @@ func TestEveryVariantBitIdentical(t *testing.T) {
 				if sc.Workers <= 1 {
 					continue
 				}
-				plan := tune.VariantPlan(tu.res, li, sc.Variant, 0)
+				plan := tune.VariantPlan(tu.res, li, sc.Variant)
 				if plan == nil {
 					t.Errorf("%s %s: variant %+v did not lower to a plan", name, lr.ID, sc.Variant)
 					continue
@@ -285,7 +285,6 @@ func TestInvalidConfigs(t *testing.T) {
 		{MaxOps: -5},
 		{DefaultWorkers: -1},
 		{DefaultWorkers: 1000},
-		{Chunks: -3},
 	}
 	for _, cfg := range bad {
 		before := tune.ReadCounters()
@@ -317,8 +316,8 @@ func corpusSearch(t *testing.T, tier corpus.Tier, cfg tune.Config) (*tune.Report
 	return rep, res
 }
 
-// corpusTuneCfg keeps the corpus sweep affordable: three worker counts over
-// the full schedule/discipline space at depth <= 1.
+// corpusTuneCfg keeps the corpus sweep affordable: three worker counts at
+// depth <= 1.
 func corpusTuneCfg() tune.Config {
 	return tune.Config{Workers: []int{1, 2, 4}, MaxDepth: 1}
 }
@@ -347,7 +346,7 @@ func TestCorpusQuickTune(t *testing.T) {
 			if rep.Speedup < 1 {
 				t.Errorf("program speedup %.4f < 1", rep.Speedup)
 			}
-			plan := rep.BuildPlan(res, cfg)
+			plan := rep.BuildPlan(res)
 			if err := experiments.ValidatePlanned(res, plan, exec.ModeAuto); err != nil {
 				t.Errorf("tuned plan diverges from sequential: %v", err)
 			}
