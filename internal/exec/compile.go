@@ -37,13 +37,9 @@ type compiler struct {
 	specLI     int32
 	specIdxSym *ir.Symbol
 
-	// Worker-view rebinding (parallel plans): symbols privatized for one
-	// worker resolve to that worker's storage as precompiled absolute
-	// addresses, and privatized common members redirect by (block, offset)
-	// so every alias in every reachable procedure lands on the private
-	// copy — the compile-time mirror of the tree-walker's bind()/privCommon.
-	rebind     map[*ir.Symbol]int64
-	privCommon map[string]map[int64]int64
+	// bank, in a worker view, is the storage binding (parallel.go) whose
+	// addresses become the view's precompiled operands.
+	bank *bank
 }
 
 // compileProgram lowers a whole program to the unfused stream; every
@@ -84,15 +80,13 @@ func compileProgram(prog *ir.Program, lay *layout, instrumented bool) *code {
 // iteration, so one compiled view per worker replaces the tree-walker's
 // per-call map lookups with fixed addresses. Views are never instrumented:
 // worker clones drop hooks on the tree path too.
-func compileLoopBody(prog *ir.Program, lay *layout, proc *ir.Proc, l *ir.DoLoop,
-	rebind map[*ir.Symbol]int64, privCommon map[string]map[int64]int64) *code {
+func compileLoopBody(prog *ir.Program, lay *layout, proc *ir.Proc, l *ir.DoLoop, b *bank) *code {
 	c := &compiler{
-		prog:       prog,
-		lay:        lay,
-		c:          &code{lay: lay},
-		entryOf:    map[string]int32{},
-		rebind:     rebind,
-		privCommon: privCommon,
+		prog:    prog,
+		lay:     lay,
+		c:       &code{lay: lay},
+		entryOf: map[string]int32{},
+		bank:    b,
 	}
 	c.curProc = proc
 	c.stmts(l.Body)
@@ -526,21 +520,18 @@ func (c *compiler) accessOp(sym *ir.Symbol, g, p, gi, pi opcode) (opcode, int32)
 }
 
 // rebound reports whether a symbol has a worker-private address, which
-// overrides even parameter binding (the tree-walker rebinds frame refs the
-// same way).
+// overrides even parameter binding (the oracle's worker frame leaves a
+// bound formal out for the same reason).
 func (c *compiler) rebound(sym *ir.Symbol) bool {
-	_, ok := c.rebind[sym]
+	_, ok := c.bank.addr(sym)
 	return ok
 }
 
 func (c *compiler) absAddr(sym *ir.Symbol) int32 {
-	if a, ok := c.rebind[sym]; ok {
+	if a, ok := c.bank.addr(sym); ok {
 		return int32(a)
 	}
 	if sym.Common != "" {
-		if ov, ok := c.privCommon[sym.Common][sym.CommonOffset]; ok {
-			return int32(ov)
-		}
 		return int32(c.lay.blockOff[sym.Common] + sym.CommonOffset)
 	}
 	return int32(c.lay.base[sym])

@@ -103,19 +103,16 @@ type Interp struct {
 	// the stream passed to runCode (FusionCensus only).
 	pcCount []int64
 
-	// Parallel execution state (see parallel.go).
-	plan         *ParallelPlan
-	workerBase   map[*ir.DoLoop]map[*ir.Symbol][]int64
-	workerLocals map[*ir.DoLoop][]map[*ir.Symbol]int64
+	// Parallel execution state (see parallel.go): the plan and its runtime
+	// (every planned loop's banks, plus the VM's views of them once a VM run
+	// has compiled them).
+	plan   *ParallelPlan
+	planRT *planRT
 	// workerTemp holds each worker's private scratch-block base.
 	workerTemp []int64
-	// privCommon overrides common-member storage in worker clones, so
-	// privatized common variables stay private across call boundaries.
-	privCommon map[string]map[int64]int64
-	inParallel bool
-	// planRT caches the per-worker bytecode views compiled for the plan
-	// (built lazily on the first bytecode run).
-	planRT *planRT
+	// bank, set only in the oracle's worker clones, is the storage binding
+	// refOf resolves through before the static layout.
+	bank *bank
 	// parStats accumulates the per-planned-loop virtual-time profile
 	// (invocations, per-worker ops, critical path); see ParallelStats.
 	parStats map[*ir.DoLoop]*ParLoopStat
@@ -192,19 +189,21 @@ func (in *Interp) refOf(f *frame, sym *ir.Symbol) Ref {
 	if r, ok := f.refs[sym]; ok {
 		return r
 	}
-	var r Ref
-	switch {
-	case sym.Common != "":
-		if ov, ok := in.privCommon[sym.Common][sym.CommonOffset]; ok {
-			r = Ref{Base: ov, Dims: sym.Dims}
-			break
-		}
-		r = Ref{Base: in.blockOff[sym.Common] + sym.CommonOffset, Dims: sym.Dims}
-	default:
-		r = Ref{Base: in.base[sym], Dims: sym.Dims}
+	base, ok := in.bank.addr(sym)
+	if !ok {
+		base = in.staticBase(sym)
 	}
+	r := Ref{Base: base, Dims: sym.Dims}
 	f.refs[sym] = r
 	return r
+}
+
+// staticBase is a common member's or local's address in the static layout.
+func (in *Interp) staticBase(sym *ir.Symbol) int64 {
+	if sym.Common != "" {
+		return in.blockOff[sym.Common] + sym.CommonOffset
+	}
+	return in.base[sym]
 }
 
 // Run executes the program from its PROGRAM unit.
@@ -449,13 +448,13 @@ func (in *Interp) execLoop(f *frame, l *ir.DoLoop) (signal, error) {
 	if h := in.hooks.OnLoopEnter; h != nil {
 		h(f.proc.Name, l)
 	}
-	if lp := in.planFor(l); lp != nil {
-		sig, err := in.execParallelLoop(f, l, lp, lo, hi, step, trips)
+	if lrt := in.planFor(l); lrt != nil {
+		err := in.execParallelLoop(f, lrt, lo, step, trips)
 		in.arena[idx.Base] = lo + float64(trips)*step
 		if h := in.hooks.OnLoopExit; h != nil {
 			h(f.proc.Name, l)
 		}
-		return sig, err
+		return sigNone, err
 	}
 	v := lo
 	for it := int64(0); it < trips; it++ {
@@ -786,11 +785,6 @@ func (in *Interp) SymRange(proc, name string) (lo, hi int64, ok bool) {
 	if sym == nil || sym.IsParam {
 		return 0, 0, false
 	}
-	var base int64
-	if sym.Common != "" {
-		base = in.blockOff[sym.Common] + sym.CommonOffset
-	} else {
-		base = in.base[sym]
-	}
+	base := in.staticBase(sym)
 	return base, base + sym.NElems() - 1, true
 }

@@ -53,19 +53,72 @@ type ParallelPlan struct {
 	Loops   map[*ir.DoLoop]*LoopPlan
 }
 
-// NewWithPlan builds an interpreter that executes the planned loops in
-// parallel with real goroutines: private copies, reduction accumulators and
-// per-worker scratch blocks are pre-allocated per worker so the arena never
-// grows during execution. Loops are laid out in source order so the arena
-// image is deterministic regardless of plan-map iteration order.
+// bank is one plan worker's storage binding for one planned loop, and the
+// only statement of the rule both engines run a position under: the index
+// always; privates for every bank but planWorkers-1, which keeps the
+// original storage as its private copy (§5.4) — approved privates write the
+// identical region every iteration, so the shared array ends up exactly as
+// a sequential run leaves it, elements the loop never writes included;
+// reduction accumulators always; and every local of every procedure
+// reachable from the body, since Fortran locals live on each processor's
+// stack in the SPMD runtime and sharing the static copies would race.
+// Common members redirect by (block, offset), so every alias in every
+// procedure — the dispatching one's own included — lands on the bank's
+// copy. The VM compiles the rule into a view's operands; the oracle's
+// worker clone consults it in refOf.
+type bank struct {
+	syms   map[*ir.Symbol]int64
+	common map[string]map[int64]int64
+	view   *code // the VM's compilation of the body under this binding
+}
+
+func (b *bank) bind(sym *ir.Symbol, addr int64) {
+	b.syms[sym] = addr
+	if sym.Common != "" {
+		if b.common[sym.Common] == nil {
+			b.common[sym.Common] = map[int64]int64{}
+		}
+		b.common[sym.Common][sym.CommonOffset] = addr
+	}
+}
+
+// addr resolves sym under the binding; ok is false for storage the bank
+// leaves shared. A nil bank binds nothing.
+func (b *bank) addr(sym *ir.Symbol) (addr int64, ok bool) {
+	if b == nil {
+		return 0, false
+	}
+	if addr, ok = b.syms[sym]; !ok && sym.Common != "" {
+		addr, ok = b.common[sym.Common][sym.CommonOffset]
+	}
+	return addr, ok
+}
+
+// planRT is the plan runtime of one interpreter: every planned loop's
+// banks, bound once in NewWithPlan.
+type planRT struct {
+	in    *Interp
+	loops map[*ir.DoLoop]*loopRT
+}
+
+type loopRT struct {
+	l     *ir.DoLoop
+	lp    *LoopPlan
+	banks []bank // one per plan worker
+}
+
+// NewWithPlan builds an interpreter that executes the planned loops under
+// the plan: private copies, reduction accumulators and per-worker scratch
+// blocks are pre-allocated per worker so the arena never grows during
+// execution. Loops are laid out in source order so the arena image is
+// deterministic regardless of plan-map iteration order.
 func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	if plan == nil || plan.Workers < 1 {
 		return New(prog)
 	}
 	in := newInterp(prog)
 	in.plan = plan
-	in.workerBase = map[*ir.DoLoop]map[*ir.Symbol][]int64{}
-	in.workerLocals = map[*ir.DoLoop][]map[*ir.Symbol]int64{}
+	in.planRT = &planRT{in: in, loops: map[*ir.DoLoop]*loopRT{}}
 	loops := make([]*ir.DoLoop, 0, len(plan.Loops))
 	for l := range plan.Loops {
 		loops = append(loops, l)
@@ -79,7 +132,7 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	// Banks are laid out past the static storage and everything is allocated
 	// once at the end, so an over-cap plan is refused with nothing allocated.
 	top := min(in.tempLimit, MaxArenaCells+1) // tempLimit ends the static layout
-	bank := func(n int64) int64 {
+	carve := func(n int64) int64 {
 		base := top
 		if top += n; top > MaxArenaCells {
 			top = MaxArenaCells + 1
@@ -88,42 +141,37 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	}
 	for _, l := range loops {
 		lp := plan.Loops[l]
-		m := map[*ir.Symbol][]int64{}
-		in.workerBase[l] = m
-		alloc := func(sym *ir.Symbol) {
-			bases := make([]int64, plan.Workers)
-			for w := range bases {
-				bases[w] = bank(sym.NElems())
-			}
-			m[sym] = bases
+		lrt := &loopRT{l: l, lp: lp, banks: make([]bank, plan.Workers)}
+		in.planRT.loops[l] = lrt
+		for w := range lrt.banks {
+			lrt.banks[w] = bank{syms: map[*ir.Symbol]int64{}, common: map[string]map[int64]int64{}}
 		}
-		alloc(l.Index)
+		// A copy is carved for every bank, symbol by symbol, so the layout
+		// does not depend on which banks end up bound to theirs.
+		alloc := func(sym *ir.Symbol, banks []bank) {
+			for w := range lrt.banks {
+				addr := carve(sym.NElems())
+				if w < len(banks) {
+					banks[w].bind(sym, addr)
+				}
+			}
+		}
+		alloc(l.Index, lrt.banks)
 		for _, s := range lp.Private {
 			if s != l.Index {
-				alloc(s)
+				alloc(s, lrt.banks[:plan.Workers-1])
 			}
 		}
 		for _, r := range lp.Reductions {
-			alloc(r.Sym)
-		}
-		// Every local of every procedure reachable from the loop body gets
-		// per-worker storage: Fortran locals live on each processor's stack
-		// in the SPMD runtime, and sharing the static copies would race.
-		perWorker := make([]map[*ir.Symbol]int64, plan.Workers)
-		for w := range perWorker {
-			perWorker[w] = map[*ir.Symbol]int64{}
+			alloc(r.Sym, lrt.banks)
 		}
 		for _, proc := range reachableProcs(prog, l) {
 			for _, sym := range proc.SortedSyms() {
-				if sym.Common != "" || sym.IsParam {
-					continue
-				}
-				for w := 0; w < plan.Workers; w++ {
-					perWorker[w][sym] = bank(sym.NElems())
+				if sym.Common == "" && !sym.IsParam {
+					alloc(sym, lrt.banks)
 				}
 			}
 		}
-		in.workerLocals[l] = perWorker
 	}
 	// One private scratch block per worker, shared across planned loops
 	// (only one planned loop runs at a time — nested plans stay sequential
@@ -131,7 +179,7 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	// spills from different workers would collide in the main scratch.
 	in.workerTemp = make([]int64, plan.Workers)
 	for w := range in.workerTemp {
-		in.workerTemp[w] = bank(tempCells)
+		in.workerTemp[w] = carve(tempCells)
 	}
 	in.allocArena(top)
 	return in
@@ -221,108 +269,130 @@ func planWorkerIDs(planWorkers, workers int) []int {
 	return ids
 }
 
-// execParallelLoop runs one approved loop across the plan's workers on the
-// tree-walking engine.
-func (in *Interp) execParallelLoop(f *frame, l *ir.DoLoop, lp *LoopPlan, lo, hi, step float64, trips int64) (signal, error) {
-	workers := lp.width(in.plan.Workers, trips)
+// runLoop is the one dispatch of a planned-loop invocation, whichever
+// engine runs the body: width, position → bank, accumulators reset to
+// their identity, the §4.5 chunk of each position, then — in position
+// order — the positions' ops (returned for the dispatching clock), the
+// first error, the schedule profile and the reduction merge. engine readies
+// a position's private execution state over its bank and scratch block and
+// returns what runs the body once plus the clock that advances; launch runs
+// the positions.
+func (rt *planRT) runLoop(lrt *loopRT, lo, step float64, trips int64, shared func(*ir.Symbol) int64,
+	launch func(n int, position func(p int)),
+	engine func(b *bank, temp int64) (body func() error, clock *int64)) (int64, error) {
+	in := rt.in
+	workers := lrt.lp.width(in.plan.Workers, trips)
 	if workers == 0 {
-		return sigNone, nil
+		return 0, nil
 	}
 	counters.parallelLoopRuns.Add(1)
 	counters.parallelWorkers.Add(int64(workers))
 	ids := planWorkerIDs(in.plan.Workers, workers)
-	bases := in.workerBase[l]
-	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	wops := make([]int64, workers)
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			id := ids[p]
-			wi := in.workerClone(l, id)
-			wf := &frame{proc: f.proc, refs: map[*ir.Symbol]Ref{}}
-			for s, r := range f.refs {
-				wf.refs[s] = r
+	launch(workers, func(p int) {
+		b := &lrt.banks[ids[p]]
+		for _, r := range lrt.lp.Reductions {
+			acc := in.arena[b.syms[r.Sym]:][:r.Sym.NElems()]
+			for k := range acc {
+				acc[k] = identity(r.Op)
 			}
-			// Rebind privates and reduction accumulators to worker storage.
-			// Common-block members are overridden globally for this worker so
-			// callees reach the private copy too. The LAST worker keeps the
-			// original storage as its private copy (§5.4): since approved
-			// privates write the identical region every iteration, the shared
-			// array ends up exactly as a sequential run leaves it — including
-			// elements the loop never writes.
-			lastWorker := id == in.plan.Workers-1
-			bind := func(sym *ir.Symbol, init bool, op string) {
-				base := bases[sym][id]
-				wf.refs[sym] = Ref{Base: base, Dims: sym.Dims}
-				if sym.Common != "" {
-					if wi.privCommon == nil {
-						wi.privCommon = map[string]map[int64]int64{}
-					}
-					if wi.privCommon[sym.Common] == nil {
-						wi.privCommon[sym.Common] = map[int64]int64{}
-					}
-					wi.privCommon[sym.Common][sym.CommonOffset] = base
-				}
-				if init {
-					for k := int64(0); k < sym.NElems(); k++ {
-						wi.arena[base+k] = identity(op)
-					}
-				}
-			}
-			bind(l.Index, false, "")
-			for _, s := range lp.Private {
-				if s != l.Index && !lastWorker {
-					bind(s, false, "")
-				}
-			}
-			for _, r := range lp.Reductions {
-				bind(r.Sym, true, r.Op)
-			}
-			idx := wi.refOf(wf, l.Index)
-			if err := forEachAssigned(trips, workers, p, func(it int64) error {
-				wi.arena[idx.Base] = lo + float64(it)*step
-				_, err := wi.execStmts(wf, l.Body)
-				return err
-			}); err != nil {
-				errs[p] = err
-				return
-			}
-			wops[p] = wi.ops
-		}(p)
-	}
-	wg.Wait()
+		}
+		body, clock := engine(b, in.workerTemp[ids[p]])
+		idx := b.syms[lrt.l.Index]
+		if errs[p] = forEachAssigned(trips, workers, p, func(it int64) error {
+			in.arena[idx] = lo + float64(it)*step
+			return body()
+		}); errs[p] == nil {
+			wops[p] = *clock
+		}
+	})
+	var ops int64
 	for _, o := range wops {
-		in.ops += o
+		ops += o
 	}
 	for _, err := range errs {
 		if err != nil {
-			return sigNone, err
+			return ops, err
 		}
 	}
-	in.noteParallel(l, wops)
-	in.finalizeParallel(l, lp, ids, func(sym *ir.Symbol) int64 { return in.refOf(f, sym).Base })
-	return sigNone, nil
-}
-
-// finalizeParallel merges the positions' reduction accumulators into the
-// shared variables (§6.3.1, §6.3.4); shared resolves a variable's shared
-// storage in the dispatching frame. No private write-back is needed: the
-// last worker used the original storage as its private copy (§5.4), so the
-// shared state already equals the sequential final state. The Finalize list
-// only drives the cost model's accounting.
-func (in *Interp) finalizeParallel(l *ir.DoLoop, lp *LoopPlan, ids []int, shared func(*ir.Symbol) int64) {
-	for _, red := range lp.Reductions {
-		wb := make([]int64, len(ids))
+	in.noteParallel(lrt.l, wops)
+	for _, red := range lrt.lp.Reductions {
+		wb := make([]int64, workers)
 		for p, id := range ids {
-			wb[p] = in.workerBase[l][red.Sym][id]
+			wb[p] = lrt.banks[id].syms[red.Sym]
 		}
-		in.mergeReduction(red, wb, shared(red.Sym), lp)
+		in.mergeReduction(red, wb, shared(red.Sym), lrt.lp)
+	}
+	return ops, nil
+}
+
+// inOrder launches the oracle's positions: one after another in the calling
+// goroutine, so a planned tree run is deterministic by construction while
+// privatization, last-position storage and reduction finalization still
+// decide its answer.
+func inOrder(n int, position func(p int)) {
+	for p := 0; p < n; p++ {
+		position(p)
 	}
 }
 
-// mergeReduction folds each worker's accumulator into the shared storage.
+// onGoroutines launches the VM's positions: a goroutine each, all joined
+// before it returns.
+func onGoroutines(n int, position func(p int)) {
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			position(p)
+		}(p)
+	}
+	wg.Wait()
+}
+
+// execParallelLoop runs one planned loop on the tree-walking engine. A
+// position's clone shares the arena, resolves storage through its bank,
+// spills into the bank's scratch block, keeps its own virtual-time counter
+// and drops hooks and the plan (nesting stays sequential); its frame takes
+// the dispatching frame's formals and nothing else, so no address the
+// dispatching procedure cached before the loop outlives the binding.
+func (in *Interp) execParallelLoop(f *frame, lrt *loopRT, lo, step float64, trips int64) error {
+	ops, err := in.planRT.runLoop(lrt, lo, step, trips,
+		func(sym *ir.Symbol) int64 { return in.refOf(f, sym).Base },
+		inOrder,
+		func(b *bank, tb int64) (func() error, *int64) {
+			wi := &Interp{
+				Prog:      in.Prog,
+				Out:       in.Out,
+				Mode:      ModeTree,
+				arena:     in.arena,
+				base:      in.base,
+				blockOff:  in.blockOff,
+				bank:      b,
+				tempBase:  tb,
+				tempTop:   tb,
+				tempLimit: tb + tempCells,
+			}
+			wf := &frame{proc: f.proc, refs: map[*ir.Symbol]Ref{}}
+			for _, formal := range f.proc.Params {
+				if _, bound := b.addr(formal); !bound {
+					wf.refs[formal] = in.refOf(f, formal)
+				}
+			}
+			return func() error {
+				_, err := wi.execStmts(wf, lrt.l.Body)
+				return err
+			}, &wi.ops
+		})
+	in.ops += ops
+	return err
+}
+
+// mergeReduction folds each position's accumulator into the shared storage
+// (§6.3.1). Privates need no write-back: the last position used the
+// original storage as its private copy (§5.4), so LoopPlan.Finalize only
+// drives the cost model's accounting.
 // Both finalization disciplines combine every element's contributions in
 // ascending worker order, so floating-point results are bit-identical run
 // to run and identical between the disciplines:
@@ -381,213 +451,63 @@ func (in *Interp) sharedBase(sym *ir.Symbol, params []int64) int64 {
 	if sym.IsParam {
 		return params[sym.ParamIndex]
 	}
-	if sym.Common != "" {
-		return in.blockOff[sym.Common] + sym.CommonOffset
-	}
-	return in.base[sym]
+	return in.staticBase(sym)
 }
 
-// workerClone shares the arena but rebases every reachable procedure's
-// locals to this worker's private storage, gives the worker its own scratch
-// block, keeps a private virtual-time counter, and drops hooks
-// (instrumentation is not thread-safe).
-func (in *Interp) workerClone(l *ir.DoLoop, w int) *Interp {
-	base := in.base
-	if locals := in.workerLocals[l]; len(locals) > w && len(locals[w]) > 0 {
-		base = make(map[*ir.Symbol]int64, len(in.base))
-		for k, v := range in.base {
-			base[k] = v
-		}
-		for k, v := range locals[w] {
-			base[k] = v
-		}
-	}
-	tb, tt, tl := in.tempBase, in.tempTop, in.tempLimit
-	if len(in.workerTemp) > w {
-		tb = in.workerTemp[w]
-		tt = tb
-		tl = tb + tempCells
-	}
-	return &Interp{
-		Prog:      in.Prog,
-		Out:       in.Out,
-		Mode:      ModeTree, // worker bodies run via execStmts; keep tree-only
-		arena:     in.arena,
-		base:      base,
-		blockOff:  in.blockOff,
-		tempBase:  tb,
-		tempTop:   tt,
-		tempLimit: tl,
-	}
-}
-
-// planFor returns the plan for a loop, if parallel execution is enabled.
-func (in *Interp) planFor(l *ir.DoLoop) *LoopPlan {
-	if in.plan == nil || in.inParallel {
+// planFor returns the runtime of a loop this interpreter dispatches under
+// its plan, nil for every other loop (and in a worker clone, always).
+func (in *Interp) planFor(l *ir.DoLoop) *loopRT {
+	if in.planRT == nil {
 		return nil
 	}
-	return in.plan.Loops[l]
+	return in.planRT.loops[l]
 }
 
-// ---------------------------------------------------------------------------
-// Bytecode-side parallel runtime: per-worker views.
-
-// planRT is the bytecode engine's parallel runtime for one interpreter:
-// per-worker instruction streams compiled once per planned loop, keyed by
-// the loop's index in the main code's loop table (identical in the plain
-// and instrumented variants, which lower procedures in the same order).
-type planRT struct {
-	in    *Interp
-	loops map[int32]*vmLoopRT
-}
-
-type vmLoopRT struct {
-	l     *ir.DoLoop
-	lp    *LoopPlan
-	views []workerView
-}
-
-// workerView is one worker's address-specialized compilation of a planned
-// loop body: privates, reductions and callee locals resolve to this
-// worker's storage banks as fixed operands, not per-call map lookups.
-type workerView struct {
-	cd      *code
-	idxAddr int64
-	inits   []viewInit
-}
-
-// viewInit is a reduction accumulator to reset to its identity before the
-// worker's first iteration.
-type viewInit struct {
-	base int64
-	n    int64
-	val  float64
-}
-
-// ensurePlanRT compiles (once per interpreter) one bytecode view per worker
-// per planned loop and caches the runtime on the Interp.
+// ensurePlanRT compiles (once per interpreter) each bank's bytecode view of
+// its planned loop: the body plus every reachable procedure re-lowered with
+// the bank's addresses as fixed operands, not per-call map lookups.
 func (in *Interp) ensurePlanRT(cd *code) *planRT {
-	if in.planRT != nil {
-		return in.planRT
-	}
-	rt := &planRT{in: in, loops: map[int32]*vmLoopRT{}}
 	for li := range cd.loops {
 		lm := &cd.loops[li]
-		lp := in.plan.Loops[lm.loop]
-		if lp == nil {
+		lrt := in.planRT.loops[lm.loop]
+		if lrt == nil || lrt.banks[0].view != nil {
 			continue
 		}
-		l := lm.loop
-		proc := in.Prog.ByName[lm.proc]
-		bases := in.workerBase[l]
-		lrt := &vmLoopRT{l: l, lp: lp, views: make([]workerView, in.plan.Workers)}
-		for w := 0; w < in.plan.Workers; w++ {
-			rebind := map[*ir.Symbol]int64{}
-			privCommon := map[string]map[int64]int64{}
-			add := func(sym *ir.Symbol) {
-				base := bases[sym][w]
-				rebind[sym] = base
-				if sym.Common != "" {
-					if privCommon[sym.Common] == nil {
-						privCommon[sym.Common] = map[int64]int64{}
-					}
-					privCommon[sym.Common][sym.CommonOffset] = base
-				}
-			}
-			// Mirror the tree-walker's bind() exactly: index always, privates
-			// for every worker but the last (§5.4), reductions always, plus
-			// per-worker storage for every reachable procedure's locals.
-			lastWorker := w == in.plan.Workers-1
-			add(l.Index)
-			for _, s := range lp.Private {
-				if s != l.Index && !lastWorker {
-					add(s)
-				}
-			}
-			var inits []viewInit
-			for _, r := range lp.Reductions {
-				add(r.Sym)
-				inits = append(inits, viewInit{base: bases[r.Sym][w], n: r.Sym.NElems(), val: identity(r.Op)})
-			}
-			if locals := in.workerLocals[l]; len(locals) > w {
-				for sym, addr := range locals[w] {
-					rebind[sym] = addr
-				}
-			}
-			view := fuseCode(compileLoopBody(in.Prog, cd.lay, proc, l, rebind, privCommon))
+		for w := range lrt.banks {
+			b := &lrt.banks[w]
+			b.view = fuseCode(compileLoopBody(in.Prog, cd.lay, in.Prog.ByName[lm.proc], lm.loop, b))
 			counters.compiledViews.Add(1)
-			lrt.views[w] = workerView{cd: view, idxAddr: rebind[l.Index], inits: inits}
 		}
-		rt.loops[int32(li)] = lrt
 	}
-	in.planRT = rt
-	return rt
+	return in.planRT
 }
 
-// runLoop executes one planned loop on the bytecode engine: the §4.5 even
-// chunks with one VM instance per worker over the shared arena,
-// followed by deterministic reduction finalization. Worker ops are folded
-// into the dispatching VM's clock, matching the tree-walker.
-func (rt *planRT) runLoop(v *vm, lrt *vmLoopRT, params []int64, lo, step float64, trips int64) error {
+// runLoopVM runs one planned loop on the bytecode engine: one VM instance
+// per position over the shared arena, each on its bank's view with its own
+// stack, scratch block and snapshot of the dispatching frame's parameter
+// bindings — formals the body references (and the bank does not bind)
+// resolve exactly as the tree worker's frame does.
+func (rt *planRT) runLoopVM(v *vm, lrt *loopRT, params []int64, lo, step float64, trips int64) error {
 	in := rt.in
-	workers := lrt.lp.width(in.plan.Workers, trips)
-	if workers == 0 {
-		return nil
-	}
-	counters.parallelLoopRuns.Add(1)
-	counters.parallelWorkers.Add(int64(workers))
-	ids := planWorkerIDs(in.plan.Workers, workers)
 	psnap := append([]int64(nil), params...)
-	errs := make([]error, workers)
-	wops := make([]int64, workers)
-	var wg sync.WaitGroup
-	for p := 0; p < workers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			view := &lrt.views[ids[p]]
-			for _, init := range view.inits {
-				for k := int64(0); k < init.n; k++ {
-					in.arena[init.base+k] = init.val
-				}
-			}
-			tb := in.workerTemp[ids[p]]
+	ops, err := rt.runLoop(lrt, lo, step, trips,
+		func(sym *ir.Symbol) int64 { return in.sharedBase(sym, psnap) },
+		onGoroutines,
+		func(b *bank, tb int64) (func() error, *int64) {
 			wv := &vm{
-				cd:  view.cd,
-				mem: in.arena,
-				out: in.Out,
-				// The view inherits the dispatching frame's parameter
-				// bindings, so formals referenced by the body (and not
-				// privatized) resolve exactly as the tree worker's copied
-				// frame does.
+				cd:         b.view,
+				mem:        in.arena,
+				out:        in.Out,
 				paramStore: append([]int64(nil), psnap...),
-				stack:      make([]float64, view.cd.maxStack),
+				stack:      make([]float64, b.view.maxStack),
 				tempTop:    tb,
 				tempLimit:  tb + tempCells,
 				maxOps:     math.MaxInt64,
 			}
-			if err := forEachAssigned(trips, workers, p, func(it int64) error {
-				in.arena[view.idxAddr] = lo + float64(it)*step
-				return wv.run()
-			}); err != nil {
-				errs[p] = err
-				return
-			}
-			wops[p] = wv.ops
-		}(p)
-	}
-	wg.Wait()
-	for _, o := range wops {
-		v.ops += o
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	in.noteParallel(lrt.l, wops)
-	in.finalizeParallel(lrt.l, lrt.lp, ids, func(sym *ir.Symbol) int64 { return in.sharedBase(sym, psnap) })
-	return nil
+			return wv.run, &wv.ops
+		})
+	v.ops += ops
+	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"suifx/internal/ir"
 	"suifx/internal/minif"
 )
 
@@ -204,5 +205,87 @@ func TestParallelStatsCounters(t *testing.T) {
 	}
 	if after.CompiledViews <= before.CompiledViews {
 		t.Errorf("compiled_worker_views did not advance: %d -> %d", before.CompiledViews, after.CompiledViews)
+	}
+}
+
+// commonRedSrc is the shape the corpus tiers caught the oracle on (5k tier,
+// GT3 in /GC3/, e.g. loop SP24/50): a + reduction on a common-block scalar that
+// the dispatching procedure has already touched when the planned loop
+// starts, planned — as the dependence analysis reports common members —
+// under another procedure's symbol for the same (block, offset).
+const commonRedSrc = `
+      PROGRAM main
+      REAL a(64), t
+      INTEGER i
+      COMMON /acc/ g
+      g = 1.5
+      DO 5 i = 1, 64
+        a(i) = MOD(i, 7) + 0.25
+5     CONTINUE
+      DO 10 i = 1, 64
+        t = a(i) * 1.1
+        g = g + t
+        CALL bump(t)
+10    CONTINUE
+      END
+      SUBROUTINE bump(x)
+      REAL x
+      COMMON /acc/ h
+      h = h + x * 0.5
+      END
+`
+
+func runCommonRed(t *testing.T, mode ExecMode, workers int) *Interp {
+	t.Helper()
+	prog := minif.MustParse("t", commonRedSrc)
+	main := prog.Main()
+	plan := &ParallelPlan{Workers: workers, Loops: map[*ir.DoLoop]*LoopPlan{}}
+	for _, l := range main.Loops() {
+		if l.Label == "10" {
+			plan.Loops[l] = &LoopPlan{
+				Private:    []*ir.Symbol{main.Lookup("T")},
+				Reductions: []ReductionPlan{{Sym: prog.ByName["BUMP"].Lookup("H"), Op: "+"}},
+				Staggered:  true,
+				Chunks:     4,
+			}
+		}
+	}
+	in := NewWithPlan(prog, plan)
+	in.Mode = mode
+	if err := in.Run(); err != nil {
+		t.Fatalf("mode=%v W=%d: %v", mode, workers, err)
+	}
+	return in
+}
+
+// TestPlannedCommonReduction holds the one bank-binding rule on the case
+// that split the engines: every alias of a reduced common member — the
+// dispatching procedure's own included — accumulates into the position's
+// bank, so the full arenas (banks included) and the clocks agree between
+// the oracle and the VM, the oracle repeats bit for bit, and the shared
+// cell ends at the sequential sum.
+func TestPlannedCommonReduction(t *testing.T) {
+	seq := New(minif.MustParse("t", commonRedSrc))
+	if err := seq.Run(); err != nil {
+		t.Fatal(err)
+	}
+	lo, _, _ := seq.SymRange("MAIN", "G")
+	for _, workers := range []int{2, 4} {
+		tree := runCommonRed(t, ModeTree, workers)
+		vm := runCommonRed(t, ModeAuto, workers)
+		if i, ok := sameBits(tree.Arena(), vm.Arena()); !ok {
+			t.Errorf("W=%d: cell %d differs: tree %g vs vm %g", workers, i, tree.Arena()[i], vm.Arena()[i])
+		}
+		if tree.Ops() != vm.Ops() {
+			t.Errorf("W=%d: ops differ: tree %d vs vm %d", workers, tree.Ops(), vm.Ops())
+		}
+		if err := Validate(seq.Arena()[lo:lo+1], tree.Arena()[lo:lo+1], 1e-9); err != nil {
+			t.Errorf("W=%d: reduced common vs sequential: %v", workers, err)
+		}
+		for run := 1; run < 5; run++ {
+			if i, ok := sameBits(tree.Arena(), runCommonRed(t, ModeTree, workers).Arena()); !ok {
+				t.Fatalf("W=%d tree run %d: cell %d differs from run 0", workers, run, i)
+			}
+		}
 	}
 }

@@ -1,9 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"suifx/internal/ir"
 	"suifx/internal/minif"
@@ -339,5 +343,74 @@ func TestScheduleBalanceTriangular(t *testing.T) {
 	// Chunk [150,200) of a triangle holds 7/16 of the work, not 1/4.
 	if st := stats[0]; st.CritOps*10 < st.WorkerOps*4 {
 		t.Errorf("crit %d of %d worker ops: the last chunk should carry over 40%%", st.CritOps, st.WorkerOps)
+	}
+}
+
+// goroutineSrc is a planned loop whose body writes, so a probe behind Out
+// samples the goroutine count from inside every position; the bound n
+// pushes the last position's final iteration out of a's bounds when set
+// past 32.
+const goroutineSrc = `
+      PROGRAM main
+      REAL a(32)
+      INTEGER i, n
+      n = %d
+      DO 10 i = 1, n
+        a(i) = i * 0.5
+        WRITE(*,*) i
+10    CONTINUE
+      END
+`
+
+// goroutineProbe records the highest goroutine count seen at a WRITE.
+type goroutineProbe struct {
+	mu  sync.Mutex
+	max int
+}
+
+func (p *goroutineProbe) Write(b []byte) (int, error) {
+	p.mu.Lock()
+	p.max = max(p.max, runtime.NumGoroutine())
+	p.mu.Unlock()
+	return len(b), nil
+}
+
+// TestPlannedRunGoroutines pins who runs plan positions: the oracle runs
+// every position in the calling goroutine (no reduction here, so the
+// staggered merge stays out of the picture), and the VM's position
+// goroutines are all gone when Run returns, with or without an error.
+func TestPlannedRunGoroutines(t *testing.T) {
+	run := func(mode ExecMode, n int) (*goroutineProbe, error) {
+		prog := minif.MustParse("t", fmt.Sprintf(goroutineSrc, n))
+		plan := &ParallelPlan{Workers: 4, Loops: map[*ir.DoLoop]*LoopPlan{prog.Main().Loops()[0]: {}}}
+		in := NewWithPlan(prog, plan)
+		in.Mode = mode
+		probe := &goroutineProbe{}
+		in.Out = probe
+		return probe, in.Run()
+	}
+	baseline := runtime.NumGoroutine()
+	for _, n := range []int{32, 33} {
+		probe, err := run(ModeTree, n)
+		if (err != nil) != (n > 32) {
+			t.Fatalf("tree n=%d: err = %v", n, err)
+		}
+		if probe.max != baseline {
+			t.Errorf("tree n=%d: %d goroutines inside a position, want the caller's %d", n, probe.max, baseline)
+		}
+		probe, err = run(ModeAuto, n)
+		if (err != nil) != (n > 32) {
+			t.Fatalf("vm n=%d: err = %v", n, err)
+		}
+		if probe.max <= baseline {
+			t.Errorf("vm n=%d: probe saw no position goroutine (%d <= %d)", n, probe.max, baseline)
+		}
+		// wg.Wait returns on the last Done, a hair before that goroutine is
+		// off the books; anything still counted after that is a leak.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("vm n=%d: %d goroutines after Run, baseline %d", n, runtime.NumGoroutine(), baseline)
+			}
+		}
 	}
 }

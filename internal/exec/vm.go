@@ -631,7 +631,7 @@ func (v *vm) run() error {
 				ia = int64(lm.idxOp)
 			}
 			if v.par != nil {
-				if lrt := v.par.loops[i.a]; lrt != nil {
+				if lrt := v.par.loops[lm.loop]; lrt != nil {
 					// Parallel dispatch: run the even-chunk schedule on the
 					// per-worker views, then land on opLoopHead with an
 					// exhausted activation so the sequential exit path
@@ -645,7 +645,7 @@ func (v *vm) run() error {
 						v.enterLoop(i.a)
 					}
 					v.ops = ops
-					err := v.par.runLoop(v, lrt, params, lo, step, trips)
+					err := v.par.runLoopVM(v, lrt, params, lo, step, trips)
 					ops = v.ops
 					if err != nil {
 						mem[ia] = lo + float64(trips)*step

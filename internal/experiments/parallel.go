@@ -101,11 +101,10 @@ func validateParallelRun(name string, workers int, mode exec.ExecMode, staggered
 }
 
 // ValidatePlanned runs res's program sequentially and under an arbitrary
-// execution plan over the same parallelization result — any schedule,
-// discipline, per-loop worker cap or interchange depth the tuner may
-// enumerate — and compares live storage under the parallel-dead masks. It
-// is the bit-identity oracle for every tuner variant: a plan that survives
-// it produced the sequential answer.
+// execution plan over the same parallelization result — any worker count,
+// per-loop worker cap or interchange depth the tuner may enumerate — on
+// the engine mode names, and compares live storage under the parallel-dead
+// masks: a plan that survives it produced the sequential answer.
 func ValidatePlanned(res *parallel.Result, plan *exec.ParallelPlan, mode exec.ExecMode) error {
 	seq := exec.New(res.Prog)
 	seq.Mode = mode

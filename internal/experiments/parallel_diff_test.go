@@ -50,13 +50,13 @@ func bitsEqual(a, b []float64) (int, bool) {
 }
 
 // TestParallelDifferentialEngines runs every parallel workload under its
-// plan at W ∈ {1, 2, 4} on both engines. They execute the same
+// plan at W ∈ {1, 2, 4, 8} on both engines. They execute the same
 // schedule with the same deterministic finalization order, so the full
 // arena images — worker banks included — must be bit-identical at every
 // worker count, not merely tolerance-close.
 func TestParallelDifferentialEngines(t *testing.T) {
 	for _, name := range parallelWorkloads(t) {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			tree, _, err := RunParallel(name, ParallelRunOptions{
 				Workers: workers, Mode: exec.ModeTree, Staggered: true, Chunks: 4,
 			})

@@ -86,8 +86,10 @@ func TestQuickPipelineSoundness(t *testing.T) {
 
 // TestCorpusScaleSoundness runs the corpus factory's recorded scale tiers
 // end to end: whatever the parallelizer approves on a generated program
-// must execute identically in parallel at several worker counts. The quick
-// tiers run everywhere; the 20k-line tier joins outside -short.
+// must execute identically in parallel at several worker counts — on both
+// engines, whose full arenas (worker banks included) and clocks must also
+// agree bit for bit, the oracle's on every repeat. The quick tiers run
+// everywhere; the 20k-line tier joins outside -short.
 func TestCorpusScaleSoundness(t *testing.T) {
 	tiers := corpus.QuickLadder()
 	if !testing.Short() {
@@ -99,31 +101,38 @@ func TestCorpusScaleSoundness(t *testing.T) {
 		tier := tier
 		t.Run(tier.Name, func(t *testing.T) {
 			p := tier.Generate()
-			seqProg, err := minif.Parse(p.Name, p.Source)
+			prog, err := minif.Parse(p.Name, p.Source)
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			seq := exec.New(seqProg)
-			if err := seq.Run(); err != nil {
-				t.Fatalf("sequential run: %v", err)
-			}
-			parProg := minif.MustParse(p.Name, p.Source)
-			res := parallel.Parallelize(parProg, parallel.Config{UseReductions: true})
-			for _, workers := range []int{2, 4} {
+			res := parallel.Parallelize(prog, parallel.Config{UseReductions: true})
+			for _, workers := range []int{1, 2, 4, 8} {
 				plan := BuildPlan(res, workers)
 				if len(plan.Loops) == 0 {
 					t.Fatalf("tier %s: no loops approved for parallel execution", tier.Name)
 				}
-				par := exec.NewWithPlan(parProg, plan)
-				if err := par.Run(); err != nil {
-					t.Fatalf("W=%d parallel run: %v", workers, err)
+				for _, mode := range []exec.ExecMode{exec.ModeAuto, exec.ModeTree} {
+					if err := ValidatePlanned(res, plan, mode); err != nil {
+						t.Errorf("W=%d mode=%v: %v", workers, mode, err)
+					}
 				}
-				n := seq.ScratchBase()
-				seqA := append([]float64(nil), seq.Arena()[:n]...)
-				parA := append([]float64(nil), par.Arena()[:n]...)
-				maskPlannedDead(res, plan, par, seqA, parA)
-				if err := exec.Validate(seqA, parA, 1e-6); err != nil {
-					t.Errorf("W=%d: %v", workers, err)
+				vm := exec.NewWithPlan(prog, plan)
+				if err := vm.Run(); err != nil {
+					t.Fatalf("W=%d vm run: %v", workers, err)
+				}
+				for run := 0; run < 5; run++ {
+					tree := exec.NewWithPlan(prog, plan)
+					tree.Mode = exec.ModeTree
+					if err := tree.Run(); err != nil {
+						t.Fatalf("W=%d tree run %d: %v", workers, run, err)
+					}
+					if i, ok := bitsEqual(tree.Arena(), vm.Arena()); !ok {
+						t.Fatalf("W=%d tree run %d: cell %d differs: tree %g vs vm %g",
+							workers, run, i, tree.Arena()[i], vm.Arena()[i])
+					}
+					if tree.Ops() != vm.Ops() {
+						t.Fatalf("W=%d tree run %d: ops differ: tree %d vs vm %d", workers, run, tree.Ops(), vm.Ops())
+					}
 				}
 			}
 		})
