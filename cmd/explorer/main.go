@@ -17,7 +17,7 @@
 //
 // With -connect the session state lives in suifxd's session subsystem: the
 // commands map onto the /v1/session routes (targets report assert slice
-// cslice why events quit) and assertions re-analyze incrementally
+// cslice why events quit) and assertions re-test the asserted loop
 // server-side.
 package main
 
@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"suifx/internal/explorer"
-	"suifx/internal/issa"
 	"suifx/internal/minif"
 	"suifx/internal/slice"
 	"suifx/internal/viz"
@@ -138,8 +137,7 @@ func command(s *explorer.Session, args []string) bool {
 			break
 		}
 		line, _ := strconv.Atoi(args[3])
-		g := issa.Build(s.Prog)
-		sl := slice.New(g, slice.Config{Kind: slice.Program})
+		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
 		res := sl.OfUse(strings.ToUpper(args[1]), strings.ToUpper(args[2]), line)
 		showSlice(s, res, line)
 	case "cslice":
@@ -148,8 +146,7 @@ func command(s *explorer.Session, args []string) bool {
 			break
 		}
 		line, _ := strconv.Atoi(args[2])
-		g := issa.Build(s.Prog)
-		sl := slice.New(g, slice.Config{Kind: slice.Program})
+		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
 		res := sl.ControlSliceOfLine(strings.ToUpper(args[1]), line)
 		showSlice(s, res, line)
 	case "assert":

@@ -16,11 +16,10 @@ import (
 )
 
 // remote drives an interactive session hosted by a suifxd server (-connect):
-// the same Guru dialogue, but the program, its analysis state, and the
-// incremental re-analysis live server-side, so many explorers can share one
-// warm analysis cache. Transient connection failures (a refused dial while
-// the daemon restarts, a shed 429) are retried with jittered backoff up to
-// 3 attempts before surfacing.
+// the same Guru dialogue, but the program and its analysis state live
+// server-side, so many explorers can share one warm analysis cache. Transient
+// connection failures (a refused dial while the daemon restarts, a shed 429)
+// are retried with jittered backoff up to 3 attempts before surfacing.
 type remote struct {
 	base string
 	id   string
@@ -72,8 +71,7 @@ func runRemote(base, name, src, workload, script string) {
 }
 
 func (r *remote) report(g *session.GuruReport) {
-	fmt.Printf("parallelism coverage: %.0f%%   granularity: %.3f ms   (reanalysis: %d recomputed, %d reused)\n",
-		g.Coverage*100, g.GranularityMs, g.Reanalysis.Recomputed, g.Reanalysis.Reused)
+	fmt.Printf("parallelism coverage: %.0f%%   granularity: %.3f ms\n", g.Coverage*100, g.GranularityMs)
 }
 
 func (r *remote) command(args []string) bool {
@@ -128,8 +126,7 @@ func (r *remote) command(args []string) bool {
 		for _, w := range out.Warnings {
 			fmt.Println("warning:", w)
 		}
-		fmt.Printf("accepted; re-analyzed incrementally (%d summaries recomputed, %d reused)\n",
-			out.Reanalysis.Recomputed, out.Reanalysis.Reused)
+		fmt.Printf("accepted; re-tested %s\n", out.Loop)
 		r.report(out.Guru)
 	case "slice", "cslice":
 		req := map[string]any{}

@@ -12,13 +12,13 @@
 //	GET  /debug/vars   expvar (includes the "suifxd" snapshot)
 //	GET  /debug/pprof  standard pprof handlers
 //
-// Interactive sessions (the Guru dialogue, with incremental re-analysis):
+// Interactive sessions (the Guru dialogue):
 //
 //	POST   /v1/session              create: parse, analyze, profile once
 //	GET    /v1/session/{id}         lifecycle snapshot
 //	DELETE /v1/session/{id}         explicit teardown
 //	GET    /v1/session/{id}/guru    ranked target-loop worklist
-//	POST   /v1/session/{id}/assert  record an assertion; incremental re-rank
+//	POST   /v1/session/{id}/assert  record an assertion; re-test its loop, re-rank
 //	POST   /v1/session/{id}/slice   program/data/control slice
 //	GET    /v1/session/{id}/why     per-loop "why (not) parallel" report
 //	GET    /v1/session/{id}/events  the session's dialogue log

@@ -80,9 +80,6 @@ func hashKey(key string) uint64 {
 // Gen is the ring's generation (bumped on every membership change).
 func (r *Ring) Gen() uint64 { return r.gen }
 
-// Members returns the sorted member list.
-func (r *Ring) Members() []string { return r.members }
-
 // Owner returns the member owning the key, or "" on an empty ring.
 func (r *Ring) Owner(key string) string {
 	o := r.OwnerN(key, 1)

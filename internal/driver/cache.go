@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -17,7 +16,7 @@ import (
 )
 
 // Result is a memoized whole-program analysis: the parsed program, its
-// summary analysis, and the content hashes that key it. Results are shared
+// summary analysis, and the content hash that keys it. Results are shared
 // between callers, which is safe because every consumer of an Analysis
 // (dependence testing, parallelization, liveness, the explorer's read
 // paths) treats it as read-only.
@@ -26,11 +25,6 @@ type Result struct {
 	Sum  *summary.Analysis
 	// SourceHash is the cache key: sha256 over the program name and source.
 	SourceHash string
-	// ProcHashes gives each procedure a Merkle-style hash over its own
-	// source span and the hashes of its callees, so a future incremental
-	// mode can reuse per-procedure summaries when only unrelated
-	// procedures change.
-	ProcHashes map[string]string
 }
 
 // DefaultCacheCapacity bounds Shared() and NewCache(): enough for every
@@ -165,12 +159,7 @@ func (c *Cache) compute(ctx context.Context, name, src string, opt Options) (*Re
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Prog:       prog,
-		Sum:        sum,
-		SourceHash: Key(name, src),
-		ProcHashes: procHashes(prog, src),
-	}, nil
+	return &Result{Prog: prog, Sum: sum, SourceHash: Key(name, src)}, nil
 }
 
 // evictLocked drops least-recently-used completed entries until the cache
@@ -242,39 +231,4 @@ func (c *Cache) Reset() {
 	c.entries = map[string]*cacheEntry{}
 	c.order = list.New()
 	c.mu.Unlock()
-}
-
-// procHashes computes the per-procedure Merkle hashes: each procedure's
-// hash covers its own source span plus the hashes of everything it calls,
-// bottom-up, so a hash match certifies the procedure's entire analysis
-// cone is unchanged.
-func procHashes(prog *ir.Program, src string) map[string]string {
-	lines := strings.Split(src, "\n")
-	span := func(p *ir.Proc) string {
-		lo, hi := p.Pos.Line, p.EndLine
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > len(lines) {
-			hi = len(lines)
-		}
-		if lo > hi {
-			return ""
-		}
-		return strings.Join(lines[lo-1:hi], "\n")
-	}
-	g := prog.CallGraph()
-	out := make(map[string]string, len(prog.Procs))
-	for _, p := range bottomUpProcs(prog) {
-		h := sha256.New()
-		h.Write([]byte(p.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(span(p)))
-		for _, callee := range g[p.Name] {
-			h.Write([]byte{0})
-			h.Write([]byte(out[callee])) // "" for recursive edges
-		}
-		out[p.Name] = hex.EncodeToString(h.Sum(nil))
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"suifx/internal/ir"
-	"suifx/internal/modref"
 	"suifx/internal/summary"
 )
 
@@ -26,90 +25,23 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// procSlot holds one procedure's analysis results. All slots are allocated
-// before any worker starts; a worker writes only the slots of its own
-// component's procedures, and dependents read them only after the
-// component's done-channel closes — so cross-goroutine access is race-free
-// without locks.
-type procSlot struct {
-	eff *modref.Effects
-	res *summary.ProcResult
-}
-
 // Analyze runs the whole bottom-up interprocedural analysis (mod/ref, then
 // array summaries) over prog with a bounded worker pool, fanning out across
 // call-graph SCCs. The result is byte-identical to summary.Analyze: the
 // per-procedure analyses are pure, and results are merged in the same
 // deterministic bottom-up order regardless of completion order.
 func Analyze(prog *ir.Program, opt Options) *summary.Analysis {
-	a, err := AnalyzeCtx(context.Background(), prog, opt)
-	if err != nil {
-		// Background is never cancelled, and AnalyzeCtx errors only on
-		// cancellation.
-		panic("driver: Analyze failed without cancellation: " + err.Error())
-	}
-	return a
+	sum, _ := NewIncremental(prog, opt).Analyze()
+	return sum
 }
 
 // AnalyzeCtx is Analyze with cancellation: when ctx is cancelled, queued
 // SCC waves are abandoned and the error is ctx's. The partial per-procedure
-// work is discarded — a cancelled analysis returns nil.
+// work is discarded — a cancelled analysis returns nil. It is the all-dirty
+// case of Incremental.AnalyzeCtx, the one bottom-up scheduler.
 func AnalyzeCtx(ctx context.Context, prog *ir.Program, opt Options) (*summary.Analysis, error) {
-	sccs := condense(prog)
-	workers := opt.workers()
-
-	slots := make(map[string]*procSlot, len(prog.Procs))
-	for _, p := range prog.Procs {
-		slots[p.Name] = &procSlot{}
-	}
-	effOf := func(name string) *modref.Effects {
-		if s := slots[name]; s != nil {
-			return s.eff
-		}
-		return nil
-	}
-	sumOf := func(name string) *summary.Tuple {
-		if s := slots[name]; s != nil && s.res != nil {
-			return s.res.ProcSum
-		}
-		return nil
-	}
-
-	// Wave 1: mod/ref effects. The summary phase's symbolic evaluator
-	// queries the full mod/ref Info, so this wave joins completely first.
-	mr := modref.NewInfo(prog)
-	err := runBottomUp(ctx, sccs, workers, func(s *scc) {
-		for _, p := range s.procs {
-			if opt.onProc != nil {
-				opt.onProc(1, p.Name)
-			}
-			slots[p.Name].eff = mr.AnalyzeProc(p, effOf)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range bottomUpProcs(prog) {
-		mr.Merge(p.Name, slots[p.Name].eff)
-	}
-
-	// Wave 2: array data-flow summaries.
-	a := summary.NewAnalysis(prog, mr)
-	err = runBottomUp(ctx, sccs, workers, func(s *scc) {
-		for _, p := range s.procs {
-			if opt.onProc != nil {
-				opt.onProc(2, p.Name)
-			}
-			slots[p.Name].res = a.AnalyzeProc(p, sumOf)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range bottomUpProcs(prog) {
-		a.Merge(slots[p.Name].res)
-	}
-	return a, nil
+	sum, _, err := NewIncremental(prog, opt).AnalyzeCtx(ctx)
+	return sum, err
 }
 
 // SCC is one component of the exported analysis schedule: the procedures it

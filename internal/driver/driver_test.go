@@ -171,16 +171,3 @@ func TestCacheParseError(t *testing.T) {
 		t.Fatal("expected a parse error")
 	}
 }
-
-func TestProcHashesChangeWithCallees(t *testing.T) {
-	w := workloads.All()[0]
-	res := Shared().MustAnalyze(w.Name, w.Source, Options{})
-	if len(res.ProcHashes) != len(res.Prog.Procs) {
-		t.Fatalf("ProcHashes has %d entries, want %d", len(res.ProcHashes), len(res.Prog.Procs))
-	}
-	for name, h := range res.ProcHashes {
-		if len(h) != 64 {
-			t.Fatalf("proc %s: hash %q is not a sha256 hex digest", name, h)
-		}
-	}
-}

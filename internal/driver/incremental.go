@@ -5,25 +5,28 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"suifx/internal/exec"
 	"suifx/internal/ir"
 	"suifx/internal/modref"
 	"suifx/internal/summary"
 )
 
-// Incremental is a re-analyzable view of one program's interprocedural
-// analysis, the engine behind interactive sessions: it keeps every merged
-// per-procedure result (mod/ref effects and array summaries) and, when an
-// assertion or option change dirties a procedure, recomputes only that
-// procedure's call-graph SCC and its transitive callers — everything a
-// bottom-up analysis could observe the change through. Clean procedures are
-// served from the retained results, and per-run counters report exactly
-// which summaries were recomputed versus reused, so callers (and tests) can
-// prove an interactive step did not redo the whole program.
+// Incremental is the bottom-up scheduler: a re-analyzable view of one
+// program's interprocedural analysis that keeps every merged per-procedure
+// result (mod/ref effects and array summaries) and, when a source-level
+// change dirties a procedure, recomputes only that procedure's call-graph
+// SCC and its transitive callers — everything a bottom-up analysis could
+// observe the change through. Clean procedures are served from the retained
+// results, and per-run counters report exactly which summaries were
+// recomputed versus reused. The one-shot driver.Analyze is the all-dirty
+// case. User assertions never come here: no summary reads one (they are
+// loop-scoped and owned by parallel.ReparallelizeWith).
 //
 // Invalidation granularity is the SCC: marking any member dirties the whole
 // component plus the components that (transitively) call into it. Callees
 // are never dirtied — a bottom-up summary cannot depend on its callers.
+//
+// Compiled code (internal/exec) is a function of the ir.Program alone, so
+// invalidation leaves it be.
 //
 // Incremental is not self-locking: callers serialize Invalidate/Analyze
 // (sessions hold their own lock). The counters are atomics and may be read
@@ -121,7 +124,6 @@ func (inc *Incremental) InvalidateAll() {
 	for _, p := range inc.prog.Procs {
 		inc.dirty[p.Name] = true
 	}
-	exec.InvalidateProgram(inc.prog)
 }
 
 // Invalidate dirties each named procedure's SCC plus every component that
@@ -149,17 +151,8 @@ func (inc *Incremental) Invalidate(procs ...string) int {
 			}
 		}
 	}
-	if len(seen) > 0 {
-		// Anything that can change a summary can change what the tiered
-		// engine specialized against; drop the compiled-code cache so the
-		// next execution re-lowers (and re-fuses) from current state.
-		exec.InvalidateProgram(inc.prog)
-	}
 	return len(inc.dirty)
 }
-
-// Dirty reports whether proc is currently marked for recomputation.
-func (inc *Incremental) Dirty(proc string) bool { return inc.dirty[proc] }
 
 // Counters returns the cumulative recompute/reuse counters.
 func (inc *Incremental) Counters() IncCounters {
@@ -170,42 +163,65 @@ func (inc *Incremental) Counters() IncCounters {
 	}
 }
 
-// Analyze brings the analysis up to date: dirty procedures are recomputed
+// Analyze is AnalyzeCtx without cancellation.
+func (inc *Incremental) Analyze() (*summary.Analysis, IncStats) {
+	// AnalyzeCtx errors only on cancellation, and Background never is.
+	sum, st, _ := inc.AnalyzeCtx(context.Background())
+	return sum, st
+}
+
+// procSlot holds one dirty procedure's fresh results. All slots are
+// allocated before any worker starts; a worker writes only the slots of its
+// own component's procedures, and dependents read them only after the
+// component's done-channel closes — so cross-goroutine access is race-free
+// without locks.
+type procSlot struct {
+	eff *modref.Effects
+	res *summary.ProcResult
+}
+
+// AnalyzeCtx brings the analysis up to date: dirty procedures are recomputed
 // bottom-up over the SCC schedule with the driver's worker pool, clean
 // procedures are served from the retained results, and the dirty set is
 // cleared. The returned Analysis is the same object across runs (region and
 // symbol identities are stable); per-run counters say exactly what was
 // recomputed.
-func (inc *Incremental) Analyze() (*summary.Analysis, IncStats) {
+//
+// When ctx is cancelled, components that have not started are abandoned and
+// the result is nil, zero stats and ctx's error. The dirty set is left
+// intact and the counters untouched, so a retry recomputes the same
+// procedures; whatever the abandoned run already merged is overwritten then.
+func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncStats, error) {
 	dirty := inc.dirty
-	inc.dirty = map[string]bool{}
-
-	st := IncStats{
-		Run:        int(inc.runs.Add(1)),
-		Recomputed: len(dirty),
-		Reused:     len(inc.prog.Procs) - len(dirty),
-	}
-	for name := range dirty {
-		st.RecomputedProcs = append(st.RecomputedProcs, name)
-	}
-	sort.Strings(st.RecomputedProcs)
-	inc.recomputed.Add(int64(st.Recomputed))
-	inc.reused.Add(int64(st.Reused))
-
 	if len(dirty) == 0 {
-		return inc.sum, st
+		return inc.sum, inc.record(dirty), nil
 	}
 
-	// Fresh results land in preallocated slots (one writer per slot, reads
-	// gated by the scheduler's done-channels), exactly like AnalyzeCtx.
 	slots := make(map[string]*procSlot, len(dirty))
 	for name := range dirty {
 		slots[name] = &procSlot{}
 	}
 	workers := inc.opt.workers()
+	// wave adapts one per-procedure analysis to a component callback that
+	// skips clean procedures.
+	wave := func(n int, analyze func(p *ir.Proc, slot *procSlot)) func(*scc) {
+		return func(s *scc) {
+			for _, p := range s.procs {
+				if !dirty[p.Name] {
+					continue
+				}
+				if inc.opt.onProc != nil {
+					inc.opt.onProc(n, p.Name)
+				}
+				analyze(p, slots[p.Name])
+			}
+		}
+	}
 
-	// Wave 1: mod/ref effects for dirty procedures. Clean callees resolve
-	// through the retained merged map, which is read-only during the wave.
+	// Wave 1: mod/ref effects. Clean callees resolve through the retained
+	// merged map, which is read-only during the wave. The summary phase's
+	// symbolic evaluator queries the full mod/ref Info, so this wave joins
+	// completely first.
 	if inc.mr == nil {
 		inc.mr = modref.NewInfo(inc.prog)
 	}
@@ -215,13 +231,12 @@ func (inc *Incremental) Analyze() (*summary.Analysis, IncStats) {
 		}
 		return inc.mr.EffectsOf(name)
 	}
-	mustRun(runBottomUp(context.Background(), inc.sccs, workers, func(s *scc) {
-		for _, p := range s.procs {
-			if dirty[p.Name] {
-				slots[p.Name].eff = inc.mr.AnalyzeProc(p, effOf)
-			}
-		}
+	err := runBottomUp(ctx, inc.sccs, workers, wave(1, func(p *ir.Proc, slot *procSlot) {
+		slot.eff = inc.mr.AnalyzeProc(p, effOf)
 	}))
+	if err != nil {
+		return nil, IncStats{}, err
+	}
 	for _, p := range bottomUpProcs(inc.prog) {
 		if dirty[p.Name] {
 			inc.mr.Merge(p.Name, slots[p.Name].eff)
@@ -243,26 +258,33 @@ func (inc *Incremental) Analyze() (*summary.Analysis, IncStats) {
 		}
 		return inc.sum.ProcSummary(name)
 	}
-	mustRun(runBottomUp(context.Background(), inc.sccs, workers, func(s *scc) {
-		for _, p := range s.procs {
-			if dirty[p.Name] {
-				slots[p.Name].res = inc.sum.AnalyzeProc(p, sumOf)
-			}
-		}
+	err = runBottomUp(ctx, inc.sccs, workers, wave(2, func(p *ir.Proc, slot *procSlot) {
+		slot.res = inc.sum.AnalyzeProc(p, sumOf)
 	}))
+	if err != nil {
+		return nil, IncStats{}, err
+	}
 	for _, p := range bottomUpProcs(inc.prog) {
 		if dirty[p.Name] {
 			inc.sum.Merge(slots[p.Name].res)
 		}
 	}
-	return inc.sum, st
+	inc.dirty = map[string]bool{}
+	return inc.sum, inc.record(dirty), nil
 }
 
-func mustRun(err error) {
-	if err != nil {
-		// runBottomUp only errors on context cancellation, and incremental
-		// runs use the background context: steps are short (a handful of
-		// summaries), so they always run to completion.
-		panic("driver: incremental analysis cancelled unexpectedly: " + err.Error())
+// record counts one completed run that recomputed the procedures in dirty.
+func (inc *Incremental) record(dirty map[string]bool) IncStats {
+	st := IncStats{
+		Run:        int(inc.runs.Add(1)),
+		Recomputed: len(dirty),
+		Reused:     len(inc.prog.Procs) - len(dirty),
 	}
+	for name := range dirty {
+		st.RecomputedProcs = append(st.RecomputedProcs, name)
+	}
+	sort.Strings(st.RecomputedProcs)
+	inc.recomputed.Add(int64(st.Recomputed))
+	inc.reused.Add(int64(st.Reused))
+	return st
 }

@@ -1,11 +1,15 @@
 package driver
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"suifx/internal/ir"
+	"suifx/internal/summary"
 	"suifx/internal/workloads"
 )
 
@@ -145,6 +149,62 @@ func TestIncrementalFromBranchesCleanly(t *testing.T) {
 	}
 	if multi == nil {
 		t.Fatal("no multi-procedure workload exercised the branch test")
+	}
+}
+
+// TestIncrementalCancelBetweenWaves: a run cancelled after the mod/ref wave
+// merged and before the summary wave started returns ctx's error, leaves the
+// dirty set and the counters as they were, and the retry — cold, and again
+// after a one-procedure invalidation — is byte-identical to summary.Analyze.
+func TestIncrementalCancelBetweenWaves(t *testing.T) {
+	w := workloads.ByName("mdg")
+	prog := w.Fresh()
+	want := dump(summary.Analyze(w.Fresh()))
+
+	// The hook cancels as the last wave-1 procedure starts: that component
+	// still completes, so wave 1 joins and merges, and wave 2 starts nothing.
+	var cancel context.CancelFunc
+	var left atomic.Int64
+	inc := NewIncremental(prog, Options{Workers: 4, onProc: func(wave int, proc string) {
+		if wave == 1 && left.Add(-1) == 0 {
+			cancel()
+		}
+	}})
+	cancelled := func(dirty int) {
+		t.Helper()
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		defer cancel()
+		left.Store(int64(dirty))
+		runs := inc.Counters().Runs
+		sum, st, err := inc.AnalyzeCtx(ctx)
+		if !errors.Is(err, context.Canceled) || sum != nil || st.Run != 0 {
+			t.Fatalf("cancelled run = (%v, %+v, %v), want (nil, zero stats, context.Canceled)", sum, st, err)
+		}
+		if c := inc.Counters(); c.Runs != runs {
+			t.Fatalf("cancelled run was counted: runs %d -> %d", runs, c.Runs)
+		}
+	}
+
+	cancelled(len(prog.Procs))
+	sum, st := inc.Analyze()
+	if st.Run != 1 || st.Recomputed != len(prog.Procs) {
+		t.Fatalf("retry stats = %+v, want run 1 recomputing all %d procs", st, len(prog.Procs))
+	}
+	if got := dump(sum); got != want {
+		t.Fatal("retry after a cancelled cold run differs from summary.Analyze")
+	}
+
+	leaf := bottomUpProcs(prog)[0].Name
+	closure := reachesSet(prog, leaf)
+	inc.Invalidate(leaf)
+	cancelled(len(closure))
+	sum, st = inc.Analyze()
+	if !reflect.DeepEqual(st.RecomputedSet(), closure) {
+		t.Fatalf("retry recomputed %v, want the intact dirty set %v", st.RecomputedProcs, keys(closure))
+	}
+	if got := dump(sum); got != want {
+		t.Fatal("retry after a cancelled incremental run differs from summary.Analyze")
 	}
 }
 

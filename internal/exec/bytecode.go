@@ -334,11 +334,11 @@ func loweredOf(prog *ir.Program) *lowered {
 }
 
 // InvalidateProgram drops prog's compiled-code cache so the next run
-// recompiles every variant from the current IR. driver.Incremental calls
-// this when an invalidation dirties the program: specialized and fused
-// code must not be served stale across analysis runs. In-flight
-// interpreters keep executing the code they already resolved; only new
-// runs see the fresh cache.
+// recompiles every variant from the current IR. The cached streams depend
+// on the ir.Program alone — no summary or assertion feeds them, and nothing
+// mutates IR after parsing — so the product never needs this; it exists to
+// time a cold compile. In-flight interpreters keep executing the code they
+// already resolved; only new runs see the fresh cache.
 func InvalidateProgram(prog *ir.Program) {
 	prog.ExecCache.Store(&lowered{lay: newLayout(prog)})
 }

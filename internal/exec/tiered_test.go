@@ -79,9 +79,10 @@ func TestTierStripRearm(t *testing.T) {
 	}
 }
 
-// TestTierIncrementalInvalidation checks that driver.Incremental
-// invalidation drops the compiled-code cache: the specialized/fused code is
-// rebuilt on the next run, and results stay identical across the rebuild.
+// TestTierIncrementalInvalidation checks who owns the compiled-code cache:
+// compiled code is a function of the ir.Program alone, so driver.Incremental
+// invalidation (which dirties summaries) leaves it warm, and only
+// exec.InvalidateProgram forces a rebuild — with identical results across it.
 func TestTierIncrementalInvalidation(t *testing.T) {
 	prog, err := minif.Parse("spc", specSrc)
 	if err != nil {
@@ -105,17 +106,25 @@ func TestTierIncrementalInvalidation(t *testing.T) {
 		t.Fatalf("warm run recompiled %d programs; want 0", d)
 	}
 
-	// Invalidating any procedure through the incremental driver drops the
-	// exec cache; the next run recompiles from current IR.
+	// Invalidating a procedure through the incremental driver, and
+	// re-analyzing, must not touch the exec cache.
 	inc := driver.NewIncremental(prog, driver.Options{})
 	inc.Analyze()
 	if n := inc.Invalidate(prog.Procs[0].Name); n < 1 {
 		t.Fatalf("Invalidate dirtied %d procs; want >= 1", n)
 	}
+	inc.Analyze()
+	before = exec.ReadCounters()
+	run()
+	if d := exec.ReadCounters().CompiledPrograms - before.CompiledPrograms; d != 0 {
+		t.Fatalf("run after a driver invalidation recompiled %d programs; want 0", d)
+	}
+
+	exec.InvalidateProgram(prog)
 	before = exec.ReadCounters()
 	out3, ops3 := run()
 	if d := exec.ReadCounters().CompiledPrograms - before.CompiledPrograms; d < 1 {
-		t.Fatalf("post-invalidation run recompiled %d programs; want >= 1", d)
+		t.Fatalf("run after InvalidateProgram recompiled %d programs; want >= 1", d)
 	}
 	if out1 != out2 || out2 != out3 {
 		t.Fatalf("output changed across invalidation: %q / %q / %q", out1, out2, out3)

@@ -48,12 +48,3 @@ func Generate(ids []string) ([]*Table, error) {
 	forEach(len(ids), func(i int) { out[i] = fns[i]() })
 	return out, nil
 }
-
-// AllTables regenerates every reproduced table/figure in order.
-func AllTables() []*Table {
-	tables, err := Generate(TableIDs())
-	if err != nil {
-		panic(err) // unreachable: TableIDs comes from the registry
-	}
-	return tables
-}

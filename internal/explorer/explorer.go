@@ -58,14 +58,17 @@ type Session struct {
 	Prog *ir.Program
 	Opts Options
 
-	// Inc is the incremental analysis engine: assertion changes dirty only
-	// the containing procedure's SCC and its callers, so interactive
-	// re-analysis recomputes a handful of summaries instead of the program.
+	// Inc owns the summaries. A source-level change invalidates procedures
+	// there (its Invalidate, then Reanalyze); assertions never do — no
+	// summary reads one.
 	Inc *driver.Incremental
 	// LastInc reports what the most recent (re-)analysis recomputed.
 	LastInc driver.IncStats
 
-	Sum  *summary.Analysis
+	Sum *summary.Analysis
+	// Live is the whole-program liveness over Sum, recomputed only when Inc
+	// recomputed a summary. Every configuration keeps it: UseLiveness asks
+	// it about arrays too, the base configuration about scalars only.
 	Live *liveness.Info
 	Par  *parallel.Result
 	Prof *exec.Profiler
@@ -113,29 +116,41 @@ func (s *Session) Start() error {
 
 // Analyze is the static-pipeline step: it brings the incremental analysis
 // up to date and (re-)parallelizes. On the first call everything dirty is
-// computed; afterwards it is the re-analysis step of the Guru dialogue.
+// computed; afterwards it is the re-analysis step after a source-level
+// invalidation.
 func (s *Session) Analyze() error { return s.Reanalyze() }
 
-// Reanalyze re-runs the static pipeline with the current assertions,
-// incrementally: only procedures the incremental driver marked dirty are
-// re-summarized, and only loops in those procedures re-run dependence
-// analysis; everything else is reused. LastInc records the recompute/reuse
-// split.
+// Reanalyze re-runs the static pipeline after an Invalidate on Inc: only
+// procedures the incremental driver marked dirty are re-summarized, liveness
+// is recomputed only if some procedure was, and only loops in those
+// procedures re-run dependence analysis; everything else is reused. LastInc
+// records the recompute/reuse split.
 func (s *Session) Reanalyze() error {
-	sum, st := s.Inc.Analyze()
-	s.Sum = sum
-	s.LastInc = st
+	s.reparallelize("")
+	return nil
+}
+
+// reparallelize brings summaries, liveness and loop verdicts up to date.
+// assertedProc, when set, names the procedure holding a loop whose
+// assertions just changed: its loops are re-tested even though no summary
+// moved.
+func (s *Session) reparallelize(assertedProc string) {
+	s.Sum, s.LastInc = s.Inc.Analyze()
+	if s.Live == nil || s.LastInc.Recomputed > 0 {
+		s.Live = liveness.Analyze(s.Sum, liveness.Full)
+	}
 	cfg := parallel.Config{
 		UseReductions: s.Opts.UseReductions,
+		DeadAtExit:    s.Live.ScalarOracle(),
 		Assertions:    s.Assertions,
 	}
 	if s.Opts.UseLiveness {
-		s.Live = liveness.Analyze(s.Sum, liveness.Full)
 		cfg.DeadAtExit = s.Live.Oracle()
 	}
-	dirty := st.RecomputedSet()
-	s.Par = parallel.ReparallelizeWith(s.Par, s.Sum, cfg, func(proc string) bool { return dirty[proc] })
-	return nil
+	dirty := s.LastInc.RecomputedSet()
+	s.Par = parallel.ReparallelizeWith(s.Par, s.Sum, cfg, func(proc string) bool {
+		return dirty[proc] || proc == assertedProc
+	})
 }
 
 // Profile is the dynamic step: it runs the program once, sequentially, with
@@ -299,8 +314,9 @@ func rejectf(code, format string, args ...interface{}) *RejectError {
 // AssertPrivate records "variable is privatizable in loop" after checking
 // consistency. If the variable is a common-block array also accessed by
 // procedures called from the loop, the assertion is extended automatically
-// with a warning, as the paper describes. The accepted assertion dirties
-// the loop's procedure in the incremental driver and re-analyzes.
+// with a warning, as the paper describes. An accepted assertion re-tests the
+// loops of the asserted loop's procedure and re-ranks; it invalidates no
+// summary and no liveness fact, because neither reads assertions.
 func (s *Session) AssertPrivate(loopID, varName string) ([]string, error) {
 	li := s.Par.LoopByID(loopID)
 	if li == nil {
@@ -336,8 +352,8 @@ func (s *Session) AssertPrivate(loopID, varName string) ([]string, error) {
 	as.Private[varName] = true
 	s.Assertions[loopID] = as
 	s.logf("assert private %s in %s", varName, loopID)
-	s.Inc.Invalidate(proc.Name)
-	return warnings, s.Reanalyze()
+	s.reparallelize(proc.Name)
+	return warnings, nil
 }
 
 // AssertIndependent records "accesses to variable are independent in loop"
@@ -371,8 +387,8 @@ func (s *Session) AssertIndependent(loopID, varName string) error {
 	as.Independent[varName] = true
 	s.Assertions[loopID] = as
 	s.logf("assert independent %s in %s", varName, loopID)
-	s.Inc.Invalidate(proc.Name)
-	return s.Reanalyze()
+	s.reparallelize(proc.Name)
+	return nil
 }
 
 func (s *Session) logf(format string, args ...interface{}) {

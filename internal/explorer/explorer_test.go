@@ -1,11 +1,16 @@
 package explorer
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
+	"suifx/internal/liveness"
 	"suifx/internal/minif"
+	"suifx/internal/parallel"
 	"suifx/internal/viz"
+	"suifx/internal/workloads"
 )
 
 // A miniature mdg: the outer loop is blocked by a conditionally-written
@@ -173,5 +178,85 @@ func TestWorkloadSpeedupImprovesWithAssertion(t *testing.T) {
 	after := s.Opts.Model.Speedup(s.Workload(), 8)
 	if after <= before {
 		t.Fatalf("speedup should improve: before=%v after=%v", before, after)
+	}
+}
+
+// verdicts renders everything a parallel.Result decides, per loop.
+func verdicts(res *parallel.Result) string {
+	var b strings.Builder
+	for _, li := range res.Ordered {
+		fmt.Fprintf(&b, "%s par=%v chosen=%v under=%v\n", li.ID(), li.Dep.Parallelizable, li.Chosen, li.UnderParallel)
+		for _, vr := range li.Dep.Vars {
+			fmt.Fprintf(&b, "  %s %s op=%q fin=%v user=%v %s\n",
+				vr.Sym.Name, vr.Class, vr.RedOp, vr.NeedsFinalization, vr.ByAssertion, vr.Reason)
+		}
+	}
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestAssertionDifferential: an assertion is loop-scoped. After every
+// scripted ch4 assertion the session's verdicts equal a from-scratch
+// ParallelizeWith over the same summaries, accumulated assertions and
+// liveness setting, while the driver recomputed no summary and the session
+// kept the liveness it already had.
+func TestAssertionDifferential(t *testing.T) {
+	for _, w := range workloads.All() {
+		if len(w.UserAssertions) == 0 {
+			continue
+		}
+		for _, useLiveness := range []bool{true, false} {
+			w, useLiveness := w, useLiveness
+			t.Run(fmt.Sprintf("%s/liveness=%v", w.Name, useLiveness), func(t *testing.T) {
+				t.Parallel()
+				opts := DefaultOptions()
+				opts.UseLiveness = useLiveness
+				s, err := NewSession(w.Fresh(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum, live := s.Sum, s.Live
+				check := func(what string) {
+					t.Helper()
+					if s.LastInc.Recomputed != 0 || s.Sum != sum || s.Live != live {
+						t.Fatalf("%s: recomputed %d summaries, Sum/Live identical %v/%v; want 0 and both kept",
+							what, s.LastInc.Recomputed, s.Sum == sum, s.Live == live)
+					}
+					cfg := parallel.Config{UseReductions: opts.UseReductions, Assertions: s.Assertions}
+					if useLiveness {
+						cfg.DeadAtExit = liveness.Analyze(sum, liveness.Full).Oracle()
+					}
+					if got, want := verdicts(s.Par), verdicts(parallel.ParallelizeWith(sum, cfg)); got != want {
+						t.Fatalf("%s: session verdicts differ from a from-scratch run\n--- session ---\n%s--- scratch ---\n%s", what, got, want)
+					}
+				}
+				script := w.Assertions()
+				for _, loop := range sortedKeys(script) {
+					for _, v := range sortedKeys(script[loop].Private) {
+						if _, err := s.AssertPrivate(loop, v); err != nil {
+							t.Fatalf("assert private %s %s: %v", loop, v, err)
+						}
+						check("private " + loop + " " + v)
+					}
+					for _, v := range sortedKeys(script[loop].Independent) {
+						if err := s.AssertIndependent(loop, v); err != nil {
+							t.Fatalf("assert independent %s %s: %v", loop, v, err)
+						}
+						check("independent " + loop + " " + v)
+					}
+					if li := s.Par.LoopByID(loop); !li.Dep.Parallelizable {
+						t.Fatalf("%s still blocked after its scripted assertions: %+v", loop, li.Dep.Blocking)
+					}
+				}
+			})
+		}
 	}
 }

@@ -503,9 +503,6 @@ func calleeModsCommon(eff *modref.Effects, sym *ir.Symbol) bool {
 	return false
 }
 
-// DefsOf returns the reaching definitions recorded for a use expression.
-func (g *Graph) DefsOf(e ir.Expr) []*Node { return g.UseDefs[e] }
-
 // FindUse locates, in proc, a use of the named variable at the given source
 // line, returning its recorded reaching defs (nil if none).
 func (g *Graph) FindUse(proc, name string, line int) []*Node {

@@ -338,6 +338,14 @@ func (in *Info) Oracle() func(r *region.Region, sym *ir.Symbol) bool {
 	return func(r *region.Region, sym *ir.Symbol) bool { return in.DeadAtExit(r, sym) }
 }
 
+// ScalarOracle is Oracle restricted to scalars — the liveness even the
+// pre-Chapter-5 system performs (Fig 5-6's base configuration):
+// conditionally-written scalars that are dead at loop exit privatize, arrays
+// are never reported dead.
+func (in *Info) ScalarOracle() func(r *region.Region, sym *ir.Symbol) bool {
+	return func(r *region.Region, sym *ir.Symbol) bool { return !sym.IsArray() && in.DeadAtExit(r, sym) }
+}
+
 // ---- cheap variants ----
 
 // exposedBits extracts the per-symbol exposed-use bit of a tuple under the

@@ -69,24 +69,20 @@ func ParallelizeWith(sum *summary.Analysis, cfg Config) *Result {
 // ReparallelizeWith is the incremental variant of ParallelizeWith for the
 // interactive loop: dependence analysis is re-run only for loops in
 // procedures where dirty reports true, and every other loop reuses prev's
-// dependence verdict (valid whenever the clean procedures' summaries,
-// liveness facts, and assertions are unchanged — the invalidation contract
-// the driver's Incremental maintains). Loop choice (Chosen/UnderParallel)
-// is global and cheap, so it is always recomputed from scratch. prev == nil
-// or dirty == nil is a full run.
+// dependence verdict. A loop's verdict is depend.AnalyzeLoop(sum, r, opts),
+// a pure function whose opts are cfg.UseReductions, cfg.DeadAtExit and
+// cfg.Assertions[r.ID()], so the caller's dirty must cover every procedure
+// whose summaries changed since prev (driver.Incremental's recomputed set),
+// whose loops' exit-liveness facts changed, or that holds a loop whose
+// AssertSet changed — nothing else can move a verdict. Loop choice
+// (Chosen/UnderParallel) is global and cheap, so it is always recomputed
+// from scratch. prev == nil or dirty == nil is a full run.
+//
+// A nil cfg.DeadAtExit runs whole-program liveness here for its scalar
+// facts; a caller in a loop passes an oracle it kept instead.
 func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty func(proc string) bool) *Result {
 	if cfg.DeadAtExit == nil {
-		// Even the pre-Chapter-5 system performs scalar liveness (Fig 5-6's
-		// base configuration): conditionally-written scalars that are dead
-		// at loop exit privatize. Arrays still need the array liveness
-		// oracle.
-		scalarLive := liveness.Analyze(sum, liveness.Full)
-		cfg.DeadAtExit = func(r *region.Region, sym *ir.Symbol) bool {
-			if sym.IsArray() {
-				return false
-			}
-			return scalarLive.DeadAtExit(r, sym)
-		}
+		cfg.DeadAtExit = liveness.Analyze(sum, liveness.Full).ScalarOracle()
 	}
 	res := &Result{
 		Prog:  sum.Prog,

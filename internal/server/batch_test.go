@@ -194,7 +194,10 @@ func TestServerDrainRoundTrip(t *testing.T) {
 		t.Fatalf("imported session id = %q, want pinned %q", newID, id)
 	}
 	_, guruAfter := doJSON(t, tsB, "GET", "/v1/session/"+id+"/guru")
-	for _, k := range []string{"coverage", "granularity_ms", "targets"} {
+	if len(guruAfter) != len(guruBefore) {
+		t.Fatalf("guru fields diverged across the handoff:\nA: %v\nB: %v", guruBefore, guruAfter)
+	}
+	for k := range guruBefore {
 		if string(guruBefore[k]) != string(guruAfter[k]) {
 			t.Fatalf("guru %q diverged across the handoff:\nA: %s\nB: %s",
 				k, guruBefore[k], guruAfter[k])

@@ -419,7 +419,7 @@ type StatsResponse struct {
 	// programs/procedures, instructions retired, runs per engine).
 	Exec exec.Counters `json:"exec"`
 	// Sessions reports the interactive session subsystem: live/created/
-	// evicted counts plus the aggregate incremental re-analysis split.
+	// evicted counts and accepted/rejected assertions.
 	Sessions session.Stats `json:"sessions"`
 	// Tune reports the auto-tuning search counters: searches, plan runs,
 	// variants scored/pruned, budget exhaustions and cancellations.

@@ -5,8 +5,8 @@
 // POST /v1/profile (exec-based loop profiles), and GET /v1/stats. The
 // /v1/session routes host the interactive Guru dialogue: a POST creates a
 // stateful session pinning a parsed program and its analysis, and the
-// per-session guru/assert/slice/why/events subroutes drive it with
-// incremental re-analysis on every accepted assertion (internal/session).
+// per-session guru/assert/slice/why/events subroutes drive it, re-testing
+// only the asserted loop on every accepted assertion (internal/session).
 //
 // Every analysis request flows through a shared driver.Cache, so identical
 // sources — from one client or sixty-four — cost one analysis run. The

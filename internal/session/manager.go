@@ -1,9 +1,9 @@
 // Package session hosts the SUIF Explorer's interactive Guru dialogue
 // (§2.6–§2.8) as a stateful, concurrency-safe subsystem: a Manager keeps a
 // bounded table of live sessions, each pinning a parsed program plus its
-// incremental analysis state, so the create → guru → assert → re-rank loop
-// pays one cold analysis and one profiling run up front and then only
-// incremental re-analysis per interaction. Sessions are evicted when idle
+// analysis state, so the create → guru → assert → re-rank loop pays one cold
+// analysis and one profiling run up front and then only a re-test of the
+// asserted loop per interaction. Sessions are evicted when idle
 // past a TTL, when the table is full (least recently used first), or on
 // explicit delete; every transition is counted for /v1/stats.
 package session
@@ -85,16 +85,14 @@ type Manager struct {
 	byID map[string]*Session
 	lru  *list.List // front = most recently used; values are *Session
 
-	created             atomic.Int64
-	deleted             atomic.Int64
-	evictedIdle         atomic.Int64
-	evictedFull         atomic.Int64
-	assertsAccepted     atomic.Int64
-	assertsRejected     atomic.Int64
-	summariesRecomputed atomic.Int64
-	summariesReused     atomic.Int64
-	drained             atomic.Int64
-	imported            atomic.Int64
+	created         atomic.Int64
+	deleted         atomic.Int64
+	evictedIdle     atomic.Int64
+	evictedFull     atomic.Int64
+	assertsAccepted atomic.Int64
+	assertsRejected atomic.Int64
+	drained         atomic.Int64
+	imported        atomic.Int64
 
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -228,7 +226,6 @@ func (m *Manager) Create(ctx context.Context, name, src string, opts Options) (*
 	}
 	s.event("analyzed", fmt.Sprintf("run %d: %d summaries recomputed, %d reused",
 		ex.LastInc.Run, ex.LastInc.Recomputed, ex.LastInc.Reused))
-	m.recordInc(ex.LastInc)
 	if err := ex.Profile(); err != nil {
 		return nil, err
 	}
@@ -303,11 +300,6 @@ func (m *Manager) touch(s *Session) {
 	m.mu.Unlock()
 }
 
-func (m *Manager) recordInc(st driver.IncStats) {
-	m.summariesRecomputed.Add(int64(st.Recomputed))
-	m.summariesReused.Add(int64(st.Reused))
-}
-
 // Stats is the manager's observability snapshot for /v1/stats.
 type Stats struct {
 	Live        int   `json:"live"`
@@ -321,11 +313,6 @@ type Stats struct {
 
 	AssertsAccepted int64 `json:"asserts_accepted"`
 	AssertsRejected int64 `json:"asserts_rejected"`
-	// SummariesRecomputed / SummariesReused aggregate the incremental
-	// driver's counters over every (re-)analysis of every session: the
-	// interactive win is Reused ≫ Recomputed.
-	SummariesRecomputed int64 `json:"summaries_recomputed"`
-	SummariesReused     int64 `json:"summaries_reused"`
 	// Drained / Imported count cluster handoffs: sessions serialized out via
 	// /v1/drain and sessions rebuilt here from a peer's export.
 	Drained  int64 `json:"drained"`
@@ -335,19 +322,17 @@ type Stats struct {
 // Stats returns the counters.
 func (m *Manager) Stats() Stats {
 	return Stats{
-		Live:                m.Len(),
-		MaxSessions:         m.cfg.MaxSessions,
-		Created:             m.created.Load(),
-		Deleted:             m.deleted.Load(),
-		EvictedIdle:         m.evictedIdle.Load(),
-		EvictedFull:         m.evictedFull.Load(),
-		IdleTTLSec:          m.cfg.IdleTTL.Seconds(),
-		AssertsAccepted:     m.assertsAccepted.Load(),
-		AssertsRejected:     m.assertsRejected.Load(),
-		SummariesRecomputed: m.summariesRecomputed.Load(),
-		SummariesReused:     m.summariesReused.Load(),
-		Drained:             m.drained.Load(),
-		Imported:            m.imported.Load(),
+		Live:            m.Len(),
+		MaxSessions:     m.cfg.MaxSessions,
+		Created:         m.created.Load(),
+		Deleted:         m.deleted.Load(),
+		EvictedIdle:     m.evictedIdle.Load(),
+		EvictedFull:     m.evictedFull.Load(),
+		IdleTTLSec:      m.cfg.IdleTTL.Seconds(),
+		AssertsAccepted: m.assertsAccepted.Load(),
+		AssertsRejected: m.assertsRejected.Load(),
+		Drained:         m.drained.Load(),
+		Imported:        m.imported.Load(),
 	}
 }
 

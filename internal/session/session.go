@@ -84,9 +84,6 @@ type Info struct {
 	Asserts  int       `json:"asserts"`
 	Loops    int       `json:"loops"`
 	Parallel int       `json:"parallel_loops"`
-	// LastReanalysis reports what the most recent (re-)analysis recomputed
-	// versus reused — the incremental-invalidation evidence.
-	LastReanalysis driver.IncStats `json:"last_reanalysis"`
 }
 
 // Info snapshots the session.
@@ -95,14 +92,13 @@ func (s *Session) Info() Info {
 	defer s.mu.Unlock()
 	st := s.ex.Par.Stats()
 	return Info{
-		ID:             s.id,
-		Program:        s.name,
-		Created:        s.created,
-		LastUsed:       s.lastUsedSnapshot(),
-		Asserts:        s.asserts,
-		Loops:          st.TotalLoops,
-		Parallel:       st.ChosenN,
-		LastReanalysis: s.ex.LastInc,
+		ID:       s.id,
+		Program:  s.name,
+		Created:  s.created,
+		LastUsed: s.lastUsedSnapshot(),
+		Asserts:  s.asserts,
+		Loops:    st.TotalLoops,
+		Parallel: st.ChosenN,
 	}
 }
 
@@ -120,9 +116,6 @@ type GuruReport struct {
 	Coverage      float64  `json:"parallel_coverage"`
 	GranularityMs float64  `json:"granularity_ms"`
 	Targets       []Target `json:"targets"`
-	// Reanalysis echoes the last incremental-analysis stats so clients can
-	// observe the recompute/reuse split after each assertion.
-	Reanalysis driver.IncStats `json:"reanalysis"`
 }
 
 // Target is one ranked loop.
@@ -152,7 +145,6 @@ func (s *Session) guruLocked() *GuruReport {
 		Coverage:      cov,
 		GranularityMs: gran,
 		Targets:       []Target{},
-		Reanalysis:    s.ex.LastInc,
 	}
 	for _, t := range s.ex.Targets() {
 		lo, hi := t.Loop.Region.Lines()
@@ -183,9 +175,9 @@ const (
 var ErrBadAssertKind = errors.New(`assertion kind must be "private" or "independent"`)
 
 // AssertOutcome is the result of one assertion: either accepted — with the
-// incremental re-analysis stats and the re-ranked Guru list — or rejected by
-// the assertion checker with a machine-readable code and reason. A rejection
-// is a domain outcome, not a transport error.
+// re-ranked Guru list — or rejected by the assertion checker with a
+// machine-readable code and reason. A rejection is a domain outcome, not a
+// transport error.
 type AssertOutcome struct {
 	Accepted bool   `json:"accepted"`
 	Loop     string `json:"loop"`
@@ -197,17 +189,17 @@ type AssertOutcome struct {
 	// Warnings carry the checker's automatic extensions (e.g. privatizing a
 	// common array in callees).
 	Warnings []string `json:"warnings,omitempty"`
-	// Reanalysis is the incremental re-analysis triggered by an accepted
-	// assertion: Recomputed counts procedures whose summaries were rebuilt
-	// (the dirtied SCC plus transitive callers), Reused the rest.
+	// Reanalysis is what the driver recomputed for an accepted assertion:
+	// no summary reads an assertion, so Recomputed is 0 and every procedure
+	// is Reused. Only the asserted loop's procedure re-tests its loops.
 	Reanalysis driver.IncStats `json:"reanalysis"`
 	// Guru is the re-ranked worklist after an accepted assertion.
 	Guru *GuruReport `json:"guru,omitempty"`
 }
 
-// Assert records a user assertion and, when the checker accepts it,
-// incrementally re-analyzes. Only ErrBadAssertKind is returned as an error;
-// checker rejections come back inside the outcome.
+// Assert records a user assertion and, when the checker accepts it, re-tests
+// the asserted loop and re-ranks. Only ErrBadAssertKind is returned as an
+// error; checker rejections come back inside the outcome.
 func (s *Session) Assert(kind, loopID, varName string) (*AssertOutcome, error) {
 	s.m.touch(s)
 	s.mu.Lock()
@@ -241,9 +233,7 @@ func (s *Session) Assert(kind, loopID, varName string) (*AssertOutcome, error) {
 	s.asserts++
 	s.acceptedLog = append(s.acceptedLog, AssertRecord{Kind: kind, Loop: loopID, Var: varName})
 	s.m.assertsAccepted.Add(1)
-	s.m.recordInc(s.ex.LastInc)
-	s.event("assert", fmt.Sprintf("%s %s in %s: recomputed %d summaries, reused %d",
-		kind, varName, loopID, out.Reanalysis.Recomputed, out.Reanalysis.Reused))
+	s.event("assert", fmt.Sprintf("%s %s: re-tested %s", kind, varName, loopID))
 	return out, nil
 }
 
