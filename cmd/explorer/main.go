@@ -45,7 +45,11 @@ func main() {
 	var name, src string
 	switch {
 	case *wl != "":
-		w := workloads.ByName(*wl)
+		w, ok := workloads.Lookup(*wl)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+			os.Exit(2)
+		}
 		name, src = w.Name, w.Source
 	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))

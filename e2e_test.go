@@ -119,6 +119,13 @@ func TestE2ESuifpar(t *testing.T) {
 		}
 	})
 
+	t.Run("unknown workload", func(t *testing.T) {
+		_, stderr, code := run(t, bin, "", "-workload", "nosuch")
+		if code != 2 || strings.TrimSpace(stderr) != `unknown workload "nosuch"` {
+			t.Fatalf("unknown workload: exit %d, stderr %q (want 2 + one-line message)", code, stderr)
+		}
+	})
+
 	t.Run("bad file", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "bad.f")
 		os.WriteFile(path, []byte("NOT MINIF(("), 0o644)
@@ -192,6 +199,13 @@ func TestE2EExplorer(t *testing.T) {
 		}
 		if strings.Count(stdout, "parallelism coverage") < 2 {
 			t.Fatalf("stdin report command did not run:\n%s", stdout)
+		}
+	})
+
+	t.Run("unknown workload", func(t *testing.T) {
+		_, stderr, code := run(t, bin, "", "-workload", "nosuch")
+		if code != 2 || strings.TrimSpace(stderr) != `unknown workload "nosuch"` {
+			t.Fatalf("unknown workload: exit %d, stderr %q (want 2 + one-line message)", code, stderr)
 		}
 	})
 }

@@ -161,7 +161,7 @@ func TestProfiler(t *testing.T) {
 	if outer.TotalOps <= inner.TotalOps {
 		t.Fatal("outer total must include inner")
 	}
-	cov := p.Coverage([]*ir.DoLoop{outer.Loop})
+	cov := float64(outer.TotalOps) / float64(p.TotalOps())
 	if cov < 0.9 {
 		t.Fatalf("outer loop coverage = %f, want near 1", cov)
 	}

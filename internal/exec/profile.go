@@ -133,24 +133,3 @@ func (p *Profiler) Profiles() []*LoopProfile {
 
 // Of returns the profile for a specific loop (nil if never executed).
 func (p *Profiler) Of(l *ir.DoLoop) *LoopProfile { return p.loops[l] }
-
-// Coverage returns the fraction of total time spent in the given loops
-// (counting outermost occurrences only, to avoid double counting nests —
-// callers pass the set of chosen parallel loops).
-func (p *Profiler) Coverage(loops []*ir.DoLoop) float64 {
-	tot := p.TotalOps()
-	if tot == 0 {
-		return 0
-	}
-	var in int64
-	for _, l := range loops {
-		if lp := p.loops[l]; lp != nil {
-			in += lp.TotalOps
-		}
-	}
-	f := float64(in) / float64(tot)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}

@@ -7,7 +7,6 @@ import (
 	"suifx/internal/exec"
 	"suifx/internal/ir"
 	"suifx/internal/issa"
-	"suifx/internal/machine"
 	"suifx/internal/parallel"
 	"suifx/internal/region"
 	"suifx/internal/slice"
@@ -25,22 +24,17 @@ func Fig4_1() *Table {
 		Title:  "Program information and results of automatic parallelization",
 		Header: []string{"program", "description", "data set", "lines", "coverage", "granularity", "speedup(8p)"},
 	}
-	model := machine.AlphaServer8400()
-	runs := perApp(ch4Apps, func(w *workloads.Workload) *AppRun {
-		return runApp(w, ch4Config(w, false))
+	t.Rows = perApp(ch4Apps, func(w *workloads.Workload) []string {
+		s := open(w, baseCompiler)
+		cov, gran := s.CoverageGranularity()
+		return []string{
+			w.Name, w.Description, w.DataSet,
+			itoa(s.Prog.LineCount(true)),
+			pct(cov),
+			ms(gran),
+			f1(s.Opts.Model.Speedup(hinted(s.Workload(), w), 8)),
+		}
 	})
-	for i, name := range ch4Apps {
-		ar := runs[i]
-		w := ar.W
-		mw := ar.MachineWorkload()
-		t.Rows = append(t.Rows, []string{
-			name, w.Description, w.DataSet,
-			itoa(ar.Prog.LineCount(true)),
-			pct(model.Coverage(mw)),
-			ms(model.GranularityMs(mw)),
-			f1(model.Speedup(mw, 8)),
-		})
-	}
 	return t
 }
 
@@ -56,59 +50,53 @@ func idx(inter bool) int {
 	return 1
 }
 
-// fig47For computes the per-app counters.
+// fig47For computes the per-app counters from one session: the Guru's
+// worklist before any assertion, and the verdicts after the script.
 func fig47For(w *workloads.Workload) loopCounters {
 	var c loopCounters
-	auto := runApp(w, ch4Config(w, false))
-	user := parallel.ParallelizeWith(auto.Sum, ch4Config(w, true))
-	model := machine.AlphaServer8400()
-	total := float64(auto.Prof.TotalOps())
+	s := open(w, baseCompiler)
+	auto, targets := s.Par, s.Targets()
+	assist(s, w)
+	user := s.Par
 
-	userPar := map[string]bool{}
-	for id := range w.UserAssertions {
-		userPar[id] = true
-	}
 	// A loop nested (statically or through calls) under a user-parallelized
 	// loop needs no further attention.
 	underUser := map[string]bool{}
-	for _, li := range user.Ordered {
-		if userPar[li.ID()] && li.Dep.Parallelizable {
-			markRegionLoops(user, li.Region.Body(), underUser)
+	for id := range w.UserAssertions {
+		if li := user.LoopByID(id); li.Dep.Parallelizable {
+			markRegionLoops(li.Region.Body(), underUser)
 			for _, call := range li.Region.AllCallSites() {
-				markCalleeLoops(user, call.Name, underUser)
+				markCalleeLoops(s.Prog, call.Name, underUser)
 			}
 		}
 	}
 
-	for _, li := range auto.Par.Ordered {
-		lp := auto.Prof.Of(li.Region.Loop)
-		if lp == nil {
+	nest := func(li *parallel.LoopInfo) int { return idx(s.Sum.Reg.LoopNest(li.Region) == "inter") }
+	for _, li := range auto.Ordered {
+		if s.Prof.Of(li.Region.Loop) == nil {
 			continue // never executed
 		}
-		inter := auto.Sum.Reg.LoopNest(li.Region) == "inter"
-		k := idx(inter)
+		k := nest(li)
 		c.executed[k]++
-		if li.Dep.Parallelizable {
+		if !li.Dep.Parallelizable {
+			c.sequential[k]++
+		}
+	}
+	for _, t := range targets {
+		if !t.Important {
 			continue
 		}
-		c.sequential[k]++
-		if li.UnderParallel || li.Dep.HasIO {
-			continue
-		}
-		covPct := float64(lp.TotalOps) / total * 100
-		granMs := lp.OpsPerInvocation() * model.CyclesPerOp / (model.ClockMHz * 1e3)
-		if covPct < 2 || granMs < 0.05 {
-			continue
-		}
+		k := nest(t.Loop)
 		c.important[k]++
-		if auto.Dyn.Carried(li.Region.Loop) != 0 {
+		if t.DynDeps != 0 {
 			continue // real dynamic deps: the user declines these (§2.6)
 		}
 		c.noDyn[k]++
+		_, userPar := w.UserAssertions[t.ID()]
 		switch {
-		case userPar[li.ID()]:
+		case userPar:
 			c.userPar[k]++
-		case underUser[li.ID()]:
+		case underUser[t.ID()]:
 			// nested inside a user-parallelized loop: no attention needed
 		default:
 			c.remaining[k]++
@@ -118,26 +106,26 @@ func fig47For(w *workloads.Workload) loopCounters {
 }
 
 // markRegionLoops marks every loop region nested under r.
-func markRegionLoops(res *parallel.Result, r *region.Region, set map[string]bool) {
+func markRegionLoops(r *region.Region, set map[string]bool) {
 	for _, c := range r.Children {
 		if c.Kind == region.LoopRegion {
 			set[c.ID()] = true
-			markRegionLoops(res, c.Body(), set)
+			markRegionLoops(c.Body(), set)
 		}
 	}
 }
 
 // markCalleeLoops marks the loops of proc and its transitive callees.
-func markCalleeLoops(res *parallel.Result, proc string, set map[string]bool) {
-	p := res.Prog.ByName[proc]
+func markCalleeLoops(prog *ir.Program, proc string, set map[string]bool) {
+	p := prog.ByName[proc]
 	if p == nil {
 		return
 	}
 	for _, l := range p.Loops() {
 		set[l.ID(p.Name)] = true
 	}
-	for _, callee := range res.Prog.CallGraph()[proc] {
-		markCalleeLoops(res, callee, set)
+	for _, callee := range prog.CallGraph()[proc] {
+		markCalleeLoops(prog, callee, set)
 	}
 }
 
@@ -230,9 +218,8 @@ func Fig4_8() *Table {
 
 // sliceSizesFor computes the slice metrics for each user-examined loop.
 func sliceSizesFor(w *workloads.Workload) []SliceSizes {
-	prog, sum := cachedAnalysis(w)
-	g := issa.Build(prog)
-	res := parallel.ParallelizeWith(sum, parallel.Config{UseReductions: true})
+	s := open(w, baseCompiler)
+	prog, g := s.Prog, s.Graph()
 	var out []SliceSizes
 	var ids []string
 	for id := range w.UserAssertions {
@@ -240,7 +227,7 @@ func sliceSizesFor(w *workloads.Workload) []SliceSizes {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		li := res.LoopByID(id)
+		li := s.Par.LoopByID(id)
 		if li == nil {
 			continue
 		}
@@ -361,46 +348,29 @@ func Fig4_9() *Table {
 		Title:  "Variables analyzed automatically vs by the user in user-parallelized loops",
 		Header: []string{"category", "mdg", "arc3d", "hydro", "flo88", "total"},
 	}
-	type counts map[string]int
-	cats := []string{"parallel arrays", "privatizable arrays", "privatizable scalars",
-		"reduction arrays", "reduction scalars", "user privatizable arrays", "user privatizable scalars"}
-	all := perApp(ch4Apps, func(w *workloads.Workload) counts {
-		_, sum := cachedAnalysis(w)
-		res := parallel.ParallelizeWith(sum, ch4Config(w, true))
-		c := counts{}
+	cats := [][2]string{ // row label, parallel.VarCounts key
+		{"parallel arrays", "parallel array"},
+		{"privatizable arrays", "private array"},
+		{"privatizable scalars", "private scalar"},
+		{"reduction arrays", "reduction array"},
+		{"reduction scalars", "reduction scalar"},
+		{"user privatizable arrays", "user private array"},
+		{"user privatizable scalars", "user private scalar"},
+	}
+	all := perApp(ch4Apps, func(w *workloads.Workload) map[string]int {
+		res := userAssisted(w).Par
+		var loops []*parallel.LoopInfo
 		for id := range w.UserAssertions {
-			li := res.LoopByID(id)
-			if li == nil {
-				continue
-			}
-			for _, vr := range li.Dep.Vars {
-				arr := vr.Sym.IsArray()
-				switch {
-				case vr.ByAssertion && arr:
-					c["user privatizable arrays"]++
-				case vr.ByAssertion:
-					c["user privatizable scalars"]++
-				case vr.Class.String() == "parallel" && arr:
-					c["parallel arrays"]++
-				case vr.Class.String() == "private" && arr:
-					c["privatizable arrays"]++
-				case vr.Class.String() == "private":
-					c["privatizable scalars"]++
-				case vr.Class.String() == "reduction" && arr:
-					c["reduction arrays"]++
-				case vr.Class.String() == "reduction":
-					c["reduction scalars"]++
-				}
-			}
+			loops = append(loops, res.LoopByID(id))
 		}
-		return c
+		return parallel.VarCounts(loops)
 	})
 	for _, cat := range cats {
-		row := []string{cat}
+		row := []string{cat[0]}
 		tot := 0
 		for i := range ch4Apps {
-			row = append(row, itoa(all[i][cat]))
-			tot += all[i][cat]
+			row = append(row, itoa(all[i][cat[1]]))
+			tot += all[i][cat[1]]
 		}
 		row = append(row, itoa(tot))
 		t.Rows = append(t.Rows, row)
@@ -416,31 +386,25 @@ func Fig4_10() *Table {
 		Title:  "Parallelization with and without user input",
 		Header: []string{"program", "mode", "coverage", "granularity", "speedup(4p)", "speedup(8p)"},
 	}
-	model := machine.AlphaServer8400()
-	runs := perApp(ch4Apps, func(w *workloads.Workload) [2]*AppRun {
-		return [2]*AppRun{runApp(w, ch4Config(w, false)), runApp(w, ch4Config(w, true))}
-	})
-	for i, name := range ch4Apps {
-		for u, mode := range []string{"automatic", "with user input"} {
-			mw := runs[i][u].MachineWorkload()
-			t.Rows = append(t.Rows, []string{
-				name, mode,
-				pct(model.Coverage(mw)),
-				ms(model.GranularityMs(mw)),
-				f1(model.Speedup(mw, 4)),
-				f1(model.Speedup(mw, 8)),
-			})
+	rows := perApp(ch4Apps, func(w *workloads.Workload) [][]string {
+		s := open(w, baseCompiler)
+		row := func(mode string) []string {
+			cov, gran := s.CoverageGranularity()
+			mw := hinted(s.Workload(), w)
+			return []string{
+				w.Name, mode, pct(cov), ms(gran),
+				f1(s.Opts.Model.Speedup(mw, 4)),
+				f1(s.Opts.Model.Speedup(mw, 8)),
+			}
 		}
+		auto := row("automatic")
+		assist(s, w)
+		return [][]string{auto, row("with user input")}
+	})
+	for _, r := range rows {
+		t.Rows = append(t.Rows, r...)
 	}
 	return t
-}
-
-// BuildPlan converts a parallelization result into a runtime execution
-// plan. It now lives in internal/parallel (so the analysis layer can hand
-// plans straight to either engine); this delegate keeps existing callers
-// working.
-func BuildPlan(res *parallel.Result, workers int) *exec.ParallelPlan {
-	return parallel.BuildPlan(res, workers)
 }
 
 // ValidateUserParallelization executes each user-parallelized application

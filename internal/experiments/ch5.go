@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"suifx/internal/explorer"
 	"suifx/internal/liveness"
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
@@ -73,7 +74,7 @@ func Fig5_7() *Table {
 	}
 	for _, name := range ch5Apps {
 		w := workloads.ByName(name)
-		_, sum := cachedAnalysis(w)
+		sum := cached(w).Sum
 		var row []string
 		row = append(row, name)
 		first := true
@@ -109,24 +110,19 @@ func Fig5_8() *Table {
 	}
 	model := machine.AlphaServer8400()
 	rowsPer := perApp(ch5Apps, func(w *workloads.Workload) [][]string {
-		var rows [][]string
-		base := runApp(w, parallel.Config{UseReductions: true})
-		baseStats := base.Par.Stats()
-		baseSpeed := model.Speedup(base.MachineWorkload(), 4)
-		rows = append(rows, []string{w.Name, "base", "0", "0", f1(baseSpeed)})
+		base := open(w, baseCompiler)
+		baseN := base.Par.Stats().ParallelizableN
+		rows := [][]string{{w.Name, "base", "0", "0", f1(model.Speedup(hinted(base.Workload(), w), 4))}}
+		// A session runs no liveness but the full one, so the weaker oracles
+		// are costed outside it, over the base session's summaries and profile.
 		for _, v := range []liveness.Variant{liveness.FlowInsensitive, liveness.OneBit, liveness.Full} {
 			live := liveness.Analyze(base.Sum, v)
-			cfg := parallel.Config{UseReductions: true, DeadAtExit: live.Oracle()}
-			ar := runAppOn(w, base.Prog, base.Sum, cfg)
-			stats := ar.Par.Stats()
-			newPar := stats.ParallelizableN - baseStats.ParallelizableN
-			if newPar < 0 {
-				newPar = 0
-			}
-			deadPriv := countDeadPrivates(ar, live)
+			par := parallel.ParallelizeWith(base.Sum, parallel.Config{UseReductions: true, DeadAtExit: live.Oracle()})
+			mw := hinted(explorer.WorkloadOf(par, base.Prof), w)
 			rows = append(rows, []string{
-				w.Name, v.String(), itoa(deadPriv), itoa(newPar),
-				f1(model.Speedup(ar.MachineWorkload(), 4)),
+				w.Name, v.String(), itoa(countDeadPrivates(par, live)),
+				itoa(max(0, par.Stats().ParallelizableN-baseN)),
+				f1(model.Speedup(mw, 4)),
 			})
 		}
 		return rows
@@ -139,9 +135,9 @@ func Fig5_8() *Table {
 
 // countDeadPrivates counts privatized arrays that the liveness variant
 // proves dead at their loop's exit.
-func countDeadPrivates(ar *AppRun, live *liveness.Info) int {
+func countDeadPrivates(par *parallel.Result, live *liveness.Info) int {
 	n := 0
-	for _, li := range ar.Par.Ordered {
+	for _, li := range par.Ordered {
 		for _, vr := range li.Dep.Vars {
 			if vr.Class.String() == "private" && vr.Sym.IsArray() &&
 				live.DeadAtExit(li.Region, vr.Sym) {
@@ -162,17 +158,15 @@ func Fig5_10() *Table {
 	model := machine.AlphaServer8400()
 	for _, name := range []string{"arc3d", "wave5", "hydro2d"} {
 		w := workloads.ByName(name)
-		prog, sum := cachedAnalysis(w)
-		live := liveness.Analyze(sum, liveness.Full)
-		splits := live.CommonBlockSplits()
-		ar := runAppOn(w, prog, sum, parallel.Config{UseReductions: true, DeadAtExit: live.Oracle()})
-		mw := ar.MachineWorkload()
+		s := open(w, compiler(true, true))
+		splits := s.Live.CommonBlockSplits()
+		mw := hinted(s.Workload(), w)
 		// An aliased common block forces one layout for both live ranges:
 		// every chosen parallel loop touching it pays the conflicting-
 		// decomposition reshuffle. Splitting the block frees the layouts.
 		if len(splits) > 0 {
 			for i := range mw.Loops {
-				if loopTouchesBlock(ar, mw.Loops[i].ID, splits[0].Block) {
+				if loopTouchesBlock(s, mw.Loops[i].ID, splits[0].Block) {
 					mw.Loops[i].ConflictingDecomp = true
 				}
 			}
@@ -194,12 +188,12 @@ func Fig5_10() *Table {
 
 // loopTouchesBlock reports whether the chosen loop accesses any member of
 // the named common block.
-func loopTouchesBlock(ar *AppRun, loopID, block string) bool {
-	li := ar.Par.LoopByID(loopID)
+func loopTouchesBlock(s *explorer.Session, loopID, block string) bool {
+	li := s.Par.LoopByID(loopID)
 	if li == nil {
 		return false
 	}
-	rs := ar.Sum.RegionSum[li.Region]
+	rs := s.Sum.RegionSum[li.Region]
 	if rs == nil {
 		return false
 	}
@@ -221,11 +215,9 @@ func Fig5_12() *Table {
 		Header: []string{"procs", "without contraction", "with contraction"},
 	}
 	w := workloads.ByName("flo88")
-	prog, sum := cachedAnalysis(w)
-	live := liveness.Analyze(sum, liveness.Full)
-	cons := live.Contractions()
-	ar := runAppOn(w, prog, sum, ch4Config(w, true))
-	mw := ar.MachineWorkload()
+	s := userAssisted(w)
+	cons := s.Live.Contractions()
+	mw := hinted(s.Workload(), w)
 	// The streaming loops' memory traffic comes from the vector-style
 	// temporaries: before contraction the whole temporary arrays stream;
 	// after, only the per-iteration footprints remain (they fit in cache).
@@ -253,7 +245,8 @@ func Fig5_12() *Table {
 	// Scale the Origin's memory system to our scaled-down arrays so the
 	// memory-pressure regime matches the paper's full-size runs: smaller
 	// cache, fewer memory ports, higher per-miss cost (see DESIGN.md).
-	model := scaledModel(machine.SGIOrigin(), 600)
+	model := machine.SGIOrigin()
+	model.CacheElems = 600
 	model.MemPorts = 2
 	model.MissPenalty = 8
 	for _, procs := range []int{1, 2, 4, 8, 16, 32} {

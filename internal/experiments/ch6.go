@@ -81,7 +81,7 @@ func Fig6_4() *Table {
 	}
 	for _, name := range ch6Apps {
 		w := workloads.ByName(name)
-		_, sum := cachedAnalysis(w)
+		sum := cached(w).Sum
 		without := parallel.ParallelizeWith(sum, parallel.Config{UseReductions: false}).Stats()
 		with := parallel.ParallelizeWith(sum, parallel.Config{UseReductions: true}).Stats()
 		t.Rows = append(t.Rows, []string{
@@ -102,14 +102,14 @@ func Fig6_5() *Table {
 		Header: []string{"program", "coverage w/o red", "coverage w/ red", "granularity w/ red"},
 	}
 	model := machine.SGIChallenge()
-	runs := perApp(ch6Apps, runWithWithoutReductions)
+	runs := perApp(ch6Apps, withWithoutReductions)
 	for i, name := range ch6Apps {
 		without, with := runs[i][0], runs[i][1]
 		t.Rows = append(t.Rows, []string{
 			name,
-			pct(model.Coverage(without.MachineWorkload())),
-			pct(model.Coverage(with.MachineWorkload())),
-			ms(model.GranularityMs(with.MachineWorkload())),
+			pct(model.Coverage(without)),
+			pct(model.Coverage(with)),
+			ms(model.GranularityMs(with)),
 		})
 	}
 	return t
@@ -122,24 +122,24 @@ func fig66On(id string, m *machine.Model, procs int) *Table {
 		Title:  "Performance improvement due to reduction analysis on " + m.Name,
 		Header: []string{"program", "speedup w/o red", "speedup w/ red"},
 	}
-	runs := perApp(ch6Apps, runWithWithoutReductions)
+	runs := perApp(ch6Apps, withWithoutReductions)
 	for i, name := range ch6Apps {
 		without, with := runs[i][0], runs[i][1]
 		t.Rows = append(t.Rows, []string{
 			name,
-			f1(m.Speedup(without.MachineWorkload(), procs)),
-			f1(m.Speedup(with.MachineWorkload(), procs)),
+			f1(m.Speedup(without, procs)),
+			f1(m.Speedup(with, procs)),
 		})
 	}
 	return t
 }
 
-// runWithWithoutReductions profiles one workload under the base compiler
-// with reductions off and on: [0] = without, [1] = with.
-func runWithWithoutReductions(w *workloads.Workload) [2]*AppRun {
-	return [2]*AppRun{
-		runApp(w, parallel.Config{UseReductions: false}),
-		runApp(w, parallel.Config{UseReductions: true}),
+// withWithoutReductions is one workload's session under the base compiler
+// with reductions off and on, as machine workloads: [0] = without, [1] = with.
+func withWithoutReductions(w *workloads.Workload) [2]machine.Workload {
+	return [2]machine.Workload{
+		hinted(open(w, compiler(false, false)).Workload(), w),
+		hinted(open(w, baseCompiler).Workload(), w),
 	}
 }
 

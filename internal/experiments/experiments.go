@@ -1,22 +1,21 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation chapters from this reproduction's own analyses, profiles and
-// machine models. Each FigN_M function returns a Table whose rows parallel
-// the paper's; EXPERIMENTS.md records the measured-vs-paper comparison.
+// evaluation chapters. Each FigN_M function returns a Table whose rows
+// parallel the paper's; EXPERIMENTS.md records the measured-vs-paper
+// comparison. The tables read Explorer sessions: a profile, a dynamic
+// dependence count, a Guru ranking or a machine workload is whatever
+// explorer.Session reports for that workload, and a user-assisted row is the
+// session after the workload's script went through its assertion checker.
+// What is computed here is counting, formatting, and the two memory hints.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"suifx/internal/depend"
 	"suifx/internal/driver"
-	"suifx/internal/exec"
-	"suifx/internal/ir"
-	"suifx/internal/liveness"
+	"suifx/internal/explorer"
 	"suifx/internal/machine"
-	"suifx/internal/parallel"
-	"suifx/internal/region"
-	"suifx/internal/summary"
 	"suifx/internal/workloads"
 )
 
@@ -67,157 +66,74 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// AppRun bundles one workload's static analysis and profiled execution.
-type AppRun struct {
-	W    *workloads.Workload
-	Prog *ir.Program
-	Sum  *summary.Analysis
-	Par  *parallel.Result
-	Prof *exec.Profiler
-	Dyn  *exec.DynDep
-	In   *exec.Interp
+// cached returns a workload's parsed program and whole-program summary from
+// the shared driver cache. The pair is shared between tables (and between
+// concurrent table generators): every consumer treats the program and
+// analysis as read-only.
+func cached(w *workloads.Workload) *driver.Result {
+	return driver.Shared().MustAnalyze(w.Name, w.Source, driver.Options{})
 }
 
-// cachedAnalysis returns a workload's parsed program and whole-program
-// summary from the shared driver cache. The pair is shared between tables
-// (and between concurrent table generators): every consumer treats the
-// program and analysis as read-only.
-func cachedAnalysis(w *workloads.Workload) (*ir.Program, *summary.Analysis) {
-	res := driver.Shared().MustAnalyze(w.Name, w.Source, driver.Options{})
-	return res.Prog, res.Sum
+// compiler is the session options for one compiler configuration; the
+// machine and the Guru's cutoffs stay the paper's defaults.
+func compiler(reductions, liveness bool) explorer.Options {
+	o := explorer.DefaultOptions()
+	o.UseReductions, o.UseLiveness = reductions, liveness
+	return o
 }
 
-// runApp analyzes and profiles one workload under a configuration. The
-// parse and whole-program analysis come from the shared driver cache, so
-// the dozens of tables that re-visit the same workloads derive the summary
-// once; profiling state (interpreter, profiler) is always per-run.
-func runApp(w *workloads.Workload, cfg parallel.Config) *AppRun {
-	prog, sum := cachedAnalysis(w)
-	return runAppOn(w, prog, sum, cfg)
-}
+// baseCompiler is the compiler of Chapters 4 and 6 and the baseline of
+// Chapter 5: reductions on, array liveness off.
+var baseCompiler = compiler(true, false)
 
-// runAppOn profiles an already-analyzed program (so liveness oracles built
-// on the same summary keep their region identity).
-func runAppOn(w *workloads.Workload, prog *ir.Program, sum *summary.Analysis, cfg parallel.Config) *AppRun {
-	par := parallel.ParallelizeWith(sum, cfg)
-	in := exec.New(prog)
-	prof := exec.NewProfiler(in)
-	dyn := exec.NewDynDep(in)
-	// The analyzer ignores variables the compiler already resolved —
-	// inductions and reductions (§2.5.2).
-	type rng struct{ lo, hi int64 }
-	ignore := map[*ir.DoLoop][]rng{}
-	for _, li := range par.Ordered {
-		for _, vr := range li.Dep.Vars {
-			if vr.Class != depend.ClassIndex && vr.Class != depend.ClassReduction {
-				continue
-			}
-			if lo, hi, ok := in.SymRange(li.Region.Proc.Name, vr.Sym.Name); ok {
-				ignore[li.Region.Loop] = append(ignore[li.Region.Loop], rng{lo, hi})
-			}
-		}
-	}
-	dyn.IgnoreVar = func(l *ir.DoLoop, addr int64) bool {
-		for _, r := range ignore[l] {
-			if addr >= r.lo && addr <= r.hi {
-				return true
-			}
-		}
-		return false
-	}
-	if err := in.Run(); err != nil {
+// open starts an Explorer session on a workload — what a user of the
+// product gets, and where every profile, dynamic-dependence count, Guru
+// ranking and machine workload in the tables comes from. The session
+// branches off the shared driver cache, so the tables that re-visit a
+// workload derive its summaries once; the profiling run is per session.
+func open(w *workloads.Workload, opts explorer.Options) *explorer.Session {
+	s := explorer.NewUnstarted(driver.NewIncrementalFrom(cached(w), driver.Options{}), opts)
+	if err := s.Start(); err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
 	}
-	return &AppRun{W: w, Prog: prog, Sum: sum, Par: par, Prof: prof, Dyn: dyn, In: in}
+	return s
 }
 
-// ch4Config is the Chapter 4 compiler: reductions on, array liveness off.
-func ch4Config(w *workloads.Workload, userAssisted bool) parallel.Config {
-	cfg := parallel.Config{UseReductions: true}
-	if userAssisted {
-		cfg.Assertions = w.Assertions()
+// assist replays the workload's §4.4 script through the session's
+// assertion checker, as the user of Chapter 4 typed it.
+func assist(s *explorer.Session, w *workloads.Workload) {
+	for _, a := range w.Script() {
+		var err error
+		if a.Independent {
+			err = s.AssertIndependent(a.Loop, a.Var)
+		} else {
+			_, err = s.AssertPrivate(a.Loop, a.Var)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s: %v", w.Name, err))
+		}
 	}
-	return cfg
 }
 
-// ch5Config adds the full array liveness oracle.
-func ch5Config(sum *summary.Analysis, variant liveness.Variant) parallel.Config {
-	live := liveness.Analyze(sum, variant)
-	return parallel.Config{UseReductions: true, DeadAtExit: live.Oracle()}
+// userAssisted is the workload's Chapter 4 session after its script.
+func userAssisted(w *workloads.Workload) *explorer.Session {
+	s := open(w, baseCompiler)
+	assist(s, w)
+	return s
 }
 
-// MachineWorkload converts a run into the cost model's terms, honoring the
-// workload's memory-behaviour metadata.
-func (ar *AppRun) MachineWorkload() machine.Workload {
-	var w machine.Workload
-	streaming := map[string]bool{}
-	for _, id := range ar.W.StreamingLoops {
-		streaming[id] = true
+// hinted sets the workload's two paper-metadata memory hints on a machine
+// workload — the only modeling input that is not measured by a session.
+func hinted(mw machine.Workload, w *workloads.Workload) machine.Workload {
+	for i := range mw.Loops {
+		lw := &mw.Loops[i]
+		if slices.Contains(w.StreamingLoops, lw.ID) {
+			lw.Streaming = true
+			lw.StreamPasses = lw.Iterations
+		}
+		lw.ConflictingDecomp = slices.Contains(w.ConflictingDecomp, lw.ID)
 	}
-	conflicting := map[string]bool{}
-	for _, id := range ar.W.ConflictingDecomp {
-		conflicting[id] = true
-	}
-	// Only the chosen parallel loops appear as LoopWork: the parallelizer
-	// guarantees they are dynamically disjoint, so their times partition the
-	// run against the serial remainder (everything else runs sequentially).
-	var loopOps int64
-	for _, li := range ar.Par.Ordered {
-		if !li.Chosen {
-			continue
-		}
-		lp := ar.Prof.Of(li.Region.Loop)
-		if lp == nil {
-			continue
-		}
-		loopOps += lp.TotalOps
-		lw := machine.LoopWork{
-			ID:          li.ID(),
-			Invocations: lp.Invocations,
-			TotalOps:    lp.TotalOps,
-			Parallel:    true,
-			Streaming:   streaming[li.ID()],
-		}
-		if lw.Streaming {
-			lw.StreamPasses = lp.Iterations
-		}
-		if conflicting[li.ID()] && li.Chosen {
-			lw.ConflictingDecomp = true
-		}
-		for _, vr := range li.Dep.Vars {
-			switch vr.Class {
-			case depend.ClassReduction:
-				lw.ReductionElems += vr.Sym.NElems()
-				lw.StaggeredFinalize = true
-			case depend.ClassPrivate:
-				lw.PrivateElems += vr.Sym.NElems()
-				if vr.NeedsFinalization {
-					lw.FinalizeElems += vr.Sym.NElems()
-				}
-			}
-		}
-		lw.FootprintElems = loopFootprint(ar.Sum, li.Region)
-		w.Loops = append(w.Loops, lw)
-	}
-	w.SerialOps = ar.Prof.TotalOps() - loopOps
-	if w.SerialOps < 0 {
-		w.SerialOps = 0
-	}
-	return w
-}
-
-func loopFootprint(sum *summary.Analysis, r *region.Region) int64 {
-	rs := sum.RegionSum[r]
-	if rs == nil {
-		return 0
-	}
-	var n int64
-	for _, sym := range rs.SortedSyms() {
-		if sym.IsArray() {
-			n += sym.NElems()
-		}
-	}
-	return n
+	return mw
 }
 
 func pct(f float64) string { return fmt.Sprintf("%.0f%%", f*100) }
@@ -225,12 +141,3 @@ func ms(f float64) string  { return fmt.Sprintf("%.3f ms", f) }
 func f1(f float64) string  { return fmt.Sprintf("%.1f", f) }
 func itoa(n int) string    { return fmt.Sprintf("%d", n) }
 func i64(n int64) string   { return fmt.Sprintf("%d", n) }
-
-// scaledModel shrinks a machine's cache so our scaled-down working sets
-// exercise the same cache-pressure regimes as the paper's full-size runs
-// (see DESIGN.md's hardware substitution).
-func scaledModel(m *machine.Model, cacheElems int64) *machine.Model {
-	c := *m
-	c.CacheElems = cacheElems
-	return &c
-}

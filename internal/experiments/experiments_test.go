@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"suifx/internal/session"
+	"suifx/internal/workloads"
 )
 
 func cell(t *Table, row, col int) string { return t.Rows[row][col] }
@@ -188,6 +193,55 @@ func TestParallelExecutionValidates(t *testing.T) {
 	for _, name := range []string{"mdg", "arc3d", "flo88"} {
 		if err := ValidateUserParallelization(name, 4); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestTablesAreSessionNumbers: the Chapter 4 tables and the Guru report
+// suifxd serves cannot drift apart. For each ch4 app a session.Manager
+// session (liveness off, as Chapter 4) reports Fig 4-1's coverage and as
+// many important targets as Fig 4-7 counts, and after the script went
+// through Session.Assert, Fig 4-10's user-assisted coverage.
+func TestTablesAreSessionNumbers(t *testing.T) {
+	fig41, fig47, fig410 := Fig4_1(), Fig4_7(), Fig4_10()
+	m := session.NewManager(session.Config{})
+	defer m.Close()
+	for i, name := range ch4Apps {
+		w := workloads.ByName(name)
+		s, err := m.Create(context.Background(), w.Name, w.Source, session.Options{NoLiveness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := s.Guru()
+		if got, want := pct(g.Coverage), cell(fig41, i, 4); got != want {
+			t.Errorf("%s: Guru coverage %s, Fig 4-1 says %s", name, got, want)
+		}
+		important := 0
+		for _, tg := range g.Targets {
+			if tg.Important {
+				important++
+			}
+		}
+		var inter, intra int
+		if _, err := fmt.Sscanf(cell(fig47, 2, 1+i), "%d/%d", &inter, &intra); err != nil || fig47.Rows[2][0] != "important" {
+			t.Fatalf("%s: Fig 4-7 important cell %q: %v", name, cell(fig47, 2, 1+i), err)
+		}
+		if important != inter+intra {
+			t.Errorf("%s: Guru lists %d important targets, Fig 4-7 says %d/%d", name, important, inter, intra)
+		}
+		for _, a := range w.Script() {
+			kind := session.KindPrivate
+			if a.Independent {
+				kind = session.KindIndependent
+			}
+			if out, err := s.Assert(kind, a.Loop, a.Var); err != nil || !out.Accepted {
+				t.Fatalf("%s: assert %+v: err %v, outcome %+v", name, a, err, out)
+			}
+		}
+		if r := fig410.Rows[2*i+1]; r[0] != name || r[1] != "with user input" {
+			t.Fatalf("Fig 4-10 row %d is %v", 2*i+1, r)
+		} else if got := pct(s.Guru().Coverage); got != r[2] {
+			t.Errorf("%s: Guru coverage after the script %s, Fig 4-10 says %s", name, got, r[2])
 		}
 	}
 }

@@ -30,16 +30,15 @@ type ParallelRunOptions struct {
 // interpreter (arena, ops and parallel stats intact) plus the analysis
 // result the plan came from.
 func RunParallel(name string, opt ParallelRunOptions) (*exec.Interp, *parallel.Result, error) {
-	w := workloads.ByName(name)
-	if w == nil {
+	w, ok := workloads.Lookup(name)
+	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
-	prog, sum := cachedAnalysis(w)
-	res := parallel.ParallelizeWith(sum, ch4Config(w, true))
+	res := userAssisted(w).Par
 	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
 		Workers: opt.Workers, Staggered: opt.Staggered, Chunks: opt.Chunks,
 	})
-	in := exec.NewWithPlan(prog, plan)
+	in := exec.NewWithPlan(res.Prog, plan)
 	in.Mode = opt.Mode
 	if err := in.Run(); err != nil {
 		return nil, nil, err
@@ -58,12 +57,11 @@ type ParallelPoint struct {
 // ParallelSpeedups runs one workload's plan at each worker count on the
 // bytecode engine and reports the virtual-time speedup curve.
 func ParallelSpeedups(name string, workers []int) ([]ParallelPoint, error) {
-	w := workloads.ByName(name)
-	if w == nil {
+	w, ok := workloads.Lookup(name)
+	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
-	prog, _ := cachedAnalysis(w)
-	seq := exec.New(prog)
+	seq := exec.New(cached(w).Prog)
 	if err := seq.Run(); err != nil {
 		return nil, err
 	}
@@ -90,10 +88,7 @@ func ParallelSpeedups(name string, workers []int) ([]ParallelPoint, error) {
 // that is legitimately dead after the parallel loops (privatized variables
 // and callee locals), and compare the rest.
 func validateParallelRun(name string, workers int, mode exec.ExecMode, staggered bool) error {
-	w := workloads.ByName(name)
-	prog, sum := cachedAnalysis(w)
-	_ = prog
-	res := parallel.ParallelizeWith(sum, ch4Config(w, true))
+	res := userAssisted(workloads.ByName(name)).Par
 	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
 		Workers: workers, Staggered: staggered, Chunks: 4,
 	})

@@ -40,7 +40,7 @@ func TestQuickPipelineSoundness(t *testing.T) {
 
 		parProg := minif.MustParse("rnd", src)
 		res := parallel.Parallelize(parProg, parallel.Config{UseReductions: true})
-		plan := BuildPlan(res, workers)
+		plan := parallel.BuildPlan(res, workers)
 		if len(plan.Loops) == 0 {
 			return true // nothing approved; trivially sound
 		}
@@ -107,7 +107,7 @@ func TestCorpusScaleSoundness(t *testing.T) {
 			}
 			res := parallel.Parallelize(prog, parallel.Config{UseReductions: true})
 			for _, workers := range []int{1, 2, 4, 8} {
-				plan := BuildPlan(res, workers)
+				plan := parallel.BuildPlan(res, workers)
 				if len(plan.Loops) == 0 {
 					t.Fatalf("tier %s: no loops approved for parallel execution", tier.Name)
 				}

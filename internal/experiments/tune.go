@@ -14,12 +14,11 @@ import (
 // experiments execute) and returns the report plus the parallelization
 // result it searched, so callers can lower the winning plan and run it.
 func TuneApp(ctx context.Context, name string, cfg tune.Config) (*tune.Report, *parallel.Result, error) {
-	w := workloads.ByName(name)
-	if w == nil {
+	w, ok := workloads.Lookup(name)
+	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
 	}
-	_, sum := cachedAnalysis(w)
-	res := parallel.ParallelizeWith(sum, ch4Config(w, true))
+	res := userAssisted(w).Par
 	rep, err := tune.Search(ctx, res, cfg)
 	if err != nil {
 		return nil, nil, err

@@ -18,7 +18,6 @@ import (
 	"suifx/internal/liveness"
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
-	"suifx/internal/region"
 	"suifx/internal/summary"
 )
 
@@ -251,7 +250,7 @@ func (s *Session) Targets() []Target {
 		if total > 0 {
 			t.CoveragePct = float64(lp.TotalOps) / total * 100
 		}
-		t.GranularityMs = opsToMs(s.Opts.Model, lp.OpsPerInvocation())
+		t.GranularityMs = s.Opts.Model.OpsToMs(lp.OpsPerInvocation())
 		t.Important = t.CoveragePct >= s.Opts.CoverageCutoff*100 &&
 			t.GranularityMs >= s.Opts.GranularityCutoffMs
 		out = append(out, t)
@@ -265,27 +264,11 @@ func (s *Session) Targets() []Target {
 	return out
 }
 
-func opsToMs(m *machine.Model, ops float64) float64 {
-	return ops * m.CyclesPerOp / (m.ClockMHz * 1e3)
-}
-
 // CoverageGranularity reports the automatically-parallelized coverage and
 // granularity metrics the Guru displays (§2.6).
 func (s *Session) CoverageGranularity() (coverage float64, granularityMs float64) {
-	var loops []*ir.DoLoop
-	var ops, invs float64
-	for _, li := range s.Par.ParallelLoops() {
-		loops = append(loops, li.Region.Loop)
-		if lp := s.Prof.Of(li.Region.Loop); lp != nil {
-			ops += float64(lp.TotalOps)
-			invs += float64(lp.Invocations)
-		}
-	}
-	coverage = s.Prof.Coverage(loops)
-	if invs > 0 {
-		granularityMs = opsToMs(s.Opts.Model, ops/invs)
-	}
-	return
+	w := s.Workload()
+	return s.Opts.Model.Coverage(w), s.Opts.Model.GranularityMs(w)
 }
 
 // ---- assertion checking (§2.8) ----
@@ -397,24 +380,32 @@ func (s *Session) logf(format string, args ...interface{}) {
 
 // Workload converts the session's measurements into a machine-model
 // workload for speedup prediction.
-func (s *Session) Workload() machine.Workload {
+func (s *Session) Workload() machine.Workload { return WorkloadOf(s.Par, s.Prof) }
+
+// WorkloadOf puts one parallelization of a profiled program in the machine
+// model's terms. It is a function of the pair, not of a session, so that a
+// compiler configuration no session can be in (Fig 5-8's weaker liveness
+// oracles) is costed by the same rule over the session's own profile — a
+// profile is a property of the program and its input, not of the verdicts.
+func WorkloadOf(par *parallel.Result, prof *exec.Profiler) machine.Workload {
 	var w machine.Workload
 	// Only chosen parallel loops appear: the parallelizer guarantees they
 	// are dynamically disjoint, so their times partition the run against
 	// the serial remainder.
 	var loopOps int64
-	for _, li := range s.Par.Ordered {
+	for _, li := range par.Ordered {
 		if !li.Chosen {
 			continue
 		}
-		lp := s.Prof.Of(li.Region.Loop)
+		lp := prof.Of(li.Region.Loop)
 		if lp == nil {
-			continue
+			continue // never executed
 		}
 		loopOps += lp.TotalOps
 		lw := machine.LoopWork{
 			ID:          li.ID(),
 			Invocations: lp.Invocations,
+			Iterations:  lp.Iterations,
 			TotalOps:    lp.TotalOps,
 			Parallel:    true,
 		}
@@ -430,30 +421,19 @@ func (s *Session) Workload() machine.Workload {
 				}
 			}
 		}
-		lw.FootprintElems = s.loopFootprint(li.Region)
+		// The working set is every array the loop's summary touches.
+		if rs := par.Sum.RegionSum[li.Region]; rs != nil {
+			for sym := range rs.Arrays {
+				if sym.IsArray() {
+					lw.FootprintElems += sym.NElems()
+				}
+			}
+		}
 		w.Loops = append(w.Loops, lw)
 	}
-	w.SerialOps = s.Prof.TotalOps() - loopOps
+	w.SerialOps = prof.TotalOps() - loopOps
 	if w.SerialOps < 0 {
 		w.SerialOps = 0
 	}
 	return w
-}
-
-func enclosed(r *region.Region) bool { return r.EnclosingLoop() != nil }
-
-// loopFootprint estimates the loop's working set from the symbols its
-// summary touches.
-func (s *Session) loopFootprint(r *region.Region) int64 {
-	rs := s.Sum.RegionSum[r]
-	if rs == nil {
-		return 0
-	}
-	var n int64
-	for _, sym := range rs.SortedSyms() {
-		if sym.IsArray() {
-			n += sym.NElems()
-		}
-	}
-	return n
 }

@@ -2,7 +2,6 @@ package explorer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -194,15 +193,6 @@ func verdicts(res *parallel.Result) string {
 	return b.String()
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestAssertionDifferential: an assertion is loop-scoped. After every
 // scripted ch4 assertion the session's verdicts equal a from-scratch
 // ParallelizeWith over the same summaries, accumulated assertions and
@@ -238,20 +228,18 @@ func TestAssertionDifferential(t *testing.T) {
 						t.Fatalf("%s: session verdicts differ from a from-scratch run\n--- session ---\n%s--- scratch ---\n%s", what, got, want)
 					}
 				}
-				script := w.Assertions()
-				for _, loop := range sortedKeys(script) {
-					for _, v := range sortedKeys(script[loop].Private) {
-						if _, err := s.AssertPrivate(loop, v); err != nil {
-							t.Fatalf("assert private %s %s: %v", loop, v, err)
-						}
-						check("private " + loop + " " + v)
+				for _, a := range w.Script() {
+					if a.Independent {
+						err = s.AssertIndependent(a.Loop, a.Var)
+					} else {
+						_, err = s.AssertPrivate(a.Loop, a.Var)
 					}
-					for _, v := range sortedKeys(script[loop].Independent) {
-						if err := s.AssertIndependent(loop, v); err != nil {
-							t.Fatalf("assert independent %s %s: %v", loop, v, err)
-						}
-						check("independent " + loop + " " + v)
+					if err != nil {
+						t.Fatalf("assert %+v: %v", a, err)
 					}
+					check(fmt.Sprintf("%+v", a))
+				}
+				for loop := range w.UserAssertions {
 					if li := s.Par.LoopByID(loop); !li.Dep.Parallelizable {
 						t.Fatalf("%s still blocked after its scripted assertions: %+v", loop, li.Dep.Blocking)
 					}

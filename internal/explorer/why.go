@@ -76,7 +76,7 @@ func (s *Session) Why(loopID string) (*WhyReport, error) {
 			if total := float64(s.Prof.TotalOps()); total > 0 {
 				r.CoveragePct = float64(lp.TotalOps) / total * 100
 			}
-			r.GranularityMs = opsToMs(s.Opts.Model, lp.OpsPerInvocation())
+			r.GranularityMs = s.Opts.Model.OpsToMs(lp.OpsPerInvocation())
 		}
 	}
 	if s.Dyn != nil {

@@ -72,8 +72,10 @@ func SGIOrigin() *Model {
 
 // LoopWork describes one loop's measured work and chosen transformation.
 type LoopWork struct {
-	ID          string
+	ID string
+	// Invocations, Iterations and TotalOps are the loop's profile.
 	Invocations int64
+	Iterations  int64
 	TotalOps    int64
 	// Parallel marks loops executed in parallel.
 	Parallel bool
@@ -237,13 +239,11 @@ func (m *Model) LoopTime(w LoopWork, procs int) float64 {
 type Workload struct {
 	Loops     []LoopWork
 	SerialOps int64 // ops outside all listed loops
-	// SerialFootprint is the non-loop working set.
-	SerialFootprint int64
 }
 
 // Time returns total modeled cycles on procs processors.
 func (m *Model) Time(w Workload, procs int) float64 {
-	t := float64(w.SerialOps) * m.CyclesPerOp * m.memFactor(w.SerialFootprint, 1)
+	t := float64(w.SerialOps) * m.CyclesPerOp
 	for _, lw := range w.Loops {
 		t += m.LoopTime(lw, procs)
 	}
@@ -262,13 +262,6 @@ func (m *Model) Speedup(w Workload, procs int) float64 {
 		s = float64(procs) // modeled speedups are capped at linear
 	}
 	return math.Round(s*10) / 10
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Coverage returns the fraction of sequential time spent in parallel loops.
@@ -300,6 +293,11 @@ func (m *Model) GranularityMs(w Workload) float64 {
 	if invs == 0 {
 		return 0
 	}
-	cycles := ops / invs * m.CyclesPerOp
-	return cycles / (m.ClockMHz * 1e3)
+	return m.OpsToMs(ops / invs)
+}
+
+// OpsToMs converts a count of interpreter operations to milliseconds on this
+// machine — the one place the clock enters a reported granularity.
+func (m *Model) OpsToMs(ops float64) float64 {
+	return ops * m.CyclesPerOp / (m.ClockMHz * 1e3)
 }

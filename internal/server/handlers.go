@@ -31,12 +31,11 @@ type SourceRef struct {
 func (sr SourceRef) resolve() (name, src string, err error) {
 	switch {
 	case sr.Workload != "":
-		for _, w := range workloads.All() {
-			if w.Name == sr.Workload {
-				return w.Name, w.Source, nil
-			}
+		w, ok := workloads.Lookup(sr.Workload)
+		if !ok {
+			return "", "", errf(http.StatusNotFound, "unknown workload %q", sr.Workload)
 		}
-		return "", "", errf(http.StatusNotFound, "unknown workload %q", sr.Workload)
+		return w.Name, w.Source, nil
 	case sr.Source != "":
 		name = sr.Name
 		if name == "" {

@@ -92,12 +92,17 @@ func errf(status int, format string, args ...any) *apiError {
 // away"; the client never sees it, but it keeps the metrics honest.
 const statusClientClosedRequest = 499
 
-// endpoint wraps an apiHandler with the full middleware stack: panic
-// recovery (500), in-flight/latency metrics, the concurrency-limit
-// semaphore with 429 shedding, and the per-request timeout whose context
-// cancellation the driver observes (504). heavy=false skips the semaphore
-// and timeout (for cheap read-only endpoints like /v1/stats).
-func (s *Server) endpoint(name string, heavy bool, h apiHandler) http.Handler {
+// streamHandler writes its own response body (the NDJSON batch stream). A
+// returned error must precede the first body write; the middleware renders it
+// in the usual JSON envelope.
+type streamHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
+
+// guard is the one middleware skeleton every endpoint runs under: panic
+// recovery (500), in-flight/latency metrics and, for heavy endpoints, one
+// concurrency-semaphore slot held for the whole response with 429 shedding,
+// plus a deadline on the handler's context when timeout > 0 (504; the driver
+// observes the cancellation).
+func (s *Server) guard(name string, heavy bool, timeout time.Duration, h streamHandler) http.Handler {
 	em := s.m.byName[name]
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -127,63 +132,42 @@ func (s *Server) endpoint(name string, heavy bool, h apiHandler) http.Handler {
 		defer s.m.inflight.Add(-1)
 
 		ctx := r.Context()
-		if heavy && s.cfg.RequestTimeout > 0 {
+		if timeout > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
 
-		resp, err := h(ctx, r)
-		if err != nil {
+		if err := h(ctx, w, r); err != nil {
 			status = statusOf(err)
 			writeError(w, status, err.Error())
-			return
 		}
-		writeJSON(w, http.StatusOK, resp)
 	})
 }
 
-// streamHandler writes its own response body (the NDJSON batch stream). A
-// returned error must precede the first body write; the middleware renders it
-// in the usual JSON envelope.
-type streamHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request) error
-
-// streamEndpoint is the endpoint middleware for streaming handlers: panic
-// recovery, metrics, and one concurrency-semaphore slot held for the whole
-// stream. The per-request timeout deliberately does not apply — a long batch
-// is bounded per item inside the handler, not whole-stream.
-func (s *Server) streamEndpoint(name string, h streamHandler) http.Handler {
-	em := s.m.byName[name]
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		status := http.StatusOK
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.m.panics.Add(1)
-				status = http.StatusInternalServerError
-				writeError(w, status, fmt.Sprintf("internal error: %v", rec))
-			}
-			em.observe(time.Since(start), status)
-		}()
-
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.m.shed.Add(1)
-			status = http.StatusTooManyRequests
-			w.Header().Set("Retry-After", "1")
-			writeError(w, status, "server at concurrency limit; retry")
-			return
+// endpoint serves an apiHandler's response as JSON. heavy=false skips the
+// semaphore and the per-request timeout (cheap read-only endpoints like
+// /v1/stats).
+func (s *Server) endpoint(name string, heavy bool, h apiHandler) http.Handler {
+	var timeout time.Duration
+	if heavy {
+		timeout = s.cfg.RequestTimeout
+	}
+	return s.guard(name, heavy, timeout, func(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
+		resp, err := h(ctx, r)
+		if err != nil {
+			return err
 		}
-		s.m.inflight.Add(1)
-		defer s.m.inflight.Add(-1)
-
-		if err := h(r.Context(), w, r); err != nil {
-			status = statusOf(err)
-			writeError(w, status, err.Error())
-		}
+		writeJSON(w, http.StatusOK, resp)
+		return nil
 	})
+}
+
+// streamEndpoint serves a streaming handler under a semaphore slot. The
+// per-request timeout deliberately does not apply — a long batch is bounded
+// per item inside the handler, not whole-stream.
+func (s *Server) streamEndpoint(name string, h streamHandler) http.Handler {
+	return s.guard(name, true, 0, h)
 }
 
 func statusOf(err error) int {

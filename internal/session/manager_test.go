@@ -3,7 +3,6 @@ package session
 import (
 	"context"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -306,27 +305,22 @@ func TestSessionDrainReplayAfterAssertions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loops := make([]string, 0, len(w.UserAssertions))
-			for loop := range w.UserAssertions {
-				loops = append(loops, loop)
-			}
-			sort.Strings(loops)
-			for _, loop := range loops {
-				vars := make([]string, 0, len(w.UserAssertions[loop].Private))
-				for v := range w.UserAssertions[loop].Private {
-					vars = append(vars, v)
+			script := w.Script()
+			for i, a := range script {
+				kind := KindPrivate
+				if a.Independent {
+					kind = KindIndependent
 				}
-				sort.Strings(vars)
-				var out *AssertOutcome
-				for _, v := range vars {
-					out, err = s.Assert(KindPrivate, loop, v)
-					if err != nil || !out.Accepted || out.Reanalysis.Recomputed != 0 {
-						t.Fatalf("%s: assert private %s %s: err %v, outcome %+v; want accepted with 0 recomputed", w.Name, loop, v, err, out)
-					}
+				out, err := s.Assert(kind, a.Loop, a.Var)
+				if err != nil || !out.Accepted || out.Reanalysis.Recomputed != 0 {
+					t.Fatalf("%s: assert %+v: err %v, outcome %+v; want accepted with 0 recomputed", w.Name, a, err, out)
+				}
+				if i+1 < len(script) && script[i+1].Loop == a.Loop {
+					continue // the loop's script is not finished
 				}
 				for _, tg := range out.Guru.Targets {
-					if tg.Loop == loop {
-						t.Fatalf("%s: %s still on the Guru worklist after its scripted assertions", w.Name, loop)
+					if tg.Loop == a.Loop {
+						t.Fatalf("%s: %s still on the Guru worklist after its scripted assertions", w.Name, a.Loop)
 					}
 				}
 			}

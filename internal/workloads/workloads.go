@@ -75,6 +75,39 @@ func (w *Workload) Assertions() map[string]parallel.AssertSet {
 	return out
 }
 
+// Assertion is one step of a user-assistance script.
+type Assertion struct {
+	Loop, Var string
+	// Independent selects the INDEPENDENT assertion; otherwise PRIVATE.
+	Independent bool
+}
+
+// Script returns the §4.4 dialogue in the order every replay uses: loops
+// sorted, each loop's private assertions before its independent ones,
+// variables sorted.
+func (w *Workload) Script() []Assertion {
+	var out []Assertion
+	for _, loop := range sortedKeys(w.UserAssertions) {
+		as := w.UserAssertions[loop]
+		for _, v := range sortedKeys(as.Private) {
+			out = append(out, Assertion{Loop: loop, Var: v})
+		}
+		for _, v := range sortedKeys(as.Independent) {
+			out = append(out, Assertion{Loop: loop, Var: v, Independent: true})
+		}
+	}
+	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 var registry = map[string]*Workload{}
 
 func register(w *Workload) *Workload {
@@ -82,10 +115,18 @@ func register(w *Workload) *Workload {
 	return w
 }
 
-// ByName returns a registered workload.
+// Lookup returns a registered workload, or false for a name nobody
+// registered — the form for names that arrive from outside the program.
+func Lookup(n string) (*Workload, bool) {
+	w, ok := registry[n]
+	return w, ok
+}
+
+// ByName is Lookup for names fixed in the source: an unknown one is a
+// programming error and panics.
 func ByName(n string) *Workload {
-	w := registry[n]
-	if w == nil {
+	w, ok := Lookup(n)
+	if !ok {
 		panic("workloads: unknown workload " + n)
 	}
 	return w
