@@ -76,14 +76,14 @@ func (in *Info) disjointLiveRanges(x, y *ir.Symbol) bool {
 	regions := in.allRegions()
 	for _, r := range regions {
 		rs := in.Sum.RegionSum[r]
-		exit := in.ExitSum[r]
-		if rs == nil || exit == nil {
+		exit, ok := in.ExitSum[r]
+		if rs == nil || !ok {
 			continue
 		}
-		if in.writesIn(rs, x) && in.exposedAfter(exit, y) {
+		if in.writesIn(rs, x) && exposedAfter(exit, y) {
 			return false
 		}
-		if in.writesIn(rs, y) && in.exposedAfter(exit, x) {
+		if in.writesIn(rs, y) && exposedAfter(exit, x) {
 			return false
 		}
 	}
@@ -104,9 +104,9 @@ func (in *Info) writesIn(t *summary.Tuple, sym *ir.Symbol) bool {
 	return acc != nil && !acc.Writes().IsEmpty()
 }
 
-func (in *Info) exposedAfter(exit *summary.Tuple, sym *ir.Symbol) bool {
-	acc := exit.Lookup(sym)
-	return acc != nil && !acc.E.IsEmpty()
+func exposedAfter(exit Exposed, sym *ir.Symbol) bool {
+	e := exit[sym]
+	return e != nil && !e.IsEmpty()
 }
 
 // Contraction records one array-contraction opportunity (§5.6): inside the

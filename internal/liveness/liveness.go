@@ -18,6 +18,8 @@ package liveness
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"suifx/internal/ir"
 	"suifx/internal/lin"
@@ -48,13 +50,22 @@ func (v Variant) String() string {
 	}
 }
 
+// Exposed is the value the Full top-down pass carries: per canonical symbol,
+// the section still read before being overwritten (the E component of
+// "everything from here to the end of the program"). An absent symbol has
+// nothing exposed. Maps and sections are never updated once stored, so
+// regions a step does not touch share them.
+type Exposed map[*ir.Symbol]*lin.Section
+
 // Info holds liveness results for one program.
 type Info struct {
 	Sum     *summary.Analysis
 	Variant Variant
-	// ExitSum maps each region to the summary of all accesses from its end
-	// to the end of the program (Full variant).
-	ExitSum map[*region.Region]*summary.Tuple
+	// ExitSum maps each region to the reads exposed from its end to the end
+	// of the program (Full variant). No query reads any other component of
+	// that summary, and E's recurrences read only E and M of the bottom-up
+	// summaries, so E is all the pass propagates.
+	ExitSum map[*region.Region]Exposed
 	// exitBits is the cheap variants' per-region exposed-after set.
 	exitBits map[*region.Region]map[*ir.Symbol]bool
 
@@ -67,7 +78,7 @@ func Analyze(sum *summary.Analysis, v Variant) *Info {
 	in := &Info{
 		Sum:      sum,
 		Variant:  v,
-		ExitSum:  map[*region.Region]*summary.Tuple{},
+		ExitSum:  map[*region.Region]Exposed{},
 		exitBits: map[*region.Region]map[*ir.Symbol]bool{},
 		encl:     map[ir.Stmt]*region.Region{},
 	}
@@ -107,7 +118,7 @@ func (in *Info) runFull() {
 	for _, p := range order {
 		top := in.Sum.Reg.ProcTop[p.Name]
 		if p.IsMain {
-			in.ExitSum[top] = summary.NewTuple()
+			in.ExitSum[top] = Exposed{}
 		} else {
 			in.ExitSum[top] = in.procExit(p)
 		}
@@ -115,157 +126,149 @@ func (in *Info) runFull() {
 	}
 }
 
-// procExit computes S_{r0,P}: the meet over P's call sites of the summary
-// from after the call to the end of the program, mapped to callee space.
-func (in *Info) procExit(p *ir.Proc) *summary.Tuple {
-	sites := in.sites[p.Name]
-	var acc *summary.Tuple
-	for _, cs := range sites {
+// procExit computes S_{r0,P}: the meet (union, for exposed reads) over P's
+// call sites of the reads exposed after the call, mapped to callee space.
+func (in *Info) procExit(p *ir.Proc) Exposed {
+	acc := Exposed{} // never called: nothing follows
+	for _, cs := range in.sites[p.Name] {
 		r := in.encl[ir.Stmt(cs.Call)]
-		if r == nil || in.ExitSum[r] == nil {
+		exit, ok := in.ExitSum[r]
+		if !ok {
 			continue
 		}
-		after := summary.Compose(in.Sum.After[r][cs.Call], in.ExitSum[r])
-		mapped := in.mapToCallee(cs, p, after)
-		if acc == nil {
-			acc = mapped
-		} else {
-			acc = summary.Meet(acc, mapped)
+		for sym, e := range in.mapToCallee(cs, p, then(in.Sum.After[r][cs.Call], exit)) {
+			acc.set(sym, union(acc[sym], e))
 		}
-	}
-	if acc == nil {
-		return summary.NewTuple() // never called: nothing follows
 	}
 	return acc
 }
 
-// downFull propagates exit summaries into the loops of one region.
+// downFull propagates exit values into the loops of one region.
 func (in *Info) downFull(r *region.Region) {
 	for _, c := range r.Children {
 		if c.Kind != region.LoopRegion {
 			continue
 		}
-		after := in.Sum.After[r][ir.Stmt(c.Loop)]
-		if after == nil {
-			after = summary.NewTuple()
-		}
-		in.ExitSum[c] = summary.Compose(after, in.ExitSum[r])
+		in.ExitSum[c] = then(in.Sum.After[r][ir.Stmt(c.Loop)], in.ExitSum[r])
 		// Loop body: one iteration may be followed by further iterations of
-		// the same loop, then by everything after the loop (Fig 5-3):
-		// R,E,W union with the loop's own summary; M from the exit path only.
+		// the same loop, then by everything after the loop (Fig 5-3), so the
+		// loop's own exposed reads join the exit path's.
 		body := c.Body()
-		in.ExitSum[body] = bodyExit(in.ExitSum[c], in.Sum.RegionSum[c])
+		out := maps.Clone(in.ExitSum[c])
+		for sym, la := range in.Sum.RegionSum[c].Arrays {
+			out.set(sym, union(out[sym], la.E))
+		}
+		in.ExitSum[body] = out
 		in.downFull(body)
 	}
 }
 
-func bodyExit(afterLoop, loopSum *summary.Tuple) *summary.Tuple {
-	out := afterLoop.Clone()
-	for sym, la := range loopSum.Arrays {
-		oa := out.Get(sym)
-		oa.R = oa.R.Union(la.R)
-		oa.E = oa.E.Union(la.E)
-		oa.W = oa.W.Union(la.W).Union(la.M)
-		// M stays: only the exit path's must-writes are guaranteed.
+// then returns the reads exposed by "after, then a rest of execution that
+// exposes exit" — the E row of the paper's transfer function T,
+// E = Ea ∪ (Eb − Ma). Only the symbols after touches are recomputed, and a
+// subtraction or union runs only when its operand has polyhedra; every other
+// symbol keeps exit's section.
+func then(after *summary.Tuple, exit Exposed) Exposed {
+	if after == nil || len(after.Arrays) == 0 {
+		return exit
+	}
+	out := maps.Clone(exit)
+	for sym, a := range after.Arrays {
+		e := out[sym]
+		if e != nil && len(a.M.Polys) > 0 {
+			e = e.Subtract(a.M)
+		}
+		out.set(sym, union(a.E, e))
 	}
 	return out
 }
 
-// mapToCallee maps a caller-space "rest of execution" summary into the
-// callee's name space (the paper's MapToCallee): formal parameters pick up
-// the actual arguments' accesses (reshaped), canonical common keys pass
-// through, caller-local symbols are dropped, and caller-specific symbolic
-// names are projected away (widening — conservative for liveness).
-func (in *Info) mapToCallee(cs ir.CallSite, callee *ir.Proc, t *summary.Tuple) *summary.Tuple {
-	out := summary.NewTuple()
-	// Actual base symbol -> formal.
-	actualToFormal := map[*ir.Symbol]*ir.Symbol{}
+// set stores e under sym, keeping the invariant that only sections with
+// polyhedra have an entry.
+func (x Exposed) set(sym *ir.Symbol, e *lin.Section) {
+	if e != nil && len(e.Polys) > 0 {
+		x[sym] = e
+	} else {
+		delete(x, sym)
+	}
+}
+
+// union is a ∪ b where nil or no polyhedra means empty; an empty operand
+// returns the other one unchanged.
+func union(a, b *lin.Section) *lin.Section {
+	switch {
+	case b == nil || len(b.Polys) == 0:
+		return a
+	case a == nil || len(a.Polys) == 0:
+		return b
+	}
+	return a.Union(b)
+}
+
+// argBase returns the symbol an actual argument passes by reference, or nil
+// for an expression.
+func argBase(arg ir.Expr) *ir.Symbol {
+	switch x := arg.(type) {
+	case *ir.VarRef:
+		return x.Sym
+	case *ir.ArrayRef:
+		return x.Sym
+	}
+	return nil
+}
+
+// mapToCallee maps caller-space exposed reads into the callee's name space
+// (the paper's MapToCallee): every formal picks up its actual's section
+// (reshaped; one actual may bind several formals, CALL F(A,A)), canonical
+// common keys pass through, caller-local symbols are dropped, and
+// caller-specific symbolic names are projected away (widening — conservative
+// for liveness).
+func (in *Info) mapToCallee(cs ir.CallSite, callee *ir.Proc, t Exposed) Exposed {
+	out := Exposed{}
+	bound := map[*ir.Symbol]bool{}
 	for i, arg := range cs.Call.Args {
 		if i >= len(callee.Params) {
 			break
 		}
-		switch x := arg.(type) {
-		case *ir.VarRef:
-			actualToFormal[in.Sum.Canon(x.Sym)] = callee.Params[i]
-		case *ir.ArrayRef:
-			actualToFormal[in.Sum.Canon(x.Sym)] = callee.Params[i]
-		}
-	}
-	// Sorted iteration: distinct caller symbols can merge into one formal,
-	// so the merge order must not depend on map iteration.
-	for _, sym := range t.SortedSyms() {
-		acc := t.Arrays[sym]
-		if f, ok := actualToFormal[sym]; ok {
-			merge(out.Get(f), transformToFormal(acc, f, sym))
+		base := argBase(arg)
+		if base == nil {
 			continue
 		}
-		if sym.Common != "" {
-			merge(out.Get(sym), acc)
+		actual := in.Sum.Canon(base)
+		bound[actual] = true
+		if e := t[actual]; e != nil {
+			out.set(callee.Params[i], toFormal(e, callee.Params[i], actual))
+		}
+	}
+	for sym, e := range t {
+		if sym.Common != "" && !bound[sym] {
+			out.set(sym, widenCallerNames(e))
 		}
 		// Caller locals invisible to the callee are dropped.
-	}
-	return widenCallerNames(out)
-}
-
-// transformToFormal rewrites dimension variables of the actual's sections
-// into the formal's index space when the shapes match; otherwise it widens
-// to the whole formal array.
-func transformToFormal(acc *summary.Access, formal, actual *ir.Symbol) *summary.Access {
-	sameShape := len(formal.Dims) == len(actual.Dims)
-	if sameShape {
-		for i := range formal.Dims {
-			if formal.Dims[i] != actual.Dims[i] {
-				sameShape = false
-				break
-			}
-		}
-	}
-	out := acc.Clone()
-	out.Sym = formal
-	if sameShape {
-		return out
-	}
-	nd := len(formal.Dims)
-	widen := func(s *lin.Section) *lin.Section {
-		if s.IsEmpty() {
-			return lin.EmptySection(nd)
-		}
-		return lin.WholeSection(nd)
-	}
-	out.R = widen(acc.R)
-	out.E = widen(acc.E)
-	out.W = widen(acc.W.Union(acc.M))
-	out.M = lin.EmptySection(nd)
-	out.Plain = widen(acc.Plain)
-	out.PlainW = widen(acc.PlainW)
-	out.Red = map[string]*lin.Section{}
-	for op, s := range acc.Red {
-		out.Red[op] = widen(s)
 	}
 	return out
 }
 
-func merge(dst, src *summary.Access) {
-	dst.R = dst.R.Union(src.R)
-	dst.E = dst.E.Union(src.E)
-	dst.W = dst.W.Union(src.W)
-	dst.M = dst.M.Union(src.M)
-	dst.Plain = dst.Plain.Union(src.Plain)
-	dst.PlainW = dst.PlainW.Union(src.PlainW)
-	for op, s := range src.Red {
-		if cur := dst.Red[op]; cur != nil {
-			dst.Red[op] = cur.Union(s)
-		} else {
-			dst.Red[op] = s.Clone()
-		}
+// toFormal rewrites the actual's exposed section into the formal's index
+// space: when the shapes match the dimension variables already are the
+// formal's, otherwise anything exposed widens to the whole formal array.
+func toFormal(e *lin.Section, formal, actual *ir.Symbol) *lin.Section {
+	switch {
+	case slices.Equal(formal.Dims, actual.Dims):
+		return widenCallerNames(e)
+	case e.IsEmpty():
+		return nil
 	}
+	return lin.WholeSection(len(formal.Dims))
 }
 
-// widenCallerNames projects every caller symbolic name out of the mapped
-// sections (callee space keeps only dimension variables). Must-writes
-// referencing caller names are demoted.
-func widenCallerNames(t *summary.Tuple) *summary.Tuple {
-	return t.ProjectSyms(func(v string) bool { return !lin.IsDimVar(v) })
+// widenCallerNames projects every caller symbolic name out of a mapped
+// section (callee space keeps only dimension variables).
+func widenCallerNames(e *lin.Section) *lin.Section {
+	if vs := e.SymVars(); len(vs) > 0 {
+		return e.Project(vs...)
+	}
+	return e
 }
 
 // ---- queries ----
@@ -274,27 +277,12 @@ func widenCallerNames(t *summary.Tuple) *summary.Tuple {
 // read after r (the paper's L_r = E1 ∩ (W2 ∪ M2)); nil-safe only for the
 // Full variant.
 func (in *Info) LiveAtExit(r *region.Region, sym *ir.Symbol) *lin.Section {
+	exposed := in.ExitSum[r][sym]
 	rs := in.Sum.RegionSum[r]
-	if rs == nil {
+	if exposed == nil || rs == nil || rs.Lookup(sym) == nil {
 		return lin.EmptySection(len(sym.Dims))
 	}
-	acc := rs.Lookup(sym)
-	if acc == nil {
-		return lin.EmptySection(len(sym.Dims))
-	}
-	writes := acc.Writes()
-	if writes.IsEmpty() {
-		return lin.EmptySection(len(sym.Dims))
-	}
-	exit := in.ExitSum[r]
-	if exit == nil {
-		return lin.EmptySection(len(sym.Dims))
-	}
-	ea := exit.Lookup(sym)
-	if ea == nil {
-		return lin.EmptySection(len(sym.Dims))
-	}
-	return ea.E.Intersect(writes)
+	return exposed.Intersect(rs.Lookup(sym).Writes())
 }
 
 // DeadAtExit reports whether every element of sym written by region r is
@@ -303,15 +291,15 @@ func (in *Info) LiveAtExit(r *region.Region, sym *ir.Symbol) *lin.Section {
 func (in *Info) DeadAtExit(r *region.Region, sym *ir.Symbol) bool {
 	switch in.Variant {
 	case Full:
-		exit := in.ExitSum[r]
-		if exit == nil {
+		exit, ok := in.ExitSum[r]
+		if !ok {
 			return false
 		}
 		if !in.LiveAtExit(r, sym).IsEmpty() {
 			return false
 		}
-		for other, acc := range exit.Arrays {
-			if other != sym && summary.Overlaps(other, sym) && !acc.E.IsEmpty() {
+		for other, e := range exit {
+			if other != sym && summary.Overlaps(other, sym) && !e.IsEmpty() {
 				return false
 			}
 		}
@@ -378,12 +366,12 @@ func (in *Info) runOneBit() {
 				// One-bit: no kill — union the After bits and the exit bits.
 				if after := in.Sum.After[r][cs.Call]; after != nil {
 					for s := range exposedBits(after) {
-						bits[in.calleeBitKey(cs, p, s)] = true
+						in.markCallee(bits, cs, p, s)
 					}
 				}
 				for s, b := range in.exitBits[r] {
 					if b {
-						bits[in.calleeBitKey(cs, p, s)] = true
+						in.markCallee(bits, cs, p, s)
 					}
 				}
 			}
@@ -393,25 +381,23 @@ func (in *Info) runOneBit() {
 	}
 }
 
-// calleeBitKey maps a caller-space symbol to the callee's view for the bit
-// lattice: formals via the call's actual bindings, commons via canon keys.
-func (in *Info) calleeBitKey(cs ir.CallSite, callee *ir.Proc, sym *ir.Symbol) *ir.Symbol {
+// markCallee sets the bit of caller-space symbol sym in the callee's name
+// space: every formal the call binds to it (CALL F(A,A) binds two), else sym
+// itself — a common canon key, or a caller local (harmlessly unmatched).
+func (in *Info) markCallee(bits map[*ir.Symbol]bool, cs ir.CallSite, callee *ir.Proc, sym *ir.Symbol) {
+	bound := false
 	for i, arg := range cs.Call.Args {
 		if i >= len(callee.Params) {
 			break
 		}
-		var base *ir.Symbol
-		switch x := arg.(type) {
-		case *ir.VarRef:
-			base = x.Sym
-		case *ir.ArrayRef:
-			base = x.Sym
-		}
-		if base != nil && in.Sum.Canon(base) == sym {
-			return callee.Params[i]
+		if base := argBase(arg); base != nil && in.Sum.Canon(base) == sym {
+			bits[callee.Params[i]] = true
+			bound = true
 		}
 	}
-	return sym // common canon key or caller-local (harmlessly unmatched)
+	if !bound {
+		bits[sym] = true
+	}
 }
 
 // downBits propagates exposed-after bits into nested loops. With
@@ -492,12 +478,12 @@ func (in *Info) runFlowInsensitive() {
 				// live after it.
 				if rs := in.regionSummary(r); rs != nil {
 					for s := range exposedBits(rs) {
-						bits[in.calleeBitKey(cs, p, s)] = true
+						in.markCallee(bits, cs, p, s)
 					}
 				}
 				for s, b := range in.exitBits[r] {
 					if b {
-						bits[in.calleeBitKey(cs, p, s)] = true
+						in.markCallee(bits, cs, p, s)
 					}
 				}
 			}

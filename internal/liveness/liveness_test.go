@@ -277,9 +277,7 @@ func TestProcExitMeetOverCallSites(t *testing.T) {
 	full := infos[Full]
 	ftop := sum.Reg.ProcTop["F"]
 	w := sum.Canon(sum.Prog.Proc("F").Lookup("W"))
-	exit := full.ExitSum[ftop]
-	acc := exit.Lookup(w)
-	if acc == nil || acc.E.IsEmpty() {
+	if e := full.ExitSum[ftop][w]; e == nil || e.IsEmpty() {
 		t.Fatal("w must be exposed after F (read at first call site)")
 	}
 	l10 := findLoop(t, sum, "F/10")

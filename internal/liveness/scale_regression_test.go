@@ -3,10 +3,11 @@ package liveness_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
+	"suifx/internal/corpus"
 	"suifx/internal/liveness"
 	"suifx/internal/minif"
 	"suifx/internal/summary"
@@ -43,15 +44,21 @@ func TestScaleFixture(t *testing.T) {
 	}
 }
 
-// TestManyProcsLiveness guards against reintroducing the per-procedure
-// whole-program call-site scan: a long call chain of small procedures must
-// analyze in time linear in the chain length. The deadline is generous for
-// slow CI machines but far below what the removed quadratic cost here.
-func TestManyProcsLiveness(t *testing.T) {
-	n := 400
-	if testing.Short() {
-		n = 60
-	}
+// mallocsOf counts the heap allocations of one call. The count is a
+// property of the algorithm, not of the machine, so a bound on it catches
+// regressions a wall-clock deadline generous enough for CI never would.
+func mallocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// chainProgram is a call chain of n small procedures over four shared
+// common blocks.
+func chainProgram(t *testing.T, n int) *summary.Analysis {
+	t.Helper()
 	var b strings.Builder
 	for p := 0; p < n; p++ {
 		fmt.Fprintf(&b, "      SUBROUTINE CH%d(U)\n", p)
@@ -74,18 +81,45 @@ func TestManyProcsLiveness(t *testing.T) {
 	}
 	b.WriteString("      CALL CH0(1.5)\n")
 	b.WriteString("      WRITE(*,*) GT0, GT1, GT2, GT3\n      END\n")
-
 	prog, err := minif.Parse("chain.f", b.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	sum := summary.Analyze(prog)
-	in := liveness.Analyze(sum, liveness.Full)
-	if elapsed := time.Since(start); elapsed > 60*time.Second {
-		t.Fatalf("liveness over %d-proc chain took %v; the top-down phase should be linear in chain length", n, elapsed)
+	return summary.Analyze(prog)
+}
+
+// TestManyProcsLiveness guards against reintroducing the per-procedure
+// whole-program call-site scan: over a long call chain of small procedures
+// the top-down phase must do work linear in the chain length, so the
+// allocations per procedure must not grow with the chain.
+func TestManyProcsLiveness(t *testing.T) {
+	short, long := 50, 400
+	if testing.Short() {
+		short, long = 15, 60
 	}
-	if len(in.ExitSum) == 0 {
-		t.Fatal("no exit summaries computed")
+	perProc := func(n int) float64 {
+		sum := chainProgram(t, n)
+		var in *liveness.Info
+		mallocs := mallocsOf(func() { in = liveness.Analyze(sum, liveness.Full) })
+		if len(in.ExitSum) == 0 {
+			t.Fatal("no exit summaries computed")
+		}
+		return float64(mallocs) / float64(n)
+	}
+	if a, b := perProc(short), perProc(long); b > 1.5*a {
+		t.Fatalf("liveness allocates %.0f objects per procedure on a %d-proc chain but %.0f on a %d-proc chain; the top-down phase should be linear in chain length", a, short, b, long)
+	}
+}
+
+// TestFullPassAllocations bounds the Full pass on the 5k tier by an exact
+// count: the pass that dragged the seven-component tuple through every
+// region made 1,248,332 allocations here, the exposed-reads-only pass makes
+// about 105,000 (the few that vary are map growth).
+func TestFullPassAllocations(t *testing.T) {
+	tier, _ := corpus.TierByName("5k")
+	sum := summary.Analyze(tierProgram(t, tier))
+	const limit = 250_000
+	if got := mallocsOf(func() { liveness.Analyze(sum, liveness.Full) }); got > limit {
+		t.Fatalf("liveness.Analyze(Full) on tier 5k made %d allocations, limit %d", got, limit)
 	}
 }
