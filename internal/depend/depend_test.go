@@ -1,8 +1,10 @@
 package depend
 
 import (
+	"runtime"
 	"testing"
 
+	"suifx/internal/corpus"
 	"suifx/internal/ir"
 	"suifx/internal/minif"
 	"suifx/internal/region"
@@ -362,5 +364,30 @@ func TestCommonAliasDifferentShapes(t *testing.T) {
 `, "MAIN/10", Options{})
 	if res.Parallelizable {
 		t.Fatal("aliased common layouts must block parallelization")
+	}
+}
+
+// TestAnalyzeLoopAllocations bounds the dependence test over every loop of
+// the 5k tier by an exact count — a property of the algorithm, not of the
+// machine. With lin.Expr a map per expression the sweep made 333,606
+// allocations; as a sorted term vector it makes about 88,000.
+func TestAnalyzeLoopAllocations(t *testing.T) {
+	tier, _ := corpus.TierByName("5k")
+	p := tier.Generate()
+	prog, err := minif.Parse(p.Name, p.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := summary.Analyze(prog)
+	loops := a.Reg.LoopRegions()
+	const limit = 210_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range loops {
+		AnalyzeLoop(a, r, Options{UseReductions: true})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > limit {
+		t.Fatalf("AnalyzeLoop over the %d loops of tier 5k made %d allocations, limit %d", len(loops), got, limit)
 	}
 }

@@ -10,16 +10,23 @@ package lin
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 )
 
 // Expr is an affine expression: a sum of integer-coefficient terms over named
 // variables plus an integer constant. The zero value is the constant 0.
+//
+// The terms are sorted by variable name, carry no zero coefficient and are
+// never written after the Expr is built, so values share term slices freely
+// (AddConst, Scale(1), System.Clone, the summary cache across goroutines).
 type Expr struct {
-	Coef  map[string]int64
+	terms []term
 	Const int64
+}
+
+type term struct {
+	v string
+	c int64
 }
 
 // NewExpr returns the affine expression with the given constant term.
@@ -33,84 +40,45 @@ func Term(v string, c int64) Expr {
 	if c == 0 {
 		return Expr{}
 	}
-	return Expr{Coef: map[string]int64{v: c}}
-}
-
-// Clone returns a deep copy of e.
-func (e Expr) Clone() Expr {
-	out := Expr{Const: e.Const}
-	if len(e.Coef) > 0 {
-		out.Coef = make(map[string]int64, len(e.Coef))
-		for v, c := range e.Coef {
-			out.Coef[v] = c
-		}
-	}
-	return out
+	return Expr{terms: []term{{v, c}}}
 }
 
 // CoefOf returns the coefficient of variable v (0 if absent).
-func (e Expr) CoefOf(v string) int64 { return e.Coef[v] }
-
-// Add returns e + o.
-func (e Expr) Add(o Expr) Expr {
-	out := e.Clone()
-	out.Const += o.Const
-	for v, c := range o.Coef {
-		out.addTerm(v, c)
+func (e Expr) CoefOf(v string) int64 {
+	for _, t := range e.terms {
+		if t.v == v {
+			return t.c
+		}
 	}
-	return out
+	return 0
 }
 
+// Add returns e + o.
+func (e Expr) Add(o Expr) Expr { return combine(1, e, "", 1, o) }
+
 // Sub returns e - o.
-func (e Expr) Sub(o Expr) Expr { return e.Add(o.Scale(-1)) }
+func (e Expr) Sub(o Expr) Expr { return combine(1, e, "", -1, o) }
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
-	if k == 0 {
-		return Expr{}
+	if k == 1 {
+		return e
 	}
-	out := Expr{Const: e.Const * k}
-	if len(e.Coef) > 0 {
-		out.Coef = make(map[string]int64, len(e.Coef))
-		for v, c := range e.Coef {
-			out.Coef[v] = c * k
-		}
-	}
-	return out
+	return combine(k, e, "", 0, Expr{})
 }
 
 // AddConst returns e + k.
-func (e Expr) AddConst(k int64) Expr {
-	out := e.Clone()
-	out.Const += k
-	return out
-}
-
-func (e *Expr) addTerm(v string, c int64) {
-	if c == 0 {
-		return
-	}
-	if e.Coef == nil {
-		e.Coef = make(map[string]int64)
-	}
-	n := e.Coef[v] + c
-	if n == 0 {
-		delete(e.Coef, v)
-	} else {
-		e.Coef[v] = n
-	}
-}
+func (e Expr) AddConst(k int64) Expr { return Expr{e.terms, e.Const + k} }
 
 // IsConst reports whether e has no variable terms.
-func (e Expr) IsConst() bool { return len(e.Coef) == 0 }
+func (e Expr) IsConst() bool { return len(e.terms) == 0 }
 
 // Vars returns the variables of e in sorted order.
 func (e Expr) Vars() []string {
-	vs := make([]string, 0, len(e.Coef))
-	for v := range e.Coef {
-		vs = append(vs, v)
+	vs := make([]string, len(e.terms))
+	for i, t := range e.terms {
+		vs[i] = t.v
 	}
-	sort.Strings(vs)
 	return vs
 }
 
@@ -118,46 +86,37 @@ func (e Expr) Vars() []string {
 // error so callers never silently treat a symbolic value as zero.
 func (e Expr) Eval(env map[string]int64) (int64, error) {
 	sum := e.Const
-	for v, c := range e.Coef {
-		val, ok := env[v]
+	for _, t := range e.terms {
+		val, ok := env[t.v]
 		if !ok {
-			return 0, fmt.Errorf("lin: unbound variable %q", v)
+			return 0, fmt.Errorf("lin: unbound variable %q", t.v)
 		}
-		sum += c * val
+		sum += t.c * val
 	}
 	return sum, nil
 }
 
 // Substitute returns e with every occurrence of v replaced by repl.
 func (e Expr) Substitute(v string, repl Expr) Expr {
-	c, ok := e.Coef[v]
-	if !ok {
-		return e.Clone()
+	c := e.CoefOf(v)
+	if c == 0 {
+		return e
 	}
-	out := e.Clone()
-	delete(out.Coef, v)
-	return out.Add(repl.Scale(c))
+	return combine(1, e, v, c, repl)
 }
 
 // Rename returns e with variable old renamed to new.
-func (e Expr) Rename(old, new string) Expr {
-	c, ok := e.Coef[old]
-	if !ok {
-		return e.Clone()
-	}
-	out := e.Clone()
-	delete(out.Coef, old)
-	out.addTerm(new, c)
-	return out
-}
+func (e Expr) Rename(old, new string) Expr { return e.Substitute(old, Var(new)) }
 
 // Equal reports whether e and o denote the same affine function.
-func (e Expr) Equal(o Expr) bool {
-	if e.Const != o.Const || len(e.Coef) != len(o.Coef) {
+func (e Expr) Equal(o Expr) bool { return e.Const == o.Const && sameCoefs(e, o) }
+
+func sameCoefs(a, b Expr) bool {
+	if len(a.terms) != len(b.terms) {
 		return false
 	}
-	for v, c := range e.Coef {
-		if o.Coef[v] != c {
+	for i, t := range a.terms {
+		if t != b.terms[i] {
 			return false
 		}
 	}
@@ -167,9 +126,8 @@ func (e Expr) Equal(o Expr) bool {
 // String renders e deterministically, e.g. "2*i - j + 3".
 func (e Expr) String() string {
 	var b strings.Builder
-	first := true
-	for _, v := range e.Vars() {
-		c := e.Coef[v]
+	for i, t := range e.terms {
+		first, v, c := i == 0, t.v, t.c
 		switch {
 		case first && c == 1:
 			b.WriteString(v)
@@ -186,10 +144,9 @@ func (e Expr) String() string {
 		default:
 			fmt.Fprintf(&b, " - %d*%s", -c, v)
 		}
-		first = false
 	}
 	switch {
-	case first:
+	case e.IsConst():
 		fmt.Fprintf(&b, "%d", e.Const)
 	case e.Const > 0:
 		fmt.Fprintf(&b, " + %d", e.Const)
@@ -199,39 +156,46 @@ func (e Expr) String() string {
 	return b.String()
 }
 
-// key renders a canonical byte form of e, cheaper than String, for use as a
-// dedup map key. Same affine function ⇔ same key.
-func (e Expr) key() string {
-	b := make([]byte, 0, 16+12*len(e.Coef))
-	b = strconv.AppendInt(b, e.Const, 10)
-	for _, v := range e.Vars() {
-		b = append(b, '|')
-		b = append(b, v...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, e.Coef[v], 10)
-	}
-	return string(b)
-}
-
-// linComb returns ka*a + kb*b with a single map allocation — the inner-loop
-// combination step of Fourier–Motzkin elimination.
-func linComb(ka int64, a Expr, kb int64, b Expr) Expr {
-	out := Expr{
-		Const: ka*a.Const + kb*b.Const,
-		Coef:  make(map[string]int64, len(a.Coef)+len(b.Coef)),
-	}
-	for v, c := range a.Coef {
-		out.Coef[v] = ka * c
-	}
-	for v, c := range b.Coef {
-		n := out.Coef[v] + kb*c
-		if n == 0 {
-			delete(out.Coef, v)
-		} else {
-			out.Coef[v] = n
+// combine returns ka*(a without its drop term) + kb*b by one merge of the two
+// sorted term lists into one fresh slice — every operation that builds new
+// terms, and the inner-loop step of Fourier–Motzkin elimination.
+func combine(ka int64, a Expr, drop string, kb int64, b Expr) Expr {
+	at, bt := a.terms, b.terms
+	ts := make([]term, 0, len(at)+len(bt))
+	for len(at) > 0 || len(bt) > 0 {
+		var t term
+		switch cmp := order(at, bt); {
+		case cmp < 0:
+			t, at = term{at[0].v, ka * at[0].c}, at[1:]
+			if t.v == drop {
+				continue
+			}
+		case cmp > 0:
+			t, bt = term{bt[0].v, kb * bt[0].c}, bt[1:]
+		default:
+			t = term{bt[0].v, kb * bt[0].c}
+			if t.v != drop {
+				t.c += ka * at[0].c
+			}
+			at, bt = at[1:], bt[1:]
+		}
+		if t.c != 0 {
+			ts = append(ts, t)
 		}
 	}
-	return out
+	return Expr{ts, ka*a.Const + kb*b.Const}
+}
+
+// order compares the heads of two term lists by name; an exhausted list
+// sorts last.
+func order(at, bt []term) int {
+	switch {
+	case len(bt) == 0:
+		return -1
+	case len(at) == 0:
+		return 1
+	}
+	return strings.Compare(at[0].v, bt[0].v)
 }
 
 func gcd64(a, b int64) int64 {

@@ -2,13 +2,21 @@ package lin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // DimVar returns the canonical variable name for the i-th (0-based) array
 // dimension inside a section's constraint systems.
-func DimVar(i int) string { return fmt.Sprintf("$d%d", i) }
+func DimVar(i int) string {
+	if i < len(dimVars) {
+		return dimVars[i]
+	}
+	return fmt.Sprintf("$d%d", i)
+}
+
+var dimVars = [...]string{"$d0", "$d1", "$d2", "$d3", "$d4", "$d5", "$d6", "$d7"}
 
 // IsDimVar reports whether v names an array dimension variable.
 func IsDimVar(v string) bool { return strings.HasPrefix(v, "$d") }
@@ -214,19 +222,17 @@ func (s *Section) Rename(old, new string) *Section {
 
 // SymVars returns the non-dimension variables mentioned in the section.
 func (s *Section) SymVars() []string {
-	set := map[string]bool{}
+	var vs []string
 	for _, p := range s.Polys {
-		for _, v := range p.Vars() {
-			if !IsDimVar(v) {
-				set[v] = true
+		for _, c := range p.Cons {
+			for _, t := range c.E.terms {
+				if !IsDimVar(t.v) && !slices.Contains(vs, t.v) {
+					vs = append(vs, t.v)
+				}
 			}
 		}
 	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
+	slices.Sort(vs)
 	return vs
 }
 

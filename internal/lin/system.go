@@ -1,6 +1,7 @@
 package lin
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -18,24 +19,20 @@ func (c Constraint) String() string { return c.E.String() + " >= 0" }
 // the constant term toward the feasible side (integer reasoning: a*x >= -b
 // with gcd g on a implies g*(x') >= -b, i.e. x' >= ceil(-b/g)).
 func (c Constraint) normalize() Constraint {
-	if len(c.E.Coef) == 0 {
-		return c
-	}
 	var g int64
-	for _, co := range c.E.Coef {
-		g = gcd64(g, co)
+	for _, t := range c.E.terms {
+		g = gcd64(g, t.c)
 	}
 	if g <= 1 {
 		return c
 	}
-	out := Expr{Coef: make(map[string]int64, len(c.E.Coef))}
-	for v, co := range c.E.Coef {
-		out.Coef[v] = co / g
+	ts := make([]term, len(c.E.terms))
+	for i, t := range c.E.terms {
+		ts[i] = term{t.v, t.c / g}
 	}
 	// e >= 0  ==  sum + Const >= 0  ==  sum >= -Const; divide by g and
 	// round the bound up: sum/g >= ceil(-Const/g), so Const' = floor(Const/g).
-	out.Const = floorDiv(c.E.Const, g)
-	return Constraint{out}
+	return Constraint{Expr{ts, floorDiv(c.E.Const, g)}}
 }
 
 func floorDiv(a, b int64) int64 {
@@ -106,18 +103,17 @@ func (s *System) AddRange(v string, lo, hi Expr) *System {
 
 // Vars returns all variables mentioned in s, sorted.
 func (s *System) Vars() []string {
-	set := map[string]bool{}
+	var buf [16]string
+	vs := buf[:0]
 	for _, c := range s.Cons {
-		for v := range c.E.Coef {
-			set[v] = true
+		for _, t := range c.E.terms {
+			if !slices.Contains(vs, t.v) {
+				vs = append(vs, t.v)
+			}
 		}
 	}
-	vs := make([]string, 0, len(set))
-	for v := range set {
-		vs = append(vs, v)
-	}
-	sort.Strings(vs)
-	return vs
+	slices.Sort(vs)
+	return slices.Clone(vs)
 }
 
 // Intersect returns the conjunction of s and o.
@@ -162,27 +158,32 @@ func (s *System) ContainsPoint(env map[string]int64) bool {
 // system over the remaining variables whose rational solution set is the
 // projection of s. This is the paper's closure operator building block.
 func (s *System) Eliminate(v string) *System {
-	var lower, upper, rest []Constraint
+	// co*v + r >= 0 is a lower bound on v when co > 0 (v >= -r/co), an upper
+	// bound when co < 0 (v <= r/(-co)). Counting them first sizes the output
+	// exactly: the constraints free of v, then one per lower × upper pair.
+	var buf [32]int64
+	coefs, nlo, nup := buf[:0], 0, 0
 	for _, c := range s.Cons {
-		switch co := c.E.CoefOf(v); {
-		case co > 0:
-			lower = append(lower, c) // co*v + r >= 0  =>  v >= -r/co
-		case co < 0:
-			upper = append(upper, c) // co*v + r >= 0  =>  v <= r/(-co)
-		default:
-			rest = append(rest, c)
+		co := c.E.CoefOf(v)
+		coefs = append(coefs, co)
+		if co > 0 {
+			nlo++
+		} else if co < 0 {
+			nup++
 		}
 	}
-	out := &System{Cons: rest}
-	for _, lo := range lower {
-		a := lo.E.CoefOf(v)
-		for _, up := range upper {
-			b := -up.E.CoefOf(v)
-			// b*(a*v + rl) + a*(-b*v + ru') combination removes v:
-			// b*lo + a*up >= 0.
-			comb := linComb(b, lo.E, a, up.E)
-			delete(comb.Coef, v)
-			out.Cons = append(out.Cons, Constraint{comb}.normalize())
+	out := &System{Cons: make([]Constraint, 0, len(s.Cons)-nlo-nup+nlo*nup)}
+	for i, c := range s.Cons {
+		if coefs[i] == 0 {
+			out.Cons = append(out.Cons, c)
+		}
+	}
+	for i, lo := range s.Cons {
+		for j, up := range s.Cons {
+			if a, b := coefs[i], -coefs[j]; a > 0 && b > 0 {
+				// b*(a*v + rl) + a*(-b*v + ru) = b*rl + a*ru: v cancels.
+				out.Cons = append(out.Cons, Constraint{combine(b, lo.E, "", a, up.E)}.normalize())
+			}
 		}
 	}
 	return out.simplify()
@@ -229,10 +230,7 @@ func (s *System) IsEmpty() bool {
 }
 
 func (s *System) isEmptySlow() bool {
-	cur := s.simplify()
-	if cur == nil {
-		return true
-	}
+	cur := s.Clone().simplify()
 	for _, v := range cur.Vars() {
 		cur = cur.Eliminate(v)
 		if cur.hasContradiction() {
@@ -251,14 +249,15 @@ func (s *System) hasContradiction() bool {
 	return false
 }
 
-// simplify drops trivially-true constraints and duplicate constraints, and
-// returns nil if a constant contradiction is present. A nil receiver stays nil.
+// simplify drops trivially-true and duplicate constraints from s in place —
+// s must be private to the caller — and reduces s to the single constraint
+// -1 >= 0 if a constant contradiction is present. Duplicates are found by
+// comparing terms, behind a scan of one integer fingerprint per kept
+// constraint.
 func (s *System) simplify() *System {
-	if s == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	out := &System{}
+	var buf [32]uint64
+	fps, kept := buf[:0], s.Cons[:0]
+next:
 	for _, c := range s.Cons {
 		if c.E.IsConst() {
 			if c.E.Const < 0 {
@@ -266,13 +265,22 @@ func (s *System) simplify() *System {
 			}
 			continue
 		}
-		k := c.E.key()
-		if !seen[k] {
-			seen[k] = true
-			out.Cons = append(out.Cons, c)
+		fp := uint64(c.E.Const)
+		for _, t := range c.E.terms {
+			fp = fp*31 + uint64(t.c)
+			for i := 0; i < len(t.v); i++ {
+				fp = fp*31 + uint64(t.v[i])
+			}
 		}
+		for k, f := range fps {
+			if f == fp && kept[k].E.Equal(c.E) {
+				continue next
+			}
+		}
+		fps, kept = append(fps, fp), append(kept, c)
 	}
-	return out
+	s.Cons = kept
+	return s
 }
 
 // Implies reports whether every rational point of s satisfies c, tested by
@@ -287,22 +295,10 @@ func (s *System) Implies(c Constraint) bool {
 			return true
 		}
 	}
-	neg := s.Clone()
 	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0.
-	neg.AddGE(c.E.Scale(-1).AddConst(-1))
-	return neg.IsEmpty()
-}
-
-func sameCoefs(a, b Expr) bool {
-	if len(a.Coef) != len(b.Coef) {
-		return false
-	}
-	for v, c := range a.Coef {
-		if b.Coef[v] != c {
-			return false
-		}
-	}
-	return true
+	neg := &System{Cons: make([]Constraint, len(s.Cons), len(s.Cons)+1)}
+	copy(neg.Cons, s.Cons)
+	return neg.AddGE(c.E.Scale(-1).AddConst(-1)).IsEmpty()
 }
 
 // ContainedIn reports whether s ⊆ o (conservatively: true is definite).

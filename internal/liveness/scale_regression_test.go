@@ -113,12 +113,13 @@ func TestManyProcsLiveness(t *testing.T) {
 
 // TestFullPassAllocations bounds the Full pass on the 5k tier by an exact
 // count: the pass that dragged the seven-component tuple through every
-// region made 1,248,332 allocations here, the exposed-reads-only pass makes
-// about 105,000 (the few that vary are map growth).
+// region made 1,248,332 allocations here, the exposed-reads-only pass made
+// 104,736 while lin.Expr was a map per expression and makes about 36,400 now
+// that it is a sorted term vector (the few that vary are map growth).
 func TestFullPassAllocations(t *testing.T) {
 	tier, _ := corpus.TierByName("5k")
 	sum := summary.Analyze(tierProgram(t, tier))
-	const limit = 250_000
+	const limit = 87_000
 	if got := mallocsOf(func() { liveness.Analyze(sum, liveness.Full) }); got > limit {
 		t.Fatalf("liveness.Analyze(Full) on tier 5k made %d allocations, limit %d", got, limit)
 	}

@@ -113,7 +113,7 @@ func (ev *Evaluator) Affine(e ir.Expr) (out lin.Expr, ok, variant bool) {
 			return lin.Expr{}, false, false
 		}
 		b := ev.lookup(x.Sym)
-		return b.e.Clone(), true, b.variant || exprHasVariant(b.e)
+		return b.e, true, b.variant || exprHasVariant(b.e)
 	case *ir.Un:
 		if x.Op != "-" {
 			return lin.Expr{}, false, false
@@ -154,7 +154,7 @@ func (ev *Evaluator) Affine(e ir.Expr) (out lin.Expr, ok, variant bool) {
 }
 
 func exprHasVariant(e lin.Expr) bool {
-	for v := range e.Coef {
+	for _, v := range e.Vars() {
 		if IsVariantVar(v) {
 			return true
 		}
@@ -302,7 +302,7 @@ func sortSymSet(set map[*ir.Symbol]bool) []*ir.Symbol {
 }
 
 // Value returns the current affine value of a scalar.
-func (ev *Evaluator) Value(sym *ir.Symbol) lin.Expr { return ev.lookup(sym).e.Clone() }
+func (ev *Evaluator) Value(sym *ir.Symbol) lin.Expr { return ev.lookup(sym).e }
 
 // ConstValue returns the scalar's value if currently a known constant.
 func (ev *Evaluator) ConstValue(sym *ir.Symbol) (int64, bool) {
