@@ -97,6 +97,16 @@ func main() {
 	}
 }
 
+// lastInt parses the last of a command's n words as a number; ok is false
+// when the command has another number of words or the last is not a number.
+func lastInt(args []string, n int) (v int, ok bool) {
+	if len(args) != n {
+		return 0, false
+	}
+	v, err := strconv.Atoi(args[n-1])
+	return v, err == nil
+}
+
 func report(s *explorer.Session) {
 	cov, gran := s.CoverageGranularity()
 	fmt.Printf("parallelism coverage: %.0f%%   granularity: %.3f ms\n", cov*100, gran)
@@ -136,20 +146,20 @@ func command(s *explorer.Session, args []string) bool {
 		}
 		fmt.Print(cg.Render())
 	case "slice":
-		if len(args) != 4 {
+		line, ok := lastInt(args, 4)
+		if !ok {
 			fmt.Println("usage: slice <proc> <var> <line>")
 			break
 		}
-		line, _ := strconv.Atoi(args[3])
 		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
 		res := sl.OfUse(strings.ToUpper(args[1]), strings.ToUpper(args[2]), line)
 		showSlice(s, res, line)
 	case "cslice":
-		if len(args) != 3 {
+		line, ok := lastInt(args, 3)
+		if !ok {
 			fmt.Println("usage: cslice <proc> <line>")
 			break
 		}
-		line, _ := strconv.Atoi(args[2])
 		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
 		res := sl.ControlSliceOfLine(strings.ToUpper(args[1]), line)
 		showSlice(s, res, line)
@@ -182,9 +192,13 @@ func command(s *explorer.Session, args []string) bool {
 			fmt.Println("usage: assert private|independent <loop> <var>")
 		}
 	case "speedup":
-		procs := 8
+		procs, ok := 8, true
 		if len(args) > 1 {
-			procs, _ = strconv.Atoi(args[1])
+			procs, ok = lastInt(args, 2)
+		}
+		if !ok || procs < 1 {
+			fmt.Println("usage: speedup [processors]")
+			break
 		}
 		fmt.Printf("modeled speedup on %d processors (%s): %.1f\n",
 			procs, s.Opts.Model.Name, s.Opts.Model.Speedup(s.Workload(), procs))

@@ -130,12 +130,11 @@ func (r *remote) command(args []string) bool {
 		r.report(out.Guru)
 	case "slice", "cslice":
 		req := map[string]any{}
+		line, isNum := lastInt(args, len(args))
 		switch {
-		case args[0] == "slice" && len(args) == 4:
-			line, _ := strconv.Atoi(args[3])
+		case isNum && args[0] == "slice" && len(args) == 4:
 			req["kind"], req["proc"], req["var"], req["line"] = "program", strings.ToUpper(args[1]), strings.ToUpper(args[2]), line
-		case args[0] == "cslice" && len(args) == 3:
-			line, _ := strconv.Atoi(args[2])
+		case isNum && args[0] == "cslice" && len(args) == 3:
 			req["kind"], req["proc"], req["line"] = "control", strings.ToUpper(args[1]), line
 		default:
 			fmt.Println("usage: slice <proc> <var> <line> | cslice <proc> <line>")

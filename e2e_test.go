@@ -202,6 +202,25 @@ func TestE2EExplorer(t *testing.T) {
 		}
 	})
 
+	t.Run("numbers that are not numbers", func(t *testing.T) {
+		for _, tc := range []struct{ cmd, want, never string }{
+			{"slice MAIN X abc", "usage: slice <proc> <var> <line>", "lines in slice"},
+			{"cslice MAIN x", "usage: cslice <proc> <line>", "lines in slice"},
+			{"speedup x", "usage: speedup [processors]", "on 0 processors"},
+			{"speedup 0", "usage: speedup [processors]", "on 0 processors"},
+			{"speedup 4", "modeled speedup on 4 processors", "usage:"},
+			{"speedup", "modeled speedup on 8 processors", "usage:"},
+		} {
+			stdout, stderr, code := run(t, bin, "", "-workload", w.Name, "-c", tc.cmd+";quit")
+			if code != 0 {
+				t.Fatalf("%q: exit %d, stderr: %s", tc.cmd, code, stderr)
+			}
+			if !strings.Contains(stdout, tc.want) || strings.Contains(stdout, tc.never) {
+				t.Errorf("%q: want %q and never %q in:\n%s", tc.cmd, tc.want, tc.never, stdout)
+			}
+		}
+	})
+
 	t.Run("unknown workload", func(t *testing.T) {
 		_, stderr, code := run(t, bin, "", "-workload", "nosuch")
 		if code != 2 || strings.TrimSpace(stderr) != `unknown workload "nosuch"` {
@@ -469,7 +488,7 @@ func TestE2ESession(t *testing.T) {
 	// The explorer binary can drive the same server remotely.
 	exbin := buildBinary(t, "explorer")
 	stdout, stderr, ecode := run(t, exbin, "", "-connect", base, "-workload", "mdg",
-		"-c", "report;targets;assert private INTERF/1000 RL;quit")
+		"-c", "report;targets;assert private INTERF/1000 RL;slice INTERF RL abc;cslice INTERF x;quit")
 	if ecode != 0 {
 		t.Fatalf("explorer -connect: exit %d, stderr: %s", ecode, stderr)
 	}
@@ -478,6 +497,9 @@ func TestE2ESession(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "accepted; re-tested INTERF/1000") {
 		t.Fatalf("remote assertion not accepted:\n%s", stdout)
+	}
+	if n := strings.Count(stdout, "usage: slice <proc> <var> <line> | cslice <proc> <line>"); n != 2 {
+		t.Fatalf("remote slice/cslice with a line that is not a number: %d usage lines, want 2:\n%s", n, stdout)
 	}
 
 	// The idle-TTL janitor evicts both sessions (ours and the explorer's,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"suifx/internal/corpus"
@@ -50,54 +49,13 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if par > server.MaxBatchParallelism {
 		par = server.MaxBatchParallelism
 	}
-	if par > len(resolved) {
-		par = len(resolved)
-	}
-
-	n := len(resolved)
-	recs := make([]*server.BatchItemResult, n)
-	done := make([]chan struct{}, n)
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		done[i] = make(chan struct{})
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				recs[i] = c.batchItem(r.Context(), i, items[i], resolved[i], req)
-				close(done[i])
-			}
-		}()
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	sum := server.BatchSummary{Done: true, Total: n}
-	for i := 0; i < n; i++ {
-		<-done[i]
-		if recs[i].Status == "ok" {
-			sum.OK++
-		} else {
-			sum.Failed++
+	server.StreamBatch(w, len(resolved), par, func(i int) *server.BatchItemResult {
+		rec := c.batchItem(r.Context(), i, items[i], resolved[i], req)
+		if rec.Status != "ok" {
 			c.batchFailures.Add(1)
 		}
-		_ = enc.Encode(recs[i])
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	wg.Wait()
-	_ = enc.Encode(sum)
-	if fl != nil {
-		fl.Flush()
-	}
+		return rec
+	})
 }
 
 // itemKey shards batch items exactly like the analyze proxy: workloads by

@@ -102,7 +102,7 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: DefaultMaxConnsPerShard,
+			MaxIdleConnsPerHost: c.MaxConnsPerShard,
 		}}
 	}
 	return c

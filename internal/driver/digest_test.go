@@ -69,8 +69,9 @@ func digestLine(name string, prog *ir.Program) string {
 // TestAnalysisDigests pins what the bottom-up pass and the dependence test
 // compute — every section as rendered, every verdict and reason — on every
 // workload and corpus tier (20k outside -short). The digests were generated
-// before lin.Expr became a sorted term vector, so a match certifies the new
-// representation changes no section and no verdict. Regenerate (without
+// before lin.Expr became a sorted term vector and before the bottom-up pass
+// shared sections instead of copying them, so a match certifies that neither
+// changed a section or a verdict. Regenerate (without
 // -short) only for an intended change of answers:
 // `go test ./internal/driver -run TestAnalysisDigests -update`.
 func TestAnalysisDigests(t *testing.T) {

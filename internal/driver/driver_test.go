@@ -15,7 +15,10 @@ import (
 // dump renders an Analysis to a canonical string keyed by stable names
 // (procedure names, region IDs, statement positions), so analyses of two
 // separately parsed instances of the same program can be compared.
-func dump(a *summary.Analysis) string {
+func dump(a *summary.Analysis) string { return dumpWith(a, (*summary.Tuple).String) }
+
+// dumpWith is dump with the rendering of one tuple left to the caller.
+func dumpWith(a *summary.Analysis, render func(*summary.Tuple) string) string {
 	var b strings.Builder
 	procs := make([]string, 0, len(a.ProcSum))
 	for name := range a.ProcSum {
@@ -23,7 +26,7 @@ func dump(a *summary.Analysis) string {
 	}
 	sort.Strings(procs)
 	for _, name := range procs {
-		fmt.Fprintf(&b, "== proc %s ==\n%s", name, a.ProcSum[name])
+		fmt.Fprintf(&b, "== proc %s ==\n%s", name, render(a.ProcSum[name]))
 	}
 
 	// Labels may repeat within a procedure, so region IDs alone are not
@@ -45,10 +48,10 @@ func dump(a *summary.Analysis) string {
 		return out
 	}
 	for _, e := range collect(a.RegionSum) {
-		fmt.Fprintf(&b, "== region %s ==\n%s", e.id, a.RegionSum[e.r])
+		fmt.Fprintf(&b, "== region %s ==\n%s", e.id, render(a.RegionSum[e.r]))
 	}
 	for _, e := range collect(a.BodySum) {
-		fmt.Fprintf(&b, "== body %s ==\n%s", e.id, a.BodySum[e.r])
+		fmt.Fprintf(&b, "== body %s ==\n%s", e.id, render(a.BodySum[e.r]))
 	}
 
 	ctxIDs := make([]regEntry, 0, len(a.Ctx))
@@ -79,7 +82,7 @@ func dump(a *summary.Analysis) string {
 		}
 		sort.Slice(sts, func(i, j int) bool { return sts[i].key < sts[j].key })
 		for _, se := range sts {
-			fmt.Fprintf(&b, "== after %s %s ==\n%s", e.id, se.key, stmts[se.s])
+			fmt.Fprintf(&b, "== after %s %s ==\n%s", e.id, se.key, render(stmts[se.s]))
 		}
 	}
 	return b.String()

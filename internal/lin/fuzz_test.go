@@ -1,6 +1,7 @@
 package lin
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -129,6 +130,85 @@ func FuzzLinSystem(f *testing.F) {
 				}
 			}
 			_ = s.String() // must never panic
+		}
+	})
+}
+
+// FuzzSectionOps checks what the section operations mean, not how their
+// results render: two byte-built 2-D sections (empty, inexact, unnormalised
+// and n-dependent polyhedra included) are combined and every result is
+// compared with its operands by point membership over a small integer box.
+// Union and Intersect are exact, Subtract lies between a \ b and a, Project
+// over-approximates — so an operation that hands back an operand it should
+// not have fails here even on inputs no golden renders. Operands must also
+// read the same afterwards.
+func FuzzSectionOps(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 1, 2, 0, 0, 2, 4, 4, 2, 2, 1, 3})
+	f.Add([]byte{1, 2, 0, 0, 4, 4, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 4, 4, 0})
+	f.Add([]byte{0, 3, 5, 5, 0, 0, 2, 1, 5, 5, 0, 0, 2, 3, 8, 8, 2, 2, 1, 2, 0, 1, 4, 4, 3, 3, 1, 0})
+	f.Add([]byte{2, 0, 1, 3, 9, 9, 9, 9, 9, 9, 3, 7, 7, 7, 7, 7, 7})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int64(b)
+		}
+		section := func() *Section {
+			s := &Section{NDim: 2, Exact: next()%2 == 0}
+			for k := next() % 4; k > 0; k-- {
+				lo0, lo1 := next()%7-3, next()%7-3
+				sys := NewSystem().
+					AddRange(DimVar(0), NewExpr(lo0), NewExpr(lo0+next()%4)).
+					AddRange(DimVar(1), NewExpr(lo1), NewExpr(lo1+next()%4))
+				switch c := next(); c % 4 {
+				case 1: // $d0 >= $d1 + c
+					sys.AddGE(Var(DimVar(0)).Sub(Var(DimVar(1))).AddConst(-(c/4%5 - 2)))
+				case 2: // $d0 <= n + c
+					sys.AddGE(Var("n").Sub(Var(DimVar(0))).AddConst(c/4%5 - 2))
+				}
+				s.Polys = append(s.Polys, sys)
+			}
+			return s
+		}
+		a, b := section(), section()
+		render := func(s *Section) string { return fmt.Sprint(s.NDim, s.Exact, s.Polys) }
+		wasA, wasB := render(a), render(b)
+
+		union, inter, diff, proj := a.Union(b), a.Intersect(b), a.Subtract(b), a.Project("n")
+		if union.Exact != (a.Exact && b.Exact) || inter.Exact != (a.Exact && b.Exact) || proj.Exact != a.Exact || diff.Exact != (len(diff.Polys) == 0) {
+			t.Fatalf("Exact flags: a=%v b=%v ∪=%v ∩=%v −=%v (%d polyhedra) proj=%v", a.Exact, b.Exact, union.Exact, inter.Exact, diff.Exact, len(diff.Polys), proj.Exact)
+		}
+		for _, n := range []int64{-1, 2} {
+			env := map[string]int64{"n": n}
+			for x := int64(-4); x <= 5; x++ {
+				for y := int64(-4); y <= 5; y++ {
+					p := []int64{x, y}
+					inA, inB := a.ContainsIndex(p, env), b.ContainsIndex(p, env)
+					if got := union.ContainsIndex(p, env); got != (inA || inB) {
+						t.Fatalf("%v ∈ a ∪ b is %v, but ∈ a %v, ∈ b %v (n=%d)\na=%s\nb=%s\n∪=%s", p, got, inA, inB, n, a, b, union)
+					}
+					if got := inter.ContainsIndex(p, env); got != (inA && inB) {
+						t.Fatalf("%v ∈ a ∩ b is %v, but ∈ a %v, ∈ b %v (n=%d)\na=%s\nb=%s\n∩=%s", p, got, inA, inB, n, a, b, inter)
+					}
+					switch inDiff := diff.ContainsIndex(p, env); {
+					case inA && !inB && !inDiff:
+						t.Fatalf("%v ∈ a, ∉ b, yet ∉ a − b (n=%d)\na=%s\nb=%s\n−=%s", p, n, a, b, diff)
+					case inDiff && !inA:
+						t.Fatalf("%v ∈ a − b but ∉ a (n=%d)\na=%s\nb=%s\n−=%s", p, n, a, b, diff)
+					}
+					if inA && !proj.ContainsIndex(p, nil) {
+						t.Fatalf("%v ∈ a at n=%d but ∉ a projected over n\na=%s\nproj=%s", p, n, a, proj)
+					}
+				}
+			}
+		}
+		if render(a) != wasA || render(b) != wasB {
+			t.Fatalf("an operand changed: a=%s (was %s), b=%s (was %s)", render(a), wasA, render(b), wasB)
 		}
 	})
 }

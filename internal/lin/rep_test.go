@@ -134,3 +134,96 @@ func TestExprOpsNeverAlias(t *testing.T) {
 		t.Fatal("no operand had spare capacity: the test exercised nothing")
 	}
 }
+
+// TestSectionOpsNeverWriteOperands guards the rule sections are shared on: a
+// Section — fields, Polys slice, the spare capacity behind it, every
+// polyhedron — is never written once built, so an operation may hand an
+// operand back and summaries, liveness results and cached analyses may hold
+// the same section. Operands include empty, inexact, unnormalised (a
+// polyhedron contained in another) and spare-capacity ones; every result
+// becomes an operand in turn.
+func TestSectionOpsNeverWriteOperands(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	spare, shared := 0, 0
+	randPoly := func() *System {
+		lo := r.Int63n(7) - 3
+		sys := NewSystem().AddRange(DimVar(0), NewExpr(lo), NewExpr(lo+r.Int63n(4)))
+		switch r.Intn(3) {
+		case 1:
+			sys.AddGE(Var("n").Sub(Var(DimVar(0))).AddConst(r.Int63n(3))) // $d0 <= n + c
+		case 2:
+			sys.AddGE(Var(DimVar(0)).Sub(Var("i"))) // $d0 >= i
+		}
+		return sys
+	}
+	randSection := func() *Section {
+		n := r.Intn(4)
+		s := &Section{NDim: 1, Polys: make([]*System, n, n+r.Intn(3)), Exact: r.Intn(3) > 0}
+		for i := range s.Polys {
+			s.Polys[i] = randPoly()
+		}
+		if cap(s.Polys) > len(s.Polys) {
+			spare++
+		}
+		return s
+	}
+	type snap struct {
+		text    string
+		backing []*System
+	}
+	snapshot := func(s *Section) snap {
+		parts := make([]string, len(s.Polys))
+		for i, p := range s.Polys {
+			parts[i] = p.String()
+		}
+		return snap{fmt.Sprint(s.NDim, s.Exact, parts), slices.Clone(s.Polys[:cap(s.Polys)])}
+	}
+	same := func(s *Section, was snap) bool {
+		now := snapshot(s)
+		return now.text == was.text && slices.Equal(now.backing, was.backing)
+	}
+	for iter := 0; iter < 1500; iter++ {
+		a, b := randSection(), randSection()
+		sa, sb := snapshot(a), snapshot(b)
+		results := []*Section{
+			a.Union(b), b.Union(a), a.Union(a), a.Subtract(b), a.Subtract(EmptySection(1)), a.Intersect(b),
+			a.Project("n"), a.Project(), a.Substitute("n", Var("i").AddConst(1)), a.Rename("i", "k"),
+			EmptySection(1).Union(a),
+		}
+		snaps := make([]snap, len(results))
+		for i, x := range results {
+			snaps[i] = snapshot(x)
+			if x == a || x == b {
+				shared++
+				if x == a && snaps[i].text != sa.text || x == b && snaps[i].text != sb.text {
+					t.Fatalf("iter %d result %d: an operand was handed back changed", iter, i)
+				}
+			}
+		}
+		for _, x := range results {
+			x.Union(b)
+			b.Union(x)
+			x.Subtract(a)
+			x.Intersect(b)
+			x.Project("i")
+			x.Substitute("i", NewExpr(2))
+			x.Rename("n", "m")
+		}
+		if !same(a, sa) || !same(b, sb) {
+			t.Fatalf("iter %d: an operand changed: %v (was %s), %v (was %s)", iter, a, sa.text, b, sb.text)
+		}
+		for i, x := range results {
+			if !same(x, snaps[i]) {
+				t.Fatalf("iter %d: result %d changed after later operations: %v, was %s", iter, i, x, snaps[i].text)
+			}
+		}
+	}
+	for n := 0; n < 3; n++ {
+		if e := EmptySection(n); len(e.Polys) != 0 || !e.Exact || e.NDim != n {
+			t.Fatalf("the shared empty %d-dimensional section was written: %+v", n, *e)
+		}
+	}
+	if spare == 0 || shared == 0 {
+		t.Fatalf("exercised nothing: %d operands with spare capacity, %d results shared with an operand", spare, shared)
+	}
+}

@@ -26,14 +26,34 @@ func IsDimVar(v string) bool { return strings.HasPrefix(v, "$d") }
 // any symbolic program variables (loop indices, bounds). An empty Polys slice
 // is the empty section. Exact == false marks a conservative over-approximation
 // (e.g. a non-affine subscript widened to the whole dimension).
+//
+// A Section is a value nobody writes: once the function that built it has
+// returned, neither its fields nor its Polys slice change (DESIGN.md, "Who may
+// write a section"). So summaries, liveness results and cached analyses share
+// sections, and an operation below returns an operand in place of the section
+// it would have built exactly when the two have the same NDim, Exact and
+// polyhedra in the same order.
 type Section struct {
 	NDim  int
 	Polys []*System
 	Exact bool
 }
 
+// emptySections[n] is the empty n-dimensional section every caller shares.
+var emptySections = func() (out [len(dimVars)]Section) {
+	for n := range out {
+		out[n] = Section{NDim: n, Exact: true}
+	}
+	return out
+}()
+
 // EmptySection returns the empty section for an ndim-dimensional array.
-func EmptySection(ndim int) *Section { return &Section{NDim: ndim, Exact: true} }
+func EmptySection(ndim int) *Section {
+	if ndim < len(emptySections) {
+		return &emptySections[ndim]
+	}
+	return &Section{NDim: ndim, Exact: true}
+}
 
 // WholeSection returns the section covering the entire array (no constraints
 // on the dimension variables), marked inexact.
@@ -46,16 +66,15 @@ func NewSection(ndim int, sys *System) *Section {
 	return &Section{NDim: ndim, Polys: []*System{sys}, Exact: true}
 }
 
-// Clone returns an independent copy. The polyhedra are shared: a System
-// stored in a Section is never mutated in place (all section and summary
-// operations replace rather than update), so only the Polys slice needs to
-// be fresh.
-func (s *Section) Clone() *Section {
-	out := &Section{NDim: s.NDim, Exact: s.Exact}
-	if len(s.Polys) > 0 {
-		out.Polys = append(make([]*System, 0, len(s.Polys)), s.Polys...)
+// share returns the section ⟨ndim, polys, exact⟩: the first operand that
+// already is that section, else a new one that takes polys over.
+func share(ndim int, polys []*System, exact bool, operands ...*Section) *Section {
+	for _, o := range operands {
+		if o.NDim == ndim && o.Exact == exact && slices.Equal(o.Polys, polys) {
+			return o
+		}
 	}
-	return out
+	return &Section{NDim: ndim, Polys: polys, Exact: exact}
 }
 
 // IsEmpty reports whether the section is definitely empty.
@@ -70,44 +89,42 @@ func (s *Section) IsEmpty() bool {
 
 // Union returns s ∪ o, merging polyhedra subsumed by existing ones.
 func (s *Section) Union(o *Section) *Section {
-	out := s.Clone()
-	out.Exact = s.Exact && o.Exact
+	polys := s.Polys
 	for _, p := range o.Polys {
-		out.addPoly(p)
+		polys = addPoly(polys, p)
 	}
-	return out
+	return share(s.NDim, polys, s.Exact && o.Exact, s, o)
 }
 
-func (s *Section) addPoly(p *System) {
+// addPoly returns polys ∪ {p} without the polyhedra p subsumes: polys itself
+// when p adds nothing, else a new slice — polys is never written.
+func addPoly(polys []*System, p *System) []*System {
 	if p.IsEmpty() {
-		return
+		return polys
 	}
-	for _, q := range s.Polys {
+	for _, q := range polys {
 		if p.ContainedIn(q) {
-			return
+			return polys
 		}
 	}
-	kept := s.Polys[:0]
-	for _, q := range s.Polys {
+	out := make([]*System, 0, len(polys)+1)
+	for _, q := range polys {
 		if !q.ContainedIn(p) {
-			kept = append(kept, q)
+			out = append(out, q)
 		}
 	}
-	s.Polys = append(kept, p)
+	return append(out, p)
 }
 
 // Intersect returns s ∩ o (pairwise polyhedron intersection).
 func (s *Section) Intersect(o *Section) *Section {
-	out := &Section{NDim: s.NDim, Exact: s.Exact && o.Exact}
+	var polys []*System
 	for _, p := range s.Polys {
 		for _, q := range o.Polys {
-			r := p.Intersect(q)
-			if !r.IsEmpty() {
-				out.addPoly(r)
-			}
+			polys = addPoly(polys, p.Intersect(q))
 		}
 	}
-	return out
+	return share(s.NDim, polys, s.Exact && o.Exact, s, o)
 }
 
 // Intersects reports whether s ∩ o may be nonempty (conservative: false means
@@ -140,7 +157,7 @@ func (s *Section) ContainedIn(o *Section) bool {
 // This is sound for upwards-exposed-read computation, which must
 // over-approximate.
 func (s *Section) Subtract(o *Section) *Section {
-	cur := append(make([]*System, 0, len(s.Polys)), s.Polys...)
+	cur := s.Polys
 	for _, q := range o.Polys {
 		var next []*System
 		for _, p := range cur {
@@ -155,14 +172,13 @@ func (s *Section) Subtract(o *Section) *Section {
 		}
 		cur = next
 	}
-	out := &Section{NDim: s.NDim, Exact: false}
+	var polys []*System
 	for _, p := range cur {
-		out.addPoly(p)
+		polys = addPoly(polys, p)
 	}
-	if len(out.Polys) == 0 {
-		out.Exact = true
-	}
-	return out
+	// What is left of s is an over-approximation even when nothing was cut,
+	// so only the empty result is exact.
+	return share(s.NDim, polys, len(polys) == 0, s)
 }
 
 // exactCut computes p \ q as the union of p ∧ ¬c over the constraints c of
@@ -194,30 +210,30 @@ func exactCut(p, q *System) ([]*System, bool) {
 // Project eliminates the given variables (typically a loop index) from every
 // polyhedron — the paper's closure operator at loop boundaries.
 func (s *Section) Project(vars ...string) *Section {
-	out := &Section{NDim: s.NDim, Exact: s.Exact}
+	var polys []*System
 	for _, p := range s.Polys {
-		out.addPoly(p.EliminateVars(vars...))
+		polys = addPoly(polys, p.EliminateVars(vars...))
 	}
-	return out
+	return share(s.NDim, polys, s.Exact, s)
 }
 
 // Substitute applies a variable substitution to every polyhedron (parameter
 // mapping across call sites).
 func (s *Section) Substitute(v string, repl Expr) *Section {
-	out := &Section{NDim: s.NDim, Exact: s.Exact}
-	for _, p := range s.Polys {
-		out.Polys = append(out.Polys, p.Substitute(v, repl))
+	polys := make([]*System, len(s.Polys))
+	for i, p := range s.Polys {
+		polys[i] = p.Substitute(v, repl)
 	}
-	return out
+	return share(s.NDim, polys, s.Exact, s)
 }
 
 // Rename renames a symbolic variable in every polyhedron.
 func (s *Section) Rename(old, new string) *Section {
-	out := &Section{NDim: s.NDim, Exact: s.Exact}
-	for _, p := range s.Polys {
-		out.Polys = append(out.Polys, p.Rename(old, new))
+	polys := make([]*System, len(s.Polys))
+	for i, p := range s.Polys {
+		polys[i] = p.Rename(old, new)
 	}
-	return out
+	return share(s.NDim, polys, s.Exact, s)
 }
 
 // SymVars returns the non-dimension variables mentioned in the section.

@@ -165,9 +165,8 @@ func (in *Info) downFull(r *region.Region) {
 
 // then returns the reads exposed by "after, then a rest of execution that
 // exposes exit" — the E row of the paper's transfer function T,
-// E = Ea ∪ (Eb − Ma). Only the symbols after touches are recomputed, and a
-// subtraction or union runs only when its operand has polyhedra; every other
-// symbol keeps exit's section.
+// E = Ea ∪ (Eb − Ma). Only the symbols after touches are recomputed; every
+// other symbol keeps exit's section.
 func then(after *summary.Tuple, exit Exposed) Exposed {
 	if after == nil || len(after.Arrays) == 0 {
 		return exit
@@ -175,7 +174,7 @@ func then(after *summary.Tuple, exit Exposed) Exposed {
 	out := maps.Clone(exit)
 	for sym, a := range after.Arrays {
 		e := out[sym]
-		if e != nil && len(a.M.Polys) > 0 {
+		if e != nil {
 			e = e.Subtract(a.M)
 		}
 		out.set(sym, union(a.E, e))
@@ -193,13 +192,12 @@ func (x Exposed) set(sym *ir.Symbol, e *lin.Section) {
 	}
 }
 
-// union is a ∪ b where nil or no polyhedra means empty; an empty operand
-// returns the other one unchanged.
+// union is a ∪ b where nil is the section of a symbol without an entry.
 func union(a, b *lin.Section) *lin.Section {
 	switch {
-	case b == nil || len(b.Polys) == 0:
+	case b == nil:
 		return a
-	case a == nil || len(a.Polys) == 0:
+	case a == nil:
 		return b
 	}
 	return a.Union(b)

@@ -131,29 +131,32 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 	case par > MaxBatchParallelism:
 		par = MaxBatchParallelism
 	}
-	if par > len(resolved) {
-		par = len(resolved)
-	}
+	StreamBatch(w, len(resolved), par, func(i int) *BatchItemResult { return s.batchOne(ctx, i, resolved[i], req) })
+	return nil
+}
 
-	// Items run on a bounded worker pool; records stream strictly in input
-	// order (done[i] gates the emit loop) so the byte stream is deterministic
-	// regardless of completion order.
-	n := len(resolved)
+// StreamBatch answers a batch request: item(i) runs for every i in [0, n) on
+// a pool of at most parallelism goroutines, and the records stream to w as
+// NDJSON strictly in index order (done[i] gates the emit loop), each flushed
+// as soon as it is next in line, followed by the BatchSummary trailer — so
+// the byte stream is the same whatever order the items finish in. The worker
+// and the cluster coordinator both answer /v1/batch through it.
+func StreamBatch(w http.ResponseWriter, n, parallelism int, item func(i int) *BatchItemResult) {
 	recs := make([]*BatchItemResult, n)
 	done := make([]chan struct{}, n)
-	idx := make(chan int, n)
+	idx := make(chan int, n) // one slot per item: the feeder never blocks
 	for i := 0; i < n; i++ {
 		done[i] = make(chan struct{})
 		idx <- i
 	}
 	close(idx)
 	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
+	for k := 0; k < min(parallelism, n); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				recs[i] = s.batchOne(ctx, i, resolved[i], req)
+				recs[i] = item(i)
 				close(done[i])
 			}
 		}()
@@ -163,6 +166,12 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	emit := func(v any) {
+		_ = enc.Encode(v) // the client went away; the remaining items still finish
+		if fl != nil {
+			fl.Flush()
+		}
+	}
 	sum := BatchSummary{Done: true, Total: n}
 	for i := 0; i < n; i++ {
 		<-done[i]
@@ -171,17 +180,10 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, r *http
 		} else {
 			sum.Failed++
 		}
-		_ = enc.Encode(recs[i])
-		if fl != nil {
-			fl.Flush()
-		}
+		emit(recs[i])
 	}
 	wg.Wait()
-	_ = enc.Encode(sum)
-	if fl != nil {
-		fl.Flush()
-	}
-	return nil
+	emit(sum)
 }
 
 // batchOne analyzes one resolved item. Failures (parse errors, per-item

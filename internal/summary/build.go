@@ -2,6 +2,7 @@ package summary
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"suifx/internal/ir"
@@ -391,15 +392,16 @@ func (w *walker) walkLoop(l *ir.DoLoop) *node {
 	// The §5.2.2.3 refinement subtracts strictly-earlier-iteration
 	// must-writes; it is sound whenever the loop bounds are exact.
 	refine := func(acc *Access) bool { return full.Exact }
-	loopTuple := CloseLoop(bodyTuple, full.IndexVar, full.Exact, full.Variant, full.Bounds, refine)
+	closed := CloseLoop(bodyTuple, full.IndexVar, full.Exact, full.Variant, full.Bounds, refine)
 
 	// The DO index itself is written by the loop (before any body read, so
 	// its reads are never upwards exposed outside the loop).
-	idxAcc := loopTuple.Get(w.a.Canon(l.Index))
-	idxAcc.M = fullScalar()
-	idxAcc.E = lin.EmptySection(0)
-	idxAcc.Plain = fullScalar()
-	idxAcc.PlainW = fullScalar()
+	idx := w.a.Canon(l.Index)
+	idxAcc := closed.view(idx)
+	idxAcc.M, idxAcc.E = fullScalar, lin.EmptySection(0)
+	idxAcc.Plain, idxAcc.PlainW = fullScalar, fullScalar
+	loopTuple := &Tuple{Arrays: maps.Clone(closed.Arrays)}
+	loopTuple.Arrays[idx] = &idxAcc
 
 	w.res.RegionSum[lr] = loopTuple
 	return &node{stmt: l, tuple: Compose(t, loopTuple)}
@@ -407,7 +409,9 @@ func (w *walker) walkLoop(l *ir.DoLoop) *node {
 
 // ---- leaf summaries ----
 
-func fullScalar() *lin.Section { return lin.NewSection(0, lin.NewSystem()) }
+// fullScalar is the section of a scalar access: the one element of a
+// 0-dimensional array. Nobody writes a section, so every scalar shares it.
+var fullScalar = lin.NewSection(0, lin.NewSystem())
 
 func refString(r ir.Ref) string { return ir.Expr(r).String() }
 
@@ -418,9 +422,9 @@ func addReads(t *Tuple, w *walker, expr ir.Expr) {
 		case *ir.VarRef:
 			if !x.Sym.IsArray() {
 				acc := t.Get(w.a.Canon(x.Sym))
-				acc.R = acc.R.Union(fullScalar())
-				acc.E = acc.E.Union(fullScalar())
-				acc.Plain = acc.Plain.Union(fullScalar())
+				acc.R = acc.R.Union(fullScalar)
+				acc.E = acc.E.Union(fullScalar)
+				acc.Plain = acc.Plain.Union(fullScalar)
 			}
 		case *ir.ArrayRef:
 			if len(x.Idx) == 0 {
@@ -454,9 +458,7 @@ func (w *walker) sectionOf(x *ir.ArrayRef) *lin.Section {
 	for _, c := range w.ctx {
 		sys = sys.Intersect(c)
 	}
-	sec := lin.NewSection(len(x.Sym.Dims), sys)
-	sec.Exact = exact
-	return sec
+	return &lin.Section{NDim: len(x.Sym.Dims), Polys: []*lin.System{sys}, Exact: exact}
 }
 
 // leafAssign builds the summary of a single assignment, classifying
@@ -509,7 +511,7 @@ func (w *walker) addWrite(t *Tuple, lhs ir.Ref, commutative bool, op string) {
 	if ar, ok := lhs.(*ir.ArrayRef); ok {
 		sec = w.sectionOf(ar)
 	} else {
-		sec = fullScalar()
+		sec = fullScalar
 	}
 	if sec.Exact {
 		acc.M = acc.M.Union(sec)
@@ -517,7 +519,7 @@ func (w *walker) addWrite(t *Tuple, lhs ir.Ref, commutative bool, op string) {
 		acc.W = acc.W.Union(sec)
 	}
 	if commutative {
-		acc.Red[op] = redOr(acc.Red[op], sec)
+		acc.Red = redUnion(acc.Red, map[string]*lin.Section{op: sec})
 		// The self-read was added to Plain by addReads; rebuild Plain
 		// without the reduction region.
 		acc.Plain = acc.Plain.Subtract(sec)
@@ -641,9 +643,9 @@ func (w *walker) leafIO(st *ir.IO) *Tuple {
 		switch r := a.(type) {
 		case *ir.VarRef:
 			acc := t.Get(w.a.Canon(r.Sym))
-			acc.M = acc.M.Union(fullScalar())
-			acc.Plain = acc.Plain.Union(fullScalar())
-			acc.PlainW = acc.PlainW.Union(fullScalar())
+			acc.M = acc.M.Union(fullScalar)
+			acc.Plain = acc.Plain.Union(fullScalar)
+			acc.PlainW = acc.PlainW.Union(fullScalar)
 		case *ir.ArrayRef:
 			for _, ix := range r.Idx {
 				addReads(t, w, ix)
@@ -674,7 +676,7 @@ func (w *walker) composeNodes(r *region.Region, nodes []*node, cont *Tuple) *Tup
 		n := nodes[i]
 		switch n.stmt.(type) {
 		case *ir.Call, *ir.DoLoop:
-			w.res.After[r][n.stmt] = v.Clone()
+			w.res.After[r][n.stmt] = v
 		}
 		if n.isIf {
 			vt := w.composeNodes(r, n.thenN, v)

@@ -68,11 +68,9 @@ func (m *callMapper) mapAccess(out *Tuple, sym *ir.Symbol, acc *Access) {
 		// Canonical common keys are shared across procedures; only the
 		// symbolic variables need mapping.
 		target := out.Get(m.w.a.Canon(sym))
-		m.mergeSections(target, acc, identityTransform)
+		m.mergeSections(target, acc, m.substVars)
 	}
 }
-
-func identityTransform(s *lin.Section) *lin.Section { return s.Clone() }
 
 func (m *callMapper) mapParamAccess(out *Tuple, formal *ir.Symbol, acc *Access) {
 	if formal.ParamIndex >= len(m.c.Args) {
@@ -83,7 +81,7 @@ func (m *callMapper) mapParamAccess(out *Tuple, formal *ir.Symbol, acc *Access) 
 	case *ir.VarRef:
 		// Scalar (or whole-array via scalar ref — arrays parse as ArrayRef).
 		target := out.Get(m.w.a.Canon(x.Sym))
-		m.mergeSections(target, acc, identityTransform)
+		m.mergeSections(target, acc, m.substVars)
 	case *ir.ArrayRef:
 		m.mapArrayArg(out, formal, acc, x)
 	default:
@@ -110,7 +108,7 @@ func (m *callMapper) mapArrayArg(out *Tuple, formal *ir.Symbol, acc *Access, act
 	}
 	switch {
 	case sameShape:
-		m.mergeSections(target, acc, identityTransform)
+		m.mergeSections(target, acc, m.substVars)
 	case len(formal.Dims) == 1 && len(actual.Sym.Dims) == 1:
 		// Sequence association: element j of the formal is element
 		// start + (j - formal.Lo) of the actual.
@@ -123,30 +121,28 @@ func (m *callMapper) mapArrayArg(out *Tuple, formal *ir.Symbol, acc *Access, act
 			}
 		}
 		off := start.AddConst(-formal.Dims[0].Lo) // caller index = off + formal index
-		tr := func(s *lin.Section) *lin.Section {
+		m.mergeSections(target, acc, func(s *lin.Section) *lin.Section {
+			// Callee names first: the dimension transform introduces
+			// caller-side names that must not be re-minted as leftovers.
 			// formal $d0 = caller $d0 - off
-			return s.Substitute(lin.DimVar(0), lin.Var(lin.DimVar(0)).Sub(off))
-		}
-		m.mergeSections(target, acc, tr)
+			return m.substVars(s).Substitute(lin.DimVar(0), lin.Var(lin.DimVar(0)).Sub(off))
+		})
 	default:
 		// Reshape we do not model precisely: whole actual array, may-only.
 		m.degrade(target, acc)
 	}
 }
 
-// mergeSections maps the callee access's sections through tr and the
-// symbolic-variable substitution, then merges into target.
-func (m *callMapper) mergeSections(target *Access, acc *Access, tr func(*lin.Section) *lin.Section) {
-	// Substitute callee names first: the dimension transform introduces
-	// caller-side names that must not be re-minted as leftovers.
-	conv := func(s *lin.Section) *lin.Section { return tr(m.substVars(s)) }
+// mergeSections maps the callee access's sections into the caller's name
+// space through conv, then merges them into target.
+func (m *callMapper) mergeSections(target *Access, acc *Access, conv func(*lin.Section) *lin.Section) {
 	target.R = target.R.Union(conv(acc.R))
 	target.E = target.E.Union(conv(acc.E))
 	target.W = target.W.Union(conv(acc.W))
 	target.Plain = target.Plain.Union(conv(acc.Plain))
 	target.PlainW = target.PlainW.Union(conv(acc.PlainW))
 	for op, s := range acc.Red {
-		target.Red[op] = redOr(target.Red[op], conv(s))
+		target.Red = redUnion(target.Red, map[string]*lin.Section{op: conv(s)})
 	}
 	// Must-writes survive the mapping only if no polyhedron picked up a
 	// fresh variant name (substVars marks those with the % prefix; the
@@ -173,7 +169,7 @@ func (m *callMapper) degrade(target *Access, acc *Access) {
 	} else {
 		for op, s := range acc.Red {
 			if !s.IsEmpty() {
-				target.Red[op] = redOr(target.Red[op], whole)
+				target.Red = redUnion(target.Red, map[string]*lin.Section{op: whole})
 			}
 		}
 	}

@@ -422,7 +422,7 @@ func TestExposedReadSubtractionInCompose(t *testing.T) {
 	read := NewTuple()
 	racc := read.Get(sym)
 	racc.R = lin.NewSection(1, lin.NewSystem().AddRange(lin.DimVar(0), lin.NewExpr(1), lin.NewExpr(9)))
-	racc.E = racc.R.Clone()
+	racc.E = racc.R
 
 	c := Compose(write, read)
 	acc := c.Lookup(sym)

@@ -10,6 +10,8 @@
 package summary
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,6 +30,9 @@ const (
 // Access is the per-array summary for one region: the paper's
 // ⟨R, E, W, M⟩ tuple plus reduction bookkeeping. W and M are disjoint:
 // W holds may-writes not known to always execute; M holds must-writes.
+// Like a lin.Section, a record is never written once the function that built
+// it has returned, so tuples share the records a transfer function leaves
+// alone.
 type Access struct {
 	Sym *ir.Symbol // canonical symbol (see Analysis.Canon)
 	R   *lin.Section
@@ -42,30 +47,8 @@ type Access struct {
 	PlainW *lin.Section
 }
 
-func newAccess(sym *ir.Symbol) *Access {
-	nd := len(sym.Dims)
-	return &Access{
-		Sym: sym,
-		R:   lin.EmptySection(nd), E: lin.EmptySection(nd),
-		W: lin.EmptySection(nd), M: lin.EmptySection(nd),
-		Red:    map[string]*lin.Section{},
-		Plain:  lin.EmptySection(nd),
-		PlainW: lin.EmptySection(nd),
-	}
-}
-
 // Writes returns W ∪ M, the full may-write section.
 func (a *Access) Writes() *lin.Section { return a.W.Union(a.M) }
-
-// Clone deep-copies the access.
-func (a *Access) Clone() *Access {
-	out := &Access{Sym: a.Sym, R: a.R.Clone(), E: a.E.Clone(), W: a.W.Clone(), M: a.M.Clone(),
-		Red: map[string]*lin.Section{}, Plain: a.Plain.Clone(), PlainW: a.PlainW.Clone()}
-	for op, s := range a.Red {
-		out.Red[op] = s.Clone()
-	}
-	return out
-}
 
 // Tuple is a whole-region summary: one Access per touched canonical symbol.
 type Tuple struct {
@@ -75,11 +58,23 @@ type Tuple struct {
 // NewTuple returns an empty summary.
 func NewTuple() *Tuple { return &Tuple{Arrays: map[*ir.Symbol]*Access{}} }
 
-// Get returns (creating) the access record for sym.
+// view returns a copy of t's record for sym: every section empty when t has
+// none.
+func (t *Tuple) view(sym *ir.Symbol) Access {
+	if a := t.Arrays[sym]; a != nil {
+		return *a
+	}
+	e := lin.EmptySection(len(sym.Dims))
+	return Access{Sym: sym, R: e, E: e, W: e, M: e, Plain: e, PlainW: e}
+}
+
+// Get returns (creating) the access record for sym, for the function that is
+// still building t to fill in.
 func (t *Tuple) Get(sym *ir.Symbol) *Access {
 	a := t.Arrays[sym]
 	if a == nil {
-		a = newAccess(sym)
+		fresh := t.view(sym)
+		a = &fresh
 		t.Arrays[sym] = a
 	}
 	return a
@@ -87,15 +82,6 @@ func (t *Tuple) Get(sym *ir.Symbol) *Access {
 
 // Lookup returns the access record for sym or nil.
 func (t *Tuple) Lookup(sym *ir.Symbol) *Access { return t.Arrays[sym] }
-
-// Clone deep-copies the tuple.
-func (t *Tuple) Clone() *Tuple {
-	out := NewTuple()
-	for s, a := range t.Arrays {
-		out.Arrays[s] = a.Clone()
-	}
-	return out
-}
 
 // SortedSyms returns the touched symbols in deterministic order.
 func (t *Tuple) SortedSyms() []*ir.Symbol {
@@ -113,20 +99,22 @@ func (t *Tuple) SortedSyms() []*ir.Symbol {
 }
 
 // Compose returns the summary of "a then b" (the paper's transfer function T):
-// R = Ra ∪ Rb, E = Ea ∪ (Eb − Ma), W = Wa ∪ Wb, M = Ma ∪ Mb.
+// R = Ra ∪ Rb, E = Ea ∪ (Eb − Ma), W = Wa ∪ Wb, M = Ma ∪ Mb. Symbols b does
+// not touch keep a's record.
 func Compose(a, b *Tuple) *Tuple {
-	out := a.Clone()
+	out := &Tuple{Arrays: maps.Clone(a.Arrays)}
 	for sym, bb := range b.Arrays {
-		aa := out.Get(sym)
-		aa.R = aa.R.Union(bb.R)
-		aa.E = aa.E.Union(bb.E.Subtract(aa.M))
-		aa.W = aa.W.Union(bb.W)
-		aa.M = aa.M.Union(bb.M)
-		for op, s := range bb.Red {
-			aa.Red[op] = redOr(aa.Red[op], s)
+		aa := a.view(sym)
+		out.Arrays[sym] = &Access{
+			Sym:    sym,
+			R:      aa.R.Union(bb.R),
+			E:      aa.E.Union(bb.E.Subtract(aa.M)),
+			W:      aa.W.Union(bb.W),
+			M:      aa.M.Union(bb.M),
+			Red:    redUnion(aa.Red, bb.Red),
+			Plain:  aa.Plain.Union(bb.Plain),
+			PlainW: aa.PlainW.Union(bb.PlainW),
 		}
-		aa.Plain = aa.Plain.Union(bb.Plain)
-		aa.PlainW = aa.PlainW.Union(bb.PlainW)
 	}
 	return out
 }
@@ -134,44 +122,44 @@ func Compose(a, b *Tuple) *Tuple {
 // Meet combines summaries of alternative paths (the ∧ operator):
 // R, E, W union; M intersection.
 func Meet(a, b *Tuple) *Tuple {
-	out := NewTuple()
-	syms := map[*ir.Symbol]bool{}
-	for s := range a.Arrays {
-		syms[s] = true
-	}
-	for s := range b.Arrays {
-		syms[s] = true
-	}
-	for s := range syms {
-		aa, ba := a.Arrays[s], b.Arrays[s]
-		if aa == nil {
-			aa = newAccess(s)
+	out := &Tuple{Arrays: make(map[*ir.Symbol]*Access, len(a.Arrays))}
+	for _, t := range []*Tuple{a, b} {
+		for sym := range t.Arrays {
+			if out.Arrays[sym] != nil {
+				continue
+			}
+			aa, ba := a.view(sym), b.view(sym)
+			both := aa.M.Intersect(ba.M)
+			out.Arrays[sym] = &Access{
+				Sym:    sym,
+				R:      aa.R.Union(ba.R),
+				E:      aa.E.Union(ba.E),
+				W:      aa.W.Union(ba.W).Union(aa.M.Union(ba.M).Subtract(both)),
+				M:      both,
+				Red:    redUnion(aa.Red, ba.Red),
+				Plain:  aa.Plain.Union(ba.Plain),
+				PlainW: aa.PlainW.Union(ba.PlainW),
+			}
 		}
-		if ba == nil {
-			ba = newAccess(s)
-		}
-		oa := out.Get(s)
-		oa.R = aa.R.Union(ba.R)
-		oa.E = aa.E.Union(ba.E)
-		oa.W = aa.W.Union(ba.W).Union(aa.M.Union(ba.M).Subtract(aa.M.Intersect(ba.M)))
-		oa.M = aa.M.Intersect(ba.M)
-		for op, s2 := range aa.Red {
-			oa.Red[op] = redOr(oa.Red[op], s2)
-		}
-		for op, s2 := range ba.Red {
-			oa.Red[op] = redOr(oa.Red[op], s2)
-		}
-		oa.Plain = aa.Plain.Union(ba.Plain)
-		oa.PlainW = aa.PlainW.Union(ba.PlainW)
 	}
 	return out
 }
 
-func redOr(a, b *lin.Section) *lin.Section {
-	if a == nil {
-		return b.Clone()
+// redUnion returns the per-operator union of two Red maps, a itself when b
+// is empty. Neither map is written: records share them like sections.
+func redUnion(a, b map[string]*lin.Section) map[string]*lin.Section {
+	if len(b) == 0 {
+		return a
 	}
-	return a.Union(b)
+	out := make(map[string]*lin.Section, len(a)+len(b))
+	maps.Copy(out, a)
+	for op, s := range b {
+		if prev := out[op]; prev != nil {
+			s = prev.Union(s)
+		}
+		out[op] = s
+	}
+	return out
 }
 
 // CloseLoop computes the loop-level summary from a body summary by
@@ -185,41 +173,39 @@ func redOr(a, b *lin.Section) *lin.Section {
 // (Fig 5-4) to just the truly exposed boundary elements.
 func CloseLoop(body *Tuple, idxVar string, exactBounds bool, variant []string, bounds *lin.System, refineE func(a *Access) bool) *Tuple {
 	proj := append([]string{idxVar}, variant...)
-	out := NewTuple()
+	project := func(s *lin.Section) *lin.Section { return s.Project(proj...) }
+	out := &Tuple{Arrays: make(map[*ir.Symbol]*Access, len(body.Arrays))}
 	for sym, a := range body.Arrays {
-		oa := out.Get(sym)
-		oa.R = a.R.Project(proj...)
-		oa.W = a.W.Project(proj...)
-		for op, s := range a.Red {
-			oa.Red[op] = s.Project(proj...)
+		in := *a
+		if refineE != nil && refineE(a) {
+			in.E = a.E.Subtract(earlierMustWrites(a.M, idxVar, exactBounds, variant, bounds))
 		}
-		oa.Plain = a.Plain.Project(proj...)
-		oa.PlainW = a.PlainW.Project(proj...)
+		oa := in.mapSections(project)
 
-		// Must-writes: keep polyhedra whose projection is exact.
+		// Must-writes: keep polyhedra whose projection is exact; the others
+		// are demoted to may-writes.
 		oa.M = lin.EmptySection(len(sym.Dims))
-		var demoted *lin.Section // polyhedra demoted from M to W
 		for _, p := range a.M.Polys {
+			q := []*lin.System{p.EliminateVars(proj...)}
 			if mustProjectable(p, idxVar, exactBounds, variant) {
-				oa.M = oa.M.Union(&lin.Section{NDim: len(sym.Dims), Polys: []*lin.System{p.EliminateVars(proj...)}, Exact: a.M.Exact})
+				oa.M = oa.M.Union(&lin.Section{NDim: len(sym.Dims), Polys: q, Exact: a.M.Exact})
 			} else {
-				d := &lin.Section{NDim: len(sym.Dims), Polys: []*lin.System{p.EliminateVars(proj...)}, Exact: false}
-				if demoted == nil {
-					demoted = d
-				} else {
-					demoted = demoted.Union(d)
-				}
+				oa.W = oa.W.Union(&lin.Section{NDim: len(sym.Dims), Polys: q, Exact: false})
 			}
 		}
-		if demoted != nil {
-			oa.W = oa.W.Union(demoted)
-		}
+		out.Arrays[sym] = &oa
+	}
+	return out
+}
 
-		e := a.E
-		if refineE != nil && refineE(a) {
-			e = e.Subtract(earlierMustWrites(a.M, idxVar, exactBounds, variant, bounds))
+// mapSections returns a copy of a with f applied to every section but M.
+func (a *Access) mapSections(f func(*lin.Section) *lin.Section) Access {
+	out := Access{Sym: a.Sym, R: f(a.R), E: f(a.E), W: f(a.W), M: a.M, Red: a.Red, Plain: f(a.Plain), PlainW: f(a.PlainW)}
+	if len(a.Red) > 0 {
+		out.Red = make(map[string]*lin.Section, len(a.Red))
+		for op, s := range a.Red {
+			out.Red[op] = f(s)
 		}
-		oa.E = e.Project(proj...)
 	}
 	return out
 }
@@ -273,43 +259,43 @@ func mustProjectable(p *lin.System, idxVar string, exactBounds bool, variant []s
 // (over-approximating); must-writes referencing them are demoted to
 // may-writes. Used at procedure boundaries to eliminate callee-local names.
 func (t *Tuple) ProjectSyms(drop func(v string) bool) *Tuple {
-	out := NewTuple()
+	project := func(s *lin.Section) *lin.Section { return projectIf(s, drop) }
+	out := &Tuple{Arrays: make(map[*ir.Symbol]*Access, len(t.Arrays))}
 	for sym, a := range t.Arrays {
-		oa := out.Get(sym)
-		oa.R = projectIf(a.R, drop)
-		oa.E = projectIf(a.E, drop)
-		oa.W = projectIf(a.W, drop)
-		oa.Plain = projectIf(a.Plain, drop)
-		oa.PlainW = projectIf(a.PlainW, drop)
-		for op, s := range a.Red {
-			oa.Red[op] = projectIf(s, drop)
-		}
-		oa.M = lin.EmptySection(len(sym.Dims))
+		oa := a.mapSections(project)
+		var must []*lin.System
 		for _, p := range a.M.Polys {
-			bad := false
-			for _, v := range p.Vars() {
-				if drop(v) {
-					bad = true
-					break
-				}
-			}
-			if !bad {
-				oa.M.Polys = append(oa.M.Polys, p.Clone())
+			if q := projectPoly(p, drop); q == p {
+				must = append(must, p)
 			} else {
-				oa.W = oa.W.Union(&lin.Section{NDim: len(sym.Dims), Polys: []*lin.System{projectPoly(p, drop)}, Exact: false})
+				oa.W = oa.W.Union(&lin.Section{NDim: len(sym.Dims), Polys: []*lin.System{q}, Exact: false})
 			}
 		}
-		oa.M.Exact = a.M.Exact
+		if len(must) != len(a.M.Polys) {
+			oa.M = &lin.Section{NDim: len(sym.Dims), Polys: must, Exact: a.M.Exact}
+		}
+		// An unchanged record is shared (one with reductions got a new Red map).
+		if len(a.Red) == 0 && oa.R == a.R && oa.E == a.E && oa.W == a.W && oa.M == a.M && oa.Plain == a.Plain && oa.PlainW == a.PlainW {
+			out.Arrays[sym] = a
+		} else {
+			fresh := oa // only a changed record reaches the heap
+			out.Arrays[sym] = &fresh
+		}
 	}
 	return out
 }
 
+// projectIf projects the names drop selects out of every polyhedron of s: s
+// itself when no polyhedron mentions one.
 func projectIf(s *lin.Section, drop func(v string) bool) *lin.Section {
-	out := &lin.Section{NDim: s.NDim, Exact: s.Exact}
-	for _, p := range s.Polys {
-		out.Polys = append(out.Polys, projectPoly(p, drop))
+	polys := make([]*lin.System, len(s.Polys))
+	for i, p := range s.Polys {
+		polys[i] = projectPoly(p, drop)
 	}
-	return out
+	if slices.Equal(polys, s.Polys) {
+		return s
+	}
+	return &lin.Section{NDim: s.NDim, Polys: polys, Exact: s.Exact}
 }
 
 func projectPoly(p *lin.System, drop func(v string) bool) *lin.System {
