@@ -132,15 +132,8 @@ func main() {
 
 // runAuto executes the tuning search and prints the winning plan per nest.
 func runAuto(ctx context.Context, res *parallel.Result, budget, depth int, machName string, asJSON bool) error {
-	var model *machine.Model
-	switch machName {
-	case "", "alpha":
-		model = machine.AlphaServer8400()
-	case "challenge":
-		model = machine.SGIChallenge()
-	case "origin":
-		model = machine.SGIOrigin()
-	default:
+	model, ok := machine.ByName(machName)
+	if !ok {
 		return fmt.Errorf("unknown machine %q (want alpha, challenge or origin)", machName)
 	}
 	rep, err := tune.Search(ctx, res, tune.Config{

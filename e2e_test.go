@@ -112,6 +112,17 @@ func TestE2ESuifpar(t *testing.T) {
 		}
 	})
 
+	// -machine takes the same names as /v1/tune, in any case.
+	t.Run("auto machine alias", func(t *testing.T) {
+		stdout, stderr, code := run(t, bin, "", "-auto", "-machine", "SGI-Challenge", "-workload", "mdg")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, stderr)
+		}
+		if !strings.Contains(stdout, "machine SGI Challenge") {
+			t.Fatalf("tune report does not name the SGI Challenge:\n%s", stdout)
+		}
+	})
+
 	t.Run("usage error", func(t *testing.T) {
 		_, stderr, code := run(t, bin, "")
 		if code != 2 || !strings.Contains(stderr, "usage:") {

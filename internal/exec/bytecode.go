@@ -141,9 +141,8 @@ const (
 	opErr   // fail with errs[a]
 
 	// ------------------------------------------------------------------
-	// Everything below is produced by the fusion pass (fuse.go) or emitted
-	// into specialized alt loop bodies (DESIGN.md "The VM"); the lowering
-	// of generic code never emits these opcodes directly.
+	// Everything below is produced by the fusion pass (fuse.go, DESIGN.md
+	// "The VM"); the lowering never emits these opcodes directly.
 
 	// Fused superinstructions: semantics-preserving peephole combinations
 	// of the pairs/triples that dominate dynamic traces (FusionCensus). The
@@ -194,16 +193,6 @@ const (
 	opLCSubI
 	opLCMulI
 
-	// Specialized (checkless) 1-D accesses, emitted only into a loop's
-	// alternate body: the preflight range check at arm time (vm.go
-	// specPreflight) proves every index in bounds, so the per-access check
-	// is dropped and the loop-invariant part of the address computation
-	// (base - lo*stride) is folded into idx[b].base. a=index var addr,
-	// b=idx id.
-	opSpecLoadG
-	opSpecStoreG
-	opSpecLoadP // array bound to a param slot: idx[b].pslot
-
 	// Second-order fusions: the fusion pass runs to fixpoint, so pairs
 	// whose head is itself a round-one fused op collapse further. These are
 	// the chains the census shows dominating real traces once the
@@ -233,7 +222,7 @@ const (
 
 	// Fused loop back-edge: opLoopNext whose target is an opLoopHead. One
 	// dispatch advances the induction state and replays the head (index
-	// write-back, trip test, iteration event, alt-body dispatch). a=head pc
+	// write-back, trip test, iteration event). a=head pc
 	// (body entry is a+1), b=the head's exit target.
 	opLoopNextHead
 
@@ -253,16 +242,16 @@ type instr struct {
 }
 
 // idxData is the per-dimension metadata for opIdx/opIdxAdd. The fused
-// full-access and specialized opcodes extend it with a precomputed base
-// (the array base folded with -lo*stride) and, for param-bound arrays, the
-// parameter slot the base resolves through.
+// full-access opcodes extend it with a precomputed base (the array base
+// folded with -lo*stride) and, for param-bound arrays, the parameter slot
+// the base resolves through.
 type idxData struct {
 	lo, hi, stride int64
 	line           int32
 	dim            int32
 	name           string // array name, for the bounds error message
-	base           int64  // fused/spec: array base - lo*stride (or just -lo*stride with pslot)
-	pslot          int32  // fused/spec: array param slot (with base = -lo*stride)
+	base           int64  // fused: array base - lo*stride (or just -lo*stride with pslot)
+	pslot          int32  // fused: array param slot (with base = -lo*stride)
 }
 
 // loopMeta is the static description of one lowered DO loop.
@@ -272,11 +261,6 @@ type loopMeta struct {
 	line     int32
 	idxParam bool  // index variable storage: parameter slot vs absolute
 	idxOp    int32 // param slot or absolute address
-	// altEntry is the pc of the loop's specialized alternate body (-1 =
-	// none), guards the idx-table entries whose ranges the arm-time
-	// preflight must prove in bounds before the checkless body may run.
-	altEntry int32
-	guards   []int32
 }
 
 // argKind distinguishes how a call argument slot binds.
@@ -344,8 +328,7 @@ func InvalidateProgram(prog *ir.Program) {
 }
 
 // codeFor returns the plain or instrumented instruction stream, compiling
-// it on first use: specializable loop bodies are lowered twice (generic +
-// alt) and the superinstruction fusion pass runs to fixpoint.
+// it on first use: lowered once, then fused to fixpoint.
 func (low *lowered) codeFor(prog *ir.Program, instrumented bool) *code {
 	i := 0
 	if instrumented {
@@ -378,12 +361,8 @@ var counters struct {
 	fallbackMode      atomic.Int64
 	fallbackAnalyzers atomic.Int64
 
-	// Instructions eliminated by fusion at compile time, loop activations
-	// that armed a specialized alt body, and loop iterations executed on a
-	// stripped (uninstrumented) alt body while DDA sampling was off.
+	// Instructions eliminated by fusion at compile time.
 	fusedInstructions atomic.Int64
-	specInvocations   atomic.Int64
-	stripIterations   atomic.Int64
 }
 
 // Counters is a snapshot of the execution engine's global counters.
@@ -405,16 +384,15 @@ type Counters struct {
 	FallbackMode      int64 `json:"fallbacks_mode"`
 	FallbackAnalyzers int64 `json:"fallbacks_analyzers"`
 
-	// Instructions removed by the superinstruction pass, specialized-loop
-	// activations, and iterations executed on a stripped alt body.
+	// Instructions removed by the superinstruction pass.
 	FusedInstructions int64 `json:"fused_instructions"`
-	SpecInvocations   int64 `json:"spec_invocations"`
-	StripIterations   int64 `json:"strip_iterations"`
 
 	// Compat shim (benchmark/ compiles against these; see ModeBytecode):
-	// always 0 — user hooks and the register tier are gone.
-	FallbackHooks int64 `json:"-"`
-	RegIterations int64 `json:"-"`
+	// always 0 — user hooks, the register tier and the specialized loop
+	// bodies are gone.
+	FallbackHooks   int64 `json:"-"`
+	RegIterations   int64 `json:"-"`
+	SpecInvocations int64 `json:"-"`
 }
 
 // ReadCounters returns the current engine counters.
@@ -431,7 +409,5 @@ func ReadCounters() Counters {
 		FallbackMode:      counters.fallbackMode.Load(),
 		FallbackAnalyzers: counters.fallbackAnalyzers.Load(),
 		FusedInstructions: counters.fusedInstructions.Load(),
-		SpecInvocations:   counters.specInvocations.Load(),
-		StripIterations:   counters.stripIterations.Load(),
 	}
 }

@@ -103,7 +103,6 @@ var opNames = [opcodeCount]string{
 	opLGIdxLoadGEI: "opLGIdxLoadGEI", opLGIdxStoreGEI: "opLGIdxStoreGEI", opLGIdxStorePEI: "opLGIdxStorePEI",
 	opIdxAddLoadGEI: "opIdxAddLoadGEI", opConstAddStoreGI: "opConstAddStoreGI",
 	opLCAddI: "opLCAddI", opLCSubI: "opLCSubI", opLCMulI: "opLCMulI",
-	opSpecLoadG: "opSpecLoadG", opSpecStoreG: "opSpecStoreG", opSpecLoadP: "opSpecLoadP",
 	opLPIdxLoadGE: "opLPIdxLoadGE",
 	opLoadGEAdd:   "opLoadGEAdd", opLoadGESub: "opLoadGESub", opLoadGEMul: "opLoadGEMul",
 	opLCMulAdd: "opLCMulAdd", opLPJGT: "opLPJGT", opLPJLE: "opLPJLE",

@@ -27,16 +27,6 @@ type compiler struct {
 	depth        int // static eval-stack depth at the current emit point
 	maxDepth     int
 
-	// Whole-program lowering (altBodies): specializable loops additionally
-	// get an alternate (checkless, uninstrumented) body after their
-	// opLoopNext. While that body lowers, inAlt is set and spec-qualifying
-	// accesses through specIdxSym collapse to opSpec* forms guarded by
-	// loops[specLI].guards. Worker views lower generic bodies only.
-	altBodies  bool
-	inAlt      bool
-	specLI     int32
-	specIdxSym *ir.Symbol
-
 	// bank, in a worker view, is the storage binding (parallel.go) whose
 	// addresses become the view's precompiled operands.
 	bank *bank
@@ -49,7 +39,6 @@ func compileProgram(prog *ir.Program, lay *layout, instrumented bool) *code {
 		prog:         prog,
 		lay:          lay,
 		instrumented: instrumented,
-		altBodies:    true,
 		c:            &code{lay: lay, instrumented: instrumented},
 		entryOf:      map[string]int32{},
 	}
@@ -183,7 +172,7 @@ func (c *compiler) stmt(s ir.Stmt) {
 
 func (c *compiler) loop(l *ir.DoLoop) {
 	li := int32(len(c.c.loops))
-	lm := loopMeta{loop: l, proc: c.curProc.Name, line: int32(l.Pos.Line), altEntry: -1}
+	lm := loopMeta{loop: l, proc: c.curProc.Name, line: int32(l.Pos.Line)}
 	switch sym := l.Index; {
 	case sym.IsParam && !c.rebound(sym):
 		lm.idxParam, lm.idxOp = true, int32(sym.ParamIndex)
@@ -207,173 +196,7 @@ func (c *compiler) loop(l *ir.DoLoop) {
 	c.stmts(l.Body)
 	c.curStmt = l
 	c.emit(opLoopNext, head, 0, 0)
-	if c.altBodies && !c.inAlt && c.specializable(l) {
-		alt := int32(len(c.c.ins))
-		c.lowerAltBody(l, head, li)
-		c.c.loops[li].altEntry = alt
-	}
 	c.c.ins[head].b = int32(len(c.c.ins))
-}
-
-// lowerAltBody emits the loop's specialized alternate body between its
-// opLoopNext and its exit point: the same statements lowered a second time
-// with instrumentation stripped and spec-qualifying accesses collapsed to
-// checkless opSpec* forms. Tick charging per AST node is unchanged, so
-// virtual-time totals at loop events are identical to the generic body.
-func (c *compiler) lowerAltBody(l *ir.DoLoop, head, li int32) {
-	savedInstr, savedDepth := c.instrumented, c.depth
-	c.instrumented = false
-	c.inAlt = true
-	c.specLI = li
-	c.specIdxSym = l.Index
-	c.stmts(l.Body)
-	c.curStmt = l
-	c.emit(opLoopNext, head, 0, 0)
-	c.instrumented = savedInstr
-	c.inAlt = false
-	c.specIdxSym = nil
-	c.depth = savedDepth
-}
-
-// specializable reports whether a loop may carry a checkless alternate
-// body: a straight-line body (no nested loops, calls, IO, or returns), a
-// non-param, non-common index the body never assigns, no store that could
-// alias the index cell through sequence association (param- or
-// common-bound array stores), and at least one spec-qualifying access to
-// make the alt body worth dispatching to.
-func (c *compiler) specializable(l *ir.DoLoop) bool {
-	sym := l.Index
-	if sym.IsParam || sym.Common != "" {
-		return false
-	}
-	n := 0
-	return c.specStmts(l.Body, sym, &n) && n > 0
-}
-
-func (c *compiler) specStmts(list []ir.Stmt, sym *ir.Symbol, n *int) bool {
-	for _, s := range list {
-		switch st := s.(type) {
-		case *ir.Assign:
-			if !c.specExpr(st.Rhs, sym, n) {
-				return false
-			}
-			switch lhs := st.Lhs.(type) {
-			case *ir.VarRef:
-				if lhs.Sym == sym {
-					return false // body assigns the index
-				}
-			case *ir.ArrayRef:
-				// Param-bound array stores could land on the index cell via
-				// sequence association (the declared dims the bounds checks
-				// enforce may overflow the actual argument), defeating the
-				// hoisted bounds proof. Local- and common-array stores
-				// cannot: in-bounds stores stay within their own symbol's
-				// cells or common block region, both disjoint from the local
-				// index scalar's cell.
-				if lhs.Sym.IsParam {
-					return false
-				}
-				if specQualifies(lhs, sym) {
-					*n++
-				} else {
-					for _, ix := range lhs.Idx {
-						if !c.specExpr(ix, sym, n) {
-							return false
-						}
-					}
-				}
-			default:
-				return false
-			}
-		case *ir.If:
-			if !c.specExpr(st.Cond, sym, n) ||
-				!c.specStmts(st.Then, sym, n) || !c.specStmts(st.Else, sym, n) {
-				return false
-			}
-		case *ir.Continue:
-		default:
-			return false // nested loops, calls, IO, RETURN/STOP: generic only
-		}
-	}
-	return true
-}
-
-func (c *compiler) specExpr(e ir.Expr, sym *ir.Symbol, n *int) bool {
-	switch x := e.(type) {
-	case *ir.Const, *ir.VarRef:
-		return true
-	case *ir.ArrayRef:
-		if specQualifies(x, sym) {
-			*n++
-			return true
-		}
-		for _, ix := range x.Idx {
-			if !c.specExpr(ix, sym, n) {
-				return false
-			}
-		}
-		return true
-	case *ir.Un:
-		return c.specExpr(x.X, sym, n)
-	case *ir.Bin:
-		return c.specExpr(x.L, sym, n) && c.specExpr(x.R, sym, n)
-	case *ir.Intrinsic:
-		for _, a := range x.Args {
-			if !c.specExpr(a, sym, n) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// specQualifies reports whether an array reference collapses to a
-// specialized access: one dimension, subscripted by exactly the loop index.
-func specQualifies(x *ir.ArrayRef, sym *ir.Symbol) bool {
-	if len(x.Sym.Dims) != 1 || len(x.Idx) != 1 {
-		return false
-	}
-	vr, ok := x.Idx[0].(*ir.VarRef)
-	return ok && vr.Sym == sym
-}
-
-// specAccess emits one checkless specialized access (load or store). It
-// charges the index VarRef node's tick (the caller charged the reference
-// node's own, when the tree-walker does), records the idx entry as an
-// arm-time guard, and folds the loop-invariant -lo*stride into the base.
-func (c *compiler) specAccess(x *ir.ArrayRef, store bool) {
-	c.pending++ // the index VarRef node's eval tick
-	sym := x.Sym
-	dim := sym.Dims[0]
-	d := idxData{
-		lo: dim.Lo, hi: dim.Hi, stride: 1,
-		line: int32(c.curStmt.Position().Line), dim: 1, name: sym.Name,
-	}
-	var op opcode
-	if sym.IsParam {
-		// Loads only: specializable rejects stores through param arrays. No
-		// rebound check: only worker views rebind, and they lower no alt
-		// bodies.
-		d.pslot = int32(sym.ParamIndex)
-		d.base = -dim.Lo
-		op = opSpecLoadP
-	} else {
-		d.base = int64(c.absAddr(sym)) - dim.Lo
-		op = opSpecLoadG
-		if store {
-			op = opSpecStoreG
-		}
-	}
-	di := int32(len(c.c.idx))
-	c.c.idx = append(c.c.idx, d)
-	c.c.loops[c.specLI].guards = append(c.c.loops[c.specLI].guards, di)
-	c.emit(op, c.absAddr(c.specIdxSym), di, 0)
-	if store {
-		c.pop(1)
-	} else {
-		c.push(1)
-	}
 }
 
 func (c *compiler) call(cs *ir.Call) {
@@ -465,10 +288,6 @@ func (c *compiler) store(lhs ir.Ref) {
 		c.emit(op, a, 0, 0)
 		c.pop(1)
 	case *ir.ArrayRef:
-		if c.inAlt && specQualifies(x, c.specIdxSym) {
-			c.specAccess(x, true)
-			return
-		}
 		c.offset(x, c.curStmt)
 		op, a := c.accessOp(x.Sym, opStoreGE, opStorePE, opStoreGEI, opStorePEI)
 		c.emit(op, a, 0, 0)
@@ -548,10 +367,6 @@ func (c *compiler) expr(e ir.Expr) {
 		c.emit(op, a, 0, 0)
 		c.push(1)
 	case *ir.ArrayRef:
-		if c.inAlt && specQualifies(x, c.specIdxSym) {
-			c.specAccess(x, false)
-			return
-		}
 		c.offset(x, c.curStmt)
 		op, a := c.accessOp(x.Sym, opLoadGE, opLoadPE, opLoadGEI, opLoadPEI)
 		c.emit(op, a, 0, 0)

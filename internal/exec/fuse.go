@@ -21,8 +21,8 @@ import "suifx/internal/ir"
 // fuseCode rewrites cd in place, running the peephole to fixpoint: pairs
 // whose head is itself a fused op (opLPIdx+opLoadGE, opLCMul+opAdd)
 // collapse on later rounds. Each round fuses windows, then remaps every
-// pc-valued operand (jumps, loop heads/backedges, call entries, alt
-// entries) through the old→new pc map.
+// pc-valued operand (jumps, loop heads/backedges, call entries) through the
+// old→new pc map.
 func fuseCode(cd *code) *code {
 	for fuseOnce(cd) {
 	}
@@ -81,11 +81,6 @@ func fuseOnce(cd *code) bool {
 	for i := range cd.calls {
 		mark(cd.calls[i].entry)
 	}
-	for i := range cd.loops {
-		if cd.loops[i].altEntry >= 0 {
-			mark(cd.loops[i].altEntry)
-		}
-	}
 
 	newIns := make([]instr, 0, n)
 	newStmt := make([]ir.Stmt, 0, n)
@@ -136,11 +131,6 @@ func fuseOnce(cd *code) bool {
 	cd.entry = oldToNew[cd.entry]
 	for i := range cd.calls {
 		cd.calls[i].entry = oldToNew[cd.calls[i].entry]
-	}
-	for i := range cd.loops {
-		if cd.loops[i].altEntry >= 0 {
-			cd.loops[i].altEntry = oldToNew[cd.loops[i].altEntry]
-		}
 	}
 	counters.fusedInstructions.Add(int64(n - len(newIns)))
 	cd.ins = newIns

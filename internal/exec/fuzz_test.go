@@ -4,10 +4,9 @@ package exec_test
 // (parser-accepted) programs run on the tree-walker and the VM and every
 // observable must agree. One body, one seed corpus, and one target per
 // compiled variant of the VM: the instrumented stream (profile + DDA, full
-// or sampled — sampled runs strip and re-arm instrumentation around armed
-// alt bodies) and the plain stream (where an armed alt body runs every
-// iteration). The target names predate the one-VM collapse; they are kept
-// so CI's fuzz history carries over.
+// or sampled — sampled runs switch recording off and on between
+// iterations) and the plain stream. The target names predate the one-VM
+// collapse; they are kept so CI's fuzz history carries over.
 
 import (
 	"testing"
@@ -18,8 +17,8 @@ import (
 )
 
 // fuzzDifferential seeds f the same way as FuzzMiniFParser (so CI mutates
-// from real program shapes) plus shapes that stress specialized bodies (IF
-// arms and intrinsics inside hot loops, faults), and checks tree-vs-VM
+// from real program shapes) plus hot 1-D loops with IF arms and
+// intrinsics, and faults, and checks tree-vs-VM
 // agreement under the config cfgFor derives from the input.
 func fuzzDifferential(f *testing.F, cfgFor func(src string) runConfig) {
 	for _, w := range workloads.All() {

@@ -21,9 +21,9 @@ import (
 type ExecMode int
 
 const (
-	// ModeAuto (the zero value) runs the VM: the program is lowered once,
-	// fused to fixpoint and loop-specialized (DESIGN.md "The VM"), and the
-	// flat stream executes approved parallel loops on per-worker views.
+	// ModeAuto (the zero value) runs the VM: the program is lowered once
+	// and fused to fixpoint (DESIGN.md "The VM"), and the flat stream
+	// executes approved parallel loops on per-worker views.
 	ModeAuto ExecMode = iota
 	// Compat shim: ModeBytecode, ModeTiered and ModeRegister are synonyms
 	// of ModeAuto, kept with their old String() names only because
@@ -304,7 +304,6 @@ func (in *Interp) runCode(cd *code) error {
 		tempLimit:  in.tempLimit,
 		ops:        in.ops,
 		maxOps:     in.MaxOps,
-		spec:       sc.specInv,
 		pcCount:    in.pcCount,
 	}
 	if v.maxOps <= 0 {

@@ -21,7 +21,6 @@ type frameRT struct {
 // loopAct is one live DO-loop activation.
 type loopAct struct {
 	li      int32
-	alt     int32 // pc of the armed specialized body for this activation (-1 = generic)
 	it      int64
 	trips   int64
 	v       float64 // current index value
@@ -40,11 +39,6 @@ type vmScratch struct {
 	profIters []int64
 	profOps   []int64
 	profStack []profFrame
-
-	// specInv counts per-loop invocations within one run for the
-	// specialization threshold. Per-run (reset here) so repeated
-	// runs of one program behave identically.
-	specInv []int32
 }
 
 func (sc *vmScratch) prepare(cd *code) {
@@ -59,13 +53,6 @@ func (sc *vmScratch) prepare(cd *code) {
 	} else {
 		for i := 0; i < nl; i++ {
 			sc.profInv[i], sc.profIters[i], sc.profOps[i] = 0, 0, 0
-		}
-	}
-	if len(sc.specInv) < nl {
-		sc.specInv = make([]int32, nl)
-	} else {
-		for i := 0; i < nl; i++ {
-			sc.specInv[i] = 0
 		}
 	}
 	sc.paramStore = sc.paramStore[:0]
@@ -290,10 +277,6 @@ type vm struct {
 	// par dispatches approved parallel loops to per-worker views (nil on
 	// worker VMs, so nested planned loops stay sequential inside a region).
 	par *planRT
-	// spec enables profile-guided specialization: per-loop invocation
-	// counters (from vmScratch). nil on worker VMs, whose views carry no
-	// alt bodies.
-	spec []int32
 	// pcCount, when non-nil, counts executions per pc (fusion census runs
 	// only — the branch predicts perfectly on normal runs).
 	pcCount []int64
@@ -370,7 +353,6 @@ func (v *vm) run() error {
 	ops := v.ops
 	maxOps := v.maxOps
 	var nInstr int64
-	var stripIters int64
 
 	v.frames = append(v.frames[:0], frameRT{retPC: -1, savedTemp: v.tempTop})
 	// Worker views start with the dispatching frame's parameter bindings
@@ -382,9 +364,6 @@ func (v *vm) run() error {
 		v.unwindAll()
 		v.tempTop = v.frames[0].savedTemp // the tree-walker's deferred restores
 		counters.instructions.Add(nInstr)
-		if stripIters != 0 {
-			counters.stripIterations.Add(stripIters)
-		}
 		return err
 	}
 
@@ -637,7 +616,7 @@ func (v *vm) run() error {
 					// exhausted activation so the sequential exit path
 					// (final index value, exit event) applies unchanged.
 					v.loopActs = append(v.loopActs, loopAct{
-						li: i.a, alt: -1, it: trips, trips: trips,
+						li: i.a, it: trips, trips: trips,
 						v: lo + float64(trips)*step, step: step, idxAddr: ia,
 					})
 					if v.events {
@@ -654,18 +633,7 @@ func (v *vm) run() error {
 					break
 				}
 			}
-			act := loopAct{li: i.a, alt: -1, trips: trips, v: lo, step: step, idxAddr: ia}
-			// Specialization: once this loop's invocation count
-			// crosses the threshold and the preflight proves every guarded
-			// index in range for this activation, arm the checkless alt body.
-			if v.spec != nil && lm.altEntry >= 0 {
-				v.spec[i.a]++
-				if v.spec[i.a] >= specThreshold && specPreflight(cd, lm, lo, step, trips) {
-					act.alt = lm.altEntry
-					counters.specInvocations.Add(1)
-				}
-			}
-			v.loopActs = append(v.loopActs, act)
+			v.loopActs = append(v.loopActs, loopAct{li: i.a, trips: trips, v: lo, step: step, idxAddr: ia})
 			if v.events {
 				v.ops = ops
 				v.enterLoop(i.a)
@@ -688,20 +656,6 @@ func (v *vm) run() error {
 			}
 			if v.events {
 				v.iterLoop(act.li, act.it)
-			}
-			if act.alt >= 0 {
-				// Armed activation: run the specialized body, unless the DDA
-				// samples this iteration (the alt body is stripped of
-				// instrumentation, so it may only run when read/write would
-				// record nothing anyway).
-				if d := v.dda; d != nil {
-					if d.unsampled == 0 {
-						break
-					}
-					stripIters++
-				}
-				pc = act.alt
-				continue
 			}
 		case opLoopNext:
 			act := &v.loopActs[len(v.loopActs)-1]
@@ -732,17 +686,6 @@ func (v *vm) run() error {
 			}
 			if v.events {
 				v.iterLoop(act.li, act.it)
-			}
-			if act.alt >= 0 {
-				if d := v.dda; d != nil {
-					if d.unsampled == 0 {
-						pc = i.a + 1
-						continue
-					}
-					stripIters++
-				}
-				pc = act.alt
-				continue
 			}
 			pc = i.a + 1
 			continue
@@ -810,9 +753,6 @@ func (v *vm) run() error {
 			if len(v.frames) == 0 {
 				v.ops = ops
 				counters.instructions.Add(nInstr)
-				if stripIters != 0 {
-					counters.stripIterations.Add(stripIters)
-				}
 				return nil
 			}
 			v.paramStore = v.paramStore[:fr.pbase]
@@ -1103,25 +1043,6 @@ func (v *vm) run() error {
 			stack[sp] = mem[i.a] * i.f
 			sp++
 
-		// ---- specialized (checkless) accesses. Only reachable
-		// through an armed activation, whose preflight proved every index of
-		// this run in range; the index cell provably holds the exact integer
-		// induction value (specializable forbids anything that could clobber
-		// it), so truncation equals the generic body's rounding. ----
-
-		case opSpecLoadG:
-			d := &cd.idx[i.b]
-			stack[sp] = mem[d.base+int64(mem[i.a])*d.stride]
-			sp++
-		case opSpecStoreG:
-			d := &cd.idx[i.b]
-			sp--
-			mem[d.base+int64(mem[i.a])*d.stride] = stack[sp]
-		case opSpecLoadP:
-			d := &cd.idx[i.b]
-			stack[sp] = mem[params[d.pslot]+d.base+int64(mem[i.a])*d.stride]
-			sp++
-
 		// ---- second-order fusions (uninstrumented) ----
 
 		case opLPIdxLoadGE:
@@ -1268,41 +1189,6 @@ func budgetErr(maxOps int64) error {
 func boundsErr(d *idxData, iv int64) error {
 	return fmt.Errorf("exec: line %d: index %d out of bounds %d:%d for %s dim %d",
 		d.line, iv, d.lo, d.hi, d.name, d.dim)
-}
-
-// specThreshold is the invocation count (within one run) after which a
-// specializable loop's activations try to arm the alt body.
-const specThreshold = 2
-
-// specPreflight proves every guarded index expression of one activation in
-// bounds using exact integer endpoints, so the alt body may drop per-access
-// checks. Conservative: fractional or huge endpoints keep the generic body.
-// The magnitude bounds keep lo + k*step exactly representable (< 2^52) for
-// every iteration, so the repeated float addition that advances the index
-// is exact and truncation is sound.
-func specPreflight(cd *code, lm *loopMeta, lo, step float64, trips int64) bool {
-	if trips <= 0 {
-		return false
-	}
-	if lo != math.Trunc(lo) || step != math.Trunc(step) {
-		return false
-	}
-	if math.Abs(lo) > 1<<40 || math.Abs(step) > 1<<20 || trips > math.MaxInt32 {
-		return false
-	}
-	first := int64(lo)
-	last := first + (trips-1)*int64(step)
-	mn, mx := first, last
-	if mn > mx {
-		mn, mx = mx, mn
-	}
-	for _, g := range lm.guards {
-		d := &cd.idx[g]
-		if mn < d.lo || mx > d.hi {
-			return false
-		}
-	}
-	return true
 }
 
 func applyIntrinsicID(id int32, args []float64) (float64, error) {

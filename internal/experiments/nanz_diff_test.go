@@ -29,13 +29,13 @@ func TestNanzParallelCoverage(t *testing.T) {
 			continue
 		}
 		for _, workers := range []int{1, 2, 4} {
-			tree, _, err := RunParallel(w.Name, ParallelRunOptions{
+			tree, _, err := runParallel(w.Name, parallelRunOptions{
 				Workers: workers, Mode: exec.ModeTree, Staggered: true, Chunks: 4,
 			})
 			if err != nil {
 				t.Fatalf("%s W=%d tree: %v", w.Name, workers, err)
 			}
-			vmRun, _, err := RunParallel(w.Name, ParallelRunOptions{
+			vmRun, _, err := runParallel(w.Name, parallelRunOptions{
 				Workers: workers, Staggered: true, Chunks: 4,
 			})
 			if err != nil {

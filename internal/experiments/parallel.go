@@ -1,87 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-
 	"suifx/internal/exec"
 	"suifx/internal/parallel"
 	"suifx/internal/workloads"
 )
 
-// This file re-runs the Chapter 4/6 speedup experiments on the execution
-// engines themselves (not just the machine cost model): a workload's
-// user-assisted parallelization is lowered to a runtime plan and executed,
-// and speedup is reported in virtual time — sequential ops over the
-// parallel run's critical-path ops under the §4.5 even-chunk schedule.
-// Virtual time is deterministic and independent of the host's core count,
-// so the curves are reproducible on a single-core CI runner where
-// wall-clock parallel speedup is physically impossible.
-
-// ParallelRunOptions selects the engine and schedule for RunParallel.
-type ParallelRunOptions struct {
-	Workers   int
-	Mode      exec.ExecMode
-	Staggered bool // §6.3.4 chunked finalization vs §6.3.2 single-lock
-	Chunks    int
-}
-
-// RunParallel executes one workload under the plan derived from its
-// user-assisted Chapter 4 parallelization and returns the finished
-// interpreter (arena, ops and parallel stats intact) plus the analysis
-// result the plan came from.
-func RunParallel(name string, opt ParallelRunOptions) (*exec.Interp, *parallel.Result, error) {
-	w, ok := workloads.Lookup(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-	res := userAssisted(w).Par
-	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
-		Workers: opt.Workers, Staggered: opt.Staggered, Chunks: opt.Chunks,
-	})
-	in := exec.NewWithPlan(res.Prog, plan)
-	in.Mode = opt.Mode
-	if err := in.Run(); err != nil {
-		return nil, nil, err
-	}
-	return in, res, nil
-}
-
-// ParallelPoint is one point of a virtual-time speedup curve.
-type ParallelPoint struct {
-	Workers   int
-	SeqOps    int64   // sequential run's total ops
-	CritOps   int64   // parallel run's critical-path ops
-	VTSpeedup float64 // SeqOps / CritOps
-}
-
-// ParallelSpeedups runs one workload's plan at each worker count on the
-// bytecode engine and reports the virtual-time speedup curve.
-func ParallelSpeedups(name string, workers []int) ([]ParallelPoint, error) {
-	w, ok := workloads.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", name)
-	}
-	seq := exec.New(cached(w).Prog)
-	if err := seq.Run(); err != nil {
-		return nil, err
-	}
-	out := make([]ParallelPoint, 0, len(workers))
-	for _, n := range workers {
-		in, _, err := RunParallel(name, ParallelRunOptions{
-			Workers: n, Staggered: true, Chunks: 4,
-		})
-		if err != nil {
-			return nil, err
-		}
-		crit := in.CriticalPathOps()
-		pt := ParallelPoint{Workers: n, SeqOps: seq.Ops(), CritOps: crit}
-		if crit > 0 {
-			pt.VTSpeedup = float64(seq.Ops()) / float64(crit)
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
+// This file validates planned runs on the execution engines themselves (not
+// just the machine cost model): a workload's user-assisted parallelization
+// is lowered to a runtime plan, executed, and compared with a sequential
+// run (§6.5.2).
 
 // validateParallelRun is the §6.5.2 validation generalized over engine and
 // finalization discipline: run sequentially and in parallel, mask storage

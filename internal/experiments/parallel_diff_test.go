@@ -1,12 +1,89 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"suifx/internal/exec"
+	"suifx/internal/parallel"
 	"suifx/internal/workloads"
 )
+
+// The Chapter 4/6 speedup experiments re-run on the execution engines
+// themselves (not just the machine cost model): a workload's user-assisted
+// parallelization is lowered to a runtime plan and executed, and speedup is
+// reported in virtual time — sequential ops over the parallel run's
+// critical-path ops under the §4.5 even-chunk schedule. Virtual time is
+// deterministic and independent of the host's core count, so the curves are
+// reproducible on a single-core CI runner where wall-clock parallel speedup
+// is physically impossible.
+
+// parallelRunOptions selects the engine and schedule for runParallel.
+type parallelRunOptions struct {
+	Workers   int
+	Mode      exec.ExecMode
+	Staggered bool // §6.3.4 chunked finalization vs §6.3.2 single-lock
+	Chunks    int
+}
+
+// runParallel executes one workload under the plan derived from its
+// user-assisted Chapter 4 parallelization and returns the finished
+// interpreter (arena, ops and parallel stats intact) plus the analysis
+// result the plan came from.
+func runParallel(name string, opt parallelRunOptions) (*exec.Interp, *parallel.Result, error) {
+	w, ok := workloads.Lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("experiments: unknown workload %q", name)
+	}
+	res := userAssisted(w).Par
+	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
+		Workers: opt.Workers, Staggered: opt.Staggered, Chunks: opt.Chunks,
+	})
+	in := exec.NewWithPlan(res.Prog, plan)
+	in.Mode = opt.Mode
+	if err := in.Run(); err != nil {
+		return nil, nil, err
+	}
+	return in, res, nil
+}
+
+// parallelPoint is one point of a virtual-time speedup curve.
+type parallelPoint struct {
+	Workers   int
+	SeqOps    int64   // sequential run's total ops
+	CritOps   int64   // parallel run's critical-path ops
+	VTSpeedup float64 // SeqOps / CritOps
+}
+
+// parallelSpeedups runs one workload's plan at each worker count on the
+// bytecode engine and reports the virtual-time speedup curve.
+func parallelSpeedups(name string, workers []int) ([]parallelPoint, error) {
+	w, ok := workloads.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q", name)
+	}
+	seq := exec.New(cached(w).Prog)
+	if err := seq.Run(); err != nil {
+		return nil, err
+	}
+	out := make([]parallelPoint, 0, len(workers))
+	for _, n := range workers {
+		in, _, err := runParallel(name, parallelRunOptions{
+			Workers: n, Staggered: true, Chunks: 4,
+		})
+		if err != nil {
+			return nil, err
+		}
+		crit := in.CriticalPathOps()
+		pt := parallelPoint{Workers: n, SeqOps: seq.Ops(), CritOps: crit}
+		if crit > 0 {
+			pt.VTSpeedup = float64(seq.Ops()) / float64(crit)
+		}
+		out = append(out, pt)
+	}
+	return out, nil
+}
 
 // parallelWorkloads returns every workload whose user-assisted plan
 // approves at least one loop (the others have no parallel execution to
@@ -15,7 +92,7 @@ func parallelWorkloads(t *testing.T) []string {
 	t.Helper()
 	var out []string
 	for _, w := range workloads.All() {
-		_, res, err := RunParallel(w.Name, ParallelRunOptions{
+		_, res, err := runParallel(w.Name, parallelRunOptions{
 			Workers: 1, Mode: exec.ModeTree, Staggered: true, Chunks: 4,
 		})
 		if err != nil {
@@ -57,13 +134,13 @@ func bitsEqual(a, b []float64) (int, bool) {
 func TestParallelDifferentialEngines(t *testing.T) {
 	for _, name := range parallelWorkloads(t) {
 		for _, workers := range []int{1, 2, 4, 8} {
-			tree, _, err := RunParallel(name, ParallelRunOptions{
+			tree, _, err := runParallel(name, parallelRunOptions{
 				Workers: workers, Mode: exec.ModeTree, Staggered: true, Chunks: 4,
 			})
 			if err != nil {
 				t.Fatalf("%s W=%d tree: %v", name, workers, err)
 			}
-			vmRun, _, err := RunParallel(name, ParallelRunOptions{
+			vmRun, _, err := runParallel(name, parallelRunOptions{
 				Workers: workers, Staggered: true, Chunks: 4,
 			})
 			if err != nil {
@@ -102,13 +179,13 @@ func TestParallelVsSequential(t *testing.T) {
 func TestFinalizationEquivalence(t *testing.T) {
 	for _, name := range parallelWorkloads(t) {
 		for _, mode := range []exec.ExecMode{exec.ModeTree, exec.ModeAuto} {
-			single, _, err := RunParallel(name, ParallelRunOptions{
+			single, _, err := runParallel(name, parallelRunOptions{
 				Workers: 4, Mode: mode, Staggered: false,
 			})
 			if err != nil {
 				t.Fatalf("%s single-lock: %v", name, err)
 			}
-			stag, _, err := RunParallel(name, ParallelRunOptions{
+			stag, _, err := runParallel(name, parallelRunOptions{
 				Workers: 4, Mode: mode, Staggered: true, Chunks: 8,
 			})
 			if err != nil {
@@ -130,7 +207,7 @@ func TestParallelSpeedupCurves(t *testing.T) {
 	best := 0.0
 	bestName := ""
 	for _, name := range parallelWorkloads(t) {
-		pts, err := ParallelSpeedups(name, []int{1, 2, 4})
+		pts, err := parallelSpeedups(name, []int{1, 2, 4})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -7,7 +7,10 @@
 // substitution notes.
 package machine
 
-import "math"
+import (
+	"math"
+	"strings"
+)
 
 // Model is one multiprocessor's cost parameters (abstract cycles).
 type Model struct {
@@ -68,6 +71,23 @@ func SGIOrigin() *Model {
 		CacheElems: 512 * 1024, MissPenalty: 3.2, BusPenalty: 0.0, MemPorts: 4,
 		ReshuffleCost: 3.0,
 	}
+}
+
+// ByName maps a user-facing machine name, in any case, to its model: ""
+// (the default), "alpha", "alphaserver" or "alphaserver8400" name the
+// AlphaServer 8400; "challenge" or "sgi-challenge" the SGI Challenge;
+// "origin", "sgi-origin" or "origin2000" the SGI Origin 2000. It is the one
+// table every front end (suifpar -machine, /v1/tune) resolves through.
+func ByName(name string) (*Model, bool) {
+	switch strings.ToLower(name) {
+	case "", "alpha", "alphaserver", "alphaserver8400":
+		return AlphaServer8400(), true
+	case "challenge", "sgi-challenge":
+		return SGIChallenge(), true
+	case "origin", "sgi-origin", "origin2000":
+		return SGIOrigin(), true
+	}
+	return nil, false
 }
 
 // LoopWork describes one loop's measured work and chosen transformation.

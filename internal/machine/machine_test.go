@@ -107,6 +107,34 @@ func TestConflictingDecompositionPenalty(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string // want "" = unknown
+	}{
+		{"", "Digital AlphaServer 8400"},
+		{"alpha", "Digital AlphaServer 8400"},
+		{"AlphaServer", "Digital AlphaServer 8400"},
+		{"alphaserver8400", "Digital AlphaServer 8400"},
+		{"challenge", "SGI Challenge"},
+		{"SGI-Challenge", "SGI Challenge"},
+		{"origin", "SGI Origin 2000"},
+		{"Origin", "SGI Origin 2000"},
+		{"sgi-origin", "SGI Origin 2000"},
+		{"ORIGIN2000", "SGI Origin 2000"},
+		{"cray", ""},
+		{"alpha ", ""},
+	} {
+		m, ok := ByName(tc.name)
+		if ok != (tc.want != "") {
+			t.Errorf("ByName(%q) ok = %v, want %v", tc.name, ok, tc.want != "")
+			continue
+		}
+		if ok && m.Name != tc.want {
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, m.Name, tc.want)
+		}
+	}
+}
+
 func TestGranularity(t *testing.T) {
 	m := AlphaServer8400()
 	w := Workload{Loops: []LoopWork{coarseLoop(true)}}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"strings"
 
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
@@ -46,13 +45,8 @@ type TuneResponse struct {
 
 // tuneModel maps a user-facing machine name to a cost model.
 func tuneModel(name string) (*machine.Model, error) {
-	switch strings.ToLower(name) {
-	case "", "alpha", "alphaserver", "alphaserver8400":
-		return machine.AlphaServer8400(), nil
-	case "challenge", "sgi-challenge":
-		return machine.SGIChallenge(), nil
-	case "origin", "sgi-origin", "origin2000":
-		return machine.SGIOrigin(), nil
+	if m, ok := machine.ByName(name); ok {
+		return m, nil
 	}
 	return nil, errf(http.StatusUnprocessableEntity,
 		"unknown machine %q (want alpha, challenge or origin)", name)
