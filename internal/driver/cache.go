@@ -25,6 +25,61 @@ type Result struct {
 	Sum  *summary.Analysis
 	// SourceHash is the cache key: sha256 over the program name and source.
 	SourceHash string
+
+	mu      sync.Mutex
+	derived map[any]*derivedSlot
+}
+
+// derivedSlot is one Derived key's singleflight slot: the building caller
+// fills val and ok, then closes done.
+type derivedSlot struct {
+	done chan struct{}
+	val  any
+	ok   bool // build returned; false after a panic
+}
+
+// Derived returns the value build computes from this Result, building it at
+// most once per key: concurrent first callers wait for one build, later
+// callers get its value. A build that panics is not memoized — the panic
+// propagates to its caller and the next call (or a waiter) builds again.
+// The memo lives exactly as long as the Result: when the cache evicts or
+// resets the entry, the next request analyzes afresh into a new Result with
+// an empty memo, so the cache capacity is its only bound. build must not
+// call Derived on the same Result with the same key.
+func (r *Result) Derived(key any, build func() any) any {
+	for {
+		r.mu.Lock()
+		s := r.derived[key]
+		if s == nil {
+			s = &derivedSlot{done: make(chan struct{})}
+			if r.derived == nil {
+				r.derived = map[any]*derivedSlot{}
+			}
+			r.derived[key] = s
+			r.mu.Unlock()
+			return r.build(key, s, build)
+		}
+		r.mu.Unlock()
+		<-s.done
+		if s.ok {
+			return s.val
+		}
+		// That build panicked and removed its slot: take a turn.
+	}
+}
+
+func (r *Result) build(key any, s *derivedSlot, build func() any) any {
+	defer func() {
+		if !s.ok {
+			r.mu.Lock()
+			delete(r.derived, key)
+			r.mu.Unlock()
+		}
+		close(s.done)
+	}()
+	s.val = build()
+	s.ok = true
+	return s.val
 }
 
 // DefaultCacheCapacity bounds Shared() and NewCache(): enough for every

@@ -180,7 +180,7 @@ const (
 
 	// Instrumented twins of the fused forms (DDA streams). The window is
 	// only fused when every instruction maps to the same source statement,
-	// so the per-pc Skip decision applies to the whole fused access.
+	// so fault-time source attribution covers the whole fused access.
 	opLGIdxI
 	opLPIdxI
 	opLGIdxAddI
@@ -208,8 +208,7 @@ const (
 	opLCIdx       // opLCAdd+opIdx: push checked offset of index mem[a]+f in idx[b]
 	opLCAddStoreG // opLCAdd+opStoreG: mem[b] = mem[a] + f, no stack traffic
 
-	// Instrumented twins of the second-order fusions (contiguous block —
-	// isAccessOp depends on the range).
+	// Instrumented twins of the second-order fusions.
 	opLPIdxLoadGEI
 	opLoadGEAddI
 	opLoadGESubI
@@ -281,7 +280,7 @@ type callInfo struct {
 type code struct {
 	lay          *layout
 	ins          []instr
-	stmtOf       []ir.Stmt // statement that produced each instruction (for Skip)
+	stmtOf       []ir.Stmt // statement that produced each instruction (fusion windows)
 	idx          []idxData
 	loops        []loopMeta
 	calls        []callInfo

@@ -10,16 +10,14 @@ import (
 // instruments reads and writes, keeps the most recent write per memory
 // location, and reports which loops carried a flow dependence during the
 // run. Anti-dependences are ignored and same-iteration flow is not counted
-// (privatization would remove it), exactly as the paper describes. Two
-// optimizations from the paper are available: skipping accesses the
-// compiler proved independent (via the Skip filter) and sampling batches of
-// iterations (SampleEvery).
+// (privatization would remove it), exactly as the paper describes. Of the
+// paper's two optimizations, sampling batches of iterations (SampleEvery)
+// is available; skipping accesses the compiler proved independent is not,
+// because a statement-level skip zeroes the counts of enclosing sequential
+// loops (DESIGN.md "Shadow-memory DDA and the epoch reset").
 type DynDep struct {
 	in *Interp
 
-	// Skip, when non-nil, suppresses instrumentation for statements the
-	// compiler proved independent (§2.5.2 optimization 1).
-	Skip func(s ir.Stmt) bool
 	// IgnoreVar suppresses dependences on variables the compiler already
 	// knows to be inductions or reductions for the given loop.
 	IgnoreVar func(l *ir.DoLoop, addr int64) bool
@@ -96,13 +94,13 @@ func (d *DynDep) install(in *Interp) {
 		if prevRead != nil {
 			prevRead(addr, proc, s)
 		}
-		d.onRead(addr, s)
+		d.onRead(addr)
 	}
 	in.hooks.OnWrite = func(addr int64, proc string, s ir.Stmt) {
 		if prevWrite != nil {
 			prevWrite(addr, proc, s)
 		}
-		d.onWrite(addr, s)
+		d.onWrite(addr)
 	}
 }
 
@@ -148,10 +146,7 @@ func (d *DynDep) active() bool {
 	return true
 }
 
-func (d *DynDep) onWrite(addr int64, s ir.Stmt) {
-	if d.Skip != nil && d.Skip(s) {
-		return
-	}
+func (d *DynDep) onWrite(addr int64) {
 	if !d.active() {
 		return
 	}
@@ -167,10 +162,7 @@ func (d *DynDep) onWrite(addr int64, s ir.Stmt) {
 	d.lastWrite[addr] = rec
 }
 
-func (d *DynDep) onRead(addr int64, s ir.Stmt) {
-	if d.Skip != nil && d.Skip(s) {
-		return
-	}
+func (d *DynDep) onRead(addr int64) {
 	if !d.active() {
 		return
 	}

@@ -11,9 +11,8 @@ import "suifx/internal/ir"
 // A window of 2-3 consecutive instructions may fuse only when
 //   - no interior instruction is a jump target (control lands only on the
 //     window head, which executes the whole window),
-//   - every instruction came from the same source statement (so the DDA's
-//     per-pc Skip decision and fault-time source attribution are uniform
-//     across the window), and
+//   - every instruction came from the same source statement (so fault-time
+//     source attribution is uniform across the window), and
 //   - the summed virtual-time ticks fit the instruction's tick field.
 // The summed tick preserves op totals exactly at every loop event; fault
 // checks inside fused ops keep their idx-table source lines.

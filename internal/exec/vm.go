@@ -130,7 +130,6 @@ type ddaState struct {
 	d           *DynDep
 	cd          *code
 	sh          *ddaShadow
-	skip        []bool // per-pc Skip decision, nil when no Skip filter
 	stack       []dynLevel
 	unsampled   int // number of stack levels currently not sampled
 	sampleEvery int64
@@ -153,22 +152,7 @@ func newDDAState(d *DynDep, cd *code, sh *ddaShadow) *ddaState {
 	if st.warm == 0 {
 		st.warm = 2
 	}
-	if d.Skip != nil {
-		skip := make([]bool, len(cd.ins))
-		for pc, s := range cd.stmtOf {
-			if s != nil && isAccessOp(cd.ins[pc].op) {
-				skip[pc] = d.Skip(s)
-			}
-		}
-		st.skip = skip
-	}
 	return st
-}
-
-func isAccessOp(op opcode) bool {
-	return (op >= opLoadGI && op <= opStorePEI) ||
-		(op >= opLGIdxI && op <= opLCMulI) ||
-		(op >= opLPIdxLoadGEI && op <= opLCAddStoreGI)
 }
 
 func (st *ddaState) sample(iter int64) bool {
@@ -178,10 +162,7 @@ func (st *ddaState) sample(iter int64) bool {
 	return iter < st.warm || iter%st.sampleEvery == 0
 }
 
-func (st *ddaState) read(addr int64, pc int32) {
-	if st.skip != nil && st.skip[pc] {
-		return
-	}
+func (st *ddaState) read(addr int64) {
 	if st.unsampled != 0 {
 		return
 	}
@@ -226,10 +207,7 @@ func (st *ddaState) read(addr int64, pc int32) {
 	}
 }
 
-func (st *ddaState) write(addr int64, pc int32) {
-	if st.skip != nil && st.skip[pc] {
-		return
-	}
+func (st *ddaState) write(addr int64) {
 	if st.unsampled != 0 {
 		return
 	}
@@ -434,39 +412,39 @@ func (v *vm) run() error {
 			mem[params[i.a]+off] = stack[sp]
 
 		case opLoadGI:
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			stack[sp] = mem[i.a]
 			sp++
 		case opLoadPI:
 			addr := params[i.a]
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp] = mem[addr]
 			sp++
 		case opLoadGEI:
 			addr := int64(i.a) + int64(stack[sp-1])
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] = mem[addr]
 		case opLoadPEI:
 			addr := params[i.a] + int64(stack[sp-1])
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] = mem[addr]
 		case opStoreGI:
-			v.dda.write(int64(i.a), pc)
+			v.dda.write(int64(i.a))
 			sp--
 			mem[i.a] = stack[sp]
 		case opStorePI:
 			addr := params[i.a]
-			v.dda.write(addr, pc)
+			v.dda.write(addr)
 			sp--
 			mem[addr] = stack[sp]
 		case opStoreGEI:
 			addr := int64(i.a) + int64(stack[sp-1])
-			v.dda.write(addr, pc)
+			v.dda.write(addr)
 			sp -= 2
 			mem[addr] = stack[sp]
 		case opStorePEI:
 			addr := params[i.a] + int64(stack[sp-1])
-			v.dda.write(addr, pc)
+			v.dda.write(addr)
 			sp -= 2
 			mem[addr] = stack[sp]
 
@@ -929,14 +907,14 @@ func (v *vm) run() error {
 			sp++
 
 		// ---- instrumented twins. Analyzer calls replay the exact
-		// component order of the unfused window, so access counts, skip
-		// decisions and fault-time shadow state are bit-identical. ----
+		// component order of the unfused window, so access counts and
+		// fault-time shadow state are bit-identical. ----
 
 		case opLGIdxI:
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a]))
 			if iv < d.lo || iv > d.hi {
@@ -949,7 +927,7 @@ func (v *vm) run() error {
 				return fail(budgetErr(maxOps))
 			}
 			addr := params[i.a]
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[addr]))
 			if iv < d.lo || iv > d.hi {
@@ -961,7 +939,7 @@ func (v *vm) run() error {
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a]))
 			if iv < d.lo || iv > d.hi {
@@ -973,42 +951,42 @@ func (v *vm) run() error {
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a]))
 			if iv < d.lo || iv > d.hi {
 				return fail(boundsErr(d, iv))
 			}
 			addr := d.base + iv*d.stride
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp] = mem[addr]
 			sp++
 		case opLGIdxStoreGEI:
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a]))
 			if iv < d.lo || iv > d.hi {
 				return fail(boundsErr(d, iv))
 			}
 			addr := d.base + iv*d.stride
-			v.dda.write(addr, pc)
+			v.dda.write(addr)
 			sp--
 			mem[addr] = stack[sp]
 		case opLGIdxStorePEI:
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a]))
 			if iv < d.lo || iv > d.hi {
 				return fail(boundsErr(d, iv))
 			}
 			addr := params[d.pslot] + d.base + iv*d.stride
-			v.dda.write(addr, pc)
+			v.dda.write(addr)
 			sp--
 			mem[addr] = stack[sp]
 
@@ -1023,23 +1001,23 @@ func (v *vm) run() error {
 			}
 			sp--
 			addr := int64(i.a) + int64(stack[sp-1]) + (iv-d.lo)*d.stride
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] = mem[addr]
 		case opConstAddStoreGI:
-			v.dda.write(int64(i.a), pc)
+			v.dda.write(int64(i.a))
 			sp--
 			mem[i.a] = stack[sp] + i.f
 
 		case opLCAddI:
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			stack[sp] = mem[i.a] + i.f
 			sp++
 		case opLCSubI:
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			stack[sp] = mem[i.a] - i.f
 			sp++
 		case opLCMulI:
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			stack[sp] = mem[i.a] * i.f
 			sp++
 
@@ -1107,41 +1085,41 @@ func (v *vm) run() error {
 				return fail(budgetErr(maxOps))
 			}
 			addr := params[i.a]
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[addr]))
 			if iv < d.lo || iv > d.hi {
 				return fail(boundsErr(d, iv))
 			}
 			ea := d.base + iv*d.stride
-			v.dda.read(ea, pc)
+			v.dda.read(ea)
 			stack[sp] = mem[ea]
 			sp++
 
 		case opLoadGEAddI:
 			sp--
 			addr := int64(i.a) + int64(stack[sp])
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] += mem[addr]
 		case opLoadGESubI:
 			sp--
 			addr := int64(i.a) + int64(stack[sp])
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] -= mem[addr]
 		case opLoadGEMulI:
 			sp--
 			addr := int64(i.a) + int64(stack[sp])
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			stack[sp-1] *= mem[addr]
 		case opLCMulAddI:
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			stack[sp-1] += mem[i.a] * i.f
 		case opLPJGTI:
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
 			addr := params[i.b]
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			sp--
 			if !(stack[sp] > mem[addr]) {
 				pc = i.a
@@ -1152,7 +1130,7 @@ func (v *vm) run() error {
 				return fail(budgetErr(maxOps))
 			}
 			addr := params[i.b]
-			v.dda.read(addr, pc)
+			v.dda.read(addr)
 			sp--
 			if !(stack[sp] <= mem[addr]) {
 				pc = i.a
@@ -1162,7 +1140,7 @@ func (v *vm) run() error {
 			if ops > maxOps {
 				return fail(budgetErr(maxOps))
 			}
-			v.dda.read(int64(i.a), pc)
+			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
 			iv := int64(math.Round(mem[i.a] + i.f))
 			if iv < d.lo || iv > d.hi {
@@ -1171,8 +1149,8 @@ func (v *vm) run() error {
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
 		case opLCAddStoreGI:
-			v.dda.read(int64(i.a), pc)
-			v.dda.write(int64(i.b), pc)
+			v.dda.read(int64(i.a))
+			v.dda.write(int64(i.b))
 			mem[i.b] = mem[i.a] + i.f
 
 		default:

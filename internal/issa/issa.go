@@ -124,17 +124,36 @@ func Build(prog *ir.Program) *Graph {
 	return g
 }
 
-// Canon unifies common-block members with identical layouts across procs.
+// Canon unifies common-block members with identical layouts across procs:
+// it returns the representative Build chose for sym's layout (sym itself
+// for a local or a layout Build never saw). It only reads, so one built
+// Graph can serve concurrent slices.
 func (g *Graph) Canon(sym *ir.Symbol) *ir.Symbol {
 	if sym.Common == "" {
 		return sym
 	}
-	key := fmt.Sprintf("%s+%d:%d:%v", sym.Common, sym.CommonOffset, sym.NElems(), sym.Dims)
+	if c := g.canon[canonKey(sym)]; c != nil {
+		return c
+	}
+	return sym
+}
+
+// canonical is Canon while Build runs: the first symbol seen with a layout
+// becomes its representative.
+func (g *Graph) canonical(sym *ir.Symbol) *ir.Symbol {
+	if sym.Common == "" {
+		return sym
+	}
+	key := canonKey(sym)
 	if c := g.canon[key]; c != nil {
 		return c
 	}
 	g.canon[key] = sym
 	return sym
+}
+
+func canonKey(sym *ir.Symbol) string {
+	return fmt.Sprintf("%s+%d:%d:%v", sym.Common, sym.CommonOffset, sym.NElems(), sym.Dims)
 }
 
 // computeTouched collects the canonical common symbols a procedure or its
@@ -143,7 +162,7 @@ func (g *Graph) computeTouched(p *ir.Proc) {
 	set := map[*ir.Symbol]bool{}
 	for _, s := range p.SortedSyms() {
 		if s.Common != "" {
-			set[g.Canon(s)] = true
+			set[g.canonical(s)] = true
 		}
 	}
 	for _, callee := range g.Prog.CallGraph()[p.Name] {
@@ -211,7 +230,7 @@ func (g *Graph) buildProc(p *ir.Proc) {
 // lookup returns the current definition of sym, creating an implicit entry
 // definition for locals first used before assignment.
 func (b *builder) lookup(sym *ir.Symbol) *Node {
-	key := b.g.Canon(sym)
+	key := b.g.canonical(sym)
 	if n := b.env[key]; n != nil {
 		return n
 	}
@@ -220,7 +239,7 @@ func (b *builder) lookup(sym *ir.Symbol) *Node {
 	return n
 }
 
-func (b *builder) define(sym *ir.Symbol, n *Node) { b.env[b.g.Canon(sym)] = n }
+func (b *builder) define(sym *ir.Symbol, n *Node) { b.env[b.g.canonical(sym)] = n }
 
 // ctrlDefs flattens the current guard stack.
 func (b *builder) ctrl() (defs []*Node, stmts []ir.Stmt) {
@@ -267,13 +286,13 @@ func (b *builder) walk(stmts []ir.Stmt) {
 				}
 				// Weak update: the previous array value flows through.
 				ops = append(ops, b.lookup(ar.Sym))
-				n := b.g.newNode(KDef, b.proc.Name, b.g.Canon(ar.Sym), s, st.Pos.Line)
+				n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(ar.Sym), s, st.Pos.Line)
 				n.Ops = ops
 				n.Weak = true
 				b.attachCtrl(n)
 				b.define(ar.Sym, n)
 			} else {
-				n := b.g.newNode(KDef, b.proc.Name, b.g.Canon(st.Lhs.Symbol()), s, st.Pos.Line)
+				n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(st.Lhs.Symbol()), s, st.Pos.Line)
 				n.Ops = ops
 				b.attachCtrl(n)
 				b.define(st.Lhs.Symbol(), n)
@@ -305,7 +324,7 @@ func (b *builder) walk(stmts []ir.Stmt) {
 						}
 						ops = append(ops, b.lookup(ar.Sym))
 					}
-					n := b.g.newNode(KDef, b.proc.Name, b.g.Canon(r.Symbol()), s, st.Pos.Line)
+					n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(r.Symbol()), s, st.Pos.Line)
 					n.Ops = ops
 					n.Weak = r.Symbol().IsArray()
 					b.attachCtrl(n)
@@ -369,7 +388,7 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 	if l.Step != nil {
 		boundDefs = append(boundDefs, b.useExpr(l.Step)...)
 	}
-	idx := b.g.newNode(KIndex, b.proc.Name, b.g.Canon(l.Index), l, l.Pos.Line)
+	idx := b.g.newNode(KIndex, b.proc.Name, b.g.canonical(l.Index), l, l.Pos.Line)
 	idx.Ops = boundDefs
 	b.attachCtrl(idx)
 
@@ -402,11 +421,11 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 		if sym == l.Index {
 			continue
 		}
-		phi := b.g.newNode(KPhi, b.proc.Name, b.g.Canon(sym), l, l.Pos.Line)
+		phi := b.g.newNode(KPhi, b.proc.Name, b.g.canonical(sym), l, l.Pos.Line)
 		phi.Ops = append(phi.Ops, b.lookup(sym))
 		phi.Ctrl = boundDefs
 		phi.CtrlStmts = []ir.Stmt{l}
-		phis[b.g.Canon(sym)] = phi
+		phis[b.g.canonical(sym)] = phi
 		b.define(sym, phi)
 	}
 	b.define(l.Index, idx)
@@ -472,7 +491,7 @@ func (b *builder) walkCall(c *ir.Call) {
 		if base == nil {
 			continue
 		}
-		out := b.g.newNode(KCallOut, b.proc.Name, b.g.Canon(base), c, c.Pos.Line)
+		out := b.g.newNode(KCallOut, b.proc.Name, b.g.canonical(base), c, c.Pos.Line)
 		if fin := finals[f]; fin != nil {
 			out.CalleeFinal = []*Node{fin}
 		}

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"sort"
@@ -117,26 +121,90 @@ type AnalyzeResponse struct {
 	ModRef     map[string]ModRefJSON `json:"modref"`
 	Loops      []LoopJSON            `json:"loops"`
 	Stats      parallel.Stats        `json:"stats"`
-	ElapsedMs  float64               `json:"elapsed_ms"`
+	// ElapsedMs is the server time spent computing this verdict: the time of
+	// the request that rendered it, from its arrival to the rendered body
+	// (cache lookup or analysis, then parallelization). Later requests for
+	// the same program and options are served that body as is, so a cache
+	// hit is byte-identical to the miss that rendered it.
+	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
-func (s *Server) handleAnalyze(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *http.Request) error {
 	var req AnalyzeRequest
 	if err := s.decodeJSON(r, &req); err != nil {
-		return nil, err
+		return err
 	}
-	return s.analyzeResponse(ctx, req.SourceRef, req.Workers, req.NoReductions, req.Liveness)
+	v, err := s.verdict(ctx, req.SourceRef, req.Workers, req.NoReductions, req.Liveness)
+	if err != nil {
+		return err
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(v.body)
+	return nil
 }
 
-// analyzeResponse is the shared /v1/analyze body, also run per batch item:
-// cached analysis plus the parallelization pass, rendered to the wire shape.
-func (s *Server) analyzeResponse(ctx context.Context, sr SourceRef, workers int, noReductions, useLiveness bool) (*AnalyzeResponse, error) {
+// verdictKey selects one rendered verdict of a cache entry. Workers does not
+// change the answer, so it is not part of the key.
+type verdictKey struct{ noReductions, liveness bool }
+
+// verdict is one program's rendered /v1/analyze answer under one
+// verdictKey, memoized on the driver cache entry (driver.Result.Derived):
+// the body exactly as the endpoint serves it, plus the fields a /v1/batch
+// record carries. It holds bytes and counts only, so an entry's memo
+// retains no parallelization result.
+type verdict struct {
+	body          []byte // indented AnalyzeResponse, trailing newline included
+	sourceHash    string
+	loops, chosen int
+	// resultSHA256 fingerprints the compact encoding with ElapsedMs zeroed.
+	resultSHA256 string
+}
+
+// verdict returns the memoized answer for (program, options), rendering it
+// if this is the first request for that pair since the entry was cached.
+// It is the shared /v1/analyze path, also run per batch item.
+func (s *Server) verdict(ctx context.Context, sr SourceRef, workers int, noReductions, useLiveness bool) (*verdict, error) {
 	start := time.Now()
 	res, err := s.analyze(ctx, sr, workers)
 	if err != nil {
 		return nil, err
 	}
+	return res.Derived(verdictKey{noReductions, useLiveness}, func() any {
+		return renderVerdict(res, noReductions, useLiveness, start)
+	}).(*verdict), nil
+}
 
+// renderVerdict runs the parallelization pass over a cached analysis and
+// renders it to the wire shape: the fingerprint from the compact encoding
+// with ElapsedMs zeroed, the body from the indented one.
+func renderVerdict(res *driver.Result, noReductions, useLiveness bool, start time.Time) *verdict {
+	resp := analyzeResponse(res, noReductions, useLiveness)
+	canon, err := json.Marshal(resp)
+	if err != nil {
+		panic(err) // strings, numbers, bools, slices and maps always encode
+	}
+	sum := sha256.Sum256(canon)
+	resp.ElapsedMs = float64(time.Since(start)) / 1e6
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(resp); err != nil {
+		panic(err)
+	}
+	return &verdict{
+		body:         body.Bytes(),
+		sourceHash:   resp.SourceHash,
+		loops:        resp.Stats.TotalLoops,
+		chosen:       resp.Stats.ChosenN,
+		resultSHA256: hex.EncodeToString(sum[:]),
+	}
+}
+
+// analyzeResponse is the /v1/analyze answer for a cached analysis: the
+// parallelization pass under the request's options, in the wire shape,
+// ElapsedMs left zero.
+func analyzeResponse(res *driver.Result, noReductions, useLiveness bool) *AnalyzeResponse {
 	cfg := parallel.Config{UseReductions: !noReductions}
 	if useLiveness {
 		cfg.DeadAtExit = liveness.Analyze(res.Sum, liveness.Full).Oracle()
@@ -150,7 +218,6 @@ func (s *Server) analyzeResponse(ctx context.Context, sr SourceRef, workers int,
 		Summaries:  map[string]string{},
 		ModRef:     map[string]ModRefJSON{},
 		Stats:      par.Stats(),
-		ElapsedMs:  float64(time.Since(start)) / 1e6,
 	}
 	for name, t := range res.Sum.ProcSum {
 		resp.Summaries[name] = t.String()
@@ -182,7 +249,7 @@ func (s *Server) analyzeResponse(ctx context.Context, sr SourceRef, workers int,
 		}
 		resp.Loops = append(resp.Loops, lj)
 	}
-	return resp, nil
+	return resp
 }
 
 func modRefJSON(eff *modref.Effects) ModRefJSON {
@@ -243,6 +310,10 @@ type SliceResponse struct {
 	Size  int              `json:"size"`
 }
 
+// issaKey selects a cache entry's ISSA graph, built once and then only read:
+// every slice of the program shares it.
+type issaKey struct{}
+
 func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) {
 	var req SliceRequest
 	if err := s.decodeJSON(r, &req); err != nil {
@@ -256,7 +327,8 @@ func (s *Server) handleSlice(ctx context.Context, r *http.Request) (any, error) 
 		return nil, err
 	}
 
-	procs, kind, err := slice.Query(issa.Build(res.Prog), req.Kind, req.Proc, req.Var, req.Line)
+	g := res.Derived(issaKey{}, func() any { return issa.Build(res.Prog) }).(*issa.Graph)
+	procs, kind, err := slice.Query(g, req.Kind, req.Proc, req.Var, req.Line)
 	if err != nil {
 		return nil, sliceErr(err)
 	}

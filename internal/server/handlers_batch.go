@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -206,23 +204,15 @@ func (s *Server) batchOne(ctx context.Context, i int, p BatchProgram, req BatchR
 		ictx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	resp, err := s.analyzeResponse(ictx, SourceRef{Name: p.Name, Source: p.Source},
+	v, err := s.verdict(ictx, SourceRef{Name: p.Name, Source: p.Source},
 		req.Workers, req.NoReductions, req.Liveness)
 	if err != nil {
 		return fail(err)
 	}
-	// Canonical fingerprint: ElapsedMs is the lone nondeterministic field;
-	// zero it, then hash the stable encoding (encoding/json sorts map keys).
-	resp.ElapsedMs = 0
-	canon, err := json.Marshal(resp)
-	if err != nil {
-		return fail(err)
-	}
-	h := sha256.Sum256(canon)
 	rec.Status = "ok"
-	rec.SourceHash = resp.SourceHash
-	rec.Loops = resp.Stats.TotalLoops
-	rec.ParallelLoops = resp.Stats.ChosenN
-	rec.ResultSHA256 = hex.EncodeToString(h[:])
+	rec.SourceHash = v.sourceHash
+	rec.Loops = v.loops
+	rec.ParallelLoops = v.chosen
+	rec.ResultSHA256 = v.resultSHA256
 	return rec
 }

@@ -9,7 +9,9 @@
 // only the asserted loop on every accepted assertion (internal/session).
 //
 // Every analysis request flows through a shared driver.Cache, so identical
-// sources — from one client or sixty-four — cost one analysis run. The
+// sources — from one client or sixty-four — cost one analysis run, and
+// what is derived from an entry (the rendered /v1/analyze verdict per
+// option set, the ISSA graph slices read) is built once on it. The
 // service protects itself with a concurrency-limit semaphore (excess load
 // is shed with 429), per-request timeouts that cancel queued SCC waves
 // (504), a request body size cap (413), panic-to-500 recovery, and
@@ -115,7 +117,7 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 	}
-	s.mux.Handle("POST /v1/analyze", s.endpoint("analyze", true, s.handleAnalyze))
+	s.mux.Handle("POST /v1/analyze", s.guard("analyze", true, cfg.RequestTimeout, s.handleAnalyze))
 	s.mux.Handle("POST /v1/slice", s.endpoint("slice", true, s.handleSlice))
 	s.mux.Handle("POST /v1/profile", s.endpoint("profile", true, s.handleProfile))
 	s.mux.Handle("POST /v1/tune", s.endpoint("tune", true, s.handleTune))
