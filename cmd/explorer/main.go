@@ -222,7 +222,7 @@ func showSlice(s *explorer.Session, res *slice.Result, anchor int) {
 				hi = l
 			}
 		}
-		sv := &viz.SourceView{Prog: s.Prog, Highlight: hl, Anchor: anchor, From: lo - 1, To: hi + 1}
+		sv := &viz.SourceView{Source: s.Prog.Source, Highlight: hl, Anchor: anchor, From: lo - 1, To: hi + 1}
 		fmt.Printf("--- %s (%d lines in slice)\n%s", proc, len(m), sv.Render())
 	}
 }

@@ -51,7 +51,7 @@ func main() {
 		hl[st.Position().Line] = true
 	}
 	fmt.Println("control slice of the write to xps (line 10):")
-	sv := &viz.SourceView{Prog: prog, Highlight: hl, Anchor: 10, From: 7, To: 15}
+	sv := &viz.SourceView{Source: prog.Source, Highlight: hl, Anchor: 10, From: 7, To: 15}
 	fmt.Print(sv.Render())
 	if hl[8] {
 		fmt.Println("\nthe IF ... GO TO guard (line 8) is in the slice: the write is conditional,")

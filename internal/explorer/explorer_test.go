@@ -161,7 +161,7 @@ func TestCallGraphAndSourceView(t *testing.T) {
 	if !strings.Contains(out, "* LEAF") {
 		t.Fatalf("call graph should mark focus:\n%s", out)
 	}
-	sv := &viz.SourceView{Prog: prog, Highlight: map[int]bool{5: true}, Anchor: 8}
+	sv := &viz.SourceView{Source: prog.Source, Highlight: map[int]bool{5: true}, Anchor: 8}
 	txt := sv.Render()
 	if !strings.Contains(txt, "*    5") || !strings.Contains(txt, ">    8") {
 		t.Fatalf("source view markers missing:\n%s", txt)

@@ -223,6 +223,26 @@ func (res *Result) Stats() Stats {
 	return s
 }
 
+// VarVerdict is one variable's classification inside a loop.
+type VarVerdict struct {
+	Name        string `json:"name"`
+	Class       string `json:"class"`
+	Reduction   string `json:"reduction,omitempty"`
+	ByAssertion bool   `json:"by_assertion,omitempty"`
+	Reason      string `json:"reason,omitempty"`
+}
+
+// LoopVerdict is one loop's parallelization verdict: the record the
+// /v1/analyze body carries and every rendering of a verdict reads.
+type LoopVerdict struct {
+	ID             string       `json:"id"`
+	Lines          [2]int       `json:"lines"`
+	Parallelizable bool         `json:"parallelizable"`
+	Chosen         bool         `json:"chosen"`
+	UnderParallel  bool         `json:"under_parallel,omitempty"`
+	Vars           []VarVerdict `json:"vars,omitempty"`
+}
+
 // VarCounts tallies, across the given loops, how many variables fall into
 // each class — the Fig 4-9 style breakdown. Arrays and scalars are counted
 // separately.

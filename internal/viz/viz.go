@@ -169,31 +169,41 @@ func (cg *CallGraph) Render() string {
 }
 
 // SourceView renders annotated source: slice lines marked with '*', the
-// queried reference with '>', loop headers with their parallelization
-// verdicts.
+// queried reference with '>', and each loop's verdict as directive lines
+// above its DO header.
 type SourceView struct {
-	Prog *ir.Program
+	// Source holds the program's lines, line n at index n-1.
+	Source []string
 	// Highlight marks lines (e.g. a program slice).
 	Highlight map[int]bool
 	// Anchor is the queried reference's line.
 	Anchor int
 	// From..To bound the display (0 = whole file).
 	From, To int
-	// Verdicts annotates loop header lines.
-	Verdicts map[int]string
+	// Verdicts annotates the loops whose headers are displayed.
+	Verdicts []parallel.LoopVerdict
 }
 
-// Render returns the annotated source text.
+// Render returns the annotated source text. Directive lines carry no line
+// number, so their text starts in the source's column 1, as a Fortran
+// comment directive does.
 func (sv *SourceView) Render() string {
 	from, to := sv.From, sv.To
 	if from <= 0 {
 		from = 1
 	}
-	if to <= 0 || to > len(sv.Prog.Source) {
-		to = len(sv.Prog.Source)
+	if to <= 0 || to > len(sv.Source) {
+		to = len(sv.Source)
+	}
+	above := map[int][]string{}
+	for _, lv := range sv.Verdicts {
+		above[lv.Lines[0]] = append(above[lv.Lines[0]], Directives(lv)...)
 	}
 	var b strings.Builder
 	for line := from; line <= to; line++ {
+		for _, d := range above[line] {
+			fmt.Fprintf(&b, "%6s %s\n", "", d)
+		}
 		mark := " "
 		if sv.Highlight[line] {
 			mark = "*"
@@ -201,12 +211,69 @@ func (sv *SourceView) Render() string {
 		if line == sv.Anchor {
 			mark = ">"
 		}
-		text := sv.Prog.SourceLine(line)
-		fmt.Fprintf(&b, "%s%5d %s", mark, line, text)
-		if v := sv.Verdicts[line]; v != "" {
-			fmt.Fprintf(&b, "   ! %s", v)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "%s%5d %s\n", mark, line, sv.Source[line-1])
 	}
 	return b.String()
+}
+
+// Directives renders one loop verdict as the lines placed above its DO
+// header. The first is the loop's directive:
+//
+//	C$PAR DO | C$PAR | C$SEQ   chosen, parallelizable but not chosen, neither
+//	  <loop id> [nested]       nested: runs inside a chosen loop
+//	  [PRIVATE(v,…)] [SHARED(v,…)] [REDUCTION(op:v,…)]… [[user: v,…]]
+//
+// with variables in name order, REDUCTION clauses in operator order, and
+// [user: …] naming the classifications a user assertion forced. One
+// "C$SEQ blocked by V: <reason>" line follows per dependence variable.
+func Directives(lv parallel.LoopVerdict) []string {
+	head := "C$SEQ"
+	switch {
+	case lv.Chosen:
+		head = "C$PAR DO"
+	case lv.Parallelizable:
+		head = "C$PAR"
+	}
+	head += " " + lv.ID
+	if lv.UnderParallel {
+		head += " nested"
+	}
+	vars := append([]parallel.VarVerdict(nil), lv.Vars...)
+	sort.SliceStable(vars, func(i, j int) bool { return vars[i].Name < vars[j].Name })
+	var private, shared, user, blocked []string
+	reductions := map[string][]string{}
+	for _, v := range vars {
+		switch v.Class {
+		case "private":
+			private = append(private, v.Name)
+		case "parallel":
+			shared = append(shared, v.Name)
+		case "reduction":
+			reductions[v.Reduction] = append(reductions[v.Reduction], v.Name)
+		default:
+			blocked = append(blocked, "C$SEQ blocked by "+v.Name+": "+v.Reason)
+		}
+		if v.ByAssertion {
+			user = append(user, v.Name)
+		}
+	}
+	clause := func(open string, names []string) {
+		if len(names) > 0 {
+			head += " " + open + strings.Join(names, ",") + ")"
+		}
+	}
+	clause("PRIVATE(", private)
+	clause("SHARED(", shared)
+	ops := make([]string, 0, len(reductions))
+	for op := range reductions {
+		ops = append(ops, op)
+	}
+	sort.Strings(ops)
+	for _, op := range ops {
+		clause("REDUCTION("+op+":", reductions[op])
+	}
+	if len(user) > 0 {
+		head += " [user: " + strings.Join(user, ",") + "]"
+	}
+	return append([]string{head}, blocked...)
 }

@@ -96,18 +96,38 @@ func TestCallGraphFocus(t *testing.T) {
 
 func TestSourceViewRange(t *testing.T) {
 	res, _ := setup(t)
-	sv := &SourceView{Prog: res.Prog, From: 12, To: 14,
+	sv := &SourceView{Source: res.Prog.Source, From: 12, To: 14,
 		Highlight: map[int]bool{13: true}, Anchor: 12,
-		Verdicts: map[int]string{12: "SEQUENTIAL"}}
+		Verdicts: []parallel.LoopVerdict{
+			{ID: "MAIN/10", Lines: [2]int{12, 14}, Vars: []parallel.VarVerdict{{Name: "A", Class: "dependence", Reason: "r"}}},
+			{ID: "MAIN/20", Lines: [2]int{15, 17}, Chosen: true, Parallelizable: true},
+		}}
 	out := sv.Render()
 	if !strings.Contains(out, ">   12") || !strings.Contains(out, "*   13") {
 		t.Fatalf("markers:\n%s", out)
 	}
-	if !strings.Contains(out, "! SEQUENTIAL") {
-		t.Fatal("verdict annotation missing")
+	want := "       C$SEQ MAIN/10\n       C$SEQ blocked by A: r\n>   12 "
+	if !strings.Contains(out, want) {
+		t.Fatalf("directives do not precede the DO header:\n%s", out)
 	}
-	if strings.Contains(out, "   15 ") {
+	if strings.Contains(out, "   15 ") || strings.Contains(out, "MAIN/20") {
 		t.Fatal("out-of-range line rendered")
+	}
+}
+
+func TestDirectives(t *testing.T) {
+	lv := parallel.LoopVerdict{ID: "P/10", Parallelizable: true, UnderParallel: true, Vars: []parallel.VarVerdict{
+		{Name: "S", Class: "reduction", Reduction: "+"},
+		{Name: "B", Class: "private", ByAssertion: true},
+		{Name: "M", Class: "reduction", Reduction: "MAX"},
+		{Name: "A", Class: "private"},
+		{Name: "C", Class: "parallel"},
+		{Name: "K", Class: "reduction", Reduction: "+"},
+	}}
+	got := strings.Join(Directives(lv), "\n")
+	want := "C$PAR P/10 nested PRIVATE(A,B) SHARED(C) REDUCTION(+:K,S) REDUCTION(MAX:M) [user: B]"
+	if got != want {
+		t.Fatalf("Directives:\n got %q\nwant %q", got, want)
 	}
 }
 
