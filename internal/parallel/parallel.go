@@ -243,6 +243,37 @@ type LoopVerdict struct {
 	Vars           []VarVerdict `json:"vars,omitempty"`
 }
 
+// Verdicts builds the record of every loop, in Ordered order. A loop's
+// variables leave out the read-only ones and its DO index: they never
+// block a loop and need nothing from the runtime.
+func (res *Result) Verdicts() []LoopVerdict {
+	var out []LoopVerdict
+	for _, li := range res.Ordered {
+		lo, hi := li.Region.Lines()
+		lv := LoopVerdict{
+			ID:             li.ID(),
+			Lines:          [2]int{lo, hi},
+			Parallelizable: li.Dep.Parallelizable,
+			Chosen:         li.Chosen,
+			UnderParallel:  li.UnderParallel,
+		}
+		for _, vr := range li.Dep.Vars {
+			if vr.Class == depend.ClassReadOnly || vr.Class == depend.ClassIndex {
+				continue
+			}
+			lv.Vars = append(lv.Vars, VarVerdict{
+				Name:        vr.Sym.Name,
+				Class:       vr.Class.String(),
+				Reduction:   vr.RedOp,
+				ByAssertion: vr.ByAssertion,
+				Reason:      vr.Reason,
+			})
+		}
+		out = append(out, lv)
+	}
+	return out
+}
+
 // VarCounts tallies, across the given loops, how many variables fall into
 // each class — the Fig 4-9 style breakdown. Arrays and scalars are counted
 // separately.

@@ -85,25 +85,6 @@ type AnalyzeRequest struct {
 	Liveness bool `json:"liveness,omitempty"`
 }
 
-// VarJSON is one variable's classification inside a loop.
-type VarJSON struct {
-	Name        string `json:"name"`
-	Class       string `json:"class"`
-	Reduction   string `json:"reduction,omitempty"`
-	ByAssertion bool   `json:"by_assertion,omitempty"`
-	Reason      string `json:"reason,omitempty"`
-}
-
-// LoopJSON is one loop's parallelization verdict.
-type LoopJSON struct {
-	ID             string    `json:"id"`
-	Lines          [2]int    `json:"lines"`
-	Parallelizable bool      `json:"parallelizable"`
-	Chosen         bool      `json:"chosen"`
-	UnderParallel  bool      `json:"under_parallel,omitempty"`
-	Vars           []VarJSON `json:"vars,omitempty"`
-}
-
 // ModRefJSON is one procedure's mod/ref effect summary.
 type ModRefJSON struct {
 	ModParams  []bool              `json:"mod_params,omitempty"`
@@ -114,13 +95,13 @@ type ModRefJSON struct {
 
 // AnalyzeResponse is the full driver result.
 type AnalyzeResponse struct {
-	Name       string                `json:"name"`
-	SourceHash string                `json:"source_hash"`
-	Schedule   []driver.SCC          `json:"schedule"`
-	Summaries  map[string]string     `json:"summaries"`
-	ModRef     map[string]ModRefJSON `json:"modref"`
-	Loops      []LoopJSON            `json:"loops"`
-	Stats      parallel.Stats        `json:"stats"`
+	Name       string                 `json:"name"`
+	SourceHash string                 `json:"source_hash"`
+	Schedule   []driver.SCC           `json:"schedule"`
+	Summaries  map[string]string      `json:"summaries"`
+	ModRef     map[string]ModRefJSON  `json:"modref"`
+	Loops      []parallel.LoopVerdict `json:"loops"`
+	Stats      parallel.Stats         `json:"stats"`
 	// ElapsedMs is the server time spent computing this verdict: the time of
 	// the request that rendered it, from its arrival to the rendered body
 	// (cache lookup or analysis, then parallelization). Later requests for
@@ -217,6 +198,7 @@ func analyzeResponse(res *driver.Result, noReductions, useLiveness bool) *Analyz
 		Schedule:   driver.Schedule(res.Prog),
 		Summaries:  map[string]string{},
 		ModRef:     map[string]ModRefJSON{},
+		Loops:      par.Verdicts(),
 		Stats:      par.Stats(),
 	}
 	for name, t := range res.Sum.ProcSum {
@@ -224,30 +206,6 @@ func analyzeResponse(res *driver.Result, noReductions, useLiveness bool) *Analyz
 	}
 	for name, eff := range res.Sum.MR.Effects {
 		resp.ModRef[name] = modRefJSON(eff)
-	}
-	for _, li := range par.Ordered {
-		lo, hi := li.Region.Lines()
-		lj := LoopJSON{
-			ID:             li.ID(),
-			Lines:          [2]int{lo, hi},
-			Parallelizable: li.Dep.Parallelizable,
-			Chosen:         li.Chosen,
-			UnderParallel:  li.UnderParallel,
-		}
-		for _, vr := range li.Dep.Vars {
-			cls := vr.Class.String()
-			if cls == "read-only" || cls == "index" {
-				continue
-			}
-			lj.Vars = append(lj.Vars, VarJSON{
-				Name:        vr.Sym.Name,
-				Class:       cls,
-				Reduction:   vr.RedOp,
-				ByAssertion: vr.ByAssertion,
-				Reason:      vr.Reason,
-			})
-		}
-		resp.Loops = append(resp.Loops, lj)
 	}
 	return resp
 }

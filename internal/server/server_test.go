@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"suifx/internal/driver"
+	"suifx/internal/parallel"
 	"suifx/internal/workloads"
 )
 
@@ -176,7 +177,7 @@ func TestServerAnalyzeWorkload(t *testing.T) {
 	if len(summaries) != len(prog.Procs) {
 		t.Fatalf("summaries for %d procs, want %d", len(summaries), len(prog.Procs))
 	}
-	var loops []LoopJSON
+	var loops []parallel.LoopVerdict
 	if err := json.Unmarshal(fields["loops"], &loops); err != nil {
 		t.Fatal(err)
 	}
