@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -145,24 +146,18 @@ func command(s *explorer.Session, args []string) bool {
 			cg.Focus = args[1]
 		}
 		fmt.Print(cg.Render())
-	case "slice":
-		line, ok := lastInt(args, 4)
+	case "slice", "cslice":
+		kind, proc, v, line, ok := sliceArgs(args)
 		if !ok {
-			fmt.Println("usage: slice <proc> <var> <line>")
+			fmt.Println("usage: slice <proc> <var> <line> | cslice <proc> <line>")
 			break
 		}
-		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
-		res := sl.OfUse(strings.ToUpper(args[1]), strings.ToUpper(args[2]), line)
-		showSlice(s, res, line)
-	case "cslice":
-		line, ok := lastInt(args, 3)
-		if !ok {
-			fmt.Println("usage: cslice <proc> <line>")
+		procs, _, err := slice.Query(s.Graph(), kind, proc, v, line)
+		if err != nil {
+			fmt.Println("error:", err)
 			break
 		}
-		sl := slice.New(s.Graph(), slice.Config{Kind: slice.Program})
-		res := sl.ControlSliceOfLine(strings.ToUpper(args[1]), line)
-		showSlice(s, res, line)
+		showSlice(s.Prog.Source, procs, line)
 	case "assert":
 		if len(args) != 4 {
 			fmt.Println("usage: assert private|independent <loop> <var>")
@@ -208,22 +203,35 @@ func command(s *explorer.Session, args []string) bool {
 	return true
 }
 
-func showSlice(s *explorer.Session, res *slice.Result, anchor int) {
-	lines := res.Lines()
-	for proc, m := range lines {
+// sliceArgs reads "slice <proc> <var> <line>" or "cslice <proc> <line>"
+// into a slice.Query request; ok is false for any other shape.
+func sliceArgs(args []string) (kind, proc, v string, line int, ok bool) {
+	line, ok = lastInt(args, len(args))
+	switch {
+	case ok && args[0] == "slice" && len(args) == 4:
+		return "program", args[1], args[2], line, true
+	case ok && args[0] == "cslice" && len(args) == 3:
+		return "control", args[1], "", line, true
+	}
+	return "", "", "", 0, false
+}
+
+// showSlice prints a slice in both modes: procedure by procedure in name
+// order, each as annotated source around its lines.
+func showSlice(src []string, procs map[string][]int, anchor int) {
+	names := make([]string, 0, len(procs))
+	for proc := range procs {
+		names = append(names, proc)
+	}
+	sort.Strings(names)
+	for _, proc := range names {
+		lines := procs[proc]
 		hl := map[int]bool{}
-		lo, hi := 1<<30, 0
-		for l := range m {
+		for _, l := range lines {
 			hl[l] = true
-			if l < lo {
-				lo = l
-			}
-			if l > hi {
-				hi = l
-			}
 		}
-		sv := &viz.SourceView{Source: s.Prog.Source, Highlight: hl, Anchor: anchor, From: lo - 1, To: hi + 1}
-		fmt.Printf("--- %s (%d lines in slice)\n%s", proc, len(m), sv.Render())
+		sv := &viz.SourceView{Source: src, Highlight: hl, Anchor: anchor, From: lines[0] - 1, To: lines[len(lines)-1] + 1}
+		fmt.Printf("--- %s (%d lines in slice)\n%s", proc, len(lines), sv.Render())
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"strconv"
 	"strings"
 
 	"suifx/internal/httpretry"
@@ -24,10 +23,11 @@ type remote struct {
 	base string
 	id   string
 	hc   *httpretry.Client
+	src  []string // the program's lines, for rendering slices
 }
 
 func runRemote(base, name, src, workload, script string) {
-	r := &remote{base: strings.TrimRight(base, "/"), hc: &httpretry.Client{
+	r := &remote{base: strings.TrimRight(base, "/"), src: strings.Split(src, "\n"), hc: &httpretry.Client{
 		OnRetry: func(attempt int, err error) {
 			fmt.Fprintf(os.Stderr, "explorer: attempt %d failed (%v); retrying\n", attempt, err)
 		},
@@ -129,29 +129,18 @@ func (r *remote) command(args []string) bool {
 		fmt.Printf("accepted; re-tested %s\n", out.Loop)
 		r.report(out.Guru)
 	case "slice", "cslice":
-		req := map[string]any{}
-		line, isNum := lastInt(args, len(args))
-		switch {
-		case isNum && args[0] == "slice" && len(args) == 4:
-			req["kind"], req["proc"], req["var"], req["line"] = "program", strings.ToUpper(args[1]), strings.ToUpper(args[2]), line
-		case isNum && args[0] == "cslice" && len(args) == 3:
-			req["kind"], req["proc"], req["line"] = "control", strings.ToUpper(args[1]), line
-		default:
+		kind, proc, v, line, ok := sliceArgs(args)
+		if !ok {
 			fmt.Println("usage: slice <proc> <var> <line> | cslice <proc> <line>")
-			return true
+			break
 		}
+		req := map[string]any{"kind": kind, "proc": proc, "var": v, "line": line}
 		var rep session.SliceReport
 		if err := r.call("POST", "/v1/session/"+r.id+"/slice", req, &rep); err != nil {
 			fmt.Println("error:", err)
 			break
 		}
-		for proc, lines := range rep.Procs {
-			strs := make([]string, len(lines))
-			for i, l := range lines {
-				strs[i] = strconv.Itoa(l)
-			}
-			fmt.Printf("--- %s: lines %s\n", proc, strings.Join(strs, " "))
-		}
+		showSlice(r.src, rep.Procs, line)
 	case "why":
 		if len(args) != 2 {
 			fmt.Println("usage: why <loop>")

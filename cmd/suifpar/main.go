@@ -1,12 +1,14 @@
 // Command suifpar is the batch automatic parallelizer: it analyzes a MiniF
-// source file and reports, per loop, the parallelization verdict and the
-// classification of every variable — the §2.4 compiler in report form.
+// source file and prints it annotated, above every DO header, with the
+// loop's parallelization verdict and the classification of its variables
+// as a directive line — the §2.4 compiler in report form.
 //
 // Usage:
 //
 //	suifpar [-noreductions] [-liveness] [-workers n] file.f
 //	suifpar -workload mdg
 //	suifpar -auto [-budget n] [-depth d] [-machine alpha] -workload mdg
+//	suifpar -connect URL ...   the same report, analyzed by a suifxd server
 //
 // With -auto it additionally runs the tuning search: every approved nest's
 // strategy space (worker count × interchange depth) is executed under
@@ -21,12 +23,14 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	"suifx/internal/driver"
 	"suifx/internal/liveness"
 	"suifx/internal/machine"
 	"suifx/internal/parallel"
 	"suifx/internal/tune"
+	"suifx/internal/viz"
 	"suifx/internal/workloads"
 )
 
@@ -61,6 +65,12 @@ func main() {
 		name, src = flag.Arg(0), string(data)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: suifpar [-noreductions] [-liveness] file.f | -workload name")
+		os.Exit(2)
+	}
+
+	if *auto && (*noRed || *useLive) {
+		// -auto tunes the default compiler's plan, locally and on a server.
+		fmt.Fprintln(os.Stderr, "usage: suifpar -auto takes neither -noreductions nor -liveness")
 		os.Exit(2)
 	}
 
@@ -100,34 +110,15 @@ func main() {
 		}
 		return
 	}
+	printVerdicts(name, src, res.Stats(), res.Verdicts())
+}
 
-	stats := res.Stats()
+// printVerdicts is the report of both modes: the stats header, then the
+// source with each loop's verdict as directive lines above its DO header.
+func printVerdicts(name, src string, st parallel.Stats, loops []parallel.LoopVerdict) {
 	fmt.Printf("%s: %d loops, %d parallelizable (%d need reductions), %d sequential\n\n",
-		name, stats.TotalLoops, stats.ParallelizableN, stats.WithReductionN, stats.SequentialN)
-	for _, li := range res.Ordered {
-		verdict := "SEQUENTIAL"
-		if li.Chosen {
-			verdict = "PARALLEL (chosen)"
-		} else if li.Dep.Parallelizable {
-			verdict = "parallelizable (nested)"
-		}
-		lo, hi := li.Region.Lines()
-		fmt.Printf("%-20s lines %d-%d  %s\n", li.ID(), lo, hi, verdict)
-		for _, vr := range li.Dep.Vars {
-			tag := vr.Class.String()
-			if vr.RedOp != "" {
-				tag += " (" + vr.RedOp + ")"
-			}
-			if vr.ByAssertion {
-				tag += " [user]"
-			}
-			if vr.Class.String() == "dependence" {
-				fmt.Printf("    %-12s %-14s %s\n", vr.Sym.Name, tag, vr.Reason)
-			} else if vr.Class.String() != "read-only" && vr.Class.String() != "index" {
-				fmt.Printf("    %-12s %s\n", vr.Sym.Name, tag)
-			}
-		}
-	}
+		name, st.TotalLoops, st.ParallelizableN, st.WithReductionN, st.SequentialN)
+	fmt.Print((&viz.SourceView{Source: strings.Split(src, "\n"), Verdicts: loops}).Render())
 }
 
 // runAuto executes the tuning search and prints the winning plan per nest.

@@ -66,38 +66,8 @@ func runConnect(ctx context.Context, o connectOpts) error {
 	if err != nil {
 		return err
 	}
-	printAnalyzeReport(&resp)
+	printVerdicts(o.name, o.src, resp.Stats, resp.Loops)
 	return nil
-}
-
-// printAnalyzeReport mirrors the local report from the wire shape.
-func printAnalyzeReport(resp *server.AnalyzeResponse) {
-	st := resp.Stats
-	fmt.Printf("%s: %d loops, %d parallelizable (%d need reductions), %d sequential\n\n",
-		resp.Name, st.TotalLoops, st.ParallelizableN, st.WithReductionN, st.SequentialN)
-	for _, li := range resp.Loops {
-		verdict := "SEQUENTIAL"
-		if li.Chosen {
-			verdict = "PARALLEL (chosen)"
-		} else if li.Parallelizable {
-			verdict = "parallelizable (nested)"
-		}
-		fmt.Printf("%-20s lines %d-%d  %s\n", li.ID, li.Lines[0], li.Lines[1], verdict)
-		for _, vr := range li.Vars {
-			tag := vr.Class
-			if vr.Reduction != "" {
-				tag += " (" + vr.Reduction + ")"
-			}
-			if vr.ByAssertion {
-				tag += " [user]"
-			}
-			if vr.Class == "dependence" {
-				fmt.Printf("    %-12s %-14s %s\n", vr.Name, tag, vr.Reason)
-			} else {
-				fmt.Printf("    %-12s %s\n", vr.Name, tag)
-			}
-		}
-	}
 }
 
 // postJSON posts a request and decodes the response, surfacing the server's

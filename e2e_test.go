@@ -84,17 +84,49 @@ func run(t *testing.T, bin string, stdin string, args ...string) (string, string
 	return out.String(), errb.String(), code
 }
 
+// TestE2ESuifpar drives suifpar locally and against one suifxd (-connect):
+// the two modes print the same bytes for every compiler flag.
 func TestE2ESuifpar(t *testing.T) {
 	bin := buildBinary(t, "suifpar")
+	base, daemon, tail := startSuifxd(t, buildBinary(t, "suifxd"))
+	defer stopSuifxd(t, daemon, tail)
 	w := workloads.All()[0]
 
-	t.Run("workload", func(t *testing.T) {
-		stdout, stderr, code := run(t, bin, "", "-workload", w.Name)
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr)
+	// bothModes runs suifpar with args locally and with -connect under each
+	// compiler flag, requires identical stdout, and returns the flagless one.
+	bothModes := func(t *testing.T, args ...string) string {
+		t.Helper()
+		var plain string
+		for _, flags := range [][]string{nil, {"-noreductions"}, {"-liveness"}} {
+			local, stderr, code := run(t, bin, "", append(flags, args...)...)
+			if code != 0 {
+				t.Fatalf("%v %v: exit %d, stderr: %s", flags, args, code, stderr)
+			}
+			remote, stderr, code := run(t, bin, "", append(append([]string{"-connect", base}, flags...), args...)...)
+			if code != 0 {
+				t.Fatalf("-connect %v %v: exit %d, stderr: %s", flags, args, code, stderr)
+			}
+			if local != remote {
+				t.Fatalf("%v %v: local and -connect output differ:\n--- local\n%s\n--- connect\n%s", flags, args, local, remote)
+			}
+			if flags == nil {
+				plain = local
+			}
 		}
-		if !strings.Contains(stdout, "loops,") || !strings.Contains(stdout, "parallelizable") {
-			t.Fatalf("report header missing from output:\n%s", stdout)
+		return plain
+	}
+
+	t.Run("workload", func(t *testing.T) {
+		out := bothModes(t, "-workload", "mdg")
+		if !strings.HasPrefix(out, "mdg: 11 loops, 8 parallelizable") {
+			t.Fatalf("report header missing from output:\n%s", out)
+		}
+		if !strings.Contains(out, "C$SEQ INTERF/1000 ") ||
+			!strings.Contains(out, "C$SEQ INTERF/1000 PRIVATE(J,K,KC,RS) REDUCTION(+:EPOT,FSUM)\n       C$SEQ blocked by RL: ") {
+			t.Fatalf("INTERF/1000 not shown blocked by RL:\n%s", out)
+		}
+		if !strings.Contains(out, "       C$PAR DO INTERF/1110 REDUCTION(+:KC)\n    30 ") {
+			t.Fatalf("INTERF/1110 not shown chosen with its KC reduction above its DO header:\n%s", out)
 		}
 	})
 
@@ -103,12 +135,24 @@ func TestE2ESuifpar(t *testing.T) {
 		if err := os.WriteFile(path, []byte(w.Source), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		stdout, stderr, code := run(t, bin, "", "-noreductions", "-liveness", "-workers", "2", path)
-		if code != 0 {
-			t.Fatalf("exit %d, stderr: %s", code, stderr)
+		if out := bothModes(t, "-workers", "2", path); !strings.HasPrefix(out, path+": ") {
+			t.Fatalf("report does not name the input file:\n%s", out)
 		}
-		if !strings.Contains(stdout, path+":") {
-			t.Fatalf("report does not name the input file:\n%s", stdout)
+	})
+
+	// /v1/tune always tunes the default compiler, so -auto refuses the
+	// compiler flags in both modes rather than dropping them remotely.
+	t.Run("auto with compiler flags", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-auto", "-noreductions", "-workload", "mdg"},
+			{"-auto", "-liveness", "-workload", "mdg"},
+			{"-connect", base, "-auto", "-noreductions", "-workload", "mdg"},
+			{"-connect", base, "-auto", "-liveness", "-workload", "mdg"},
+		} {
+			stdout, stderr, code := run(t, bin, "", args...)
+			if code != 2 || !strings.Contains(stderr, "usage:") || stdout != "" {
+				t.Errorf("%v: exit %d, stderr %q, stdout %q (want 2 + usage, no report)", args, code, stderr, stdout)
+			}
 		}
 	})
 
@@ -216,7 +260,7 @@ func TestE2EExplorer(t *testing.T) {
 	t.Run("numbers that are not numbers", func(t *testing.T) {
 		for _, tc := range []struct{ cmd, want, never string }{
 			{"slice MAIN X abc", "usage: slice <proc> <var> <line>", "lines in slice"},
-			{"cslice MAIN x", "usage: cslice <proc> <line>", "lines in slice"},
+			{"cslice MAIN x", "usage: slice <proc> <var> <line> | cslice <proc> <line>", "lines in slice"},
 			{"speedup x", "usage: speedup [processors]", "on 0 processors"},
 			{"speedup 0", "usage: speedup [processors]", "on 0 processors"},
 			{"speedup 4", "modeled speedup on 4 processors", "usage:"},
@@ -238,6 +282,44 @@ func TestE2EExplorer(t *testing.T) {
 			t.Fatalf("unknown workload: exit %d, stderr %q (want 2 + one-line message)", code, stderr)
 		}
 	})
+}
+
+// TestE2EExplorerSlice: a slice that spans several procedures prints them in
+// name order, so five runs print the same bytes, and local and -connect
+// sessions print the same annotated source.
+func TestE2EExplorerSlice(t *testing.T) {
+	bin := buildBinary(t, "explorer")
+	base, daemon, tail := startSuifxd(t, buildBinary(t, "suifxd"))
+	defer stopSuifxd(t, daemon, tail)
+
+	sliceOf := func(t *testing.T, args ...string) string {
+		t.Helper()
+		var first string
+		for i := 0; i < 5; i++ {
+			stdout, stderr, code := run(t, bin, "", append(args, "-workload", "mdg", "-c", "slice INTERF RL 37;quit")...)
+			if code != 0 {
+				t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr)
+			}
+			_, out, ok := strings.Cut(stdout, "\n--- ")
+			if !ok {
+				t.Fatalf("%v: no slice in output:\n%s", args, stdout)
+			}
+			if i == 0 {
+				first = out
+			} else if out != first {
+				t.Fatalf("%v: run %d printed the slice differently:\n%s\n--- run 1\n%s", args, i+1, out, first)
+			}
+		}
+		return first
+	}
+	local := sliceOf(t)
+	if strings.Count(local, "lines in slice)") < 2 ||
+		!strings.HasPrefix(local, "DISTS (") || !strings.Contains(local, "\n>   37 ") {
+		t.Fatalf("want a multi-procedure slice in name order around the anchor:\n%s", local)
+	}
+	if remote := sliceOf(t, "-connect", base); remote != local {
+		t.Fatalf("local and -connect slices differ:\n--- local\n%s\n--- connect\n%s", local, remote)
+	}
 }
 
 // startSuifxd boots the daemon on an ephemeral port and returns its base

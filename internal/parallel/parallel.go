@@ -6,8 +6,6 @@
 package parallel
 
 import (
-	"sort"
-
 	"suifx/internal/depend"
 	"suifx/internal/ir"
 	"suifx/internal/liveness"
@@ -293,14 +291,4 @@ func VarCounts(loops []*LoopInfo) map[string]int {
 		}
 	}
 	return out
-}
-
-// SortedKeys returns map keys sorted, for deterministic table output.
-func SortedKeys(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

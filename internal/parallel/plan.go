@@ -60,10 +60,6 @@ func LowerLoop(li *LoopInfo, opt PlanOptions) *exec.LoopPlan {
 			}
 		case "reduction":
 			lp.Reductions = append(lp.Reductions, exec.ReductionPlan{Sym: vr.Sym, Op: vr.RedOp})
-		case "index":
-			if vr.Sym != li.Region.Loop.Index {
-				lp.Private = append(lp.Private, vr.Sym)
-			}
 		}
 	}
 	return lp

@@ -217,14 +217,9 @@ func (sv *SourceView) Render() string {
 }
 
 // Directives renders one loop verdict as the lines placed above its DO
-// header. The first is the loop's directive:
-//
-//	C$PAR DO | C$PAR | C$SEQ   chosen, parallelizable but not chosen, neither
-//	  <loop id> [nested]       nested: runs inside a chosen loop
-//	  [PRIVATE(v,…)] [SHARED(v,…)] [REDUCTION(op:v,…)]… [[user: v,…]]
-//
-// with variables in name order, REDUCTION clauses in operator order, and
-// [user: …] naming the classifications a user assertion forced. One
+// header: "C$PAR DO" (chosen), "C$PAR" (parallelizable) or "C$SEQ", the loop
+// ID, "nested" inside a chosen loop, then PRIVATE(…) SHARED(…)
+// REDUCTION(op:…) and [user: …] for asserted variables, names sorted; one
 // "C$SEQ blocked by V: <reason>" line follows per dependence variable.
 func Directives(lv parallel.LoopVerdict) []string {
 	head := "C$SEQ"
