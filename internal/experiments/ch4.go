@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"suifx/internal/exec"
 	"suifx/internal/ir"
 	"suifx/internal/issa"
 	"suifx/internal/parallel"
@@ -404,4 +405,12 @@ func Fig4_10() *Table {
 		t.Rows = append(t.Rows, r...)
 	}
 	return t
+}
+
+// ValidateUserParallelization executes each user-parallelized application
+// both sequentially and with the goroutine runtime on the asserted plan, and
+// checks the results agree (the §6.5.2 validation). Both runs share one
+// cached program: each interpreter owns its arena, the IR is never written.
+func ValidateUserParallelization(name string, workers int) error {
+	return validateParallelRun(name, workers, exec.ModeAuto, true)
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"suifx/internal/exec"
 	"suifx/internal/session"
 	"suifx/internal/workloads"
 )
@@ -192,7 +191,7 @@ func TestParallelExecutionValidates(t *testing.T) {
 	// §6.5.2: every user-parallelized application validates against its
 	// sequential execution when actually run with goroutines.
 	for _, name := range []string{"mdg", "arc3d", "flo88"} {
-		if err := validateParallelRun(name, 4, exec.ModeAuto, true); err != nil {
+		if err := ValidateUserParallelization(name, 4); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}

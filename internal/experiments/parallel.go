@@ -3,12 +3,25 @@ package experiments
 import (
 	"suifx/internal/exec"
 	"suifx/internal/parallel"
+	"suifx/internal/workloads"
 )
 
 // This file validates planned runs on the execution engines themselves (not
 // just the machine cost model): a workload's user-assisted parallelization
 // is lowered to a runtime plan, executed, and compared with a sequential
 // run (§6.5.2).
+
+// validateParallelRun is the §6.5.2 validation generalized over engine and
+// finalization discipline: run sequentially and in parallel, mask storage
+// that is legitimately dead after the parallel loops (privatized variables
+// and callee locals), and compare the rest.
+func validateParallelRun(name string, workers int, mode exec.ExecMode, staggered bool) error {
+	res := userAssisted(workloads.ByName(name)).Par
+	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
+		Workers: workers, Staggered: staggered, Chunks: 4,
+	})
+	return ValidatePlanned(res, plan, mode)
+}
 
 // ValidatePlanned runs res's program sequentially and under an arbitrary
 // execution plan over the same parallelization result — any worker count,

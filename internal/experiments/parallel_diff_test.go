@@ -228,15 +228,3 @@ func TestParallelSpeedupCurves(t *testing.T) {
 		t.Logf("best 4-worker virtual-time speedup: %.2f (%s)", best, bestName)
 	}
 }
-
-// validateParallelRun is the §6.5.2 validation generalized over engine and
-// finalization discipline: run sequentially and in parallel, mask storage
-// that is legitimately dead after the parallel loops (privatized variables
-// and callee locals), and compare the rest.
-func validateParallelRun(name string, workers int, mode exec.ExecMode, staggered bool) error {
-	res := userAssisted(workloads.ByName(name)).Par
-	plan := parallel.BuildPlanOpts(res, parallel.PlanOptions{
-		Workers: workers, Staggered: staggered, Chunks: 4,
-	})
-	return ValidatePlanned(res, plan, mode)
-}

@@ -53,7 +53,7 @@ func TestQuickPipelineSoundness(t *testing.T) {
 		seqA := append([]float64(nil), seq.Arena()[:n]...)
 		parA := append([]float64(nil), par.Arena()[:n]...)
 		// Mask privatized (dead after loop) storage, as in
-		// ValidatePlanned.
+		// ValidateUserParallelization.
 		for _, li := range res.Ordered {
 			if !li.Chosen {
 				continue

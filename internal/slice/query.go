@@ -51,8 +51,9 @@ func Query(g *issa.Graph, kind, proc, varName string, line int) (map[string][]in
 		return nil, kind, fmt.Errorf("%q: %w", kind, ErrBadKind)
 	}
 
+	// Lines covers the control statements a control slice adds, each under
+	// its own procedure.
 	out := map[string][]int{}
-	n := 0
 	for pname, lineSet := range res.Lines() {
 		lines := make([]int, 0, len(lineSet))
 		for l := range lineSet {
@@ -60,24 +61,9 @@ func Query(g *issa.Graph, kind, proc, varName string, line int) (map[string][]in
 		}
 		sort.Ints(lines)
 		out[pname] = lines
-		n += len(lines)
 	}
-	for st := range res.ExtraStmts {
-		out[proc] = insertSorted(out[proc], st.Position().Line)
-	}
-	if n == 0 && len(res.ExtraStmts) == 0 {
+	if len(out) == 0 {
 		return nil, kind, fmt.Errorf("%s line %d: %w", proc, line, ErrEmpty)
 	}
 	return out, kind, nil
-}
-
-func insertSorted(lines []int, l int) []int {
-	i := sort.SearchInts(lines, l)
-	if i < len(lines) && lines[i] == l {
-		return lines
-	}
-	lines = append(lines, 0)
-	copy(lines[i+1:], lines[i:])
-	lines[i] = l
-	return lines
 }
