@@ -203,8 +203,7 @@ func command(s *explorer.Session, args []string) bool {
 	return true
 }
 
-// sliceArgs reads "slice <proc> <var> <line>" or "cslice <proc> <line>"
-// into a slice.Query request; ok is false for any other shape.
+// sliceArgs parses "slice <proc> <var> <line>" and "cslice <proc> <line>".
 func sliceArgs(args []string) (kind, proc, v string, line int, ok bool) {
 	line, ok = lastInt(args, len(args))
 	switch {
@@ -226,6 +225,9 @@ func showSlice(src []string, procs map[string][]int, anchor int) {
 	sort.Strings(names)
 	for _, proc := range names {
 		lines := procs[proc]
+		if len(lines) == 0 {
+			continue
+		}
 		hl := map[int]bool{}
 		for _, l := range lines {
 			hl[l] = true

@@ -242,8 +242,8 @@ type LoopVerdict struct {
 }
 
 // Verdicts builds the record of every loop, in Ordered order. A loop's
-// variables leave out the read-only ones and its DO index: they never
-// block a loop and need nothing from the runtime.
+// variables leave out the read-only ones and its own DO index, which no
+// clause of a parallel loop needs to name.
 func (res *Result) Verdicts() []LoopVerdict {
 	var out []LoopVerdict
 	for _, li := range res.Ordered {

@@ -51,8 +51,7 @@ func Query(g *issa.Graph, kind, proc, varName string, line int) (map[string][]in
 		return nil, kind, fmt.Errorf("%q: %w", kind, ErrBadKind)
 	}
 
-	// Lines covers the control statements a control slice adds, each under
-	// its own procedure.
+	// Lines lists a control slice's extra statements too, under their procedure.
 	out := map[string][]int{}
 	for pname, lineSet := range res.Lines() {
 		lines := make([]int, 0, len(lineSet))
