@@ -121,8 +121,7 @@ func TestE2ESuifpar(t *testing.T) {
 		if !strings.HasPrefix(out, "mdg: 11 loops, 8 parallelizable") {
 			t.Fatalf("report header missing from output:\n%s", out)
 		}
-		if !strings.Contains(out, "C$SEQ INTERF/1000 ") ||
-			!strings.Contains(out, "C$SEQ INTERF/1000 PRIVATE(J,K,KC,RS) REDUCTION(+:EPOT,FSUM)\n       C$SEQ blocked by RL: ") {
+		if !strings.Contains(out, "C$SEQ INTERF/1000 PRIVATE(J,K,KC,RS) REDUCTION(+:EPOT,FSUM)\n       C$SEQ blocked by RL: ") {
 			t.Fatalf("INTERF/1000 not shown blocked by RL:\n%s", out)
 		}
 		if !strings.Contains(out, "       C$PAR DO INTERF/1110 REDUCTION(+:KC)\n    30 ") {
