@@ -204,20 +204,28 @@ func CrossIterConflict(a, b *lin.Section, idx string) bool {
 // conflictDir tests ∃ i1 < i2 with a(i1) ∩ b(i2) ≠ ∅. Loop-variant unknowns
 // ("%" names) take different values in different iterations, so they are
 // renamed in the second copy along with the index (conservatively including
-// unknowns minted in outer loops).
+// unknowns minted in outer loops). A pair conflicts unless a(i1) ∩ b(i2)
+// implies i1 >= i2, which Implies tests as the emptiness of the intersection
+// with i2 >= i1+1 added.
 func conflictDir(a, b *lin.Section, idx string) bool {
+	if len(a.Polys) == 0 {
+		return false
+	}
 	other := "$iter2$" + idx
-	for _, p := range a.Polys {
-		for _, q := range b.Polys {
-			q2 := q.Rename(idx, other)
-			for _, v := range q2.Vars() {
-				if symbolic.IsVariantVar(v) {
-					q2 = q2.Rename(v, "$iter2$"+v)
-				}
+	later := make([]*lin.System, len(b.Polys))
+	for k, q := range b.Polys {
+		q2 := q.Rename(idx, other)
+		for _, v := range q2.Vars() {
+			if symbolic.IsVariantVar(v) {
+				q2 = q2.Rename(v, "$iter2$"+v)
 			}
-			sys := p.Intersect(q2)
-			sys.AddGE(lin.Var(other).Sub(lin.Var(idx)).AddConst(-1)) // i2 >= i1+1
-			if !sys.IsEmpty() {
+		}
+		later[k] = q2
+	}
+	notLater := lin.Constraint{E: lin.Var(idx).Sub(lin.Var(other))} // i1 >= i2
+	for _, p := range a.Polys {
+		for _, q2 := range later {
+			if !p.Intersect(q2).Implies(notLater) {
 				return true
 			}
 		}

@@ -10,6 +10,7 @@ package lin
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -54,17 +55,24 @@ func (e Expr) CoefOf(v string) int64 {
 }
 
 // Add returns e + o.
-func (e Expr) Add(o Expr) Expr { return combine(1, e, "", 1, o) }
+func (e Expr) Add(o Expr) Expr {
+	_, r := combine(nil, 1, e, "", 1, o)
+	return r
+}
 
 // Sub returns e - o.
-func (e Expr) Sub(o Expr) Expr { return combine(1, e, "", -1, o) }
+func (e Expr) Sub(o Expr) Expr {
+	_, r := combine(nil, 1, e, "", -1, o)
+	return r
+}
 
 // Scale returns k*e.
 func (e Expr) Scale(k int64) Expr {
 	if k == 1 {
 		return e
 	}
-	return combine(k, e, "", 0, Expr{})
+	_, r := combine(nil, k, e, "", 0, Expr{})
+	return r
 }
 
 // AddConst returns e + k.
@@ -102,7 +110,8 @@ func (e Expr) Substitute(v string, repl Expr) Expr {
 	if c == 0 {
 		return e
 	}
-	return combine(1, e, v, c, repl)
+	_, r := combine(nil, 1, e, v, c, repl)
+	return r
 }
 
 // Rename returns e with variable old renamed to new.
@@ -156,12 +165,16 @@ func (e Expr) String() string {
 	return b.String()
 }
 
-// combine returns ka*(a without its drop term) + kb*b by one merge of the two
-// sorted term lists into one fresh slice — every operation that builds new
-// terms, and the inner-loop step of Fourier–Motzkin elimination.
-func combine(ka int64, a Expr, drop string, kb int64, b Expr) Expr {
+// combine computes ka*(a without its drop term) + kb*b by one merge of the
+// two sorted term lists, appending the result's terms to ts; it returns ts
+// extended and the result, whose terms are the appended ones. Every operation
+// that builds new terms goes through it: the Expr operations with ts nil, so
+// the result gets one fresh slice, and Fourier–Motzkin elimination with its
+// scratch arena.
+func combine(ts []term, ka int64, a Expr, drop string, kb int64, b Expr) ([]term, Expr) {
 	at, bt := a.terms, b.terms
-	ts := make([]term, 0, len(at)+len(bt))
+	ts = slices.Grow(ts, len(at)+len(bt))
+	start := len(ts)
 	for len(at) > 0 || len(bt) > 0 {
 		var t term
 		switch cmp := order(at, bt); {
@@ -183,7 +196,7 @@ func combine(ka int64, a Expr, drop string, kb int64, b Expr) Expr {
 			ts = append(ts, t)
 		}
 	}
-	return Expr{ts, ka*a.Const + kb*b.Const}
+	return ts, Expr{ts[start:], ka*a.Const + kb*b.Const}
 }
 
 // order compares the heads of two term lists by name; an exhausted list

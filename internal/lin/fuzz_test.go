@@ -12,8 +12,10 @@ import (
 // the witness stays inside the system (so IsEmpty must be false), and
 // elimination/projection remain sound for the witness, every expression
 // keeps the representation invariant (names strictly increasing, no zero
-// coefficient) and renders the same through String and through Vars/CoefOf —
-// plus, implicitly, that no input sequence panics the solver.
+// coefficient) and renders the same through String and through Vars/CoefOf,
+// and IsEmpty, Implies and EliminateVars answer exactly what the reference
+// Fourier–Motzkin pass answers (reffm_test.go) — plus, implicitly, that no
+// input sequence panics the solver.
 func FuzzLinSystem(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
@@ -130,6 +132,10 @@ func FuzzLinSystem(f *testing.F) {
 				}
 			}
 			_ = s.String() // must never panic
+			// Probes around e: implied, not implied, and violated by the witness.
+			val, _ := e.Eval(pt)
+			probes := []Constraint{{e.AddConst(-val)}, {e.AddConst(-val - 1)}, {e.Scale(-1).AddConst(val - 1)}}
+			sameAsReference(t, fmt.Sprintf("step %d", i/3), s, probes, vars)
 		}
 	})
 }

@@ -85,7 +85,7 @@ func TestSystemContainment(t *testing.T) {
 
 func TestConstraintNormalize(t *testing.T) {
 	// 2i - 3 >= 0  =>  i >= 2 over integers (i >= ceil(3/2)).
-	c := Constraint{Var("i").Scale(2).AddConst(-3)}.normalize()
+	_, c := Constraint{Var("i").Scale(2).AddConst(-3)}.normalize(nil)
 	if got := c.E.CoefOf("i"); got != 1 {
 		t.Fatalf("coef = %d", got)
 	}

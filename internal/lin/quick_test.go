@@ -140,7 +140,7 @@ func TestQuickNormalizePreservesIntegerPoints(t *testing.T) {
 		}
 		e := Term("i", int64(a)).Add(Term("j", int64(b))).AddConst(int64(c))
 		raw := Constraint{e}
-		norm := raw.normalize()
+		_, norm := raw.normalize(nil)
 		for i := int64(-10); i <= 10; i += 2 {
 			for j := int64(-10); j <= 10; j += 2 {
 				pt := map[string]int64{"i": i, "j": j}

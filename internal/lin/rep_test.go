@@ -100,9 +100,11 @@ func TestExprOpsNeverAlias(t *testing.T) {
 		v, w := names[r.Intn(len(names))], names[r.Intn(len(names))]
 		k := r.Int63n(7) - 3
 		se, so := snapshot(e), snapshot(o)
+		_, norm := Constraint{e}.normalize(nil)
+		_, comb := combine(nil, k, e, v, 2, o)
 		results := []Expr{
 			e.Add(o), e.Sub(o), e.Scale(k), e.Scale(1), e.AddConst(k), e.Substitute(v, o), e.Rename(v, w),
-			Constraint{e}.normalize().E, combine(k, e, v, 2, o), NewSystem().AddGE(e).Clone().Cons[0].E,
+			norm.E, comb, NewSystem().AddGE(e).Clone().Cons[0].E,
 		}
 		snaps := make([]snap, len(results))
 		for i, x := range results {
@@ -119,7 +121,7 @@ func TestExprOpsNeverAlias(t *testing.T) {
 			x.Substitute(w, e)
 			x.Rename(w, v)
 			x.Scale(-k)
-			Constraint{x}.normalize()
+			Constraint{x}.normalize(nil)
 		}
 		if !same(e, se) || !same(o, so) {
 			t.Fatalf("iter %d: an operand changed: %v (was %s), %v (was %s)", iter, e, se.text, o, so.text)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -15,24 +16,28 @@ type Constraint struct {
 // String renders the constraint, e.g. "i - 1 >= 0".
 func (c Constraint) String() string { return c.E.String() + " >= 0" }
 
-// normalize divides the constraint by the GCD of its coefficients, tightening
-// the constant term toward the feasible side (integer reasoning: a*x >= -b
-// with gcd g on a implies g*(x') >= -b, i.e. x' >= ceil(-b/g)).
-func (c Constraint) normalize() Constraint {
+// normalize divides c by the GCD g of its coefficients, tightening the
+// constant toward the feasible side (integer reasoning: a*x >= -b with gcd g
+// on a implies g*(x') >= -b, i.e. x' >= ceil(-b/g)). The divided terms are
+// appended to ts, and ts comes back extended; when g <= 1, c comes back as it
+// is and ts as it was. ts may end exactly where c's own terms begin: each term
+// is read before its slot is written, so that divides c in place.
+func (c Constraint) normalize(ts []term) ([]term, Constraint) {
 	var g int64
 	for _, t := range c.E.terms {
 		g = gcd64(g, t.c)
 	}
 	if g <= 1 {
-		return c
+		return ts, c
 	}
-	ts := make([]term, len(c.E.terms))
-	for i, t := range c.E.terms {
-		ts[i] = term{t.v, t.c / g}
+	ts = slices.Grow(ts, len(c.E.terms))
+	start := len(ts)
+	for _, t := range c.E.terms {
+		ts = append(ts, term{t.v, t.c / g})
 	}
 	// e >= 0  ==  sum + Const >= 0  ==  sum >= -Const; divide by g and
 	// round the bound up: sum/g >= ceil(-Const/g), so Const' = floor(Const/g).
-	return Constraint{Expr{ts, floorDiv(c.E.Const, g)}}
+	return ts, Constraint{Expr{ts[start:], floorDiv(c.E.Const, g)}}
 }
 
 func floorDiv(a, b int64) int64 {
@@ -83,7 +88,8 @@ func (s *System) Clone() *System {
 
 // AddGE adds the constraint e >= 0 and returns s for chaining.
 func (s *System) AddGE(e Expr) *System {
-	s.Cons = append(s.Cons, Constraint{e}.normalize())
+	_, c := Constraint{e}.normalize(nil)
+	s.Cons = append(s.Cons, c)
 	s.empt.Store(emptUnknown)
 	return s
 }
@@ -128,7 +134,8 @@ func (s *System) Intersect(o *System) *System {
 func (s *System) Substitute(v string, repl Expr) *System {
 	out := &System{Cons: make([]Constraint, 0, len(s.Cons))}
 	for _, c := range s.Cons {
-		out.Cons = append(out.Cons, Constraint{c.E.Substitute(v, repl)}.normalize())
+		_, c = Constraint{c.E.Substitute(v, repl)}.normalize(nil)
+		out.Cons = append(out.Cons, c)
 	}
 	return out
 }
@@ -157,57 +164,26 @@ func (s *System) ContainsPoint(env map[string]int64) bool {
 // Eliminate removes variable v by Fourier–Motzkin elimination, producing a
 // system over the remaining variables whose rational solution set is the
 // projection of s. This is the paper's closure operator building block.
-func (s *System) Eliminate(v string) *System {
-	// co*v + r >= 0 is a lower bound on v when co > 0 (v >= -r/co), an upper
-	// bound when co < 0 (v <= r/(-co)). Counting them first sizes the output
-	// exactly: the constraints free of v, then one per lower × upper pair.
-	var buf [32]int64
-	coefs, nlo, nup := buf[:0], 0, 0
-	for _, c := range s.Cons {
-		co := c.E.CoefOf(v)
-		coefs = append(coefs, co)
-		if co > 0 {
-			nlo++
-		} else if co < 0 {
-			nup++
-		}
-	}
-	out := &System{Cons: make([]Constraint, 0, len(s.Cons)-nlo-nup+nlo*nup)}
-	for i, c := range s.Cons {
-		if coefs[i] == 0 {
-			out.Cons = append(out.Cons, c)
-		}
-	}
-	for i, lo := range s.Cons {
-		for j, up := range s.Cons {
-			if a, b := coefs[i], -coefs[j]; a > 0 && b > 0 {
-				// b*(a*v + rl) + a*(-b*v + ru) = b*rl + a*ru: v cancels.
-				out.Cons = append(out.Cons, Constraint{combine(b, lo.E, "", a, up.E)}.normalize())
-			}
-		}
-	}
-	return out.simplify()
-}
+func (s *System) Eliminate(v string) *System { return s.EliminateVars(v) }
 
-// Project eliminates every variable not in keep, projecting the polyhedron
-// onto the kept dimensions.
-func (s *System) Project(keep map[string]bool) *System {
-	out := s.Clone()
-	for _, v := range s.Vars() {
-		if !keep[v] {
-			out = out.Eliminate(v)
-		}
-	}
-	return out
-}
-
-// EliminateVars eliminates each named variable in turn.
+// EliminateVars eliminates each named variable in turn; with no variables it
+// returns s itself. Each step keeps the constraints free of the variable, in
+// order, then adds one combination per lower × upper bound pair, and drops
+// trivially true and duplicate constraints (a constant contradiction reduces
+// the system to -1 >= 0). The steps run in scratch storage; the result is
+// copied out once, and the constraints it carries over from s share their
+// Exprs with s.
 func (s *System) EliminateVars(vars ...string) *System {
-	out := s
-	for _, v := range vars {
-		out = out.Eliminate(v)
+	if len(vars) == 0 {
+		return s
 	}
-	return out
+	sc := newScratch()
+	defer fmPool.Put(sc)
+	sc.eliminate(s.Cons, nil, vars[0])
+	for _, v := range vars[1:] {
+		sc.eliminate(sc.cons[sc.cur], sc.fresh[sc.cur], v)
+	}
+	return sc.system()
 }
 
 // IsEmpty reports whether the system has no rational solutions (a sound,
@@ -220,67 +196,16 @@ func (s *System) IsEmpty() bool {
 	if e := s.empt.Load(); e != emptUnknown {
 		return e == emptEmpty
 	}
-	empty := s.isEmptySlow()
+	sc := newScratch()
+	defer fmPool.Put(sc)
+	sc.load(s.Cons)
+	empty := sc.empty()
 	if empty {
 		s.empt.Store(emptEmpty)
 	} else {
 		s.empt.Store(emptNonEmpty)
 	}
 	return empty
-}
-
-func (s *System) isEmptySlow() bool {
-	cur := s.Clone().simplify()
-	for _, v := range cur.Vars() {
-		cur = cur.Eliminate(v)
-		if cur.hasContradiction() {
-			return true
-		}
-	}
-	return cur.hasContradiction()
-}
-
-func (s *System) hasContradiction() bool {
-	for _, c := range s.Cons {
-		if c.E.IsConst() && c.E.Const < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// simplify drops trivially-true and duplicate constraints from s in place —
-// s must be private to the caller — and reduces s to the single constraint
-// -1 >= 0 if a constant contradiction is present. Duplicates are found by
-// comparing terms, behind a scan of one integer fingerprint per kept
-// constraint.
-func (s *System) simplify() *System {
-	var buf [32]uint64
-	fps, kept := buf[:0], s.Cons[:0]
-next:
-	for _, c := range s.Cons {
-		if c.E.IsConst() {
-			if c.E.Const < 0 {
-				return &System{Cons: []Constraint{{NewExpr(-1)}}}
-			}
-			continue
-		}
-		fp := uint64(c.E.Const)
-		for _, t := range c.E.terms {
-			fp = fp*31 + uint64(t.c)
-			for i := 0; i < len(t.v); i++ {
-				fp = fp*31 + uint64(t.v[i])
-			}
-		}
-		for k, f := range fps {
-			if f == fp && kept[k].E.Equal(c.E) {
-				continue next
-			}
-		}
-		fps, kept = append(fps, fp), append(kept, c)
-	}
-	s.Cons = kept
-	return s
 }
 
 // Implies reports whether every rational point of s satisfies c, tested by
@@ -290,15 +215,22 @@ func (s *System) Implies(c Constraint) bool {
 	// coefficients with an equal-or-tighter constant (a + x >= 0 with a <= b
 	// implies b + x >= 0). This catches the overwhelmingly common case of
 	// duplicated constraints without running an elimination.
-	for _, sc := range s.Cons {
-		if sc.E.Const <= c.E.Const && sameCoefs(sc.E, c.E) {
+	for _, have := range s.Cons {
+		if have.E.Const <= c.E.Const && sameCoefs(have.E, c.E) {
 			return true
 		}
 	}
-	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0.
-	neg := &System{Cons: make([]Constraint, len(s.Cons), len(s.Cons)+1)}
-	copy(neg.Cons, s.Cons)
-	return neg.AddGE(c.E.Scale(-1).AddConst(-1)).IsEmpty()
+	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0: s implies c when
+	// s with that constraint appended is empty.
+	sc := newScratch()
+	defer fmPool.Put(sc)
+	sc.load(s.Cons)
+	mark := len(sc.arena)
+	var neg Expr
+	sc.arena, neg = combine(sc.arena, -1, c.E, "", 0, Expr{})
+	_, nc := Constraint{neg.AddConst(-1)}.normalize(sc.arena[:mark]) // in place
+	sc.add(nc, true)
+	return sc.empty()
 }
 
 // ContainedIn reports whether s ⊆ o (conservatively: true is definite).
@@ -325,4 +257,202 @@ func (s *System) String() string {
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+// fmScratch is the working storage of one Fourier–Motzkin call tree (IsEmpty,
+// Implies, EliminateVars), reused through fmPool so that an emptiness test
+// allocates nothing and an elimination only its result. It holds two
+// constraint buffers used in turn as the input and the output of an
+// elimination step, each with a parallel fresh flag marking the constraints
+// built in this call; the term arena those built constraints live in; and
+// the coefficient, fingerprint and variable buffers of a step. Nothing in it
+// escapes the call: an emptiness test returns a bool, and an elimination
+// copies its result out (system). The arena only grows during a call, so a
+// built constraint's terms stay valid while later steps append; when append
+// moves the arena, the old backing array stays alive for the constraints
+// that point into it, which is why the fresh flags, not address ranges, say
+// what must be copied out.
+type fmScratch struct {
+	cons  [2][]Constraint
+	fresh [2][]bool
+	cur   int  // the buffer holding the current system
+	dead  bool // the current system is the contradiction -1 >= 0
+	arena []term
+	coefs []int64
+	fps   []uint64 // fingerprints of the current system's constraints
+	vars  []string
+
+	// inline is where the buffers start, so that a scratch the pool had to
+	// make (it drops values at a collection, and a quarter of those put back
+	// under the race detector) costs one allocation, not one per buffer.
+	inline struct {
+		cons  [2][32]Constraint
+		fresh [2][32]bool
+		arena [256]term
+		coefs [32]int64
+		fps   [32]uint64
+		vars  [8]string
+	}
+}
+
+var fmPool = sync.Pool{New: func() any {
+	sc := new(fmScratch)
+	in := &sc.inline
+	sc.cons = [2][]Constraint{in.cons[0][:0], in.cons[1][:0]}
+	sc.fresh = [2][]bool{in.fresh[0][:0], in.fresh[1][:0]}
+	sc.arena, sc.coefs, sc.fps, sc.vars = in.arena[:0], in.coefs[:0], in.fps[:0], in.vars[:0]
+	return sc
+}}
+
+// newScratch takes a scratch from the pool, holding the empty system.
+func newScratch() *fmScratch {
+	sc := fmPool.Get().(*fmScratch)
+	sc.cur, sc.dead = 0, false
+	sc.cons[0], sc.fresh[0] = sc.cons[0][:0], sc.fresh[0][:0]
+	sc.arena, sc.fps = sc.arena[:0], sc.fps[:0]
+	return sc
+}
+
+// load adds the caller's constraints cons to the current system.
+func (sc *fmScratch) load(cons []Constraint) {
+	for _, c := range cons {
+		if sc.add(c, false); sc.dead {
+			return
+		}
+	}
+}
+
+// add appends c to the current system unless it is trivially true or
+// duplicates a constraint already there, and reports whether it did. A
+// constant contradiction reduces the system to the single constraint -1 >= 0
+// for good. This is the one simplification of Fourier–Motzkin: applied to
+// every constraint as a step produces it, it keeps what dropping trivial and
+// duplicate constraints from the finished step would keep, in the same
+// order. Duplicates are found by comparing terms, behind a scan of one
+// integer fingerprint per kept constraint.
+func (sc *fmScratch) add(c Constraint, fresh bool) bool {
+	if sc.dead {
+		return false
+	}
+	if c.E.IsConst() {
+		if c.E.Const < 0 {
+			sc.dead = true
+			sc.cons[sc.cur] = append(sc.cons[sc.cur][:0], Constraint{NewExpr(-1)})
+			sc.fresh[sc.cur] = append(sc.fresh[sc.cur][:0], false)
+		}
+		return false
+	}
+	fp := uint64(c.E.Const)
+	for _, t := range c.E.terms {
+		fp = fp*31 + uint64(t.c)
+		for i := 0; i < len(t.v); i++ {
+			fp = fp*31 + uint64(t.v[i])
+		}
+	}
+	kept := sc.cons[sc.cur]
+	for k, f := range sc.fps {
+		if f == fp && kept[k].E.Equal(c.E) {
+			return false
+		}
+	}
+	sc.fps = append(sc.fps, fp)
+	sc.cons[sc.cur] = append(kept, c)
+	sc.fresh[sc.cur] = append(sc.fresh[sc.cur], fresh)
+	return true
+}
+
+// eliminate removes v from the system in — the caller's constraints when
+// inFresh is nil, else the current buffer and its flags — by one
+// Fourier–Motzkin step into the other buffer, which becomes the current
+// system. co*v + r >= 0 is a lower bound on v when co > 0 (v >= -r/co), an
+// upper bound when co < 0 (v <= r/(-co)); the step keeps the constraints free
+// of v, then adds one combination per lower × upper pair.
+func (sc *fmScratch) eliminate(in []Constraint, inFresh []bool, v string) {
+	if sc.dead {
+		return
+	}
+	sc.cur = 1 - sc.cur
+	sc.cons[sc.cur], sc.fresh[sc.cur], sc.fps = sc.cons[sc.cur][:0], sc.fresh[sc.cur][:0], sc.fps[:0]
+	coefs := sc.coefs[:0]
+	for _, c := range in {
+		coefs = append(coefs, c.E.CoefOf(v))
+	}
+	sc.coefs = coefs
+	for i, c := range in {
+		if coefs[i] == 0 {
+			if sc.add(c, inFresh != nil && inFresh[i]); sc.dead {
+				return
+			}
+		}
+	}
+	for i, lo := range in {
+		if coefs[i] <= 0 {
+			continue
+		}
+		for j, up := range in {
+			if a, b := coefs[i], -coefs[j]; b > 0 {
+				// b*(a*v + rl) + a*(-b*v + ru) = b*rl + a*ru: v cancels.
+				mark := len(sc.arena)
+				var e Expr
+				sc.arena, e = combine(sc.arena, b, lo.E, "", a, up.E)
+				_, c := Constraint{e}.normalize(sc.arena[:mark]) // in place
+				if !sc.add(c, true) {
+					sc.arena = sc.arena[:mark]
+					if sc.dead {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// empty reports whether the current system has no rational solution: it
+// eliminates the system's variables in sorted order, stopping at the first
+// step that leaves a contradiction.
+func (sc *fmScratch) empty() bool {
+	vars := sc.vars[:0]
+	for _, c := range sc.cons[sc.cur] {
+		for _, t := range c.E.terms {
+			if !slices.Contains(vars, t.v) {
+				vars = append(vars, t.v)
+			}
+		}
+	}
+	slices.Sort(vars)
+	sc.vars = vars
+	for _, v := range vars {
+		if sc.dead {
+			break
+		}
+		sc.eliminate(sc.cons[sc.cur], sc.fresh[sc.cur], v)
+	}
+	return sc.dead
+}
+
+// system copies the current system out of the scratch: one *System, one
+// constraint slice and one slab for the terms of the constraints built in
+// this call. Constraints carried over from the caller keep their Exprs.
+func (sc *fmScratch) system() *System {
+	cons, fresh := sc.cons[sc.cur], sc.fresh[sc.cur]
+	n := 0
+	for i, c := range cons {
+		if fresh[i] {
+			n += len(c.E.terms)
+		}
+	}
+	var slab []term
+	if n > 0 {
+		slab = make([]term, 0, n)
+	}
+	out := &System{Cons: make([]Constraint, len(cons))}
+	for i, c := range cons {
+		if fresh[i] {
+			start := len(slab)
+			slab = append(slab, c.E.terms...)
+			c.E.terms = slab[start:len(slab):len(slab)]
+		}
+		out.Cons[i] = c
+	}
+	return out
 }

@@ -115,13 +115,14 @@ func TestManyProcsLiveness(t *testing.T) {
 // count: the pass that dragged the seven-component tuple through every
 // region made 1,248,332 allocations here, the exposed-reads-only pass made
 // 104,736 while lin.Expr was a map per expression, 36,378 once it was a
-// sorted term vector, and makes about 31,900 now that section operations hand
-// back an unchanged operand (the few that vary are map growth; limit 1.6
+// sorted term vector, about 31,900 once section operations handed back an
+// unchanged operand, and makes about 12,000 now that Fourier–Motzkin runs in
+// pooled scratch storage (the few that vary are map growth; limit under 1.5
 // times that).
 func TestFullPassAllocations(t *testing.T) {
 	tier, _ := corpus.TierByName("5k")
 	sum := summary.Analyze(tierProgram(t, tier))
-	const limit = 51_000
+	const limit = 17_500
 	if got := mallocsOf(func() { liveness.Analyze(sum, liveness.Full) }); got > limit {
 		t.Fatalf("liveness.Analyze(Full) on tier 5k made %d allocations, limit %d", got, limit)
 	}
