@@ -36,3 +36,25 @@ func FusedPairCensusForTest(prog *ir.Program, instrumented bool) (pairs, singles
 	}
 	return pairs, singles, nil
 }
+
+// CellRange is a half-open run of arena cells, [Lo, Hi).
+type CellRange struct{ Lo, Hi int64 }
+
+// PlanCellsForTest lists the arena cells a planned interpreter hands its
+// plan workers: per planned loop, the cells each bank binds (index w is
+// plan worker w), and each worker's scratch block.
+func PlanCellsForTest(in *Interp) (banks [][][]CellRange, temps []CellRange) {
+	for _, lrt := range in.planRT.loops {
+		loop := make([][]CellRange, len(lrt.banks))
+		for w, b := range lrt.banks {
+			for sym, addr := range b.syms {
+				loop[w] = append(loop[w], CellRange{addr, addr + sym.NElems()})
+			}
+		}
+		banks = append(banks, loop)
+	}
+	for _, tb := range in.workerTemp {
+		temps = append(temps, CellRange{tb, tb + tempCells})
+	}
+	return banks, temps
+}

@@ -329,6 +329,7 @@ func (in *Interp) runCode(cd *code) error {
 
 	err := v.run()
 	in.ops = v.ops
+	counters.instructions.Add(v.instr)
 
 	if prof != nil {
 		prof.absorb(cd, v.prof)

@@ -107,6 +107,14 @@ type loopRT struct {
 	banks []bank // one per plan worker
 }
 
+// lineCells is one 64-byte cache line in arena cells. NewWithPlan leaves
+// this many unused cells in front of every bank block and every worker
+// scratch block, so no two workers' cells share a line whatever the
+// arena's base alignment: workers writing neighbouring cells of one line
+// (an index, an accumulator, a callee local) would pass it back and forth
+// on every iteration.
+const lineCells = 64 / 8
+
 // NewWithPlan builds an interpreter that executes the planned loops under
 // the plan: private copies, reduction accumulators and per-worker scratch
 // blocks are pre-allocated per worker so the arena never grows during
@@ -143,34 +151,42 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 		lp := plan.Loops[l]
 		lrt := &loopRT{l: l, lp: lp, banks: make([]bank, plan.Workers)}
 		in.planRT.loops[l] = lrt
-		for w := range lrt.banks {
-			lrt.banks[w] = bank{syms: map[*ir.Symbol]int64{}, common: map[string]map[int64]int64{}}
+		// One bank's copies in carve order: the index, the privates, the
+		// reduction accumulators, then every local of every reachable
+		// procedure. Each bank is one contiguous block after a line of
+		// padding, and every bank carves every slot — bank planWorkers-1
+		// leaves its privates unbound — so the layout does not depend on
+		// which banks end up bound to theirs.
+		type slot struct {
+			sym     *ir.Symbol
+			private bool
 		}
-		// A copy is carved for every bank, symbol by symbol, so the layout
-		// does not depend on which banks end up bound to theirs.
-		alloc := func(sym *ir.Symbol, banks []bank) {
-			for w := range lrt.banks {
-				addr := carve(sym.NElems())
-				if w < len(banks) {
-					banks[w].bind(sym, addr)
-				}
-			}
-		}
-		alloc(l.Index, lrt.banks)
+		slots := []slot{{sym: l.Index}}
 		for _, s := range lp.Private {
 			if s != l.Index {
-				alloc(s, lrt.banks[:plan.Workers-1])
+				slots = append(slots, slot{sym: s, private: true})
 			}
 		}
 		for _, r := range lp.Reductions {
-			alloc(r.Sym, lrt.banks)
+			slots = append(slots, slot{sym: r.Sym})
 		}
 		for _, proc := range reachableProcs(prog, l) {
 			for _, sym := range proc.SortedSyms() {
 				if sym.Common == "" && !sym.IsParam {
-					alloc(sym, lrt.banks)
+					slots = append(slots, slot{sym: sym})
 				}
 			}
+		}
+		for w := range lrt.banks {
+			b := bank{syms: map[*ir.Symbol]int64{}, common: map[string]map[int64]int64{}}
+			carve(lineCells)
+			for _, s := range slots {
+				addr := carve(s.sym.NElems())
+				if !s.private || w < plan.Workers-1 {
+					b.bind(s.sym, addr)
+				}
+			}
+			lrt.banks[w] = b
 		}
 	}
 	// One private scratch block per worker, shared across planned loops
@@ -179,6 +195,7 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	// spills from different workers would collide in the main scratch.
 	in.workerTemp = make([]int64, plan.Workers)
 	for w := range in.workerTemp {
+		carve(lineCells)
 		in.workerTemp[w] = carve(tempCells)
 	}
 	in.allocArena(top)
@@ -274,12 +291,13 @@ func planWorkerIDs(planWorkers, workers int) []int {
 // their identity, the §4.5 chunk of each position, then — in position
 // order — the positions' ops (returned for the dispatching clock), the
 // first error, the schedule profile and the reduction merge. engine readies
-// a position's private execution state over its bank and scratch block and
-// returns what runs the body once plus the clock that advances; launch runs
-// the positions.
+// a position's private execution state over its bank and scratch block,
+// under the budget left at dispatch, and returns what runs the body once
+// plus done, called once after the position's last iteration, which
+// returns the ops the position ran; launch runs the positions.
 func (rt *planRT) runLoop(lrt *loopRT, lo, step float64, trips int64, shared func(*ir.Symbol) int64,
 	launch func(n int, position func(p int)),
-	engine func(b *bank, temp int64) (body func() error, clock *int64)) (int64, error) {
+	engine func(b *bank, temp int64) (body func() error, done func() int64)) (int64, error) {
 	in := rt.in
 	workers := lrt.lp.width(in.plan.Workers, trips)
 	if workers == 0 {
@@ -298,13 +316,14 @@ func (rt *planRT) runLoop(lrt *loopRT, lo, step float64, trips int64, shared fun
 				acc[k] = identity(r.Op)
 			}
 		}
-		body, clock := engine(b, in.workerTemp[ids[p]])
+		body, done := engine(b, in.workerTemp[ids[p]])
 		idx := b.syms[lrt.l.Index]
-		if errs[p] = forEachAssigned(trips, workers, p, func(it int64) error {
+		errs[p] = forEachAssigned(trips, workers, p, func(it int64) error {
 			in.arena[idx] = lo + float64(it)*step
 			return body()
-		}); errs[p] == nil {
-			wops[p] = *clock
+		})
+		if ops := done(); errs[p] == nil {
+			wops[p] = ops
 		}
 	})
 	var ops int64
@@ -354,14 +373,16 @@ func onGoroutines(n int, position func(p int)) {
 // execParallelLoop runs one planned loop on the tree-walking engine. A
 // position's clone shares the arena, resolves storage through its bank,
 // spills into the bank's scratch block, keeps its own virtual-time counter
-// and drops hooks and the plan (nesting stays sequential); its frame takes
+// — started at the dispatching clock, so the budget applies — and drops
+// hooks and the plan (nesting stays sequential); its frame takes
 // the dispatching frame's formals and nothing else, so no address the
 // dispatching procedure cached before the loop outlives the binding.
 func (in *Interp) execParallelLoop(f *frame, lrt *loopRT, lo, step float64, trips int64) error {
+	start := in.ops
 	ops, err := in.planRT.runLoop(lrt, lo, step, trips,
 		func(sym *ir.Symbol) int64 { return in.refOf(f, sym).Base },
 		inOrder,
-		func(b *bank, tb int64) (func() error, *int64) {
+		func(b *bank, tb int64) (func() error, func() int64) {
 			wi := &Interp{
 				Prog:      in.Prog,
 				Out:       in.Out,
@@ -369,6 +390,8 @@ func (in *Interp) execParallelLoop(f *frame, lrt *loopRT, lo, step float64, trip
 				arena:     in.arena,
 				base:      in.base,
 				blockOff:  in.blockOff,
+				ops:       start,
+				MaxOps:    in.MaxOps,
 				bank:      b,
 				tempBase:  tb,
 				tempTop:   tb,
@@ -383,7 +406,7 @@ func (in *Interp) execParallelLoop(f *frame, lrt *loopRT, lo, step float64, trip
 			return func() error {
 				_, err := wi.execStmts(wf, lrt.l.Body)
 				return err
-			}, &wi.ops
+			}, func() int64 { return wi.ops - start }
 		})
 	in.ops += ops
 	return err
@@ -484,16 +507,20 @@ func (in *Interp) ensurePlanRT(cd *code) *planRT {
 
 // runLoopVM runs one planned loop on the bytecode engine: one VM instance
 // per position over the shared arena, each on its bank's view with its own
-// stack, scratch block and snapshot of the dispatching frame's parameter
+// stack, scratch block, snapshot of the dispatching frame's parameter
 // bindings — formals the body references (and the bank does not bind)
-// resolve exactly as the tree worker's frame does.
+// resolve exactly as the tree worker's frame does — and clock started at
+// the dispatching one under the same budget. A position adds the
+// instructions it retired to the engine counter once, when it is done, so
+// no line is written by every worker on every iteration.
 func (rt *planRT) runLoopVM(v *vm, lrt *loopRT, params []int64, lo, step float64, trips int64) error {
 	in := rt.in
 	psnap := append([]int64(nil), params...)
+	start, maxOps := v.ops, v.maxOps // locals: a closure capturing v would move it to the heap
 	ops, err := rt.runLoop(lrt, lo, step, trips,
 		func(sym *ir.Symbol) int64 { return in.sharedBase(sym, psnap) },
 		onGoroutines,
-		func(b *bank, tb int64) (func() error, *int64) {
+		func(b *bank, tb int64) (func() error, func() int64) {
 			wv := &vm{
 				cd:         b.view,
 				mem:        in.arena,
@@ -502,9 +529,13 @@ func (rt *planRT) runLoopVM(v *vm, lrt *loopRT, params []int64, lo, step float64
 				stack:      make([]float64, b.view.maxStack),
 				tempTop:    tb,
 				tempLimit:  tb + tempCells,
-				maxOps:     math.MaxInt64,
+				ops:        start,
+				maxOps:     maxOps,
 			}
-			return wv.run, &wv.ops
+			return wv.run, func() int64 {
+				counters.instructions.Add(wv.instr)
+				return wv.ops - start
+			}
 		})
 	v.ops += ops
 	return err

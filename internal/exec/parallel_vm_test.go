@@ -154,10 +154,12 @@ func TestParallelReductionDeterminism(t *testing.T) {
 }
 
 // TestParallelVMMatchesTree runs the planned reduction kernel on both
-// engines at several worker counts: the full arenas — worker banks
-// included — must be bit-identical, and the virtual clocks equal.
+// engines at several worker counts, W=3 among them so the bank blocks and
+// their line padding do not fall on power-of-two offsets: the full arenas —
+// worker banks included — must be bit-identical, and the virtual clocks
+// equal.
 func TestParallelVMMatchesTree(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, staggered := range []bool{false, true} {
 			tree := runPlanned(t, ModeTree, workers, staggered)
 			vm := runPlanned(t, ModeAuto, workers, staggered)

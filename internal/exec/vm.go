@@ -258,6 +258,9 @@ type vm struct {
 	// pcCount, when non-nil, counts executions per pc (fusion census runs
 	// only — the branch predicts perfectly on normal runs).
 	pcCount []int64
+	// instr counts retired instructions; whoever started the VM adds it to
+	// the engine counter once.
+	instr int64
 }
 
 func (v *vm) enterLoop(li int32) {
@@ -341,7 +344,7 @@ func (v *vm) run() error {
 		v.ops = ops
 		v.unwindAll()
 		v.tempTop = v.frames[0].savedTemp // the tree-walker's deferred restores
-		counters.instructions.Add(nInstr)
+		v.instr += nInstr
 		return err
 	}
 
@@ -730,7 +733,7 @@ func (v *vm) run() error {
 			v.frames = v.frames[:len(v.frames)-1]
 			if len(v.frames) == 0 {
 				v.ops = ops
-				counters.instructions.Add(nInstr)
+				v.instr += nInstr
 				return nil
 			}
 			v.paramStore = v.paramStore[:fr.pbase]

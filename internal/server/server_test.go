@@ -415,6 +415,38 @@ func TestServerProfile(t *testing.T) {
 	}
 }
 
+// plannedBudgetSource is a loop the analysis approves with J private whose
+// inner loop runs two billion iterations: only the budget can stop it.
+const plannedBudgetSource = `      PROGRAM MAIN
+      REAL A(2)
+      INTEGER I, J
+      DO 10 I = 1, 2
+        DO 20 J = 1, 2000000000
+          A(I) = A(I) + 1.0
+20      CONTINUE
+10    CONTINUE
+      WRITE(*,*) A(1)
+      END
+`
+
+// TestServerProfilePlannedBudget: max_ops holds a planned profile run too.
+// The request answers 422 like a sequential run over budget, well inside
+// its timeout, and leaves no position goroutine spinning behind it.
+func TestServerProfilePlannedBudget(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	_, ts := newTestServer(t, Config{RequestTimeout: 5 * time.Second})
+	for _, workers := range []int{0, 2} {
+		status, fields := postJSON(t, ts, "/v1/profile", map[string]any{
+			"name": "budget.f", "source": plannedBudgetSource, "max_ops": 1_000_000, "workers": workers})
+		if status != http.StatusUnprocessableEntity || !strings.Contains(string(fields["error"]), "operation budget exceeded") {
+			t.Fatalf("workers=%d: status = %d (%s), want 422 with the budget error", workers, status, fields["error"])
+		}
+	}
+	ts.Client().CloseIdleConnections()
+	ts.Close()
+	settleGoroutines(t, baseline)
+}
+
 // TestServerLegacyEngineKnobs: /v1/profile and /v1/tune no longer select an
 // engine. Bodies still carrying the removed `mode` / `tier` knobs — valid
 // or bogus — decode leniently and answer 200 with a body byte-identical to
