@@ -32,7 +32,7 @@ func FusionCensus(prog *ir.Program, out io.Writer) ([]PatternCount, error) {
 		in.Out = out
 	}
 	cd := compileProgram(prog, loweredOf(prog).lay, false)
-	in.pcCount = make([]int64, len(cd.ins))
+	in.pcCount = make([]int64, len(cd.ins)+1) // one spare cell: see vm.pcCount
 	if err := in.runCode(cd); err != nil {
 		return nil, err
 	}

@@ -100,7 +100,8 @@ type Interp struct {
 	MaxOps int64
 
 	// pcCount, when non-nil, receives per-pc dynamic execution counts of
-	// the stream passed to runCode (FusionCensus only).
+	// the stream passed to runCode (census runs only); it needs one cell
+	// more than the stream has instructions.
 	pcCount []int64
 
 	// Parallel execution state (see parallel.go): the plan and its runtime

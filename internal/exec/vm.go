@@ -255,8 +255,10 @@ type vm struct {
 	// par dispatches approved parallel loops to per-worker views (nil on
 	// worker VMs, so nested planned loops stay sequential inside a region).
 	par *planRT
-	// pcCount, when non-nil, counts executions per pc (fusion census runs
-	// only — the branch predicts perfectly on normal runs).
+	// pcCount, when non-nil (census runs only), has one cell per
+	// instruction plus one: during the run a difference array updated only
+	// at the entry, taken transfers and the exit; per-pc execution counts
+	// once the run has ended.
 	pcCount []int64
 	// instr counts retired instructions; whoever started the VM adds it to
 	// the engine counter once.
@@ -333,20 +335,12 @@ func (v *vm) run() error {
 	pc := cd.entry
 	ops := v.ops
 	maxOps := v.maxOps
-	var nInstr int64
+	var tgt int32 // the target of a taken transfer
 
 	v.frames = append(v.frames[:0], frameRT{retPC: -1, savedTemp: v.tempTop})
 	// Worker views start with the dispatching frame's parameter bindings
 	// pre-loaded in paramStore; a whole-program run starts with none.
 	params := v.paramStore
-
-	fail := func(err error) error {
-		v.ops = ops
-		v.unwindAll()
-		v.tempTop = v.frames[0].savedTemp // the tree-walker's deferred restores
-		v.instr += nInstr
-		return err
-	}
 
 	// The ops budget is checked at basic-block boundaries (control transfers,
 	// calls/returns) and before every observable effect (opWrite, faulting
@@ -354,13 +348,19 @@ func (v *vm) run() error {
 	// within one basic block of the exact trigger point, with identical error
 	// kind and output; only unobserved arena stores may run a few
 	// instructions further (see compareRuns' budget relaxation).
+	//
+	// One dispatch is the fetch, the clock tick and the switch. Retired
+	// instructions are counted per straight-line run, not per dispatch: a
+	// taken transfer from pc to tgt adds pc+1−tgt (at transfer, below) and
+	// the exit at pc adds pc+1−entry (finish); the terms telescope to one
+	// per dispatched instruction, the last one included. No closure captures
+	// what the loop modifies, so nothing forces ops, pc or sp into memory.
+	if v.pcCount != nil {
+		v.pcCount[pc]++
+	}
 	for {
 		i := &ins[pc]
 		ops += int64(i.tick)
-		nInstr++
-		if v.pcCount != nil {
-			v.pcCount[pc]++
-		}
 		switch i.op {
 		case opNop:
 
@@ -375,22 +375,22 @@ func (v *vm) run() error {
 			sp++
 		case opIdx:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.a]
-			iv := int64(math.Round(stack[sp-1]))
+			iv := roundIdx(stack[sp-1])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp-1] = float64((iv - d.lo) * d.stride)
 		case opIdxAdd:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.a]
-			iv := int64(math.Round(stack[sp-1]))
+			iv := roundIdx(stack[sp-1])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			sp--
 			stack[sp-1] += float64((iv - d.lo) * d.stride)
@@ -474,11 +474,11 @@ func (v *vm) run() error {
 			stack[sp-1] *= stack[sp]
 		case opDiv:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp--
 			if stack[sp] == 0 {
-				return fail(fmt.Errorf("exec: line %d: division by zero", i.a))
+				return v.fail(fmt.Errorf("exec: line %d: division by zero", i.a), ops, pc)
 			}
 			stack[sp-1] /= stack[sp]
 		case opEQ:
@@ -525,55 +525,55 @@ func (v *vm) run() error {
 			}
 		case opAndJmp:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			if stack[sp-1] == 0 {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 			sp--
 		case opOrJmp:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			if stack[sp-1] != 0 {
 				stack[sp-1] = 1
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 			sp--
 		case opIntrin:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			argc := int(i.b)
 			args := stack[sp-argc : sp]
 			r, err := applyIntrinsicID(i.a, args)
 			if err != nil {
-				return fail(err)
+				return v.fail(err, ops, pc)
 			}
 			sp -= argc - 1
 			stack[sp-1] = r
 
 		case opJmp:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
-			pc = i.a
-			continue
+			tgt = i.a
+			goto transfer
 		case opJZ:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp--
 			if stack[sp] == 0 {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 
 		case opLoopInit:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			step := stack[sp-1]
 			hi := stack[sp-2]
@@ -581,7 +581,7 @@ func (v *vm) run() error {
 			sp -= 3
 			lm := &cd.loops[i.a]
 			if step == 0 {
-				return fail(fmt.Errorf("exec: line %d: zero DO step", lm.line))
+				return v.fail(fmt.Errorf("exec: line %d: zero DO step", lm.line), ops, pc)
 			}
 			trips := tripCount(lo, hi, step)
 			var ia int64
@@ -609,7 +609,7 @@ func (v *vm) run() error {
 					ops = v.ops
 					if err != nil {
 						mem[ia] = lo + float64(trips)*step
-						return fail(err)
+						return v.fail(err, ops, pc)
 					}
 					break
 				}
@@ -621,7 +621,7 @@ func (v *vm) run() error {
 			}
 		case opLoopHead:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			act := &v.loopActs[len(v.loopActs)-1]
 			mem[act.idxAddr] = act.v // Fortran leaves the index past the bound
@@ -632,8 +632,8 @@ func (v *vm) run() error {
 				} else {
 					v.loopActs = v.loopActs[:len(v.loopActs)-1]
 				}
-				pc = i.b
-				continue
+				tgt = i.b
+				goto transfer
 			}
 			if v.events {
 				v.iterLoop(act.li, act.it)
@@ -642,14 +642,14 @@ func (v *vm) run() error {
 			act := &v.loopActs[len(v.loopActs)-1]
 			act.it++
 			act.v += act.step
-			pc = i.a
-			continue
+			tgt = i.a
+			goto transfer
 		case opLoopNextHead:
 			// Fused back edge: opLoopNext + opLoopHead in one dispatch. Both
 			// ticks are charged up front, so the budget check fires at the
 			// same virtual time the head's would.
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			act := &v.loopActs[len(v.loopActs)-1]
 			act.it++
@@ -662,14 +662,14 @@ func (v *vm) run() error {
 				} else {
 					v.loopActs = v.loopActs[:len(v.loopActs)-1]
 				}
-				pc = i.b
-				continue
+				tgt = i.b
+				goto transfer
 			}
 			if v.events {
 				v.iterLoop(act.li, act.it)
 			}
-			pc = i.a + 1
-			continue
+			tgt = i.a + 1
+			goto transfer
 
 		case opArgAddrG:
 			if i.b == 1 {
@@ -688,7 +688,7 @@ func (v *vm) run() error {
 			}
 		case opCall:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			ci := &cd.calls[i.a]
 			n := len(ci.kinds)
@@ -701,7 +701,7 @@ func (v *vm) run() error {
 					v.paramStore = append(v.paramStore, int64(val))
 				} else {
 					if v.tempTop >= v.tempLimit {
-						return fail(fmt.Errorf("exec: line %d: temporary stack overflow", ci.line))
+						return v.fail(fmt.Errorf("exec: line %d: temporary stack overflow", ci.line), ops, pc)
 					}
 					mem[v.tempTop] = val
 					v.paramStore = append(v.paramStore, v.tempTop)
@@ -714,11 +714,11 @@ func (v *vm) run() error {
 				loopBase: int32(len(v.loopActs)), savedTemp: savedTemp,
 			})
 			params = v.paramStore[pbase:]
-			pc = ci.entry
-			continue
+			tgt = ci.entry
+			goto transfer
 		case opReturn:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			fr := v.frames[len(v.frames)-1]
 			for int32(len(v.loopActs)) > fr.loopBase {
@@ -732,19 +732,18 @@ func (v *vm) run() error {
 			v.tempTop = fr.savedTemp
 			v.frames = v.frames[:len(v.frames)-1]
 			if len(v.frames) == 0 {
-				v.ops = ops
-				v.instr += nInstr
+				v.finish(ops, pc)
 				return nil
 			}
 			v.paramStore = v.paramStore[:fr.pbase]
 			outer := v.frames[len(v.frames)-1]
 			params = v.paramStore[outer.pbase:]
-			pc = fr.retPC
-			continue
+			tgt = fr.retPC
+			goto transfer
 
 		case opWrite:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			n := int(i.a)
 			vals := make([]interface{}, n)
@@ -756,87 +755,87 @@ func (v *vm) run() error {
 
 		case opErr:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
-			return fail(fmt.Errorf("%s", cd.errs[i.a]))
+			return v.fail(fmt.Errorf("%s", cd.errs[i.a]), ops, pc)
 
 		// ---- fused superinstructions (uninstrumented) ----
 
 		case opLGIdx:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
 		case opLPIdx:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
+			iv := roundIdx(mem[params[i.a]])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
 		case opLGIdxAdd:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp-1] += float64((iv - d.lo) * d.stride)
 
 		case opLGIdxLoadGE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = mem[d.base+iv*d.stride]
 			sp++
 		case opLGIdxStoreGE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			sp--
 			mem[d.base+iv*d.stride] = stack[sp]
 		case opLGIdxStorePE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			sp--
 			mem[params[d.pslot]+d.base+iv*d.stride] = stack[sp]
 
 		case opIdxAddLoadGE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
+			iv := roundIdx(stack[sp-1])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			sp--
 			stack[sp-1] = mem[int64(i.a)+int64(stack[sp-1])+(iv-d.lo)*d.stride]
@@ -846,57 +845,57 @@ func (v *vm) run() error {
 
 		case opJEQ:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] == stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opJNE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] != stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opJLT:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] < stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opJLE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] <= stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opJGT:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] > stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opJGE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp -= 2
 			if !(stack[sp] >= stack[sp+1]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 
 		case opLCAdd:
@@ -915,50 +914,50 @@ func (v *vm) run() error {
 
 		case opLGIdxI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
 		case opLPIdxI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			addr := params[i.a]
 			v.dda.read(addr)
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
+			iv := roundIdx(mem[addr])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
 		case opLGIdxAddI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp-1] += float64((iv - d.lo) * d.stride)
 
 		case opLGIdxLoadGEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			addr := d.base + iv*d.stride
 			v.dda.read(addr)
@@ -966,13 +965,13 @@ func (v *vm) run() error {
 			sp++
 		case opLGIdxStoreGEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			addr := d.base + iv*d.stride
 			v.dda.write(addr)
@@ -980,13 +979,13 @@ func (v *vm) run() error {
 			mem[addr] = stack[sp]
 		case opLGIdxStorePEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a]))
+			iv := roundIdx(mem[i.a])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			addr := params[d.pslot] + d.base + iv*d.stride
 			v.dda.write(addr)
@@ -995,12 +994,12 @@ func (v *vm) run() error {
 
 		case opIdxAddLoadGEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(stack[sp-1]))
+			iv := roundIdx(stack[sp-1])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			sp--
 			addr := int64(i.a) + int64(stack[sp-1]) + (iv-d.lo)*d.stride
@@ -1028,12 +1027,12 @@ func (v *vm) run() error {
 
 		case opLPIdxLoadGE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[params[i.a]]))
+			iv := roundIdx(mem[params[i.a]])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = mem[d.base+iv*d.stride]
 			sp++
@@ -1051,30 +1050,30 @@ func (v *vm) run() error {
 			stack[sp-1] += mem[i.a] * i.f
 		case opLPJGT:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp--
 			if !(stack[sp] > mem[params[i.b]]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opLPJLE:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			sp--
 			if !(stack[sp] <= mem[params[i.b]]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opLCIdx:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a] + i.f))
+			iv := roundIdx(mem[i.a] + i.f)
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
@@ -1085,14 +1084,14 @@ func (v *vm) run() error {
 
 		case opLPIdxLoadGEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			addr := params[i.a]
 			v.dda.read(addr)
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[addr]))
+			iv := roundIdx(mem[addr])
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			ea := d.base + iv*d.stride
 			v.dda.read(ea)
@@ -1119,35 +1118,35 @@ func (v *vm) run() error {
 			stack[sp-1] += mem[i.a] * i.f
 		case opLPJGTI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			addr := params[i.b]
 			v.dda.read(addr)
 			sp--
 			if !(stack[sp] > mem[addr]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opLPJLEI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			addr := params[i.b]
 			v.dda.read(addr)
 			sp--
 			if !(stack[sp] <= mem[addr]) {
-				pc = i.a
-				continue
+				tgt = i.a
+				goto transfer
 			}
 		case opLCIdxI:
 			if ops > maxOps {
-				return fail(budgetErr(maxOps))
+				return v.fail(budgetErr(maxOps), ops, pc)
 			}
 			v.dda.read(int64(i.a))
 			d := &cd.idx[i.b]
-			iv := int64(math.Round(mem[i.a] + i.f))
+			iv := roundIdx(mem[i.a] + i.f)
 			if iv < d.lo || iv > d.hi {
-				return fail(boundsErr(d, iv))
+				return v.fail(boundsErr(d, iv), ops, pc)
 			}
 			stack[sp] = float64((iv - d.lo) * d.stride)
 			sp++
@@ -1157,10 +1156,54 @@ func (v *vm) run() error {
 			mem[i.b] = mem[i.a] + i.f
 
 		default:
-			return fail(fmt.Errorf("exec: bad opcode %d at pc %d", i.op, pc))
+			return v.fail(fmt.Errorf("exec: bad opcode %d at pc %d", i.op, pc), ops, pc)
 		}
 		pc++
+		continue
+
+	transfer:
+		v.instr += int64(pc + 1 - tgt)
+		if v.pcCount != nil {
+			v.pcCount[pc+1]--
+			v.pcCount[tgt]++
+		}
+		pc = tgt
 	}
+}
+
+// finish ends a run at pc: it publishes the clock, adds the instructions
+// retired since the last taken transfer, and turns the census's difference
+// array into per-pc counts.
+func (v *vm) finish(ops int64, pc int32) {
+	v.ops = ops
+	v.instr += int64(pc + 1 - v.cd.entry)
+	if c := v.pcCount; c != nil {
+		c[pc+1]--
+		for k := 1; k < len(c); k++ {
+			c[k] += c[k-1]
+		}
+	}
+}
+
+// fail ends a run at pc with err, firing exit events for every live loop
+// and restoring the temporary stack as the tree-walker's deferred restores
+// do.
+func (v *vm) fail(err error, ops int64, pc int32) error {
+	v.finish(ops, pc)
+	v.unwindAll()
+	v.tempTop = v.frames[0].savedTemp
+	return err
+}
+
+// roundIdx is int64(math.Round(x)) for every float64 — NaN, ±Inf and
+// out-of-range values included. An integral x, which is every subscript
+// the workloads compute, converts without rounding: when float64(int64(x))
+// == x, x is integral, so math.Round(x) == x.
+func roundIdx(x float64) int64 {
+	if iv := int64(x); float64(iv) == x {
+		return iv
+	}
+	return int64(math.Round(x))
 }
 
 func budgetErr(maxOps int64) error {
