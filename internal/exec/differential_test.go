@@ -28,6 +28,9 @@ type runResult struct {
 	carried  map[string]int64
 	accesses int64
 	deploops string
+	// cells renders every DDA answer down to each loop's per-cell counts
+	// (ddaPins): what AssertIndependent and Why read.
+	cells string
 }
 
 type runConfig struct {
@@ -78,6 +81,7 @@ func runEngine(t *testing.T, name, src string, mode exec.ExecMode, cfg runConfig
 	if dyn != nil {
 		res.accesses = dyn.Accesses()
 		res.deploops = strings.Join(dyn.LoopsWithDeps(prog), ",")
+		res.cells = ddaPins(prog, dyn)
 		for _, p := range prog.Procs {
 			for _, l := range p.Loops() {
 				if c := dyn.Carried(l); c != 0 {
@@ -141,6 +145,9 @@ func compareRuns(t *testing.T, label string, tree, bc runResult) {
 		if bc.carried[id] != c {
 			t.Errorf("%s: carried[%s] mismatch: tree %d vs vm %d", label, id, c, bc.carried[id])
 		}
+	}
+	if tree.cells != bc.cells {
+		t.Errorf("%s: per-cell carried counts mismatch:\n tree:\n%s vm:\n%s", label, tree.cells, bc.cells)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"io"
+	"sort"
 
 	"suifx/internal/ir"
 )
@@ -57,4 +58,20 @@ func PlanCellsForTest(in *Interp) (banks [][][]CellRange, temps []CellRange) {
 		temps = append(temps, CellRange{tb, tb + tempCells})
 	}
 	return banks, temps
+}
+
+// CellCount is one arena cell's count of dynamic carried flow dependences.
+type CellCount struct{ Cell, Count int64 }
+
+// CarriedCellsForTest lists the cells at which loop l carried dynamic flow
+// dependences, with their counts, sorted by cell: what CarriedInRange sums.
+func (d *DynDep) CarriedCellsForTest(l *ir.DoLoop) []CellCount {
+	var out []CellCount
+	for cell, n := range d.carriedAt[l] {
+		if n != 0 {
+			out = append(out, CellCount{cell, n})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
+	return out
 }

@@ -16,7 +16,7 @@ import (
 	"suifx/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the fusion census goldens under testdata/census")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/census and testdata/dda")
 
 // retired runs prog, with the profiler and full DDA attached when
 // instrumented, and returns the instructions it added to the engine
