@@ -300,8 +300,8 @@ type lowered struct {
 	// variants[instrumented]: the plain and the DDA-instrumented stream.
 	variants [2]*code
 
-	vmPool     sync.Pool // *vmScratch
-	shadowPool sync.Pool // *ddaShadow
+	vmPool  sync.Pool // *vmScratch
+	ddaPool sync.Pool // *ddaState
 }
 
 // loweredOf returns (building if needed) the lowered form of prog. A racy

@@ -316,15 +316,13 @@ func (in *Interp) runCode(cd *code) error {
 	if prof != nil {
 		v.prof = &profState{inv: sc.profInv, iters: sc.profIters, tops: sc.profOps, stack: sc.profStack}
 	}
-	var dst *ddaState
 	if dyn != nil {
-		sh, _ := low.shadowPool.Get().(*ddaShadow)
-		if sh == nil {
-			sh = &ddaShadow{}
+		st, _ := low.ddaPool.Get().(*ddaState)
+		if st == nil {
+			st = &ddaState{}
 		}
-		sh.reset(len(in.arena))
-		dst = newDDAState(dyn, cd, sh)
-		v.dda = dst
+		st.begin(dyn, cd, len(in.arena))
+		v.dda = st
 	}
 	v.events = v.prof != nil || v.dda != nil
 
@@ -335,10 +333,9 @@ func (in *Interp) runCode(cd *code) error {
 	if prof != nil {
 		prof.absorb(cd, v.prof)
 	}
-	if dyn != nil {
-		dyn.absorb(cd, dst)
-		dst.sh.overflow = nil
-		low.shadowPool.Put(dst.sh)
+	if v.dda != nil {
+		v.dda.end()
+		low.ddaPool.Put(v.dda)
 	}
 	// Return the (possibly grown) scratch slices to the pool.
 	sc.stack = v.stack

@@ -73,86 +73,70 @@ type profState struct {
 	stack            []profFrame
 }
 
-// dynLevel is one level of the DDA's live loop stack.
+// dynLevel is one level of the DDA's live loop stack: the clock values at
+// which this activation and its current iteration began.
 type dynLevel struct {
-	li      int32
-	iter    int64
-	sampled bool
+	li        int32
+	sampled   bool
+	act, iter uint64
 }
 
-// shadowInline is the number of loop levels stored inline per shadow cell.
-// Static nests in the workloads reach depth 4; deeper dynamic nests (via
-// call chains) spill to an overflow map.
-const shadowInline = 6
-
-const overflowDepth = 255
-
-// shadowRec is the last-write record for one arena cell: the (loop, iter)
-// vector of the loop stack at write time, tagged with an epoch so resetting
-// the whole shadow between runs is O(1).
-type shadowRec struct {
-	epoch uint32
-	depth uint8
-	loops [shadowInline]int32
-	iters [shadowInline]int64
+// cellCarry caches one cell's carried dependences while one loop keeps
+// carrying them; DynDep's maps see them when another loop carries a
+// dependence at the cell or the run ends.
+type cellCarry struct {
+	n  int64
+	li int32
 }
 
-type ovfRec struct {
-	loops []int32
-	iters []int64
-}
-
-// ddaShadow is the pooled shadow memory parallel to the interpreter arena.
-type ddaShadow struct {
-	recs     []shadowRec
-	epoch    uint32
-	overflow map[int64]ovfRec
-}
-
-func (sh *ddaShadow) reset(n int) {
-	if len(sh.recs) < n {
-		sh.recs = make([]shadowRec, n)
-		sh.epoch = 0
-	}
-	sh.epoch++
-	if sh.epoch == 0 { // wrapped: clear tags once, then restart at 1
-		for i := range sh.recs {
-			sh.recs[i].epoch = 0
-		}
-		sh.epoch = 1
-	}
-	sh.overflow = nil
-}
-
-// ddaState is the VM-native Dynamic Dependence Analyzer (shadow-memory
-// rewrite of the tree-walker's map-based hooks, same observable results).
+// ddaState is the VM-native Dynamic Dependence Analyzer: one clock stamp
+// per arena cell, the clock value of the cell's last recorded write. The
+// clock ticks at every loop entry and every iteration, so a write
+// happened in the current iteration of every level whose iteration began
+// at or before its stamp, and before the activation of every level that
+// began after it (DESIGN.md "Shadow-memory DDA: one clock stamp per
+// cell"). States are pooled per program and the clock never goes back, so
+// an earlier run's stamps are older than every activation of this one.
 type ddaState struct {
-	d           *DynDep
-	cd          *code
-	sh          *ddaShadow
-	stack       []dynLevel
-	unsampled   int // number of stack levels currently not sampled
+	d         *DynDep
+	cd        *code
+	stamps    []uint64
+	cells     []cellCarry
+	clock     uint64
+	stack     []dynLevel
+	unsampled int // number of stack levels currently not sampled
+	// A read can carry a dependence only if its stamp lies in [lo, lo+span):
+	// from the outermost activation to the innermost iteration start.
+	lo, span    uint64
 	sampleEvery int64
 	warm        int64
 	accesses    int64
-	carried     []int64
-	carriedAt   []map[int64]int64
 }
 
-func newDDAState(d *DynDep, cd *code, sh *ddaShadow) *ddaState {
-	st := &ddaState{
-		d:           d,
-		cd:          cd,
-		sh:          sh,
-		sampleEvery: d.SampleEvery,
-		warm:        d.SampleWarm,
-		carried:     make([]int64, len(cd.loops)),
-		carriedAt:   make([]map[int64]int64, len(cd.loops)),
+// begin readies a pooled state for one run over an n-cell arena.
+func (st *ddaState) begin(d *DynDep, cd *code, n int) {
+	if len(st.stamps) < n {
+		st.stamps = make([]uint64, n)
+		st.cells = make([]cellCarry, n)
 	}
+	st.d, st.cd = d, cd
+	st.stack = st.stack[:0]
+	st.unsampled, st.lo, st.span, st.accesses = 0, 0, 0, 0
+	st.sampleEvery, st.warm = d.SampleEvery, d.SampleWarm
 	if st.warm == 0 {
 		st.warm = 2
 	}
-	return st
+}
+
+// end flushes every cached count into the analyzer's maps.
+func (st *ddaState) end() {
+	for addr := range st.cells {
+		if st.cells[addr].n != 0 {
+			st.flush(int64(addr))
+		}
+	}
+	st.d.accesses += st.accesses
+	st.d, st.cd = nil, nil
 }
 
 func (st *ddaState) sample(iter int64) bool {
@@ -163,77 +147,88 @@ func (st *ddaState) sample(iter int64) bool {
 }
 
 func (st *ddaState) read(addr int64) {
-	if st.unsampled != 0 {
-		return
-	}
-	st.accesses++
-	r := &st.sh.recs[addr]
-	if r.epoch != st.sh.epoch {
-		return // no write on record this run
-	}
-	var loops []int32
-	var iters []int64
-	if r.depth == overflowDepth {
-		ov := st.sh.overflow[addr]
-		loops, iters = ov.loops, ov.iters
-	} else {
-		loops, iters = r.loops[:r.depth], r.iters[:r.depth]
-	}
-	n := len(st.stack)
-	if len(loops) < n {
-		n = len(loops)
-	}
-	// The dependence is carried by the outermost common loop whose
-	// iteration number differs between writer and reader.
-	for i := 0; i < n; i++ {
-		lv := &st.stack[i]
-		if loops[i] != lv.li {
-			return // different loop instances: not a carried dep we track
-		}
-		if iters[i] != lv.iter {
-			li := lv.li
-			if st.d.IgnoreVar != nil && st.d.IgnoreVar(st.cd.loops[li].loop, addr) {
-				return
-			}
-			st.carried[li]++
-			m := st.carriedAt[li]
-			if m == nil {
-				m = map[int64]int64{}
-				st.carriedAt[li] = m
-			}
-			m[addr]++
-			return
+	if st.unsampled == 0 {
+		st.accesses++
+		if st.stamps[addr]-st.lo < st.span {
+			st.carry(addr)
 		}
 	}
 }
 
 func (st *ddaState) write(addr int64) {
-	if st.unsampled != 0 {
-		return
+	if st.unsampled == 0 {
+		st.accesses++
+		st.stamps[addr] = st.clock
 	}
-	st.accesses++
-	r := &st.sh.recs[addr]
-	d := len(st.stack)
-	r.epoch = st.sh.epoch
-	if d <= shadowInline {
-		r.depth = uint8(d)
-		for i := 0; i < d; i++ {
-			r.loops[i] = st.stack[i].li
-			r.iters[i] = st.stack[i].iter
+}
+
+// carry attributes a read of addr, whose last write lies between the
+// outermost activation and the innermost iteration start, to the
+// outermost loop whose current iteration began after the write — provided
+// this activation of it began before.
+func (st *ddaState) carry(addr int64) {
+	t := st.stamps[addr]
+	k := 0
+	for st.stack[k].iter <= t {
+		k++
+	}
+	lv := &st.stack[k]
+	if lv.act > t {
+		return // written before this activation: not carried by it
+	}
+	c := &st.cells[addr]
+	if c.n != 0 && c.li != lv.li {
+		st.flush(addr)
+	}
+	c.li = lv.li
+	c.n++
+}
+
+// flush hands addr's cached count to the analyzer, which drops it if the
+// compiler already resolved the variable for that loop.
+func (st *ddaState) flush(addr int64) {
+	c := &st.cells[addr]
+	st.d.count(st.cd.loops[c.li].loop, addr, c.n)
+	c.n = 0
+}
+
+// enter, iterate and exit track the loop stack and its clock stamps.
+func (st *ddaState) enter(li int32) {
+	st.clock++
+	if len(st.stack) == 0 {
+		st.lo = st.clock
+	}
+	st.stack = append(st.stack, dynLevel{li: li, act: st.clock, iter: st.clock})
+	st.span = st.clock - st.lo
+	st.unsampled++ // sampled=false until the first iteration event
+}
+
+func (st *ddaState) iterate(it int64) {
+	st.clock++
+	top := &st.stack[len(st.stack)-1]
+	top.iter = st.clock
+	st.span = st.clock - st.lo
+	if s := st.sample(it); top.sampled != s {
+		if s {
+			st.unsampled--
+		} else {
+			st.unsampled++
 		}
-		return
+		top.sampled = s
 	}
-	r.depth = overflowDepth
-	if st.sh.overflow == nil {
-		st.sh.overflow = map[int64]ovfRec{}
+}
+
+func (st *ddaState) exit() {
+	m := len(st.stack) - 1
+	if !st.stack[m].sampled {
+		st.unsampled--
 	}
-	loops := make([]int32, d)
-	iters := make([]int64, d)
-	for i := range st.stack {
-		loops[i] = st.stack[i].li
-		iters[i] = st.stack[i].iter
+	st.stack = st.stack[:m]
+	if m == 0 {
+		st.lo, st.span = 0, 0
+	} else {
+		st.span = st.stack[m-1].iter - st.lo
 	}
-	st.sh.overflow[addr] = ovfRec{loops: loops, iters: iters}
 }
 
 // vm executes one compiled program over an Interp's arena.
@@ -273,8 +268,7 @@ func (v *vm) enterLoop(li int32) {
 		p.stack = append(p.stack, profFrame{li: li, start: v.ops})
 	}
 	if d := v.dda; d != nil {
-		d.stack = append(d.stack, dynLevel{li: li, iter: -1})
-		d.unsampled++ // sampled=false until the first iteration event
+		d.enter(li)
 	}
 }
 
@@ -283,17 +277,7 @@ func (v *vm) iterLoop(li int32, it int64) {
 		p.iters[li]++
 	}
 	if d := v.dda; d != nil {
-		top := &d.stack[len(d.stack)-1]
-		s := d.sample(it)
-		if top.sampled != s {
-			if s {
-				d.unsampled--
-			} else {
-				d.unsampled++
-			}
-			top.sampled = s
-		}
-		top.iter = it
+		d.iterate(it)
 	}
 }
 
@@ -306,11 +290,7 @@ func (v *vm) exitLoopTop() {
 		p.tops[fr.li] += v.ops - fr.start
 	}
 	if d := v.dda; d != nil {
-		m := len(d.stack) - 1
-		if !d.stack[m].sampled {
-			d.unsampled--
-		}
-		d.stack = d.stack[:m]
+		d.exit()
 	}
 }
 

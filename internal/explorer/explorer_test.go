@@ -248,3 +248,51 @@ func TestAssertionDifferential(t *testing.T) {
 		}
 	}
 }
+
+// twoCallsSrc activates S/20 twice per iteration of T/10: the first call
+// writes A, the second reads it back in reverse. The reads see the other
+// activation's writes, so S/20 carries nothing and the user's "A is
+// independent in S/20" must be accepted.
+const twoCallsSrc = `
+      PROGRAM T
+      COMMON /W/ A(10)
+      INTEGER J
+      DO 10 J = 1, 3
+        CALL S(1)
+        CALL S(2)
+10    CONTINUE
+      END
+
+      SUBROUTINE S(M)
+      COMMON /W/ A(10)
+      REAL X
+      INTEGER I, M
+      DO 20 I = 1, 10
+        IF (M .EQ. 1) THEN
+          A(I) = I
+        ELSE
+          X = A(11-I)
+        ENDIF
+20    CONTINUE
+      END
+`
+
+func TestAssertIndependentAcrossActivations(t *testing.T) {
+	s, err := NewSession(minif.MustParse("twocalls", twoCallsSrc), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	li := s.Par.LoopByID("S/20")
+	if li == nil || li.Dep.Parallelizable {
+		t.Fatal("S/20 should start sequential")
+	}
+	if n := s.Dyn.Carried(li.Region.Loop); n != 0 {
+		t.Fatalf("S/20 shows %d dynamic dependences, want 0", n)
+	}
+	if err := s.AssertIndependent("S/20", "A"); err != nil {
+		t.Fatalf("independence of A in S/20 should pass the checker: %v", err)
+	}
+	if li := s.Par.LoopByID("S/20"); !li.Dep.Parallelizable {
+		t.Fatalf("after the assertion S/20 should parallelize: %+v", li.Dep.Blocking)
+	}
+}
