@@ -18,8 +18,8 @@ import (
 
 // fuzzDifferential seeds f the same way as FuzzMiniFParser (so CI mutates
 // from real program shapes) plus hot 1-D loops with IF arms and
-// intrinsics, and faults, and checks tree-vs-VM
-// agreement under the config cfgFor derives from the input.
+// intrinsics, faults, and deep or repeated loop activations, and checks
+// tree-vs-VM agreement under the config cfgFor derives from the input.
 func fuzzDifferential(f *testing.F, cfgFor func(src string) runConfig) {
 	for _, w := range workloads.All() {
 		f.Add(w.Source)
@@ -31,6 +31,10 @@ func fuzzDifferential(f *testing.F, cfgFor func(src string) runConfig) {
 	f.Add("      PROGRAM T\n      REAL X\n      X = 1.0 / 0.0\n      END\n")
 	f.Add("      PROGRAM T\n      REAL A(10)\n      INTEGER I\n      DO 10 I = 1, 10\n      A(I) = ABS(A(I) - 3.0) + 1.0\n   10 CONTINUE\n      END\n")
 	f.Add("      PROGRAM T\n      REAL A(10), S\n      INTEGER I\n      DO 10 I = 1, 10\n      IF (A(I) .GT. 2.0) S = S + 1\n   10 CONTINUE\n      END\n")
+	// One loop activated twice per iteration of another, and an eight-deep
+	// nest through calls: the DDA's activation rule and its deepest stacks.
+	f.Add(twoCallsSrc)
+	f.Add(nest8Src)
 
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, err := minif.Parse("fuzz.f", src); err != nil {
