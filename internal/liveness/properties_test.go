@@ -2,8 +2,10 @@ package liveness_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
+	"suifx/internal/corpus"
 	"suifx/internal/ir"
 	"suifx/internal/liveness"
 	"suifx/internal/minif"
@@ -52,11 +54,85 @@ func loopVerdicts(res *parallel.Result) []string {
 	return out
 }
 
+// actualToFormalSrc passes an array element to a scalar formal: P's
+// exposure after the call comes from A, an array.
+const actualToFormalSrc = `
+      PROGRAM MAIN
+      REAL A(10)
+      INTEGER I
+      DO 5 I = 1, 10
+        A(I) = 0
+5     CONTINUE
+      CALL F(A(3))
+      WRITE(*,*) A(3)
+      END
+      SUBROUTINE F(P)
+      REAL P
+      INTEGER K
+      DO 10 K = 1, 10
+        IF (K .GT. 5) THEN
+          P = K
+        ENDIF
+10    CONTINUE
+      END
+`
+
+// commonOverlapSrc re-declares a common block with scalars over an array:
+// S's exposure after G is the read of X(1), an array key that overlaps it.
+const commonOverlapSrc = `
+      PROGRAM MAIN
+      COMMON /B/ X(4)
+      INTEGER I
+      DO 5 I = 1, 4
+        X(I) = 0
+5     CONTINUE
+      CALL G
+      WRITE(*,*) X(1)
+      END
+      SUBROUTINE G
+      COMMON /B/ S, T, U, V
+      INTEGER K
+      DO 10 K = 1, 10
+        IF (K .GT. 5) THEN
+          S = K
+        ENDIF
+10    CONTINUE
+      END
+`
+
+func sourceProgram(name, src string) *program {
+	return &program{name: name, parse: func(t *testing.T) *ir.Program {
+		prog, err := minif.Parse(name+".f", src)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		return prog
+	}}
+}
+
+// oracleInputs are the inputs of the scalar-oracle suites: programs(), the
+// two fixtures above, and 100 generated programs in two knob settings, a
+// small shallow one and a larger one with deeper calls, nests and more
+// aliasing.
+var oracleInputs = sync.OnceValue(func() []*program {
+	out := append([]*program{}, programs()...)
+	out = append(out, sourceProgram("actual-to-formal", actualToFormalSrc), sourceProgram("common-overlap", commonOverlapSrc))
+	small := corpus.Config{TargetLines: 600, CallDepth: 2, CallFanout: 2, LoopDepth: 2, AliasDensity: 0.2, ReductionMix: 0.3, TripLo: 2, TripHi: 10}
+	large := corpus.Config{TargetLines: 1500, CallDepth: 4, CallFanout: 3, LoopDepth: 3, AliasDensity: 0.6, ReductionMix: 0.5, TripLo: 2, TripHi: 10}
+	for seed := int64(1); seed <= 50; seed++ {
+		for _, cfg := range []corpus.Config{small, large} {
+			g := corpus.Generate(seed, cfg)
+			out = append(out, sourceProgram(fmt.Sprintf("gen%d-seed%d", cfg.TargetLines, seed), g.Source))
+		}
+	}
+	return out
+})
+
 // TestDefaultOracleIsFullScalar pins the parallelizer's default: with no
 // oracle configured it decides exactly as under the Full pass's scalar
 // oracle.
 func TestDefaultOracleIsFullScalar(t *testing.T) {
-	for _, p := range programs() {
+	for _, p := range oracleInputs() {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			sum := p.sum(t)
