@@ -71,10 +71,37 @@ type Info struct {
 
 	encl  map[ir.Stmt]*region.Region // call/loop stmt -> region holding its After record
 	sites map[string][]ir.CallSite   // callee name -> call sites, one program walk
+	// keep, when non-nil, restricts the Full pass to scalars and these
+	// arrays (ScalarOracle); nil carries every symbol.
+	keep map[*ir.Symbol]bool
 }
 
 // Analyze runs the top-down liveness phase with the chosen variant.
 func Analyze(sum *summary.Analysis, v Variant) *Info {
+	in := newInfo(sum, v)
+	switch v {
+	case Full:
+		in.runFull()
+	case OneBit:
+		in.runOneBit()
+	default:
+		in.runFlowInsensitive()
+	}
+	return in
+}
+
+// ScalarOracle answers exactly as Analyze(sum, Full).ScalarOracle() but
+// runs the Full pass only over the symbols a scalar question can read: every
+// scalar, plus the arrays restrictToScalars finds. It is the parallelizer's
+// default liveness.
+func ScalarOracle(sum *summary.Analysis) func(r *region.Region, sym *ir.Symbol) bool {
+	in := newInfo(sum, Full)
+	in.restrictToScalars()
+	in.runFull()
+	return in.ScalarOracle()
+}
+
+func newInfo(sum *summary.Analysis, v Variant) *Info {
 	in := &Info{
 		Sum:      sum,
 		Variant:  v,
@@ -100,15 +127,69 @@ func Analyze(sum *summary.Analysis, v Variant) *Info {
 			return true
 		})
 	}
-	switch v {
-	case Full:
-		in.runFull()
-	case OneBit:
-		in.runOneBit()
-	default:
-		in.runFlowInsensitive()
-	}
 	return in
+}
+
+// restrictToScalars limits the pass to scalars and the arrays whose exposed
+// reads a scalar answer depends on. DeadAtExit checks every common key that
+// overlaps the asked symbol, so a scalar reads the arrays of its block that
+// it overlaps (COMMON /B/ X(4) in one procedure, S, T, U, V in another). A
+// formal takes its exposure from the actual bound to it, so a carried formal
+// needs its actual's array too (CALL F(A(3)) with a scalar formal), repeated
+// until nothing changes: that array may itself be a formal of the caller.
+func (in *Info) restrictToScalars() {
+	in.keep = map[*ir.Symbol]bool{}
+	byBlock := map[string][]*ir.Symbol{}
+	seen := map[*ir.Symbol]bool{}
+	for _, p := range in.Sum.Prog.Procs {
+		for _, s := range p.Syms {
+			if s.Common == "" {
+				continue
+			}
+			if c := in.Sum.Canon(s); !seen[c] {
+				seen[c] = true
+				byBlock[c.Common] = append(byBlock[c.Common], c)
+			}
+		}
+	}
+	for _, keys := range byBlock {
+		for _, x := range keys {
+			for _, y := range keys {
+				if !x.IsArray() && y.IsArray() && summary.Overlaps(x, y) {
+					in.keep[y] = true
+				}
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for name, sites := range in.sites {
+			callee := in.Sum.Prog.ByName[name]
+			if callee == nil {
+				continue
+			}
+			for _, cs := range sites {
+				for i, arg := range cs.Call.Args {
+					if i >= len(callee.Params) {
+						break
+					}
+					base := argBase(arg)
+					if base == nil || !in.carries(callee.Params[i]) {
+						continue
+					}
+					if actual := in.Sum.Canon(base); !in.carries(actual) {
+						in.keep[actual] = true
+						changed = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// carries reports whether the pass keeps an entry for sym.
+func (in *Info) carries(sym *ir.Symbol) bool {
+	return in.keep == nil || !sym.IsArray() || in.keep[sym]
 }
 
 // ---- full variant ----
@@ -136,7 +217,7 @@ func (in *Info) procExit(p *ir.Proc) Exposed {
 		if !ok {
 			continue
 		}
-		for sym, e := range in.mapToCallee(cs, p, then(in.Sum.After[r][cs.Call], exit)) {
+		for sym, e := range in.mapToCallee(cs, p, in.then(in.Sum.After[r][cs.Call], exit)) {
 			acc.set(sym, union(acc[sym], e))
 		}
 	}
@@ -149,14 +230,16 @@ func (in *Info) downFull(r *region.Region) {
 		if c.Kind != region.LoopRegion {
 			continue
 		}
-		in.ExitSum[c] = then(in.Sum.After[r][ir.Stmt(c.Loop)], in.ExitSum[r])
+		in.ExitSum[c] = in.then(in.Sum.After[r][ir.Stmt(c.Loop)], in.ExitSum[r])
 		// Loop body: one iteration may be followed by further iterations of
 		// the same loop, then by everything after the loop (Fig 5-3), so the
 		// loop's own exposed reads join the exit path's.
 		body := c.Body()
 		out := maps.Clone(in.ExitSum[c])
 		for sym, la := range in.Sum.RegionSum[c].Arrays {
-			out.set(sym, union(out[sym], la.E))
+			if in.carries(sym) {
+				out.set(sym, union(out[sym], la.E))
+			}
 		}
 		in.ExitSum[body] = out
 		in.downFull(body)
@@ -165,19 +248,29 @@ func (in *Info) downFull(r *region.Region) {
 
 // then returns the reads exposed by "after, then a rest of execution that
 // exposes exit" — the E row of the paper's transfer function T,
-// E = Ea ∪ (Eb − Ma). Only the symbols after touches are recomputed; every
-// other symbol keeps exit's section.
-func then(after *summary.Tuple, exit Exposed) Exposed {
-	if after == nil || len(after.Arrays) == 0 {
+// E = Ea ∪ (Eb − Ma). Only the carried symbols after touches are
+// recomputed; every other symbol keeps exit's section, and when after
+// touches none, exit itself is returned.
+func (in *Info) then(after *summary.Tuple, exit Exposed) Exposed {
+	if after == nil {
 		return exit
 	}
-	out := maps.Clone(exit)
+	var out Exposed
 	for sym, a := range after.Arrays {
+		if !in.carries(sym) {
+			continue
+		}
+		if out == nil {
+			out = maps.Clone(exit)
+		}
 		e := out[sym]
 		if e != nil {
 			e = e.Subtract(a.M)
 		}
 		out.set(sym, union(a.E, e))
+	}
+	if out == nil {
+		return exit
 	}
 	return out
 }
@@ -234,7 +327,7 @@ func (in *Info) mapToCallee(cs ir.CallSite, callee *ir.Proc, t Exposed) Exposed 
 		}
 		actual := in.Sum.Canon(base)
 		bound[actual] = true
-		if e := t[actual]; e != nil {
+		if e := t[actual]; e != nil && in.carries(callee.Params[i]) {
 			out.set(callee.Params[i], toFormal(e, callee.Params[i], actual))
 		}
 	}

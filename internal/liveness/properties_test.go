@@ -2,6 +2,7 @@ package liveness_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -200,4 +201,117 @@ func TestRepeatedActualBindsEveryFormal(t *testing.T) {
 			t.Errorf("%s approved although %s is conditionally written and live at exit", id, sym.Name)
 		}
 	}
+}
+
+// scalarOracleDiff compares the restricted pass's answers with the Full
+// pass's scalar oracle on every region × every canonical symbol of the
+// region's procedure and every symbol the region touches, and returns the
+// number of answers compared and the first few that differ.
+func scalarOracleDiff(sum *summary.Analysis) (int, []string) {
+	restricted := liveness.ScalarOracle(sum)
+	full := liveness.Analyze(sum, liveness.Full).ScalarOracle()
+	n := 0
+	var diffs []string
+	for _, r := range allRegions(sum) {
+		syms := map[*ir.Symbol]bool{}
+		for _, s := range r.Proc.Syms {
+			syms[sum.Canon(s)] = true
+		}
+		if rs := regionSyms(sum, r); rs != nil {
+			for s := range rs.Arrays {
+				syms[s] = true
+			}
+		}
+		for s := range syms {
+			n++
+			if got, want := restricted(r, s), full(r, s); got != want && len(diffs) < 10 {
+				diffs = append(diffs, fmt.Sprintf("%s %s: ScalarOracle dead=%t, Full dead=%t", r.ID(), s.Name, got, want))
+			}
+		}
+	}
+	return n, diffs
+}
+
+// TestScalarOracleMatchesFull: the pass restricted to what a scalar question
+// can read answers every scalar question as the Full pass does. The two
+// fixtures each need one closure step of the restriction: deleting the
+// actual→formal step makes P look dead at F/10 in actual-to-formal, and
+// deleting the overlapping-common-key step makes S look dead at G/10 in
+// common-overlap; both fail this test. Under Full both are live, which the
+// test checks first, so a fixture that stops exercising its step is caught.
+func TestScalarOracleMatchesFull(t *testing.T) {
+	live := map[string][2]string{"actual-to-formal": {"F/10", "P"}, "common-overlap": {"G/10", "S"}}
+	for _, p := range oracleInputs() {
+		p := p
+		t.Run(p.name, func(t *testing.T) {
+			sum := p.sum(t)
+			if q, ok := live[p.name]; ok {
+				full := liveness.Analyze(sum, liveness.Full)
+				for _, r := range sum.Reg.LoopRegions() {
+					if r.ID() == q[0] && full.DeadAtExit(r, sum.Canon(r.Proc.Lookup(q[1]))) {
+						t.Fatalf("%s looks dead at %s under Full; the fixture no longer needs its closure step", q[1], q[0])
+					}
+				}
+			}
+			n, diffs := scalarOracleDiff(sum)
+			if n == 0 {
+				t.Fatal("no answers compared")
+			}
+			for _, d := range diffs {
+				t.Error(d)
+			}
+		})
+	}
+}
+
+// FuzzScalarOracle compares the restricted and the Full scalar oracles on
+// generated programs across the corpus knob space.
+func FuzzScalarOracle(f *testing.F) {
+	f.Add(int64(1), 600, 0.2, 0.3, 2, 2, 2, 2, 10)
+	f.Add(int64(2), 1500, 0.6, 0.5, 4, 3, 3, 2, 10)
+	f.Add(int64(7), 300, 1.0, 1.0, 5, 3, 3, 1, 16)
+	f.Fuzz(func(t *testing.T, seed int64, lines int, alias, mix float64,
+		depth, fanout, loopDepth, tripLo, tripHi int) {
+		cfg := corpus.Config{
+			TargetLines:  50 + abs(lines)%1951,
+			AliasDensity: clamp01(alias),
+			ReductionMix: clamp01(mix),
+			CallDepth:    abs(depth) % 6,
+			CallFanout:   abs(fanout) % 4,
+			LoopDepth:    abs(loopDepth) % 4,
+			TripLo:       abs(tripLo)%16 + 1,
+			TripHi:       abs(tripHi)%16 + 1,
+		}
+		if cfg.TripHi < cfg.TripLo {
+			cfg.TripLo, cfg.TripHi = cfg.TripHi, cfg.TripLo
+		}
+		g := corpus.Generate(seed, cfg)
+		prog, err := minif.Parse(g.Name, g.Source)
+		if err != nil {
+			t.Fatalf("generated program does not parse: %v\nseed=%d cfg=%+v", err, seed, cfg)
+		}
+		if _, diffs := scalarOracleDiff(summary.Analyze(prog)); len(diffs) > 0 {
+			t.Fatalf("seed=%d cfg=%+v:\n%s", seed, cfg, strings.Join(diffs, "\n"))
+		}
+	})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		if x == -x { // math.MinInt
+			return 0
+		}
+		return -x
+	}
+	return x
+}
+
+func clamp01(x float64) float64 {
+	if !(x >= 0) { // NaN too
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
 }

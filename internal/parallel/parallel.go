@@ -6,6 +6,10 @@
 package parallel
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"suifx/internal/depend"
 	"suifx/internal/ir"
 	"suifx/internal/liveness"
@@ -24,7 +28,9 @@ type AssertSet struct {
 type Config struct {
 	// UseReductions enables reduction recognition and transformation.
 	UseReductions bool
-	// DeadAtExit is the optional array liveness oracle (Chapter 5).
+	// DeadAtExit is the optional array liveness oracle (Chapter 5). The
+	// dependence tests of different loops call it concurrently, so it must
+	// be safe for concurrent use; nil means scalar liveness.
 	DeadAtExit func(r *region.Region, sym *ir.Symbol) bool
 	// Assertions maps loop IDs ("PROC/LABEL") to user assertions.
 	Assertions map[string]AssertSet
@@ -76,38 +82,101 @@ func ParallelizeWith(sum *summary.Analysis, cfg Config) *Result {
 // (Chosen/UnderParallel) is global and cheap, so it is always recomputed
 // from scratch. prev == nil or dirty == nil is a full run.
 //
-// A nil cfg.DeadAtExit runs whole-program liveness here for its scalar
-// facts; a caller in a loop passes an oracle it kept instead.
+// A nil cfg.DeadAtExit runs liveness.ScalarOracle here, the Full pass
+// restricted to what a scalar question reads; a caller in a loop passes an
+// oracle it kept instead. The loops to re-test are tested on the calling
+// goroutine plus up to GOMAXPROCS-1 helpers (testLoops), and every verdict
+// lands at its loop's index, so the result does not depend on scheduling.
+// Loops of one procedure only (an assertion's re-test, tens of
+// microseconds) stay on the caller: waking a helper costs more.
 func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty func(proc string) bool) *Result {
 	if cfg.DeadAtExit == nil {
-		cfg.DeadAtExit = liveness.Analyze(sum, liveness.Full).ScalarOracle()
+		cfg.DeadAtExit = liveness.ScalarOracle(sum)
 	}
+	regions := sum.Reg.LoopRegions()
 	res := &Result{
-		Prog:  sum.Prog,
-		Sum:   sum,
-		Cfg:   cfg,
-		Loops: map[*region.Region]*LoopInfo{},
+		Prog:    sum.Prog,
+		Sum:     sum,
+		Cfg:     cfg,
+		Loops:   make(map[*region.Region]*LoopInfo, len(regions)),
+		Ordered: make([]*LoopInfo, len(regions)),
 	}
-	for _, r := range sum.Reg.LoopRegions() {
+	var retest []*LoopInfo
+	workers := 1 // until the loops to re-test span two procedures
+	for i, r := range regions {
 		li := &LoopInfo{Region: r}
 		if prev != nil && dirty != nil && prev.Loops[r] != nil && !dirty(r.Proc.Name) {
 			li.Dep = prev.Loops[r].Dep
 		} else {
-			opts := depend.Options{
-				UseReductions: cfg.UseReductions,
-				DeadAtExit:    cfg.DeadAtExit,
+			if len(retest) > 0 && retest[0].Region.Proc != r.Proc {
+				workers = runtime.GOMAXPROCS(0)
 			}
-			if as, ok := cfg.Assertions[r.ID()]; ok {
-				opts.AssertPrivate = as.Private
-				opts.AssertIndependent = as.Independent
-			}
-			li.Dep = depend.AnalyzeLoop(sum, r, opts)
+			retest = append(retest, li)
 		}
 		res.Loops[r] = li
-		res.Ordered = append(res.Ordered, li)
+		res.Ordered[i] = li
 	}
+	testLoops(workers, len(retest), func(i int) {
+		li := retest[i]
+		opts := depend.Options{
+			UseReductions: cfg.UseReductions,
+			DeadAtExit:    cfg.DeadAtExit,
+		}
+		if as, ok := cfg.Assertions[li.ID()]; ok {
+			opts.AssertPrivate = as.Private
+			opts.AssertIndependent = as.Independent
+		}
+		li.Dep = depend.AnalyzeLoop(sum, li.Region, opts)
+	})
 	res.chooseOutermost()
 	return res
+}
+
+// testLoops runs test(0..n-1) on the calling goroutine plus up to
+// workers-1 helpers, which take indices from one shared counter. Below two
+// items or two workers no goroutine starts. A panic in any worker stops the
+// others taking new items and is re-raised here once all have returned.
+func testLoops(workers, n int, test func(i int)) {
+	workers = min(workers, n)
+	if workers < 2 {
+		for i := 0; i < n; i++ {
+			test(i)
+		}
+		return
+	}
+	var (
+		next     atomic.Int64
+		mu       sync.Mutex
+		panicked any
+		wg       sync.WaitGroup
+	)
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				next.Store(int64(n)) // nobody takes another item
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+			}
+		}()
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			test(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // chooseOutermost picks, top-down over the call graph and the loop nests,
