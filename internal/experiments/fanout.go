@@ -2,61 +2,10 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
 
+	"suifx/internal/fanout"
 	"suifx/internal/workloads"
 )
-
-// forEach runs fn(0..n-1) on a pool of at most GOMAXPROCS goroutines and
-// waits for all of them. A panic in any fn is re-raised in the caller once
-// every goroutine has joined, so table generators keep their fail-fast
-// behaviour under fan-out.
-func forEach(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicked any
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if panicked == nil {
-								panicked = r
-							}
-							mu.Unlock()
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
 
 // perApp runs f once per named workload on the bounded worker pool and
 // returns the results in input order, so tables built from them keep
@@ -68,6 +17,6 @@ func forEach(n int, fn func(i int)) {
 // per-worker scratch arenas are recycled through the program's pools.
 func perApp[T any](names []string, f func(w *workloads.Workload) T) []T {
 	out := make([]T, len(names))
-	forEach(len(names), func(i int) { out[i] = f(workloads.ByName(names[i])) })
+	fanout.Each(runtime.GOMAXPROCS(0), len(names), func(i int) { out[i] = f(workloads.ByName(names[i])) })
 	return out
 }

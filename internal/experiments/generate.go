@@ -1,6 +1,11 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+
+	"suifx/internal/fanout"
+)
 
 // generator pairs a figure ID with its table function, in publication order.
 type generator struct {
@@ -45,6 +50,6 @@ func Generate(ids []string) ([]*Table, error) {
 		}
 	}
 	out := make([]*Table, len(ids))
-	forEach(len(ids), func(i int) { out[i] = fns[i]() })
+	fanout.Each(runtime.GOMAXPROCS(0), len(ids), func(i int) { out[i] = fns[i]() })
 	return out, nil
 }

@@ -7,10 +7,9 @@ package parallel
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"suifx/internal/depend"
+	"suifx/internal/fanout"
 	"suifx/internal/ir"
 	"suifx/internal/liveness"
 	"suifx/internal/region"
@@ -85,7 +84,7 @@ func ParallelizeWith(sum *summary.Analysis, cfg Config) *Result {
 // A nil cfg.DeadAtExit runs liveness.ScalarOracle here, the Full pass
 // restricted to what a scalar question reads; a caller in a loop passes an
 // oracle it kept instead. The loops to re-test are tested on the calling
-// goroutine plus up to GOMAXPROCS-1 helpers (testLoops), and every verdict
+// goroutine plus up to GOMAXPROCS-1 helpers (fanout.Each), and every verdict
 // lands at its loop's index, so the result does not depend on scheduling.
 // Loops of one procedure only (an assertion's re-test, tens of
 // microseconds) stay on the caller: waking a helper costs more.
@@ -116,7 +115,7 @@ func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty fu
 		res.Loops[r] = li
 		res.Ordered[i] = li
 	}
-	testLoops(workers, len(retest), func(i int) {
+	fanout.Each(workers, len(retest), func(i int) {
 		li := retest[i]
 		opts := depend.Options{
 			UseReductions: cfg.UseReductions,
@@ -130,53 +129,6 @@ func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty fu
 	})
 	res.chooseOutermost()
 	return res
-}
-
-// testLoops runs test(0..n-1) on the calling goroutine plus up to
-// workers-1 helpers, which take indices from one shared counter. Below two
-// items or two workers no goroutine starts. A panic in any worker stops the
-// others taking new items and is re-raised here once all have returned.
-func testLoops(workers, n int, test func(i int)) {
-	workers = min(workers, n)
-	if workers < 2 {
-		for i := 0; i < n; i++ {
-			test(i)
-		}
-		return
-	}
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		panicked any
-		wg       sync.WaitGroup
-	)
-	work := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				next.Store(int64(n)) // nobody takes another item
-				mu.Lock()
-				if panicked == nil {
-					panicked = r
-				}
-				mu.Unlock()
-			}
-		}()
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			test(i)
-		}
-	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
 }
 
 // chooseOutermost picks, top-down over the call graph and the loop nests,
