@@ -167,3 +167,34 @@ func TestOneProcedureRetestStaysOnCaller(t *testing.T) {
 		t.Errorf("oracle calls by goroutine %v, want all four on the caller %s", ids, caller)
 	}
 }
+
+// BenchmarkConcurrentParallelize runs four ParallelizeWith calls at once on
+// four different 600-line programs, as /v1/batch analyzes its items, so
+// each call's dependence pool nests inside the batch's own: under the
+// default oracle, and under an oracle given by the caller (the pool alone).
+func BenchmarkConcurrentParallelize(b *testing.B) {
+	knobs := corpus.Config{TargetLines: 600, CallDepth: 2, CallFanout: 2, LoopDepth: 2,
+		AliasDensity: 0.2, ReductionMix: 0.3, TripLo: 2, TripHi: 10}
+	var sums []*summary.Analysis
+	var given []Config
+	for k := 0; k < 4; k++ {
+		sum := summary.Analyze(minif.MustParse(fmt.Sprint("p", k), corpus.Generate(int64(30000+k), knobs).Source))
+		sums = append(sums, sum)
+		given = append(given, Config{UseReductions: true, DeadAtExit: liveness.Analyze(sum, liveness.Full).ScalarOracle()})
+	}
+	run := func(b *testing.B, cfg func(k int) Config) {
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			for k := range sums {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					ParallelizeWith(sums[k], cfg(k))
+				}(k)
+			}
+			wg.Wait()
+		}
+	}
+	b.Run("default", func(b *testing.B) { run(b, func(int) Config { return Config{UseReductions: true} }) })
+	b.Run("given-oracle", func(b *testing.B) { run(b, func(k int) Config { return given[k] }) })
+}
