@@ -1,200 +1,92 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"os"
 	"strings"
 
+	"suifx/internal/explorer"
 	"suifx/internal/httpretry"
 	"suifx/internal/session"
 )
 
-// remote drives an interactive session hosted by a suifxd server (-connect):
-// the same Guru dialogue, but the program and its analysis state live
-// server-side, so many explorers can share one warm analysis cache. Transient
-// connection failures (a refused dial while the daemon restarts, a shed 429)
-// are retried with jittered backoff up to 3 attempts before surfacing.
+// remote is a session hosted by a suifxd server (-connect): the program and
+// its analysis state live server-side, so many explorers can share one warm
+// analysis cache. Transient connection failures (a refused dial while the
+// daemon restarts, a shed 429) are retried with jittered backoff up to 3
+// attempts before surfacing.
 type remote struct {
-	base string
-	id   string
-	hc   *httpretry.Client
-	src  []string // the program's lines, for rendering slices
+	hc      *httpretry.Client
+	session string // the session's URL
 }
 
-func runRemote(base, name, src, workload, script string) {
-	r := &remote{base: strings.TrimRight(base, "/"), src: strings.Split(src, "\n"), hc: &httpretry.Client{
+// dial creates the session: by workload name when one is given, else from
+// the program source.
+func dial(base, name, src, workload string) (*remote, session.Info, error) {
+	r := &remote{hc: &httpretry.Client{
 		OnRetry: func(attempt int, err error) {
 			fmt.Fprintf(os.Stderr, "explorer: attempt %d failed (%v); retrying\n", attempt, err)
 		},
 	}}
-	req := map[string]any{}
+	req := map[string]any{"name": name, "source": src}
 	if workload != "" {
-		req["workload"] = workload
-	} else {
-		req["name"], req["source"] = name, src
+		req = map[string]any{"workload": workload}
 	}
 	var created struct {
-		ID   string              `json:"id"`
-		Info session.Info        `json:"info"`
-		Guru *session.GuruReport `json:"guru"`
+		Info session.Info `json:"info"`
 	}
-	if err := r.call("POST", "/v1/session", req, &created); err != nil {
-		fatal(err)
-	}
-	r.id = created.ID
-	fmt.Printf("SUIF Explorer (remote %s): session %s on %s (%d loops)\n",
-		r.base, r.id, created.Info.Program, created.Info.Loops)
-	r.report(created.Guru)
-
-	run := func(line string) bool { return r.command(strings.Fields(line)) }
-	if script != "" {
-		for _, c := range strings.Split(script, ";") {
-			if !run(strings.TrimSpace(c)) {
-				return
-			}
-		}
-		return
-	}
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Print("> ")
-	for sc.Scan() {
-		if !run(sc.Text()) {
-			return
-		}
-		fmt.Print("> ")
-	}
+	base = strings.TrimRight(base, "/")
+	err := r.call("POST", base+"/v1/session", req, &created)
+	r.session = base + "/v1/session/" + created.Info.ID
+	return r, created.Info, err
 }
 
-func (r *remote) report(g *session.GuruReport) {
-	fmt.Printf("parallelism coverage: %.0f%%   granularity: %.3f ms\n", g.Coverage*100, g.GranularityMs)
+func (r *remote) Guru() (*session.GuruReport, error) {
+	var g session.GuruReport
+	return &g, r.call("GET", r.session+"/guru", nil, &g)
 }
 
-func (r *remote) command(args []string) bool {
-	if len(args) == 0 {
-		return true
-	}
-	switch args[0] {
-	case "quit", "exit":
-		if err := r.call("DELETE", "/v1/session/"+r.id, nil, nil); err != nil {
-			fmt.Println("warning:", err)
-		}
-		return false
-	case "report", "targets":
-		var g session.GuruReport
-		if err := r.call("GET", "/v1/session/"+r.id+"/guru", nil, &g); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		r.report(&g)
-		if args[0] == "targets" {
-			for i, t := range g.Targets {
-				mark := " "
-				if t.Important {
-					mark = "*"
-				}
-				fmt.Printf("%s %2d. %-16s coverage %5.1f%%  granularity %7.3f ms  dyn-deps %d  static-deps %d\n",
-					mark, i+1, t.Loop, t.CoveragePct, t.GranularityMs, t.DynDeps, t.StaticDeps)
-				if len(t.Blocking) > 0 {
-					fmt.Printf("       blocked by %s\n", strings.Join(t.Blocking, ", "))
-				}
-			}
-		}
-	case "assert":
-		if len(args) != 4 {
-			fmt.Println("usage: assert private|independent <loop> <var>")
-			break
-		}
-		var out session.AssertOutcome
-		req := map[string]any{
-			"kind": args[1],
-			"loop": strings.ToUpper(args[2]),
-			"var":  strings.ToUpper(args[3]),
-		}
-		if err := r.call("POST", "/v1/session/"+r.id+"/assert", req, &out); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		if !out.Accepted {
-			fmt.Printf("rejected (%s): %s\n", out.Code, out.Reason)
-			break
-		}
-		for _, w := range out.Warnings {
-			fmt.Println("warning:", w)
-		}
-		fmt.Printf("accepted; re-tested %s\n", out.Loop)
-		r.report(out.Guru)
-	case "slice", "cslice":
-		kind, proc, v, line, ok := sliceArgs(args)
-		if !ok {
-			fmt.Println("usage: slice <proc> <var> <line> | cslice <proc> <line>")
-			break
-		}
-		req := map[string]any{"kind": kind, "proc": proc, "var": v, "line": line}
-		var rep session.SliceReport
-		if err := r.call("POST", "/v1/session/"+r.id+"/slice", req, &rep); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		showSlice(r.src, rep.Procs, line)
-	case "why":
-		if len(args) != 2 {
-			fmt.Println("usage: why <loop>")
-			break
-		}
-		var rep struct {
-			Verdict  string `json:"verdict"`
-			Blocking []struct {
-				Var     string `json:"var"`
-				Reason  string `json:"reason"`
-				Lines   []int  `json:"lines"`
-				DynDeps int64  `json:"dyn_deps"`
-			} `json:"blocking"`
-		}
-		path := "/v1/session/" + r.id + "/why?loop=" + url.QueryEscape(strings.ToUpper(args[1]))
-		if err := r.call("GET", path, nil, &rep); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		fmt.Println(rep.Verdict)
-		for _, b := range rep.Blocking {
-			fmt.Printf("  %s: %s (lines %v, dynamic deps %d)\n", b.Var, b.Reason, b.Lines, b.DynDeps)
-		}
-	case "events":
-		var out struct {
-			Events []session.Event `json:"events"`
-		}
-		if err := r.call("GET", "/v1/session/"+r.id+"/events", nil, &out); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		for _, e := range out.Events {
-			fmt.Printf("%3d %-16s %s\n", e.Seq, e.Kind, e.Detail)
-		}
-	default:
-		fmt.Println("remote commands: targets report assert slice cslice why events quit")
-	}
-	return true
+func (r *remote) Assert(kind, loop, v string) (*session.AssertOutcome, error) {
+	var out session.AssertOutcome
+	return &out, r.call("POST", r.session+"/assert", map[string]any{"kind": kind, "loop": loop, "var": v}, &out)
 }
 
-// call is the remote session's JSON transport; server errors arrive in the
-// uniform {"error": ...} envelope and surface as plain Go errors.
-func (r *remote) call(method, path string, body, out any) error {
-	var rd *bytes.Reader
+func (r *remote) Why(loop string) (*explorer.WhyReport, error) {
+	var rep explorer.WhyReport
+	return &rep, r.call("GET", r.session+"/why?loop="+url.QueryEscape(loop), nil, &rep)
+}
+
+func (r *remote) Slice(kind, proc, v string, line int) (*session.SliceReport, error) {
+	var rep session.SliceReport
+	return &rep, r.call("POST", r.session+"/slice", map[string]any{"kind": kind, "proc": proc, "var": v, "line": line}, &rep)
+}
+
+func (r *remote) Events() ([]session.Event, error) {
+	var out struct {
+		Events []session.Event `json:"events"`
+	}
+	return out.Events, r.call("GET", r.session+"/events", nil, &out)
+}
+
+func (r *remote) Close() error { return r.call("DELETE", r.session, nil, nil) }
+
+// call is the JSON transport. A server error arrives in the uniform
+// {"error": ...} envelope and surfaces as its message alone, which is the
+// text the same failure has in a local session.
+func (r *remote) call(method, u string, body, out any) error {
+	var b []byte
 	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if b, err = json.Marshal(body); err != nil {
 			return err
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, r.base+path, rd)
+	req, err := http.NewRequest(method, u, bytes.NewReader(b))
 	if err != nil {
 		return err
 	}
@@ -210,9 +102,9 @@ func (r *remote) call(method, path string, body, out any) error {
 			Error string `json:"error"`
 		}
 		if json.NewDecoder(resp.Body).Decode(&env) == nil && env.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, env.Error)
+			return errors.New(env.Error)
 		}
-		return fmt.Errorf("%s %s: %s", method, path, resp.Status)
+		return fmt.Errorf("%s %s: %s", method, u, resp.Status)
 	}
 	if out == nil {
 		return nil

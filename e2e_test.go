@@ -260,10 +260,6 @@ func TestE2EExplorer(t *testing.T) {
 		for _, tc := range []struct{ cmd, want, never string }{
 			{"slice MAIN X abc", "usage: slice <proc> <var> <line>", "lines in slice"},
 			{"cslice MAIN x", "usage: slice <proc> <var> <line> | cslice <proc> <line>", "lines in slice"},
-			{"speedup x", "usage: speedup [processors]", "on 0 processors"},
-			{"speedup 0", "usage: speedup [processors]", "on 0 processors"},
-			{"speedup 4", "modeled speedup on 4 processors", "usage:"},
-			{"speedup", "modeled speedup on 8 processors", "usage:"},
 		} {
 			stdout, stderr, code := run(t, bin, "", "-workload", w.Name, "-c", tc.cmd+";quit")
 			if code != 0 {
@@ -318,6 +314,47 @@ func TestE2EExplorerSlice(t *testing.T) {
 	}
 	if remote := sliceOf(t, "-connect", base); remote != local {
 		t.Fatalf("local and -connect slices differ:\n--- local\n%s\n--- connect\n%s", local, remote)
+	}
+}
+
+// TestE2EExplorerDialogue replays the pinned Chapter-4 dialogue transcripts
+// (cmd/explorer/testdata/dialogue) through the explorer binary, locally and
+// with -connect: after the banner line both modes must print the
+// transcript's bytes. A script echoes each command as "> " and the command
+// word, which is how its commands are read back here (a slice's anchor line
+// reads "> " and a line number).
+func TestE2EExplorerDialogue(t *testing.T) {
+	bin := buildBinary(t, "explorer")
+	base, daemon, tail := startSuifxd(t, buildBinary(t, "suifxd"))
+	defer stopSuifxd(t, daemon, tail)
+
+	for _, app := range []string{"mdg", "hydro", "arc3d", "flo88"} {
+		golden, err := os.ReadFile(filepath.Join("cmd", "explorer", "testdata", "dialogue", app+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var script []string
+		for _, line := range strings.Split(string(golden), "\n") {
+			if cmd, ok := strings.CutPrefix(line, "> "); ok && cmd != "" && cmd[0] >= 'a' && cmd[0] <= 'z' {
+				script = append(script, cmd)
+			}
+		}
+		for _, mode := range [][]string{nil, {"-connect", base}} {
+			stdout, stderr, code := run(t, bin, "", append(mode, "-workload", app, "-c", strings.Join(script, ";"))...)
+			if code != 0 {
+				t.Fatalf("%s %v: exit %d, stderr: %s", app, mode, code, stderr)
+			}
+			banner, transcript, _ := strings.Cut(stdout, "\n")
+			if !strings.HasPrefix(banner, "SUIF Explorer: "+app+" (") || !strings.Contains(banner, " loops)") {
+				t.Errorf("%s %v: banner %q does not name the program and its loop count", app, mode, banner)
+			}
+			if strings.Contains(banner, " on "+base+", session ") != (mode != nil) {
+				t.Errorf("%s %v: banner %q: only -connect names the URL and session", app, mode, banner)
+			}
+			if transcript != string(golden) {
+				t.Errorf("%s %v: transcript differs from the golden:\n%s", app, mode, transcript)
+			}
+		}
 	}
 }
 

@@ -22,12 +22,12 @@ type BatchItem struct {
 	// Name labels the item in the result stream. Defaults: the workload or
 	// tier name, "corpus-<seed>" for (seed, config) items, "item-<index>"
 	// for inline source.
-	Name     string `json:"name,omitempty"`
-	Workload string `json:"workload,omitempty"`
-	Tier     string `json:"tier,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
+	Name     string  `json:"name,omitempty"`
+	Workload string  `json:"workload,omitempty"`
+	Tier     string  `json:"tier,omitempty"`
+	Seed     int64   `json:"seed,omitempty"`
 	Config   *Config `json:"config,omitempty"`
-	Source   string `json:"source,omitempty"`
+	Source   string  `json:"source,omitempty"`
 }
 
 // Kind classifies the item; Validate rejects ambiguous or empty items.

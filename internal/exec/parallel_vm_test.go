@@ -21,10 +21,10 @@ func TestTripCountBoundary(t *testing.T) {
 	}{
 		{1, 10, 1, 10},
 		{10, 1, -1, 10},
-		{1, 10, -1, 0},   // wrong-direction step: zero trips
-		{10, 1, 1, 0},    // wrong-direction step: zero trips
-		{1, 1, 1, 1},     // degenerate single-trip
-		{1, 1, -1, 1},    // degenerate single-trip, negative step
+		{1, 10, -1, 0}, // wrong-direction step: zero trips
+		{10, 1, 1, 0},  // wrong-direction step: zero trips
+		{1, 1, 1, 1},   // degenerate single-trip
+		{1, 1, -1, 1},  // degenerate single-trip, negative step
 		{0.1, 1.0, 0.1, 10},
 		{1.0, 0.1, -0.1, 10},
 		{0, 0.95, 0.1, 10},  // hi between grid points

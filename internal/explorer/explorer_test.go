@@ -126,23 +126,6 @@ func TestAssertionCheckerRefutesIndependence(t *testing.T) {
 	}
 }
 
-func TestCodeviewRendering(t *testing.T) {
-	s := newTestSession(t)
-	cv := &viz.Codeview{Prog: s.Prog, Par: s.Par, FocusLoop: "MDG/1000"}
-	out := cv.Render()
-	if !strings.Contains(out, ">") {
-		t.Fatal("codeview should show the focus bar")
-	}
-	cv2 := &viz.Codeview{Prog: s.Prog, Par: s.Par}
-	out2 := cv2.Render()
-	if !strings.Contains(out2, "o") {
-		t.Fatal("codeview should show parallelizable loops")
-	}
-	if !strings.Contains(out2, "#") {
-		t.Fatal("codeview should show the sequential outer loop")
-	}
-}
-
 func TestCallGraphAndSourceView(t *testing.T) {
 	src := `
       SUBROUTINE leaf

@@ -36,7 +36,7 @@ type BlockedVar struct {
 	Var    string `json:"var"`
 	Reason string `json:"reason"`
 	// Lines are the source lines inside the loop referencing the variable —
-	// the anchors a slice or Codeview visualization starts from.
+	// the anchors a slice or an annotated-source view starts from.
 	Lines []int `json:"lines,omitempty"`
 	// DynDeps counts dynamic flow dependences observed on the variable's
 	// storage for the profiled input (0 is the paper's hint that a PRIVATE

@@ -73,8 +73,8 @@ func TestSessionDialogueMdg(t *testing.T) {
 	if interf.StaticDeps == 0 || interf.DynDeps != 0 {
 		t.Fatalf("INTERF/1000: static=%d dyn=%d, want static>0 dyn==0 (assertion hint)", interf.StaticDeps, interf.DynDeps)
 	}
-	if len(interf.Blocking) == 0 || interf.Blocking[0] != "RL" {
-		t.Fatalf("INTERF/1000 blocking = %v, want RL", interf.Blocking)
+	if len(interf.Blocking) == 0 || interf.Blocking[0].Var != "RL" || interf.Blocking[0].Reason == "" {
+		t.Fatalf("INTERF/1000 blocking = %v, want RL with a reason", interf.Blocking)
 	}
 	coverageBefore := g.Coverage
 
@@ -123,6 +123,41 @@ func TestSessionDialogueMdg(t *testing.T) {
 	info := s.Info()
 	if info.Asserts != 1 {
 		t.Fatalf("info = %+v does not reflect the assertion", info)
+	}
+}
+
+// TestSessionOutlivesClosedManager: a session whose Manager was closed — no
+// janitor, no table — still answers every dialogue step. The local explorer
+// relies on this to keep an idle user's session from eviction.
+func TestSessionOutlivesClosedManager(t *testing.T) {
+	m := testManager(t, Config{})
+	s := mdgSession(t, m)
+	m.Close()
+	if m.Len() != 0 {
+		t.Fatalf("closed manager still lists %d sessions", m.Len())
+	}
+
+	if g := s.Guru(); len(g.Targets) == 0 {
+		t.Fatal("guru returned no targets after Close")
+	}
+	out, err := s.Assert(KindPrivate, "INTERF/1000", "RL")
+	if err != nil || !out.Accepted || out.Guru == nil {
+		t.Fatalf("assert after Close = %+v, %v; want accepted with a re-ranked list", out, err)
+	}
+	why, err := s.Why("INTERF/1000")
+	if err != nil || !why.Chosen {
+		t.Fatalf("why after Close = %+v, %v; want the asserted loop chosen", why, err)
+	}
+	rep, err := s.Slice("program", "INTERF", "RL", 37)
+	if err != nil || len(rep.Procs["INTERF"]) == 0 {
+		t.Fatalf("slice after Close = %+v, %v", rep, err)
+	}
+	var kinds []string
+	for _, e := range s.Events(0) {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []string{"created", "analyzed", "profiled", "assert", "why", "slice"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("events after Close = %v, want %v", kinds, want)
 	}
 }
 

@@ -120,14 +120,21 @@ type GuruReport struct {
 
 // Target is one ranked loop.
 type Target struct {
-	Loop          string   `json:"loop"`
-	Lines         [2]int   `json:"lines"`
-	CoveragePct   float64  `json:"coverage_pct"`
-	GranularityMs float64  `json:"granularity_ms"`
-	DynDeps       int64    `json:"dyn_deps"`
-	StaticDeps    int      `json:"static_deps"`
-	Important     bool     `json:"important"`
-	Blocking      []string `json:"blocking,omitempty"`
+	Loop          string    `json:"loop"`
+	Lines         [2]int    `json:"lines"`
+	CoveragePct   float64   `json:"coverage_pct"`
+	GranularityMs float64   `json:"granularity_ms"`
+	DynDeps       int64     `json:"dyn_deps"`
+	StaticDeps    int       `json:"static_deps"`
+	Important     bool      `json:"important"`
+	Blocking      []Blocker `json:"blocking,omitempty"`
+}
+
+// Blocker is one variable that keeps a target loop sequential, with the
+// parallelizer's reason.
+type Blocker struct {
+	Var    string `json:"var"`
+	Reason string `json:"reason"`
 }
 
 // Guru returns the ranked target list.
@@ -158,7 +165,7 @@ func (s *Session) guruLocked() *GuruReport {
 			Important:     t.Important,
 		}
 		for _, b := range t.Loop.Dep.Blocking {
-			tg.Blocking = append(tg.Blocking, b.Sym.Name)
+			tg.Blocking = append(tg.Blocking, Blocker{Var: b.Sym.Name, Reason: b.Reason})
 		}
 		rep.Targets = append(rep.Targets, tg)
 	}

@@ -1,8 +1,7 @@
-// Package viz renders the Rivet visualization metaphors of §2.7 as text:
-// the Codeview "bird's-eye" line map (filtered loops gray, sequential loops
-// black, parallel loops white, a focus bar on the Guru's candidate), a
+// Package viz renders the Rivet visualization metaphors of §2.7 as text: a
 // focus-plus-context call-graph browser standing in for the hyperbolic
-// viewer, and an annotated source viewer that can highlight slice lines.
+// viewer, and an annotated source viewer that can highlight slice lines and
+// carry each loop's verdict as directive lines.
 package viz
 
 import (
@@ -13,90 +12,6 @@ import (
 	"suifx/internal/ir"
 	"suifx/internal/parallel"
 )
-
-// LineClass is a Codeview line's rendering class.
-type LineClass int
-
-const (
-	// Plain code outside any loop.
-	Plain LineClass = iota
-	// Filtered loops fall below the depth/granularity/time cutoffs.
-	Filtered
-	// Sequential loops are unfiltered and unparallelized.
-	Sequential
-	// Parallel loops were parallelized.
-	Parallel
-	// Focus marks the selected hand-parallelization candidate.
-	Focus
-)
-
-var classGlyph = map[LineClass]byte{
-	Plain:      '.',
-	Filtered:   ':',
-	Sequential: '#',
-	Parallel:   'o',
-	Focus:      '>',
-}
-
-// Codeview renders the bird's-eye view: one row per source line, one glyph
-// per run of characters, classed by the loops covering the line.
-type Codeview struct {
-	Prog *ir.Program
-	Par  *parallel.Result
-	// Filter reports whether a loop should be grayed out (nil = show all).
-	Filter func(li *parallel.LoopInfo) bool
-	// FocusLoop is the white focus bar target (loop ID).
-	FocusLoop string
-	// Columns scales the rendering (glyphs per 4 source characters).
-	Columns int
-}
-
-// classify assigns each source line its class.
-func (cv *Codeview) classify() map[int]LineClass {
-	out := map[int]LineClass{}
-	mark := func(lo, hi int, c LineClass) {
-		for l := lo; l <= hi; l++ {
-			if out[l] < c {
-				out[l] = c
-			}
-		}
-	}
-	for _, li := range cv.Par.Ordered {
-		lo, hi := li.Region.Lines()
-		switch {
-		case li.ID() == cv.FocusLoop:
-			mark(lo, hi, Focus)
-		case cv.Filter != nil && cv.Filter(li):
-			mark(lo, hi, Filtered)
-		case li.Chosen || li.Dep.Parallelizable:
-			mark(lo, hi, Parallel)
-		default:
-			mark(lo, hi, Sequential)
-		}
-	}
-	return out
-}
-
-// Render returns the Codeview text.
-func (cv *Codeview) Render() string {
-	cols := cv.Columns
-	if cols <= 0 {
-		cols = 4
-	}
-	classes := cv.classify()
-	var b strings.Builder
-	for i, text := range cv.Prog.Source {
-		line := i + 1
-		n := (len(strings.TrimRight(text, " \t")) + cols - 1) / cols
-		if n == 0 {
-			b.WriteString("\n")
-			continue
-		}
-		g := classGlyph[classes[line]]
-		fmt.Fprintf(&b, "%4d %s\n", line, strings.Repeat(string(g), n))
-	}
-	return b.String()
-}
 
 // CallGraph renders a focus-plus-context call-graph browser: the focused
 // procedure expands fully, everything else collapses beyond depth 1 (the

@@ -29,60 +29,14 @@ const src = `
       END
 `
 
-func setup(t *testing.T) (*parallel.Result, *Codeview) {
+func setup(t *testing.T) *parallel.Result {
 	t.Helper()
 	prog := minif.MustParse("v", src)
-	res := parallel.Parallelize(prog, parallel.Config{UseReductions: true})
-	return res, &Codeview{Prog: prog, Par: res}
-}
-
-func TestCodeviewClasses(t *testing.T) {
-	res, cv := setup(t)
-	out := cv.Render()
-	lines := strings.Split(out, "\n")
-	glyphAt := func(srcLine int) byte {
-		for _, l := range lines {
-			trimmed := strings.TrimLeft(l, " ")
-			if strings.HasPrefix(trimmed, itoa(srcLine)+" ") {
-				rest := strings.TrimSpace(strings.TrimPrefix(trimmed, itoa(srcLine)))
-				if len(rest) > 0 {
-					return rest[0]
-				}
-			}
-		}
-		return 0
-	}
-	// The recurrence (MAIN/10, lines 12..14) renders sequential '#'.
-	if g := glyphAt(13); g != '#' {
-		t.Fatalf("line 13 glyph = %q, want '#'", string(g))
-	}
-	// The parallel loop (MAIN/20) renders 'o'.
-	if g := glyphAt(16); g != 'o' {
-		t.Fatalf("line 16 glyph = %q, want 'o'", string(g))
-	}
-	_ = res
-}
-
-func TestCodeviewFocusAndFilter(t *testing.T) {
-	res, cv := setup(t)
-	cv.FocusLoop = "MAIN/10"
-	out := cv.Render()
-	if !strings.Contains(out, ">") {
-		t.Fatal("focus bar missing")
-	}
-	cv2 := &Codeview{Prog: res.Prog, Par: res,
-		Filter: func(li *parallel.LoopInfo) bool { return true }}
-	out2 := cv2.Render()
-	if !strings.Contains(out2, ":") {
-		t.Fatal("filtered glyph missing")
-	}
-	if strings.Contains(out2, "o") || strings.Contains(out2, "#") {
-		t.Fatal("all loops filtered: no loop glyphs expected")
-	}
+	return parallel.Parallelize(prog, parallel.Config{UseReductions: true})
 }
 
 func TestCallGraphFocus(t *testing.T) {
-	res, _ := setup(t)
+	res := setup(t)
 	cg := &CallGraph{Prog: res.Prog, Focus: "LEAF",
 		Weight: func(p string) string { return "(w)" }}
 	out := cg.Render()
@@ -95,7 +49,7 @@ func TestCallGraphFocus(t *testing.T) {
 }
 
 func TestSourceViewRange(t *testing.T) {
-	res, _ := setup(t)
+	res := setup(t)
 	sv := &SourceView{Source: res.Prog.Source, From: 12, To: 14,
 		Highlight: map[int]bool{13: true}, Anchor: 12,
 		Verdicts: []parallel.LoopVerdict{
@@ -129,16 +83,4 @@ func TestDirectives(t *testing.T) {
 	if got != want {
 		t.Fatalf("Directives:\n got %q\nwant %q", got, want)
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }
