@@ -68,10 +68,12 @@ func digestLine(name string, prog *ir.Program) string {
 
 // TestAnalysisDigests pins what the bottom-up pass and the dependence test
 // compute — every section as rendered, every verdict and reason — on every
-// workload and corpus tier (20k outside -short). The digests were generated
-// before lin.Expr became a sorted term vector and before the bottom-up pass
-// shared sections instead of copying them, so a match certifies that neither
-// changed a section or a verdict. Regenerate (without
+// workload and corpus tier (20k outside -short) and on 80 generated
+// programs. The digests of the workloads and tiers were generated before
+// lin.Expr became a sorted term vector and before the bottom-up pass shared
+// sections instead of copying them, and those of the generated programs
+// before the pass composed a statement list into one tuple, so a match
+// certifies that none of these changed a section or a verdict. Regenerate (without
 // -short) only for an intended change of answers:
 // `go test ./internal/driver -run TestAnalysisDigests -update`.
 func TestAnalysisDigests(t *testing.T) {
@@ -89,6 +91,23 @@ func TestAnalysisDigests(t *testing.T) {
 	}
 	for _, name := range tiers {
 		inputs = append(inputs, input{"tier-" + name, func(t *testing.T) *ir.Program { return tierProgram(t, name) }})
+	}
+	// Generated programs in two knob settings, a small shallow one and a
+	// larger one with deeper calls, nests and more aliasing, so that the
+	// digests cover call, loop and IF shapes the fixed inputs do not.
+	small := corpus.Config{TargetLines: 600, CallDepth: 2, CallFanout: 2, LoopDepth: 2, AliasDensity: 0.2, ReductionMix: 0.3, TripLo: 2, TripHi: 10}
+	large := corpus.Config{TargetLines: 1500, CallDepth: 4, CallFanout: 3, LoopDepth: 3, AliasDensity: 0.6, ReductionMix: 0.5, TripLo: 2, TripHi: 10}
+	for seed := int64(1); seed <= 40; seed++ {
+		for _, cfg := range []corpus.Config{small, large} {
+			name := fmt.Sprintf("gen%d-seed%d", cfg.TargetLines, seed)
+			inputs = append(inputs, input{name, func(t *testing.T) *ir.Program {
+				prog, err := minif.Parse(name+".f", corpus.Generate(seed, cfg).Source)
+				if err != nil {
+					t.Fatalf("parse %s: %v", name, err)
+				}
+				return prog
+			}})
+		}
 	}
 
 	path := filepath.Join("testdata", "analysis.digests")

@@ -146,8 +146,9 @@ func FuzzLinSystem(f *testing.F) {
 // compared with its operands by point membership over a small integer box.
 // Union and Intersect are exact, Subtract lies between a \ b and a, Project
 // over-approximates — so an operation that hands back an operand it should
-// not have fails here even on inputs no golden renders. Operands must also
-// read the same afterwards.
+// not have fails here even on inputs no golden renders. ∅ ∪ x and x − ∅
+// must answer as the reference fold does for the operands and every result,
+// and operands must read the same afterwards.
 func FuzzSectionOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 1, 2, 0, 0, 2, 4, 4, 2, 2, 1, 3})
@@ -164,24 +165,7 @@ func FuzzSectionOps(f *testing.F) {
 			data = data[1:]
 			return int64(b)
 		}
-		section := func() *Section {
-			s := &Section{NDim: 2, Exact: next()%2 == 0}
-			for k := next() % 4; k > 0; k-- {
-				lo0, lo1 := next()%7-3, next()%7-3
-				sys := NewSystem().
-					AddRange(DimVar(0), NewExpr(lo0), NewExpr(lo0+next()%4)).
-					AddRange(DimVar(1), NewExpr(lo1), NewExpr(lo1+next()%4))
-				switch c := next(); c % 4 {
-				case 1: // $d0 >= $d1 + c
-					sys.AddGE(Var(DimVar(0)).Sub(Var(DimVar(1))).AddConst(-(c/4%5 - 2)))
-				case 2: // $d0 <= n + c
-					sys.AddGE(Var("n").Sub(Var(DimVar(0))).AddConst(c/4%5 - 2))
-				}
-				s.Polys = append(s.Polys, sys)
-			}
-			return s
-		}
-		a, b := section(), section()
+		a, b := byteSection(next), byteSection(next)
 		render := func(s *Section) string { return fmt.Sprint(s.NDim, s.Exact, s.Polys) }
 		wasA, wasB := render(a), render(b)
 
@@ -213,8 +197,33 @@ func FuzzSectionOps(f *testing.F) {
 				}
 			}
 		}
+		for _, x := range []*Section{a, b, union, inter, diff, proj} {
+			checkEmptyOperand(t, "fuzz", x)
+		}
 		if render(a) != wasA || render(b) != wasB {
 			t.Fatalf("an operand changed: a=%s (was %s), b=%s (was %s)", render(a), wasA, render(b), wasB)
 		}
 	})
+}
+
+// byteSection builds a 2-D section from the bytes next hands out: up to
+// three boxes, each optionally cut by a diagonal or by an n-dependent bound,
+// exact or not. Nothing normalises it, so it may hold empty polyhedra and
+// polyhedra contained in others.
+func byteSection(next func() int64) *Section {
+	s := &Section{NDim: 2, Exact: next()%2 == 0}
+	for k := next() % 4; k > 0; k-- {
+		lo0, lo1 := next()%7-3, next()%7-3
+		sys := NewSystem().
+			AddRange(DimVar(0), NewExpr(lo0), NewExpr(lo0+next()%4)).
+			AddRange(DimVar(1), NewExpr(lo1), NewExpr(lo1+next()%4))
+		switch c := next(); c % 4 {
+		case 1: // $d0 >= $d1 + c
+			sys.AddGE(Var(DimVar(0)).Sub(Var(DimVar(1))).AddConst(-(c/4%5 - 2)))
+		case 2: // $d0 <= n + c
+			sys.AddGE(Var("n").Sub(Var(DimVar(0))).AddConst(c/4%5 - 2))
+		}
+		s.Polys = append(s.Polys, sys)
+	}
+	return s
 }
