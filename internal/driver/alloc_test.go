@@ -9,12 +9,15 @@ import (
 // worker, so nothing but the algorithm allocates) by an exact count. With
 // lin.Expr a map per expression the pass made 1,998,991 allocations, as a
 // sorted term vector 1,109,739, and about 543,000 once sections, access
-// records and tuples were shared instead of copied; now that Fourier–Motzkin
-// runs in pooled scratch storage it makes about 339,000. The limit is under
-// 1.5 times that, so that it fails with the per-step systems back.
+// records and tuples were shared instead of copied; with Fourier–Motzkin in
+// pooled scratch storage about 339,000. Now that T, the meet and the loop
+// closure hand back what they already share, and a statement list composes
+// into one tuple, it makes about 254,000 (about 280,000 under the race
+// detector, which drops pooled scratch). The limit is under the 339,000 of
+// the pass that rebuilt those values, so it fails with the rebuilding back.
 func TestAnalyzeAllocations(t *testing.T) {
 	prog := tierProgram(t, "5k")
-	const limit = 500_000
+	const limit = 320_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	Analyze(prog, Options{Workers: 1})

@@ -21,7 +21,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/analysis.digests")
 
-func tierProgram(t *testing.T, name string) *ir.Program {
+func tierProgram(t testing.TB, name string) *ir.Program {
 	t.Helper()
 	tier, ok := corpus.TierByName(name)
 	if !ok {

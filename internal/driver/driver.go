@@ -68,13 +68,3 @@ func Schedule(prog *ir.Program) []SCC {
 	}
 	return out
 }
-
-// bottomUpProcs is the deterministic merge order: the same order the
-// sequential analyzers use (BottomUpOrder, declaration order on recursion).
-func bottomUpProcs(prog *ir.Program) []*ir.Proc {
-	order, ok := prog.BottomUpOrder()
-	if !ok {
-		return prog.Procs
-	}
-	return order
-}

@@ -2,10 +2,12 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"suifx/internal/corpus"
 	"suifx/internal/ir"
 	"suifx/internal/region"
 	"suifx/internal/summary"
@@ -139,6 +141,40 @@ func TestCondenseBottomUp(t *testing.T) {
 			t.Fatalf("%s: condensation covers %d of %d procs", w.Name, len(seen), len(prog.Procs))
 		}
 	}
+}
+
+// TestMergeOrderIsBottomUp checks the order Incremental merges results in,
+// derived from the SCC schedule, against the sequential analyzers' order,
+// ir.Program.BottomUpOrder, on every workload and ladder tier.
+func TestMergeOrderIsBottomUp(t *testing.T) {
+	progs := map[string]*ir.Program{}
+	for _, w := range workloads.All() {
+		progs[w.Name] = w.Program()
+	}
+	tiers := corpus.SizeLadder()
+	if testing.Short() {
+		tiers = corpus.QuickLadder()
+	}
+	for _, tier := range tiers {
+		progs["tier-"+tier.Name] = tierProgram(t, tier.Name)
+	}
+	for name, prog := range progs {
+		want, ok := prog.BottomUpOrder()
+		if !ok {
+			t.Fatalf("%s: the call graph has a cycle", name)
+		}
+		if got := newIncrementalShell(prog, Options{}).order; !slices.Equal(got, want) {
+			t.Errorf("%s: merge order %v, want %v", name, procNames(got), procNames(want))
+		}
+	}
+}
+
+func procNames(procs []*ir.Proc) []string {
+	out := make([]string, len(procs))
+	for i, p := range procs {
+		out[i] = p.Name
+	}
+	return out
 }
 
 func TestCacheMemoizes(t *testing.T) {

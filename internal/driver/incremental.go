@@ -36,6 +36,7 @@ type Incremental struct {
 	opt  Options
 
 	sccs   []*scc
+	order  []*ir.Proc     // merge order: the components' members, bottom-up
 	compOf map[string]int // proc name -> index into sccs
 	rev    [][]int        // sccs[i] is called by sccs[rev[i]...]
 
@@ -105,7 +106,13 @@ func newIncrementalShell(prog *ir.Program, opt Options) *Incremental {
 		rev:    make([][]int, len(sccs)),
 		dirty:  map[string]bool{},
 	}
+	// Tarjan emits components in DFS postorder over the same call graph,
+	// in the same declaration order, as ir.Program.BottomUpOrder, and with
+	// no recursion every component is one procedure: the members, component
+	// by component, are the sequential analyzers' bottom-up order.
+	inc.order = make([]*ir.Proc, 0, len(prog.Procs))
 	for i, s := range sccs {
+		inc.order = append(inc.order, s.procs...)
 		for _, p := range s.procs {
 			inc.compOf[p.Name] = i
 		}
@@ -237,7 +244,7 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 	if err != nil {
 		return nil, IncStats{}, err
 	}
-	for _, p := range bottomUpProcs(inc.prog) {
+	for _, p := range inc.order {
 		if dirty[p.Name] {
 			inc.mr.Merge(p.Name, slots[p.Name].eff)
 		}
@@ -264,7 +271,7 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 	if err != nil {
 		return nil, IncStats{}, err
 	}
-	for _, p := range bottomUpProcs(inc.prog) {
+	for _, p := range inc.order {
 		if dirty[p.Name] {
 			inc.sum.Merge(slots[p.Name].res)
 		}

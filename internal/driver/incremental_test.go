@@ -195,7 +195,8 @@ func TestIncrementalCancelBetweenWaves(t *testing.T) {
 		t.Fatal("retry after a cancelled cold run differs from summary.Analyze")
 	}
 
-	leaf := bottomUpProcs(prog)[0].Name
+	order, _ := prog.BottomUpOrder()
+	leaf := order[0].Name
 	closure := reachesSet(prog, leaf)
 	inc.Invalidate(leaf)
 	cancelled(len(closure))

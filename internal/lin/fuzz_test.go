@@ -157,14 +157,7 @@ func FuzzSectionOps(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 3, 9, 9, 9, 9, 9, 9, 3, 7, 7, 7, 7, 7, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() int64 {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int64(b)
-		}
+		next := byteReader(data)
 		a, b := byteSection(next), byteSection(next)
 		render := func(s *Section) string { return fmt.Sprint(s.NDim, s.Exact, s.Polys) }
 		wasA, wasB := render(a), render(b)
@@ -204,6 +197,18 @@ func FuzzSectionOps(f *testing.F) {
 			t.Fatalf("an operand changed: a=%s (was %s), b=%s (was %s)", render(a), wasA, render(b), wasB)
 		}
 	})
+}
+
+// byteReader hands out the bytes of data one at a time, then zeros.
+func byteReader(data []byte) func() int64 {
+	return func() int64 {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int64(b)
+	}
 }
 
 // byteSection builds a 2-D section from the bytes next hands out: up to

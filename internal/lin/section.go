@@ -37,12 +37,19 @@ type Section struct {
 	NDim  int
 	Polys []*System
 	Exact bool
+
+	// norm marks Polys as a fixpoint of the normalising fold (fold.add): no
+	// polyhedron is empty and none is contained in another, so folding Polys
+	// into an empty union gives back Polys itself. Only the folds below and
+	// EmptySection set it; a section built any other way is folded again
+	// where the fold would run.
+	norm bool
 }
 
 // emptySections[n] is the empty n-dimensional section every caller shares.
 var emptySections = func() (out [len(dimVars)]Section) {
 	for n := range out {
-		out[n] = Section{NDim: n, Exact: true}
+		out[n] = Section{NDim: n, Exact: true, norm: true}
 	}
 	return out
 }()
@@ -52,7 +59,7 @@ func EmptySection(ndim int) *Section {
 	if ndim < len(emptySections) {
 		return &emptySections[ndim]
 	}
-	return &Section{NDim: ndim, Exact: true}
+	return &Section{NDim: ndim, Exact: true, norm: true}
 }
 
 // WholeSection returns the section covering the entire array (no constraints
@@ -67,14 +74,15 @@ func NewSection(ndim int, sys *System) *Section {
 }
 
 // share returns the section ⟨ndim, polys, exact⟩: the first operand that
-// already is that section, else a new one that takes polys over.
-func share(ndim int, polys []*System, exact bool, operands ...*Section) *Section {
+// already is that section, else a new one that takes polys over, marked
+// normalised when norm is set.
+func share(ndim int, polys []*System, exact, norm bool, operands ...*Section) *Section {
 	for _, o := range operands {
 		if o.NDim == ndim && o.Exact == exact && slices.Equal(o.Polys, polys) {
 			return o
 		}
 	}
-	return &Section{NDim: ndim, Polys: polys, Exact: exact}
+	return &Section{NDim: ndim, Polys: polys, Exact: exact, norm: norm}
 }
 
 // IsEmpty reports whether the section is definitely empty.
@@ -87,44 +95,63 @@ func (s *Section) IsEmpty() bool {
 	return true
 }
 
-// Union returns s ∪ o, merging polyhedra subsumed by existing ones.
+// Union returns s ∪ o, merging polyhedra subsumed by existing ones. ∅ ∪ o
+// is o itself when o is normalised: the fold would give back its polyhedra.
 func (s *Section) Union(o *Section) *Section {
-	polys := s.Polys
-	for _, p := range o.Polys {
-		polys = addPoly(polys, p)
+	if len(s.Polys) == 0 && o.norm && o.NDim == s.NDim && (s.Exact || !o.Exact) {
+		return o
 	}
-	return share(s.NDim, polys, s.Exact && o.Exact, s, o)
+	f := fold{polys: s.Polys, room: len(s.Polys) + len(o.Polys)}
+	for _, p := range o.Polys {
+		f.add(p)
+	}
+	// The fold keeps a normalised start normalised.
+	return share(s.NDim, f.polys, s.Exact && o.Exact, s.norm || len(s.Polys) == 0, s, o)
 }
 
-// addPoly returns polys ∪ {p} without the polyhedra p subsumes: polys itself
-// when p adds nothing, else a new slice — polys is never written.
-func addPoly(polys []*System, p *System) []*System {
+// A fold accumulates a union of polyhedra: add drops a polyhedron that is
+// empty or contained in one already there, and otherwise appends it after
+// dropping the ones it contains. The slice it starts from is never written;
+// the first polyhedron that changes the union moves it into a slice of room
+// elements the fold owns, and the rest are filtered and appended there in
+// place, so a union costs one slice however many polyhedra it adds.
+type fold struct {
+	polys []*System
+	owned bool // polys is the fold's own slice
+	room  int  // capacity of the owned slice, when it is made
+}
+
+func (f *fold) add(p *System) {
 	if p.IsEmpty() {
-		return polys
+		return
 	}
-	for _, q := range polys {
+	for _, q := range f.polys {
 		if p.ContainedIn(q) {
-			return polys
+			return
 		}
 	}
-	out := make([]*System, 0, len(polys)+1)
-	for _, q := range polys {
+	dst := f.polys[:0]
+	if !f.owned {
+		dst = make([]*System, 0, max(f.room, len(f.polys)+1))
+		f.owned = true
+	}
+	for _, q := range f.polys {
 		if !q.ContainedIn(p) {
-			out = append(out, q)
+			dst = append(dst, q)
 		}
 	}
-	return append(out, p)
+	f.polys = append(dst, p)
 }
 
 // Intersect returns s ∩ o (pairwise polyhedron intersection).
 func (s *Section) Intersect(o *Section) *Section {
-	var polys []*System
+	f := fold{room: len(s.Polys) * len(o.Polys)}
 	for _, p := range s.Polys {
 		for _, q := range o.Polys {
-			polys = addPoly(polys, p.Intersect(q))
+			f.add(p.Intersect(q))
 		}
 	}
-	return share(s.NDim, polys, s.Exact && o.Exact, s, o)
+	return share(s.NDim, f.polys, s.Exact && o.Exact, true, s, o)
 }
 
 // Intersects reports whether s ∩ o may be nonempty (conservative: false means
@@ -155,8 +182,13 @@ func (s *Section) ContainedIn(o *Section) bool {
 // is performed exactly when it stays convex (the covering polyhedron differs
 // along a single constraint); otherwise the minuend polyhedron is kept whole.
 // This is sound for upwards-exposed-read computation, which must
-// over-approximate.
+// over-approximate. What is left of s is an over-approximation even when
+// nothing was cut, so only the empty result is exact; s − ∅ of a normalised s
+// is s with that flag.
 func (s *Section) Subtract(o *Section) *Section {
+	if len(o.Polys) == 0 && s.norm {
+		return share(s.NDim, s.Polys, len(s.Polys) == 0, true, s)
+	}
 	cur := s.Polys
 	for _, q := range o.Polys {
 		var next []*System
@@ -172,13 +204,11 @@ func (s *Section) Subtract(o *Section) *Section {
 		}
 		cur = next
 	}
-	var polys []*System
+	f := fold{room: len(cur)}
 	for _, p := range cur {
-		polys = addPoly(polys, p)
+		f.add(p)
 	}
-	// What is left of s is an over-approximation even when nothing was cut,
-	// so only the empty result is exact.
-	return share(s.NDim, polys, len(polys) == 0, s)
+	return share(s.NDim, f.polys, len(f.polys) == 0, true, s)
 }
 
 // exactCut computes p \ q as the union of p ∧ ¬c over the constraints c of
@@ -208,13 +238,55 @@ func exactCut(p, q *System) ([]*System, bool) {
 }
 
 // Project eliminates the given variables (typically a loop index) from every
-// polyhedron — the paper's closure operator at loop boundaries.
+// polyhedron — the paper's closure operator at loop boundaries. It is the
+// one-shot case of a Projection.
 func (s *Section) Project(vars ...string) *Section {
-	var polys []*System
-	for _, p := range s.Polys {
-		polys = addPoly(polys, p.EliminateVars(vars...))
+	pj := Projection{vars: vars}
+	return pj.Section(s)
+}
+
+// A Projection eliminates one list of variables from sections and
+// polyhedra. One made by NewProjection remembers what it has projected, so
+// that a section or polyhedron several summary fields share (a leaf's read
+// lands in R, E and Plain as one section) is eliminated once.
+type Projection struct {
+	vars []string
+	sys  map[*System]*System
+	secs map[*Section]*Section
+}
+
+// NewProjection returns a remembering Projection of vars.
+func NewProjection(vars ...string) *Projection {
+	return &Projection{vars: vars, sys: map[*System]*System{}, secs: map[*Section]*Section{}}
+}
+
+// System returns p with the projection's variables eliminated.
+func (pj *Projection) System(p *System) *System {
+	if q, ok := pj.sys[p]; ok {
+		return q
 	}
-	return share(s.NDim, polys, s.Exact, s)
+	q := p.EliminateVars(pj.vars...)
+	if pj.sys != nil {
+		pj.sys[p] = q
+	}
+	return q
+}
+
+// Section returns s with the projection's variables eliminated from every
+// polyhedron.
+func (pj *Projection) Section(s *Section) *Section {
+	if r, ok := pj.secs[s]; ok {
+		return r
+	}
+	f := fold{room: len(s.Polys)}
+	for _, p := range s.Polys {
+		f.add(pj.System(p))
+	}
+	r := share(s.NDim, f.polys, s.Exact, true, s)
+	if pj.secs != nil {
+		pj.secs[s] = r
+	}
+	return r
 }
 
 // Substitute applies a variable substitution to every polyhedron (parameter
@@ -224,7 +296,7 @@ func (s *Section) Substitute(v string, repl Expr) *Section {
 	for i, p := range s.Polys {
 		polys[i] = p.Substitute(v, repl)
 	}
-	return share(s.NDim, polys, s.Exact, s)
+	return share(s.NDim, polys, s.Exact, false, s)
 }
 
 // Rename renames a symbolic variable in every polyhedron.
@@ -233,7 +305,7 @@ func (s *Section) Rename(old, new string) *Section {
 	for i, p := range s.Polys {
 		polys[i] = p.Rename(old, new)
 	}
-	return share(s.NDim, polys, s.Exact, s)
+	return share(s.NDim, polys, s.Exact, false, s)
 }
 
 // SymVars returns the non-dimension variables mentioned in the section.

@@ -61,14 +61,7 @@ func TestEmptyOperandMatchesFold(t *testing.T) {
 	for iter := 0; iter < 1000; iter++ {
 		data := make([]byte, 48)
 		r.Read(data)
-		next := func() int64 {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int64(b)
-		}
+		next := byteReader(data)
 		a, b := byteSection(next), byteSection(next)
 		e := EmptySection(2)
 		xs := []*Section{
@@ -77,6 +70,42 @@ func TestEmptyOperandMatchesFold(t *testing.T) {
 		}
 		for _, x := range xs {
 			checkEmptyOperand(t, "generated", x)
+		}
+	}
+}
+
+// TestOnlyFoldsMarkNormalised checks where the normalised mark may come
+// from: sections built by NewSection, WholeSection or a struct literal never
+// carry it, and neither do the results of Substitute and Rename, which map
+// polyhedra one to one without folding — even of a normalised operand. The
+// one exception is an empty operand, which those two hand back as it is.
+func TestOnlyFoldsMarkNormalised(t *testing.T) {
+	if NewSection(2, NewSystem()).norm || WholeSection(2).norm {
+		t.Fatal("NewSection or WholeSection marked its section normalised")
+	}
+	for n := 0; n < 10; n++ {
+		if !EmptySection(n).norm {
+			t.Fatalf("the empty %d-dimensional section is not marked normalised", n)
+		}
+	}
+	r := rand.New(rand.NewSource(4))
+	for iter := 0; iter < 500; iter++ {
+		data := make([]byte, 48)
+		r.Read(data)
+		next := byteReader(data)
+		a, b := byteSection(next), byteSection(next)
+		if a.norm || b.norm {
+			t.Fatal("a struct literal carries the normalised mark")
+		}
+		for _, x := range []*Section{a, a.Union(b), a.Intersect(b), a.Subtract(b), a.Project("n"), EmptySection(2).Union(b)} {
+			if len(x.Polys) == 0 {
+				continue
+			}
+			for _, y := range []*Section{x.Substitute("n", Var(DimVar(1)).AddConst(1)), x.Rename("n", "m"), x.Rename(DimVar(0), DimVar(0))} {
+				if y.norm {
+					t.Fatalf("Substitute or Rename of %s marked its result normalised", x)
+				}
+			}
 		}
 	}
 }

@@ -130,6 +130,14 @@ func (s *System) Intersect(o *System) *System {
 	return out
 }
 
+// Conjoin adds the constraints of o to s, as they are and after s's own, and
+// returns s: the in-place Intersect, for the function still building s.
+func (s *System) Conjoin(o *System) *System {
+	s.Cons = append(s.Cons, o.Cons...)
+	s.empt.Store(emptUnknown)
+	return s
+}
+
 // Substitute replaces variable v by the affine expression repl everywhere.
 func (s *System) Substitute(v string, repl Expr) *System {
 	out := &System{Cons: make([]Constraint, 0, len(s.Cons))}
@@ -166,15 +174,15 @@ func (s *System) ContainsPoint(env map[string]int64) bool {
 // projection of s. This is the paper's closure operator building block.
 func (s *System) Eliminate(v string) *System { return s.EliminateVars(v) }
 
-// EliminateVars eliminates each named variable in turn; with no variables it
-// returns s itself. Each step keeps the constraints free of the variable, in
+// EliminateVars eliminates each named variable in turn; with no variables,
+// or no constraints to eliminate them from, it returns s itself. Each step keeps the constraints free of the variable, in
 // order, then adds one combination per lower × upper bound pair, and drops
 // trivially true and duplicate constraints (a constant contradiction reduces
 // the system to -1 >= 0). The steps run in scratch storage; the result is
 // copied out once, and the constraints it carries over from s share their
 // Exprs with s.
 func (s *System) EliminateVars(vars ...string) *System {
-	if len(vars) == 0 {
+	if len(vars) == 0 || len(s.Cons) == 0 {
 		return s
 	}
 	sc := newScratch()

@@ -135,47 +135,55 @@ func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty fu
 // the outermost parallelizable loops, and marks everything dynamically
 // nested inside them.
 func (res *Result) chooseOutermost() {
-	parallelCtx := map[string]bool{} // procs reached from inside parallel loops
+	c := chooser{res: res, calls: res.Prog.CallGraph(), parallelCtx: map[string]bool{}}
 	order, _ := res.Prog.TopDownOrder()
 	for _, p := range order {
 		top := res.Sum.Reg.ProcTop[p.Name]
-		res.chooseIn(top, parallelCtx[p.Name], parallelCtx)
+		c.chooseIn(top, c.parallelCtx[p.Name])
 	}
 }
 
-func (res *Result) chooseIn(r *region.Region, underParallel bool, parallelCtx map[string]bool) {
-	for _, c := range r.Children {
-		if c.Kind != region.LoopRegion {
+// chooser is the state of one chooseOutermost: the call graph, built once,
+// and the procedures reached from inside a chosen loop so far.
+type chooser struct {
+	res         *Result
+	calls       map[string][]string
+	parallelCtx map[string]bool
+}
+
+func (c *chooser) chooseIn(r *region.Region, underParallel bool) {
+	for _, l := range r.Children {
+		if l.Kind != region.LoopRegion {
 			continue
 		}
-		li := res.Loops[c]
+		li := c.res.Loops[l]
 		li.UnderParallel = underParallel
 		if !underParallel && li.Dep.Parallelizable {
 			li.Chosen = true
-			res.markCalleesParallel(c, parallelCtx)
-			res.chooseIn(c.Body(), true, parallelCtx)
+			c.markCalleesParallel(l)
+			c.chooseIn(l.Body(), true)
 			continue
 		}
-		res.chooseIn(c.Body(), underParallel, parallelCtx)
+		c.chooseIn(l.Body(), underParallel)
 	}
 }
 
 // markCalleesParallel records every procedure transitively reachable from
 // inside a chosen parallel loop.
-func (res *Result) markCalleesParallel(r *region.Region, parallelCtx map[string]bool) {
+func (c *chooser) markCalleesParallel(r *region.Region) {
 	var visit func(name string)
 	visit = func(name string) {
-		if parallelCtx[name] {
+		if c.parallelCtx[name] {
 			return
 		}
-		parallelCtx[name] = true
-		for _, callee := range res.Prog.CallGraph()[name] {
+		c.parallelCtx[name] = true
+		for _, callee := range c.calls[name] {
 			visit(callee)
 		}
 	}
-	for _, c := range r.AllCallSites() {
-		if res.Prog.ByName[c.Name] != nil {
-			visit(c.Name)
+	for _, site := range r.AllCallSites() {
+		if c.res.Prog.ByName[site.Name] != nil {
+			visit(site.Name)
 		}
 	}
 }

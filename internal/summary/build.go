@@ -266,7 +266,7 @@ func (a *Analysis) AnalyzeProc(p *ir.Proc, callee func(string) *Tuple) *ProcResu
 	nodes := w.walkList(p.Body)
 	top := a.Reg.ProcTop[p.Name]
 	res.After[top] = map[ir.Stmt]*Tuple{}
-	sum := w.composeNodes(top, nodes, NewTuple())
+	sum := w.composeNodes(top, nodes, NewTuple(), nil)
 	res.RegionSum[top] = sum
 	res.ProcSum = a.projectProc(p, sum)
 	return res
@@ -383,7 +383,7 @@ func (w *walker) walkLoop(l *ir.DoLoop) *node {
 	lr := w.a.Reg.OfLoop[l]
 	body := lr.Body()
 	w.res.After[body] = map[ir.Stmt]*Tuple{}
-	bodyTuple := w.composeNodes(body, bodyNodes, NewTuple())
+	bodyTuple := w.composeNodes(body, bodyNodes, NewTuple(), nil)
 	w.res.BodySum[body] = bodyTuple
 
 	full := leave()
@@ -442,7 +442,11 @@ func addReads(t *Tuple, w *walker, expr ir.Expr) {
 // sectionOf builds the array section for one subscripted reference under the
 // current symbolic environment and loop-bound context.
 func (w *walker) sectionOf(x *ir.ArrayRef) *lin.Section {
-	sys := lin.NewSystem()
+	n := 2 * len(x.Idx) // two constraints per subscript, then the loop bounds
+	for _, c := range w.ctx {
+		n += len(c.Cons)
+	}
+	sys := &lin.System{Cons: make([]lin.Constraint, 0, n)}
 	exact := true
 	for k, idxE := range x.Idx {
 		e, ok, _ := w.ev.Affine(idxE)
@@ -456,7 +460,7 @@ func (w *walker) sectionOf(x *ir.ArrayRef) *lin.Section {
 		sys.AddEq(lin.Var(lin.DimVar(k)).Sub(e))
 	}
 	for _, c := range w.ctx {
-		sys = sys.Intersect(c)
+		sys.Conjoin(c)
 	}
 	return &lin.Section{NDim: len(x.Sym.Dims), Polys: []*lin.System{sys}, Exact: exact}
 }
@@ -668,23 +672,30 @@ func (w *walker) leafIO(st *ir.IO) *Tuple {
 
 // ---- backward composition ----
 
-// composeNodes computes the summary of the node list followed by cont,
-// recording After[r][stmt] (the paper's S_{r,n}) for loops and calls.
-func (w *walker) composeNodes(r *region.Region, nodes []*node, cont *Tuple) *Tuple {
-	v := cont
+// composeNodes composes the node list, last statement first, in front of v,
+// which it owns from here on, and returns the summary of the list followed
+// by what v held, recording After[r][stmt] (the paper's S_{r,n}) for loops
+// and calls. Each statement is composed into v in place (Tuple.prepend);
+// dirty holds the symbols of the statement composed into v last, the only
+// records besides the statement's own that T may still change. After
+// entries and the THEN arm get snapshots; the ELSE arm takes v over, and the
+// meet of the two arms, whose records are all new, is the tuple the
+// statements before the IF are composed into.
+func (w *walker) composeNodes(r *region.Region, nodes []*node, v *Tuple, dirty map[*ir.Symbol]*Access) *Tuple {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
 		switch n.stmt.(type) {
 		case *ir.Call, *ir.DoLoop:
-			w.res.After[r][n.stmt] = v
+			w.res.After[r][n.stmt] = v.snapshot()
 		}
 		if n.isIf {
-			vt := w.composeNodes(r, n.thenN, v)
-			ve := w.composeNodes(r, n.elN, v)
-			v = Compose(n.tuple, Meet(vt, ve))
-			continue
+			vt := w.composeNodes(r, n.thenN, v.snapshot(), dirty)
+			ve := w.composeNodes(r, n.elN, v, dirty)
+			v = Meet(vt, ve)
+			dirty = v.Arrays
 		}
-		v = Compose(n.tuple, v)
+		v.prepend(n.tuple, dirty)
+		dirty = n.tuple.Arrays
 	}
 	return v
 }

@@ -64,6 +64,11 @@ func (t *Tuple) view(sym *ir.Symbol) Access {
 	if a := t.Arrays[sym]; a != nil {
 		return *a
 	}
+	return emptyAccess(sym)
+}
+
+// emptyAccess is the record of a region that does not touch sym.
+func emptyAccess(sym *ir.Symbol) Access {
 	e := lin.EmptySection(len(sym.Dims))
 	return Access{Sym: sym, R: e, E: e, W: e, M: e, Plain: e, PlainW: e}
 }
@@ -104,23 +109,62 @@ func (t *Tuple) SortedSyms() []*ir.Symbol {
 func Compose(a, b *Tuple) *Tuple {
 	out := &Tuple{Arrays: maps.Clone(a.Arrays)}
 	for sym, bb := range b.Arrays {
-		aa := a.view(sym)
-		out.Arrays[sym] = &Access{
-			Sym:    sym,
-			R:      aa.R.Union(bb.R),
-			E:      aa.E.Union(bb.E.Subtract(aa.M)),
-			W:      aa.W.Union(bb.W),
-			M:      aa.M.Union(bb.M),
-			Red:    redUnion(aa.Red, bb.Red),
-			Plain:  aa.Plain.Union(bb.Plain),
-			PlainW: aa.PlainW.Union(bb.PlainW),
-		}
+		out.Arrays[sym] = composeAccess(sym, a.view(sym), bb)
 	}
 	return out
 }
 
+// prepend composes a in front of t, which the caller owns and which becomes
+// "a then t". Only the symbols of a and of dirty are visited: every other
+// record of t is already what T makes of it behind a statement that does not
+// touch its symbol (T(∅, x) = x; DESIGN.md, "Who may write a section").
+func (t *Tuple) prepend(a *Tuple, dirty map[*ir.Symbol]*Access) {
+	for sym := range dirty {
+		if bb := t.Arrays[sym]; bb != nil && a.Arrays[sym] == nil {
+			t.Arrays[sym] = composeAccess(sym, emptyAccess(sym), bb)
+		}
+	}
+	for sym, aa := range a.Arrays {
+		if bb := t.Arrays[sym]; bb != nil {
+			t.Arrays[sym] = composeAccess(sym, *aa, bb)
+		} else {
+			t.Arrays[sym] = aa
+		}
+	}
+}
+
+// composeAccess is T for one symbol: the record of aa then bb, bb itself when
+// no field changes.
+func composeAccess(sym *ir.Symbol, aa Access, bb *Access) *Access {
+	c := Access{
+		Sym:    sym,
+		R:      aa.R.Union(bb.R),
+		E:      aa.E.Union(bb.E.Subtract(aa.M)),
+		W:      aa.W.Union(bb.W),
+		M:      aa.M.Union(bb.M),
+		Red:    redUnion(aa.Red, bb.Red),
+		Plain:  aa.Plain.Union(bb.Plain),
+		PlainW: aa.PlainW.Union(bb.PlainW),
+	}
+	// redUnion hands bb's map back exactly when aa has none.
+	if len(aa.Red) == 0 && c.sameSections(bb) {
+		return bb
+	}
+	return &c
+}
+
+// sameSections reports whether a and b hold the same six sections.
+func (a *Access) sameSections(b *Access) bool {
+	return a.R == b.R && a.E == b.E && a.W == b.W && a.M == b.M && a.Plain == b.Plain && a.PlainW == b.PlainW
+}
+
+// snapshot returns a tuple holding t's records now, for the caller to keep
+// while t is still being built.
+func (t *Tuple) snapshot() *Tuple { return &Tuple{Arrays: maps.Clone(t.Arrays)} }
+
 // Meet combines summaries of alternative paths (the ∧ operator):
-// R, E, W union; M intersection.
+// R, E, W union; M intersection. A symbol's record is an operand's own when
+// no field changes.
 func Meet(a, b *Tuple) *Tuple {
 	out := &Tuple{Arrays: make(map[*ir.Symbol]*Access, len(a.Arrays))}
 	for _, t := range []*Tuple{a, b} {
@@ -130,7 +174,7 @@ func Meet(a, b *Tuple) *Tuple {
 			}
 			aa, ba := a.view(sym), b.view(sym)
 			both := aa.M.Intersect(ba.M)
-			out.Arrays[sym] = &Access{
+			m := Access{
 				Sym:    sym,
 				R:      aa.R.Union(ba.R),
 				E:      aa.E.Union(ba.E),
@@ -140,16 +184,28 @@ func Meet(a, b *Tuple) *Tuple {
 				Plain:  aa.Plain.Union(ba.Plain),
 				PlainW: aa.PlainW.Union(ba.PlainW),
 			}
+			switch {
+			case a.Arrays[sym] != nil && len(ba.Red) == 0 && m.sameSections(&aa):
+				out.Arrays[sym] = a.Arrays[sym]
+			case b.Arrays[sym] != nil && len(aa.Red) == 0 && m.sameSections(&ba):
+				out.Arrays[sym] = b.Arrays[sym]
+			default:
+				out.Arrays[sym] = &m
+			}
 		}
 	}
 	return out
 }
 
-// redUnion returns the per-operator union of two Red maps, a itself when b
-// is empty. Neither map is written: records share them like sections.
+// redUnion returns the per-operator union of two Red maps: a itself when b
+// is empty, b itself when a is. Neither map is written: records share them
+// like sections.
 func redUnion(a, b map[string]*lin.Section) map[string]*lin.Section {
 	if len(b) == 0 {
 		return a
+	}
+	if len(a) == 0 {
+		return b
 	}
 	out := make(map[string]*lin.Section, len(a)+len(b))
 	maps.Copy(out, a)
@@ -173,20 +229,23 @@ func redUnion(a, b map[string]*lin.Section) map[string]*lin.Section {
 // (Fig 5-4) to just the truly exposed boundary elements.
 func CloseLoop(body *Tuple, idxVar string, exactBounds bool, variant []string, bounds *lin.System, refineE func(a *Access) bool) *Tuple {
 	proj := append([]string{idxVar}, variant...)
-	project := func(s *lin.Section) *lin.Section { return s.Project(proj...) }
+	// One projection for the whole closure: a body's sections and
+	// polyhedra are shared between fields and records, and each is
+	// eliminated once.
+	pj := lin.NewProjection(proj...)
 	out := &Tuple{Arrays: make(map[*ir.Symbol]*Access, len(body.Arrays))}
 	for sym, a := range body.Arrays {
 		in := *a
 		if refineE != nil && refineE(a) {
 			in.E = a.E.Subtract(earlierMustWrites(a.M, idxVar, exactBounds, variant, bounds))
 		}
-		oa := in.mapSections(project)
+		oa := in.mapSections(pj.Section)
 
 		// Must-writes: keep polyhedra whose projection is exact; the others
 		// are demoted to may-writes.
 		oa.M = lin.EmptySection(len(sym.Dims))
 		for _, p := range a.M.Polys {
-			q := []*lin.System{p.EliminateVars(proj...)}
+			q := []*lin.System{pj.System(p)}
 			if mustProjectable(p, idxVar, exactBounds, variant) {
 				oa.M = oa.M.Union(&lin.Section{NDim: len(sym.Dims), Polys: q, Exact: a.M.Exact})
 			} else {
@@ -220,13 +279,17 @@ func (a *Access) mapSections(f func(*lin.Section) *lin.Section) Access {
 func earlierMustWrites(m *lin.Section, idxVar string, exactBounds bool, variant []string, bounds *lin.System) *lin.Section {
 	prev := "$prev$" + idxVar
 	out := lin.EmptySection(m.NDim)
+	var prevBounds *lin.System
 	for _, p := range m.Polys {
 		if !mustProjectable(p, idxVar, exactBounds, variant) {
 			continue
 		}
 		q := p.Rename(idxVar, prev)
 		if bounds != nil {
-			q = q.Intersect(bounds.Rename(idxVar, prev))
+			if prevBounds == nil {
+				prevBounds = bounds.Rename(idxVar, prev)
+			}
+			q = q.Intersect(prevBounds)
 		}
 		q.AddGE(lin.Var(idxVar).Sub(lin.Var(prev)).AddConst(-1)) // prev <= idx-1
 		out = out.Union(&lin.Section{NDim: m.NDim, Polys: []*lin.System{q.Eliminate(prev)}, Exact: m.Exact})
@@ -275,7 +338,7 @@ func (t *Tuple) ProjectSyms(drop func(v string) bool) *Tuple {
 			oa.M = &lin.Section{NDim: len(sym.Dims), Polys: must, Exact: a.M.Exact}
 		}
 		// An unchanged record is shared (one with reductions got a new Red map).
-		if len(a.Red) == 0 && oa.R == a.R && oa.E == a.E && oa.W == a.W && oa.M == a.M && oa.Plain == a.Plain && oa.PlainW == a.PlainW {
+		if len(a.Red) == 0 && oa.sameSections(a) {
 			out.Arrays[sym] = a
 		} else {
 			fresh := oa // only a changed record reaches the heap
