@@ -106,6 +106,9 @@ func AnalyzeLoop(a *summary.Analysis, r *region.Region, opts Options) *LoopResul
 	res := &LoopResult{Region: r, HasIO: ir.HasIO(r.Loop.Body)}
 
 	syms := bt.SortedSyms()
+	if len(syms) > 0 {
+		res.Vars = make([]VarResult, 0, len(syms))
+	}
 	for _, sym := range syms {
 		acc := bt.Arrays[sym]
 		vr := classify(a, r, sym, acc, lc.IndexVar, lc.Variant, opts)
@@ -205,8 +208,8 @@ func CrossIterConflict(a, b *lin.Section, idx string) bool {
 // ("%" names) take different values in different iterations, so they are
 // renamed in the second copy along with the index (conservatively including
 // unknowns minted in outer loops). A pair conflicts unless a(i1) ∩ b(i2)
-// implies i1 >= i2, which Implies tests as the emptiness of the intersection
-// with i2 >= i1+1 added.
+// implies i1 >= i2, which IntersectImplies tests as the emptiness of the
+// intersection with i2 >= i1+1 added.
 func conflictDir(a, b *lin.Section, idx string) bool {
 	if len(a.Polys) == 0 {
 		return false
@@ -225,7 +228,7 @@ func conflictDir(a, b *lin.Section, idx string) bool {
 	notLater := lin.Constraint{E: lin.Var(idx).Sub(lin.Var(other))} // i1 >= i2
 	for _, p := range a.Polys {
 		for _, q2 := range later {
-			if !p.Intersect(q2).Implies(notLater) {
+			if !p.IntersectImplies(q2, notLater) {
 				return true
 			}
 		}

@@ -228,7 +228,7 @@ func exactCut(p, q *System) ([]*System, bool) {
 	}
 	var out []*System
 	for _, c := range missing {
-		r := p.Clone()
+		r := &System{Cons: append(make([]Constraint, 0, len(p.Cons)+1), p.Cons...)}
 		r.AddGE(c.E.Scale(-1).AddConst(-1)) // ¬(e>=0) is -e-1 >= 0
 		if !r.IsEmpty() {
 			out = append(out, r)

@@ -150,11 +150,17 @@ func (s *System) Substitute(v string, repl Expr) *System {
 
 // Rename renames variable old to new everywhere.
 func (s *System) Rename(old, new string) *System {
-	out := &System{Cons: make([]Constraint, 0, len(s.Cons))}
-	for _, c := range s.Cons {
-		out.Cons = append(out.Cons, Constraint{c.E.Rename(old, new)})
+	return (&System{Cons: make([]Constraint, 0, len(s.Cons))}).ConjoinRenamed(s, old, new)
+}
+
+// ConjoinRenamed adds the constraints of o, with old renamed to new, to s
+// and returns s: Conjoin(o.Rename(old, new)) without the renamed copy.
+func (s *System) ConjoinRenamed(o *System, old, new string) *System {
+	for _, c := range o.Cons {
+		s.Cons = append(s.Cons, Constraint{c.E.Rename(old, new)})
 	}
-	return out
+	s.empt.Store(emptUnknown)
+	return s
 }
 
 // ContainsPoint reports whether the integer assignment env satisfies every
@@ -218,21 +224,32 @@ func (s *System) IsEmpty() bool {
 
 // Implies reports whether every rational point of s satisfies c, tested by
 // checking that s ∧ ¬c (with the integer gap e <= -1) is empty.
-func (s *System) Implies(c Constraint) bool {
-	// Fast path: some constraint of s dominates c syntactically — identical
+func (s *System) Implies(c Constraint) bool { return implies(s.Cons, nil, c) }
+
+// IntersectImplies reports whether s ∧ o implies c: what
+// s.Intersect(o).Implies(c) answers, without building the intersection.
+func (s *System) IntersectImplies(o *System, c Constraint) bool { return implies(s.Cons, o.Cons, c) }
+
+// implies reports whether the conjunction of the constraints a and then b
+// implies c.
+func implies(a, b []Constraint, c Constraint) bool {
+	// Fast path: some constraint dominates c syntactically — identical
 	// coefficients with an equal-or-tighter constant (a + x >= 0 with a <= b
 	// implies b + x >= 0). This catches the overwhelmingly common case of
 	// duplicated constraints without running an elimination.
-	for _, have := range s.Cons {
-		if have.E.Const <= c.E.Const && sameCoefs(have.E, c.E) {
-			return true
+	for _, cons := range [2][]Constraint{a, b} {
+		for _, have := range cons {
+			if have.E.Const <= c.E.Const && sameCoefs(have.E, c.E) {
+				return true
+			}
 		}
 	}
-	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0: s implies c when
-	// s with that constraint appended is empty.
+	// ¬(e >= 0) over integers is e <= -1, i.e. -e - 1 >= 0: the conjunction
+	// implies c when it is empty with that constraint appended.
 	sc := newScratch()
 	defer fmPool.Put(sc)
-	sc.load(s.Cons)
+	sc.load(a)
+	sc.load(b)
 	mark := len(sc.arena)
 	var neg Expr
 	sc.arena, neg = combine(sc.arena, -1, c.E, "", 0, Expr{})

@@ -150,7 +150,8 @@ func composeAccess(sym *ir.Symbol, aa Access, bb *Access) *Access {
 	if len(aa.Red) == 0 && c.sameSections(bb) {
 		return bb
 	}
-	return &c
+	fresh := c // only a changed record reaches the heap
+	return &fresh
 }
 
 // sameSections reports whether a and b hold the same six sections.
@@ -190,7 +191,8 @@ func Meet(a, b *Tuple) *Tuple {
 			case b.Arrays[sym] != nil && len(aa.Red) == 0 && m.sameSections(&ba):
 				out.Arrays[sym] = b.Arrays[sym]
 			default:
-				out.Arrays[sym] = &m
+				fresh := m // only a changed record reaches the heap
+				out.Arrays[sym] = &fresh
 			}
 		}
 	}
@@ -242,15 +244,19 @@ func CloseLoop(body *Tuple, idxVar string, exactBounds bool, variant []string, b
 		oa := in.mapSections(pj.Section)
 
 		// Must-writes: keep polyhedra whose projection is exact; the others
-		// are demoted to may-writes.
-		oa.M = lin.EmptySection(len(sym.Dims))
+		// are demoted to may-writes. Folding each list in one Union is
+		// folding its polyhedra one at a time.
+		var kept, demoted []*lin.System
 		for _, p := range a.M.Polys {
-			q := []*lin.System{pj.System(p)}
 			if mustProjectable(p, idxVar, exactBounds, variant) {
-				oa.M = oa.M.Union(&lin.Section{NDim: len(sym.Dims), Polys: q, Exact: a.M.Exact})
+				kept = append(kept, pj.System(p))
 			} else {
-				oa.W = oa.W.Union(&lin.Section{NDim: len(sym.Dims), Polys: q, Exact: false})
+				demoted = append(demoted, pj.System(p))
 			}
+		}
+		oa.M = unionOf(len(sym.Dims), kept, a.M.Exact)
+		if len(demoted) > 0 {
+			oa.W = oa.W.Union(&lin.Section{NDim: len(sym.Dims), Polys: demoted, Exact: false})
 		}
 		out.Arrays[sym] = &oa
 	}
@@ -278,23 +284,36 @@ func (a *Access) mapSections(f func(*lin.Section) *lin.Section) Access {
 // first iteration's exposed reads.
 func earlierMustWrites(m *lin.Section, idxVar string, exactBounds bool, variant []string, bounds *lin.System) *lin.Section {
 	prev := "$prev$" + idxVar
-	out := lin.EmptySection(m.NDim)
-	var prevBounds *lin.System
+	var polys []*lin.System
+	var earlier lin.Expr
+	var prevBounds *lin.System // the bounds over prev, made at the first polyhedron kept
 	for _, p := range m.Polys {
 		if !mustProjectable(p, idxVar, exactBounds, variant) {
 			continue
 		}
-		q := p.Rename(idxVar, prev)
-		if bounds != nil {
-			if prevBounds == nil {
+		if prevBounds == nil {
+			earlier = lin.Var(idxVar).Sub(lin.Var(prev)).AddConst(-1) // prev <= idx-1
+			prevBounds = lin.NewSystem()
+			if bounds != nil {
 				prevBounds = bounds.Rename(idxVar, prev)
 			}
-			q = q.Intersect(prevBounds)
 		}
-		q.AddGE(lin.Var(idxVar).Sub(lin.Var(prev)).AddConst(-1)) // prev <= idx-1
-		out = out.Union(&lin.Section{NDim: m.NDim, Polys: []*lin.System{q.Eliminate(prev)}, Exact: m.Exact})
+		// p renamed, then the bounds, then prev <= idx-1, in one slice.
+		q := &lin.System{Cons: make([]lin.Constraint, 0, len(p.Cons)+len(prevBounds.Cons)+1)}
+		q.ConjoinRenamed(p, idxVar, prev).Conjoin(prevBounds).AddGE(earlier)
+		polys = append(polys, q.Eliminate(prev))
 	}
-	return out
+	return unionOf(m.NDim, polys, m.Exact)
+}
+
+// unionOf is the union of the single-polyhedron sections of polys, each
+// with the given Exact flag: ∅ when polys is empty.
+func unionOf(ndim int, polys []*lin.System, exact bool) *lin.Section {
+	out := lin.EmptySection(ndim)
+	if len(polys) == 0 {
+		return out
+	}
+	return out.Union(&lin.Section{NDim: ndim, Polys: polys, Exact: exact})
 }
 
 func mustProjectable(p *lin.System, idxVar string, exactBounds bool, variant []string) bool {
