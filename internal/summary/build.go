@@ -679,8 +679,8 @@ func (w *walker) leafIO(st *ir.IO) *Tuple {
 // dirty holds the symbols of the statement composed into v last, the only
 // records besides the statement's own that T may still change. After
 // entries and the THEN arm get snapshots; the ELSE arm takes v over, and the
-// meet of the two arms, whose records are all new, is the tuple the
-// statements before the IF are composed into.
+// meet of the two arms, none of whose records T is known to leave alone, is
+// the tuple the statements before the IF are composed into.
 func (w *walker) composeNodes(r *region.Region, nodes []*node, v *Tuple, dirty map[*ir.Symbol]*Access) *Tuple {
 	for i := len(nodes) - 1; i >= 0; i-- {
 		n := nodes[i]
