@@ -124,10 +124,7 @@ func (s *System) Vars() []string {
 
 // Intersect returns the conjunction of s and o.
 func (s *System) Intersect(o *System) *System {
-	out := &System{Cons: make([]Constraint, 0, len(s.Cons)+len(o.Cons))}
-	out.Cons = append(out.Cons, s.Cons...)
-	out.Cons = append(out.Cons, o.Cons...)
-	return out
+	return (&System{Cons: make([]Constraint, 0, len(s.Cons)+len(o.Cons))}).Conjoin(s).Conjoin(o)
 }
 
 // Conjoin adds the constraints of o to s, as they are and after s's own, and
@@ -181,8 +178,9 @@ func (s *System) ContainsPoint(env map[string]int64) bool {
 func (s *System) Eliminate(v string) *System { return s.EliminateVars(v) }
 
 // EliminateVars eliminates each named variable in turn; with no variables,
-// or no constraints to eliminate them from, it returns s itself. Each step keeps the constraints free of the variable, in
-// order, then adds one combination per lower × upper bound pair, and drops
+// or no constraints to eliminate them from, it returns s itself. Each step
+// keeps the constraints free of the variable, in order, then adds one
+// combination per lower × upper bound pair, and drops
 // trivially true and duplicate constraints (a constant contradiction reduces
 // the system to -1 >= 0). The steps run in scratch storage; the result is
 // copied out once, and the constraints it carries over from s share their
@@ -230,14 +228,14 @@ func (s *System) Implies(c Constraint) bool { return implies(s.Cons, nil, c) }
 // s.Intersect(o).Implies(c) answers, without building the intersection.
 func (s *System) IntersectImplies(o *System, c Constraint) bool { return implies(s.Cons, o.Cons, c) }
 
-// implies reports whether the conjunction of the constraints a and then b
+// implies reports whether the conjunction of the constraints s and then o
 // implies c.
-func implies(a, b []Constraint, c Constraint) bool {
+func implies(s, o []Constraint, c Constraint) bool {
 	// Fast path: some constraint dominates c syntactically — identical
 	// coefficients with an equal-or-tighter constant (a + x >= 0 with a <= b
 	// implies b + x >= 0). This catches the overwhelmingly common case of
 	// duplicated constraints without running an elimination.
-	for _, cons := range [2][]Constraint{a, b} {
+	for _, cons := range [2][]Constraint{s, o} {
 		for _, have := range cons {
 			if have.E.Const <= c.E.Const && sameCoefs(have.E, c.E) {
 				return true
@@ -248,8 +246,8 @@ func implies(a, b []Constraint, c Constraint) bool {
 	// implies c when it is empty with that constraint appended.
 	sc := newScratch()
 	defer fmPool.Put(sc)
-	sc.load(a)
-	sc.load(b)
+	sc.load(s)
+	sc.load(o)
 	mark := len(sc.arena)
 	var neg Expr
 	sc.arena, neg = combine(sc.arena, -1, c.E, "", 0, Expr{})
