@@ -19,7 +19,7 @@ import (
 	"suifx/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/analysis.digests")
+var update = flag.Bool("update", false, "rewrite testdata/analysis.digests and testdata/schedule")
 
 func tierProgram(t testing.TB, name string) *ir.Program {
 	t.Helper()

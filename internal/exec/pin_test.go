@@ -16,7 +16,7 @@ import (
 	"suifx/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite the goldens under testdata/census and testdata/dda")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/census, testdata/dda and testdata/reach")
 
 // retired runs prog, with the profiler and full DDA attached when
 // instrumented, and returns the instructions it added to the engine
