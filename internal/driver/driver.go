@@ -1,3 +1,10 @@
+// Package driver schedules the interprocedural analyses (mod/ref, array
+// summaries — the bottom-up transfer summaries the liveness phase consumes)
+// concurrently over the call graph, and memoizes whole-program results in a
+// content-hash-keyed cache. Results are byte-identical to the sequential
+// summary.Analyze / modref.Analyze paths: per-procedure analysis is pure,
+// fresh names are minted per procedure, and merging happens in the same
+// deterministic bottom-up order the sequential code uses.
 package driver
 
 import (
@@ -27,7 +34,7 @@ func (o Options) workers() int {
 
 // Analyze runs the whole bottom-up interprocedural analysis (mod/ref, then
 // array summaries) over prog with a bounded worker pool, fanning out across
-// call-graph SCCs. The result is byte-identical to summary.Analyze: the
+// the call graph. The result is byte-identical to summary.Analyze: the
 // per-procedure analyses are pure, and results are merged in the same
 // deterministic bottom-up order regardless of completion order.
 func Analyze(prog *ir.Program, opt Options) *summary.Analysis {
@@ -36,7 +43,7 @@ func Analyze(prog *ir.Program, opt Options) *summary.Analysis {
 }
 
 // AnalyzeCtx is Analyze with cancellation: when ctx is cancelled, queued
-// SCC waves are abandoned and the error is ctx's. The partial per-procedure
+// procedures are abandoned and the error is ctx's. The partial per-procedure
 // work is discarded — a cancelled analysis returns nil. It is the all-dirty
 // case of Incremental.AnalyzeCtx, the one bottom-up scheduler.
 func AnalyzeCtx(ctx context.Context, prog *ir.Program, opt Options) (*summary.Analysis, error) {
@@ -45,26 +52,21 @@ func AnalyzeCtx(ctx context.Context, prog *ir.Program, opt Options) (*summary.An
 }
 
 // SCC is one component of the exported analysis schedule: the procedures it
-// contains (declaration order) and the indices of the components it calls
-// into. Components are listed bottom-up, so every dep index is smaller than
-// the component's own index.
+// contains and the indices of the components it calls into. Components are
+// listed bottom-up, so every dep index is smaller than the component's own
+// index. The parser rejects recursion, so every component is one procedure.
 type SCC struct {
 	Procs []string `json:"procs"`
 	Deps  []int    `json:"deps,omitempty"`
 }
 
-// Schedule returns the bottom-up SCC schedule the driver would run for
-// prog — the call-graph condensation, in execution order.
+// Schedule returns the bottom-up schedule the driver would run for prog, in
+// execution order.
 func Schedule(prog *ir.Program) []SCC {
-	sccs := condense(prog)
-	out := make([]SCC, len(sccs))
-	for i, s := range sccs {
-		c := SCC{Procs: make([]string, len(s.procs))}
-		for j, p := range s.procs {
-			c.Procs[j] = p.Name
-		}
-		c.Deps = append(c.Deps, s.deps...)
-		out[i] = c
+	_, deps := units(prog)
+	out := make([]SCC, len(deps))
+	for i, p := range prog.BottomUpOrder() {
+		out[i] = SCC{Procs: []string{p.Name}, Deps: deps[i]}
 	}
 	return out
 }

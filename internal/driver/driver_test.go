@@ -117,35 +117,10 @@ func TestDriverMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCondenseBottomUp checks the SCC schedule: every component's deps have
-// lower indices (bottom-up order), and each procedure appears exactly once.
-func TestCondenseBottomUp(t *testing.T) {
-	for _, w := range workloads.All() {
-		prog := w.Program()
-		sccs := condense(prog)
-		seen := map[string]bool{}
-		for i, s := range sccs {
-			for _, d := range s.deps {
-				if d >= i {
-					t.Fatalf("%s: scc %d depends on %d (not bottom-up)", w.Name, i, d)
-				}
-			}
-			for _, p := range s.procs {
-				if seen[p.Name] {
-					t.Fatalf("%s: proc %s in two components", w.Name, p.Name)
-				}
-				seen[p.Name] = true
-			}
-		}
-		if len(seen) != len(prog.Procs) {
-			t.Fatalf("%s: condensation covers %d of %d procs", w.Name, len(seen), len(prog.Procs))
-		}
-	}
-}
-
-// TestMergeOrderIsBottomUp checks the order Incremental merges results in,
-// derived from the SCC schedule, against the sequential analyzers' order,
-// ir.Program.BottomUpOrder, on every workload and ladder tier.
+// TestMergeOrderIsBottomUp checks the schedule Incremental runs, on every
+// workload and ladder tier: its units are the sequential analyzers' merge
+// order, ir.Program.BottomUpOrder, with each procedure once, and each unit's
+// deps are its callees, in CallGraph order, at lower indices.
 func TestMergeOrderIsBottomUp(t *testing.T) {
 	progs := map[string]*ir.Program{}
 	for _, w := range workloads.All() {
@@ -159,12 +134,29 @@ func TestMergeOrderIsBottomUp(t *testing.T) {
 		progs["tier-"+tier.Name] = tierProgram(t, tier.Name)
 	}
 	for name, prog := range progs {
-		want, ok := prog.BottomUpOrder()
-		if !ok {
-			t.Fatalf("%s: the call graph has a cycle", name)
+		inc := newIncrementalShell(prog, Options{})
+		if want := prog.BottomUpOrder(); !slices.Equal(inc.order, want) {
+			t.Errorf("%s: merge order %v, want %v", name, procNames(inc.order), procNames(want))
 		}
-		if got := newIncrementalShell(prog, Options{}).order; !slices.Equal(got, want) {
-			t.Errorf("%s: merge order %v, want %v", name, procNames(got), procNames(want))
+		if len(inc.pos) != len(prog.Procs) || len(inc.order) != len(prog.Procs) {
+			t.Fatalf("%s: %d units for %d procedures", name, len(inc.order), len(prog.Procs))
+		}
+		for i, p := range inc.order {
+			if inc.pos[p.Name] != i {
+				t.Fatalf("%s: %s is unit %d, indexed as %d", name, p.Name, i, inc.pos[p.Name])
+			}
+			callees := prog.CallGraph()[p.Name]
+			if len(inc.deps[i]) != len(callees) {
+				t.Fatalf("%s: %s has deps %v for callees %v", name, p.Name, inc.deps[i], callees)
+			}
+			for j, d := range inc.deps[i] {
+				if d >= i {
+					t.Fatalf("%s: unit %d depends on %d (not bottom-up)", name, i, d)
+				}
+				if inc.order[d].Name != callees[j] {
+					t.Fatalf("%s: %s dep %d is %s, want %s", name, p.Name, j, inc.order[d].Name, callees[j])
+				}
+			}
 		}
 	}
 }

@@ -92,7 +92,7 @@ func TestSummariesAreFrozen(t *testing.T) {
 					depend.AnalyzeLoop(res.Sum, r, depend.Options{UseReductions: true})
 				}
 			})
-			order, _ := res.Prog.BottomUpOrder()
+			order := res.Prog.BottomUpOrder()
 			for _, leaf := range []string{order[0].Name, order[min(1, len(order)-1)].Name} {
 				reader(func() {
 					inc := NewIncrementalFrom(res, Options{Workers: 2})

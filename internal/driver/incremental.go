@@ -13,17 +13,17 @@ import (
 // Incremental is the bottom-up scheduler: a re-analyzable view of one
 // program's interprocedural analysis that keeps every merged per-procedure
 // result (mod/ref effects and array summaries) and, when a source-level
-// change dirties a procedure, recomputes only that procedure's call-graph
-// SCC and its transitive callers — everything a bottom-up analysis could
+// change dirties a procedure, recomputes only that procedure and its
+// transitive callers — everything a bottom-up analysis could
 // observe the change through. Clean procedures are served from the retained
 // results, and per-run counters report exactly which summaries were
 // recomputed versus reused. The one-shot driver.Analyze is the all-dirty
 // case. User assertions never come here: no summary reads one (they are
 // loop-scoped and owned by parallel.ReparallelizeWith).
 //
-// Invalidation granularity is the SCC: marking any member dirties the whole
-// component plus the components that (transitively) call into it. Callees
-// are never dirtied — a bottom-up summary cannot depend on its callers.
+// Invalidation granularity is the procedure: marking one dirties it plus
+// the procedures that (transitively) call it. Callees are never dirtied — a
+// bottom-up summary cannot depend on its callers.
 //
 // Compiled code (internal/exec) is a function of the ir.Program alone, so
 // invalidation leaves it be.
@@ -35,10 +35,10 @@ type Incremental struct {
 	prog *ir.Program
 	opt  Options
 
-	sccs   []*scc
-	order  []*ir.Proc     // merge order: the components' members, bottom-up
-	compOf map[string]int // proc name -> index into sccs
-	rev    [][]int        // sccs[i] is called by sccs[rev[i]...]
+	order []*ir.Proc     // scheduling units and merge order: bottom-up
+	pos   map[string]int // proc name -> index into order
+	deps  [][]int        // order[i] calls order[deps[i]...]
+	rev   [][]int        // order[i] is called by order[rev[i]...]
 
 	mr    *modref.Info
 	sum   *summary.Analysis
@@ -97,26 +97,18 @@ func NewIncrementalFrom(res *Result, opt Options) *Incremental {
 }
 
 func newIncrementalShell(prog *ir.Program, opt Options) *Incremental {
-	sccs := condense(prog)
+	pos, deps := units(prog)
 	inc := &Incremental{
-		prog:   prog,
-		opt:    opt,
-		sccs:   sccs,
-		compOf: make(map[string]int, len(prog.Procs)),
-		rev:    make([][]int, len(sccs)),
-		dirty:  map[string]bool{},
+		prog:  prog,
+		opt:   opt,
+		order: prog.BottomUpOrder(),
+		pos:   pos,
+		deps:  deps,
+		rev:   make([][]int, len(deps)),
+		dirty: map[string]bool{},
 	}
-	// Tarjan emits components in DFS postorder over the same call graph,
-	// in the same declaration order, as ir.Program.BottomUpOrder, and with
-	// no recursion every component is one procedure: the members, component
-	// by component, are the sequential analyzers' bottom-up order.
-	inc.order = make([]*ir.Proc, 0, len(prog.Procs))
-	for i, s := range sccs {
-		inc.order = append(inc.order, s.procs...)
-		for _, p := range s.procs {
-			inc.compOf[p.Name] = i
-		}
-		for _, d := range s.deps {
+	for i, ds := range deps {
+		for _, d := range ds {
 			inc.rev[d] = append(inc.rev[d], i)
 		}
 	}
@@ -133,14 +125,14 @@ func (inc *Incremental) InvalidateAll() {
 	}
 }
 
-// Invalidate dirties each named procedure's SCC plus every component that
-// transitively calls into it, and returns the number of procedures now
-// dirty. Unknown names are ignored.
+// Invalidate dirties each named procedure plus every procedure that
+// transitively calls it, and returns the number of procedures now dirty.
+// Unknown names are ignored.
 func (inc *Incremental) Invalidate(procs ...string) int {
 	seen := map[int]bool{}
 	var queue []int
 	for _, name := range procs {
-		if i, ok := inc.compOf[name]; ok && !seen[i] {
+		if i, ok := inc.pos[name]; ok && !seen[i] {
 			seen[i] = true
 			queue = append(queue, i)
 		}
@@ -148,9 +140,7 @@ func (inc *Incremental) Invalidate(procs ...string) int {
 	for len(queue) > 0 {
 		i := queue[0]
 		queue = queue[1:]
-		for _, p := range inc.sccs[i].procs {
-			inc.dirty[p.Name] = true
-		}
+		inc.dirty[inc.order[i].Name] = true
 		for _, caller := range inc.rev[i] {
 			if !seen[caller] {
 				seen[caller] = true
@@ -178,23 +168,23 @@ func (inc *Incremental) Analyze() (*summary.Analysis, IncStats) {
 }
 
 // procSlot holds one dirty procedure's fresh results. All slots are
-// allocated before any worker starts; a worker writes only the slots of its
-// own component's procedures, and dependents read them only after the
-// component's done-channel closes — so cross-goroutine access is race-free
-// without locks.
+// allocated before any worker starts; a worker writes only its own
+// procedure's slot, and callers read it only after the procedure's
+// done-channel closes — so cross-goroutine access is race-free without
+// locks.
 type procSlot struct {
 	eff *modref.Effects
 	res *summary.ProcResult
 }
 
 // AnalyzeCtx brings the analysis up to date: dirty procedures are recomputed
-// bottom-up over the SCC schedule with the driver's worker pool, clean
+// bottom-up over the call graph with the driver's worker pool, clean
 // procedures are served from the retained results, and the dirty set is
 // cleared. The returned Analysis is the same object across runs (region and
 // symbol identities are stable); per-run counters say exactly what was
 // recomputed.
 //
-// When ctx is cancelled, components that have not started are abandoned and
+// When ctx is cancelled, procedures that have not started are abandoned and
 // the result is nil, zero stats and ctx's error. The dirty set is left
 // intact and the counters untouched, so a retry recomputes the same
 // procedures; whatever the abandoned run already merged is overwritten then.
@@ -209,19 +199,18 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 		slots[name] = &procSlot{}
 	}
 	workers := inc.opt.workers()
-	// wave adapts one per-procedure analysis to a component callback that
-	// skips clean procedures.
-	wave := func(n int, analyze func(p *ir.Proc, slot *procSlot)) func(*scc) {
-		return func(s *scc) {
-			for _, p := range s.procs {
-				if !dirty[p.Name] {
-					continue
-				}
-				if inc.opt.onProc != nil {
-					inc.opt.onProc(n, p.Name)
-				}
-				analyze(p, slots[p.Name])
+	// wave adapts one per-procedure analysis to a unit callback that skips
+	// clean procedures.
+	wave := func(n int, analyze func(p *ir.Proc, slot *procSlot)) func(int) {
+		return func(i int) {
+			p := inc.order[i]
+			if !dirty[p.Name] {
+				return
 			}
+			if inc.opt.onProc != nil {
+				inc.opt.onProc(n, p.Name)
+			}
+			analyze(p, slots[p.Name])
 		}
 	}
 
@@ -238,7 +227,7 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 		}
 		return inc.mr.EffectsOf(name)
 	}
-	err := runBottomUp(ctx, inc.sccs, workers, wave(1, func(p *ir.Proc, slot *procSlot) {
+	err := runBottomUp(ctx, inc.deps, workers, wave(1, func(p *ir.Proc, slot *procSlot) {
 		slot.eff = inc.mr.AnalyzeProc(p, effOf)
 	}))
 	if err != nil {
@@ -265,7 +254,7 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 		}
 		return inc.sum.ProcSummary(name)
 	}
-	err = runBottomUp(ctx, inc.sccs, workers, wave(2, func(p *ir.Proc, slot *procSlot) {
+	err = runBottomUp(ctx, inc.deps, workers, wave(2, func(p *ir.Proc, slot *procSlot) {
 		slot.res = inc.sum.AnalyzeProc(p, sumOf)
 	}))
 	if err != nil {

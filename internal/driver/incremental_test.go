@@ -195,7 +195,7 @@ func TestIncrementalCancelBetweenWaves(t *testing.T) {
 		t.Fatal("retry after a cancelled cold run differs from summary.Analyze")
 	}
 
-	order, _ := prog.BottomUpOrder()
+	order := prog.BottomUpOrder()
 	leaf := order[0].Name
 	closure := reachesSet(prog, leaf)
 	inc.Invalidate(leaf)

@@ -6,34 +6,55 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"suifx/internal/ir"
 )
 
-// runBottomUp runs fn once per component on a pool of at most workers
-// goroutines, starting each component only after every component it depends
-// on has finished (errgroup-style bounded fan-out with a dependency DAG).
-// sccs must be in bottom-up order (deps point at lower indices). A panic in
-// fn is captured and re-raised in the caller after all goroutines join.
+// units returns the scheduling units of prog's analysis: the procedures in
+// bottom-up order, one unit each, with pos mapping a procedure name to its
+// unit and deps[i] listing the units order[i] calls, in CallGraph order.
+// The parser rejects recursion, so the call graph is a DAG whose
+// strongly connected components are single procedures, and every dep is
+// smaller than its unit's own index.
+func units(prog *ir.Program) (pos map[string]int, deps [][]int) {
+	order := prog.BottomUpOrder()
+	pos = make(map[string]int, len(order))
+	deps = make([][]int, len(order))
+	for i, p := range order {
+		pos[p.Name] = i
+		for _, c := range prog.CallGraph()[p.Name] {
+			deps[i] = append(deps[i], pos[c])
+		}
+	}
+	return pos, deps
+}
+
+// runBottomUp runs fn once per unit on a pool of at most workers
+// goroutines, starting unit i only after every unit in deps[i] has finished
+// (errgroup-style bounded fan-out with a dependency DAG). Units are in
+// bottom-up order (deps point at lower indices). A panic in fn is captured
+// and re-raised in the caller after all goroutines join.
 //
-// Cancelling ctx abandons every component that has not yet started: queued
+// Cancelling ctx abandons every unit that has not yet started: queued
 // waves are skipped (their done-channels still close, so dependents never
-// deadlock) and runBottomUp returns ctx's error. Components already inside
-// fn run to completion — per-procedure analysis is pure and fast, so
-// cancellation granularity is one component.
-func runBottomUp(ctx context.Context, sccs []*scc, workers int, fn func(*scc)) error {
+// deadlock) and runBottomUp returns ctx's error. Units already inside fn
+// run to completion — per-procedure analysis is pure and fast, so
+// cancellation granularity is one procedure.
+func runBottomUp(ctx context.Context, deps [][]int, workers int, fn func(i int)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || len(sccs) <= 1 {
-		for _, s := range sccs {
+	if workers == 1 || len(deps) <= 1 {
+		for i := range deps {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(s)
+			fn(i)
 		}
 		return nil
 	}
 
-	done := make([]chan struct{}, len(sccs))
+	done := make([]chan struct{}, len(deps))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
@@ -45,12 +66,12 @@ func runBottomUp(ctx context.Context, sccs []*scc, workers int, fn func(*scc)) e
 		skipped  atomic.Bool
 	)
 	var wg sync.WaitGroup
-	for i, s := range sccs {
+	for i := range deps {
 		wg.Add(1)
-		go func(i int, s *scc) {
+		go func(i int) {
 			defer wg.Done()
 			defer close(done[i]) // always close, or dependents deadlock
-			for _, d := range s.deps {
+			for _, d := range deps[i] {
 				<-done[d]
 			}
 			mu.Lock()
@@ -79,15 +100,15 @@ func runBottomUp(ctx context.Context, sccs []*scc, workers int, fn func(*scc)) e
 					mu.Unlock()
 				}
 			}()
-			fn(s)
-		}(i, s)
+			fn(i)
+		}(i)
 	}
 	wg.Wait()
 	if panicked != nil {
 		panic(fmt.Sprintf("driver: analysis worker panicked: %v", panicked))
 	}
 	// Only report cancellation when it actually cost us work: a cancel that
-	// lands after the last component started still yields a complete result.
+	// lands after the last unit started still yields a complete result.
 	if skipped.Load() {
 		return ctx.Err()
 	}

@@ -81,7 +81,7 @@ func compileLoopBody(prog *ir.Program, lay *layout, proc *ir.Proc, l *ir.DoLoop,
 	c.stmts(l.Body)
 	c.curStmt = nil
 	c.emit(opReturn, 0, 0, 0)
-	for _, p := range reachableProcs(prog, l) {
+	for _, p := range prog.Reachable(l.Body) {
 		c.entryOf[p.Name] = int32(len(c.c.ins))
 		c.curProc = p
 		c.stmts(p.Body)
@@ -201,15 +201,6 @@ func (c *compiler) loop(l *ir.DoLoop) {
 
 func (c *compiler) call(cs *ir.Call) {
 	callee := c.prog.ByName[cs.Name]
-	if callee == nil {
-		c.errInstr(fmt.Sprintf("exec: line %d: unknown subroutine %s", cs.Pos.Line, cs.Name))
-		return
-	}
-	if len(cs.Args) < len(callee.Params) {
-		c.errInstr(fmt.Sprintf("exec: line %d: call %s passes %d args for %d params",
-			cs.Pos.Line, cs.Name, len(cs.Args), len(callee.Params)))
-		return
-	}
 	ci := callInfo{name: cs.Name, line: int32(cs.Pos.Line), kinds: make([]uint8, len(callee.Params))}
 	for i := range callee.Params {
 		switch x := cs.Args[i].(type) {

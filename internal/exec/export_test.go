@@ -75,9 +75,3 @@ func (d *DynDep) CarriedCellsForTest(l *ir.DoLoop) []CellCount {
 	sort.Slice(out, func(i, j int) bool { return out[i].Cell < out[j].Cell })
 	return out
 }
-
-// ReachableProcsForTest lists the procedures a planned loop's bank layout
-// and compiled body reach, in the order both visit them.
-func ReachableProcsForTest(prog *ir.Program, l *ir.DoLoop) []*ir.Proc {
-	return reachableProcs(prog, l)
-}

@@ -492,9 +492,6 @@ func tripCount(lo, hi, step float64) int64 {
 
 func (in *Interp) execCall(f *frame, c *ir.Call) error {
 	callee := in.Prog.ByName[c.Name]
-	if callee == nil {
-		return fmt.Errorf("exec: line %d: unknown subroutine %s", c.Pos.Line, c.Name)
-	}
 	refs := map[*ir.Symbol]Ref{}
 	savedTop := in.tempTop
 	defer func() { in.tempTop = savedTop }()

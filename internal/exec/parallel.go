@@ -170,7 +170,7 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 		for _, r := range lp.Reductions {
 			slots = append(slots, slot{sym: r.Sym})
 		}
-		for _, proc := range reachableProcs(prog, l) {
+		for _, proc := range prog.Reachable(l.Body) {
 			for _, sym := range proc.SortedSyms() {
 				if sym.Common == "" && !sym.IsParam {
 					slots = append(slots, slot{sym: sym})
@@ -200,35 +200,6 @@ func NewWithPlan(prog *ir.Program, plan *ParallelPlan) *Interp {
 	}
 	in.allocArena(top)
 	return in
-}
-
-// reachableProcs returns the procedures called (transitively) from a loop's
-// body.
-func reachableProcs(prog *ir.Program, l *ir.DoLoop) []*ir.Proc {
-	seen := map[string]bool{}
-	var out []*ir.Proc
-	var visit func(name string)
-	visit = func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		p := prog.ByName[name]
-		if p == nil {
-			return
-		}
-		out = append(out, p)
-		for _, c := range prog.CallGraph()[name] {
-			visit(c)
-		}
-	}
-	ir.WalkStmts(l.Body, func(s ir.Stmt) bool {
-		if c, ok := s.(*ir.Call); ok {
-			visit(c.Name)
-		}
-		return true
-	})
-	return out
 }
 
 // identity returns the reduction identity element (§6.3.1).

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"suifx/internal/corpus"
-	"suifx/internal/exec"
 	"suifx/internal/ir"
 	"suifx/internal/minif"
 	"suifx/internal/workloads"
@@ -42,7 +41,7 @@ func TestReachableProcsPinned(t *testing.T) {
 		for _, p := range prog.Procs {
 			for _, l := range p.Loops() {
 				fmt.Fprintf(&sb, "%s@%d:", l.ID(p.Name), l.Pos.Line)
-				for _, r := range exec.ReachableProcsForTest(prog, l) {
+				for _, r := range prog.Reachable(l.Body) {
 					sb.WriteString(" " + r.Name)
 				}
 				sb.WriteString("\n")

@@ -65,8 +65,10 @@ func fig47For(w *workloads.Workload) loopCounters {
 	for id := range w.UserAssertions {
 		if li := user.LoopByID(id); li.Dep.Parallelizable {
 			markRegionLoops(li.Region.Body(), underUser)
-			for _, call := range li.Region.AllCallSites() {
-				markCalleeLoops(s.Prog, call.Name, underUser)
+			for _, p := range s.Prog.Reachable(li.Region.Loop.Body) {
+				for _, l := range p.Loops() {
+					underUser[l.ID(p.Name)] = true
+				}
 			}
 		}
 	}
@@ -112,20 +114,6 @@ func markRegionLoops(r *region.Region, set map[string]bool) {
 			set[c.ID()] = true
 			markRegionLoops(c.Body(), set)
 		}
-	}
-}
-
-// markCalleeLoops marks the loops of proc and its transitive callees.
-func markCalleeLoops(prog *ir.Program, proc string, set map[string]bool) {
-	p := prog.ByName[proc]
-	if p == nil {
-		return
-	}
-	for _, l := range p.Loops() {
-		set[l.ID(p.Name)] = true
-	}
-	for _, callee := range prog.CallGraph()[proc] {
-		markCalleeLoops(prog, callee, set)
 	}
 }
 
@@ -317,24 +305,8 @@ func loopCodeLines(prog *ir.Program, li *parallel.LoopInfo) int {
 			n++
 		}
 	}
-	seen := map[string]bool{}
-	var add func(proc string)
-	add = func(proc string) {
-		if seen[proc] {
-			return
-		}
-		seen[proc] = true
-		p := prog.ByName[proc]
-		if p == nil {
-			return
-		}
+	for _, p := range prog.Reachable(li.Region.Loop.Body) {
 		n += p.EndLine - p.Pos.Line + 1
-		for _, c := range prog.CallGraph()[proc] {
-			add(c)
-		}
-	}
-	for _, c := range li.Region.AllCallSites() {
-		add(c.Name)
 	}
 	return n
 }

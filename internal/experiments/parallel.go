@@ -77,9 +77,6 @@ func maskPlannedDead(res *parallel.Result, plan *exec.ParallelPlan, in *exec.Int
 		}
 		for _, c := range li.Region.AllCallSites() {
 			callee := in.Prog.ByName[c.Name]
-			if callee == nil {
-				continue
-			}
 			for _, sym := range callee.SortedSyms() {
 				if sym.Common == "" && !sym.IsParam {
 					if lo, hi, ok := in.SymRange(callee.Name, sym.Name); ok {

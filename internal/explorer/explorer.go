@@ -316,9 +316,6 @@ func (s *Session) AssertPrivate(loopID, varName string) ([]string, error) {
 	if sym.Common != "" {
 		for _, c := range li.Region.AllCallSites() {
 			callee := s.Prog.ByName[c.Name]
-			if callee == nil {
-				continue
-			}
 			if other := callee.Lookup(varName); other != nil && other.Common == sym.Common {
 				warnings = append(warnings,
 					fmt.Sprintf("privatizing /%s/ %s for callee %s automatically", sym.Common, varName, callee.Name))

@@ -122,6 +122,10 @@ type Program struct {
 	Commons map[string]*CommonBlock
 	Source  []string // original source lines, 1-based at index line-1
 
+	// calls is the call graph the parser links (Link): a Program is
+	// immutable after Parse, and its call graph is part of it.
+	calls callGraph
+
 	// ExecCache holds the execution engine's lowered form of this program
 	// (arena layout + bytecode), opaque here to avoid a dependency cycle.
 	// It lives on the Program so the cache dies with the IR instead of

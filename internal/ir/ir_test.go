@@ -32,6 +32,9 @@ func buildProg() *Program {
 		Body: []Stmt{loop}}
 	p := &Program{Name: "t", Procs: []*Proc{g, f, m},
 		ByName: map[string]*Proc{"G": g, "F": f, "MAIN": m}}
+	if !p.Link([]CallSite{{Caller: f, Call: f.Body[0].(*Call)}, {Caller: m, Call: loop.Body[0].(*Call)}}) {
+		panic("acyclic graph rejected")
+	}
 	return p
 }
 
@@ -41,10 +44,7 @@ func TestCallGraphAndOrders(t *testing.T) {
 	if len(cg["MAIN"]) != 1 || cg["MAIN"][0] != "F" {
 		t.Fatalf("call graph: %v", cg)
 	}
-	up, ok := p.BottomUpOrder()
-	if !ok {
-		t.Fatal("acyclic graph rejected")
-	}
+	up := p.BottomUpOrder()
 	pos := map[string]int{}
 	for i, pr := range up {
 		pos[pr.Name] = i
@@ -52,7 +52,7 @@ func TestCallGraphAndOrders(t *testing.T) {
 	if !(pos["G"] < pos["F"] && pos["F"] < pos["MAIN"]) {
 		t.Fatalf("bottom-up order wrong: %v", pos)
 	}
-	down, _ := p.TopDownOrder()
+	down := p.TopDownOrder()
 	if down[0].Name != "MAIN" {
 		t.Fatalf("top-down should start at MAIN: %v", down[0].Name)
 	}
@@ -62,7 +62,8 @@ func TestRecursionDetected(t *testing.T) {
 	a := &Proc{Name: "A", Syms: map[string]*Symbol{}, Body: []Stmt{&Call{Name: "B"}}}
 	b := &Proc{Name: "B", Syms: map[string]*Symbol{}, Body: []Stmt{&Call{Name: "A"}}}
 	p := &Program{Procs: []*Proc{a, b}, ByName: map[string]*Proc{"A": a, "B": b}}
-	if _, ok := p.BottomUpOrder(); ok {
+	sites := []CallSite{{Caller: a, Call: a.Body[0].(*Call)}, {Caller: b, Call: b.Body[0].(*Call)}}
+	if p.Link(sites) {
 		t.Fatal("recursive call graph not detected")
 	}
 }
@@ -76,13 +77,13 @@ func TestWalkersAndQueries(t *testing.T) {
 	if loops := m.Loops(); len(loops) != 1 || loops[0].ID("MAIN") != "MAIN/10" {
 		t.Fatalf("loops: %v", loops)
 	}
-	if calls := Calls(m.Body); len(calls) != 1 || calls[0] != "F" {
-		t.Fatalf("calls: %v", calls)
+	if reach := p.Reachable(m.Body); len(reach) != 2 || reach[0].Name != "F" || reach[1].Name != "G" {
+		t.Fatalf("reachable: %v", reach)
 	}
 	if HasIO(m.Body) {
 		t.Fatal("no IO present")
 	}
-	sites := p.CallSitesOf("G")
+	sites := p.Sites("G")
 	if len(sites) != 1 || sites[0].Caller.Name != "F" {
 		t.Fatalf("call sites: %v", sites)
 	}

@@ -105,21 +105,6 @@ func collectOuter(s Stmt, out *[]*DoLoop) {
 	}
 }
 
-// Calls returns the names of procedures called anywhere in the statement
-// list (deduplicated, in first-occurrence order).
-func Calls(stmts []Stmt) []string {
-	seen := map[string]bool{}
-	var out []string
-	WalkStmts(stmts, func(s Stmt) bool {
-		if c, ok := s.(*Call); ok && !seen[c.Name] {
-			seen[c.Name] = true
-			out = append(out, c.Name)
-		}
-		return true
-	})
-	return out
-}
-
 // HasIO reports whether the statement list contains any I/O statement.
 func HasIO(stmts []Stmt) bool {
 	found := false
@@ -130,92 +115,4 @@ func HasIO(stmts []Stmt) bool {
 		return !found
 	})
 	return found
-}
-
-// CallGraph maps each procedure to the set of procedures it calls, following
-// calls transitively is left to callers. Unknown callees are skipped.
-func (p *Program) CallGraph() map[string][]string {
-	g := make(map[string][]string, len(p.Procs))
-	for _, pr := range p.Procs {
-		var outs []string
-		for _, c := range Calls(pr.Body) {
-			if p.ByName[c] != nil {
-				outs = append(outs, c)
-			}
-		}
-		g[pr.Name] = outs
-	}
-	return g
-}
-
-// BottomUpOrder returns procedures ordered so that every callee precedes its
-// callers (reverse topological order of the call graph). It returns an error
-// via ok=false if the call graph is recursive, which MiniF (like the paper's
-// analysis, §5.2) does not support.
-func (p *Program) BottomUpOrder() (procs []*Proc, ok bool) {
-	g := p.CallGraph()
-	state := map[string]int{} // 0 unvisited, 1 in-stack, 2 done
-	var order []string
-	var visit func(n string) bool
-	visit = func(n string) bool {
-		switch state[n] {
-		case 1:
-			return false // cycle
-		case 2:
-			return true
-		}
-		state[n] = 1
-		for _, m := range g[n] {
-			if !visit(m) {
-				return false
-			}
-		}
-		state[n] = 2
-		order = append(order, n)
-		return true
-	}
-	for _, pr := range p.Procs {
-		if !visit(pr.Name) {
-			return nil, false
-		}
-	}
-	out := make([]*Proc, 0, len(order))
-	for _, n := range order {
-		out = append(out, p.ByName[n])
-	}
-	return out, true
-}
-
-// TopDownOrder returns callers before callees.
-func (p *Program) TopDownOrder() (procs []*Proc, ok bool) {
-	up, ok := p.BottomUpOrder()
-	if !ok {
-		return nil, false
-	}
-	out := make([]*Proc, len(up))
-	for i, pr := range up {
-		out[len(up)-1-i] = pr
-	}
-	return out, true
-}
-
-// CallSitesOf returns every Call statement targeting callee, with its
-// enclosing procedure.
-func (p *Program) CallSitesOf(callee string) []CallSite {
-	var out []CallSite
-	for _, pr := range p.Procs {
-		WalkStmts(pr.Body, func(s Stmt) bool {
-			if c, ok := s.(*Call); ok && c.Name == callee {
-				out = append(out, CallSite{Caller: pr, Call: c})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// CallSite pairs a Call statement with the procedure containing it.
-type CallSite struct {
-	Caller *Proc
-	Call   *Call
 }

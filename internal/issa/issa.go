@@ -7,7 +7,9 @@
 package issa
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"suifx/internal/ir"
 	"suifx/internal/modref"
@@ -114,7 +116,7 @@ func Build(prog *ir.Program) *Graph {
 		touched:  map[string][]*ir.Symbol{},
 		canon:    map[string]*ir.Symbol{},
 	}
-	order, _ := prog.BottomUpOrder()
+	order := prog.BottomUpOrder()
 	for _, p := range order {
 		g.computeTouched(p)
 	}
@@ -170,18 +172,24 @@ func (g *Graph) computeTouched(p *ir.Proc) {
 			set[s] = true
 		}
 	}
-	var out []*ir.Symbol
+	out := make([]*ir.Symbol, 0, len(set))
 	for s := range set {
 		out = append(out, s)
 	}
-	// Deterministic order.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Name < out[i].Name || (out[j].Name == out[i].Name && out[j].Common < out[i].Common) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
+	// Two canonical symbols of one block share a name when procedures
+	// declare the block in different shapes: the layout makes the order
+	// total, so node numbering does not follow map iteration.
+	slices.SortFunc(out, func(a, b *ir.Symbol) int {
+		return cmp.Or(
+			cmp.Compare(a.Name, b.Name),
+			cmp.Compare(a.Common, b.Common),
+			cmp.Compare(a.CommonOffset, b.CommonOffset),
+			cmp.Compare(a.NElems(), b.NElems()),
+			slices.CompareFunc(a.Dims, b.Dims, func(x, y ir.Dim) int {
+				return cmp.Or(cmp.Compare(x.Lo, y.Lo), cmp.Compare(x.Hi, y.Hi))
+			}),
+		)
+	})
 	g.touched[p.Name] = out
 }
 
@@ -446,16 +454,10 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 
 func (b *builder) walkCall(c *ir.Call) {
 	callee := b.g.Prog.ByName[c.Name]
-	if callee == nil {
-		return
-	}
 	ins := b.g.FormalIn[c.Name]
 	finals := b.g.FinalDef[c.Name]
 	// Bind formal-in φ operands for parameters.
 	for i, f := range callee.Params {
-		if i >= len(c.Args) {
-			break
-		}
 		arg := c.Args[i]
 		var defs []*Node
 		switch x := arg.(type) {

@@ -1,6 +1,8 @@
 package issa
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"suifx/internal/ir"
@@ -200,4 +202,42 @@ func TestSSAInvariant(t *testing.T) {
 		}
 	}
 	_ = ir.Pos{}
+}
+
+// TestBuildIsDeterministic builds a program whose common block is declared
+// in two shapes, so two canonical symbols named X reach MAIN's formal-ins,
+// and checks that every build numbers its nodes in the same order.
+func TestBuildIsDeterministic(t *testing.T) {
+	prog, err := minif.Parse("t", `
+      SUBROUTINE f
+      COMMON /B/ X(50)
+      X(1) = 1.0
+      END
+      SUBROUTINE g
+      COMMON /B/ X(100)
+      X(2) = 2.0
+      END
+      PROGRAM main
+      COMMON /B/ X(100)
+      CALL f
+      CALL g
+      X(3) = X(1) + X(2)
+      END
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(g *Graph) string {
+		var sb strings.Builder
+		for _, n := range g.Nodes {
+			fmt.Fprintf(&sb, "%d %d %s %s%v %d\n", n.ID, n.Kind, n.Proc, n.Sym.Name, n.Sym.Dims, n.Line)
+		}
+		return sb.String()
+	}
+	want := render(Build(prog))
+	for i := 0; i < 50; i++ {
+		if got := render(Build(prog)); got != want {
+			t.Fatalf("build %d numbers its nodes differently:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
 }

@@ -69,8 +69,7 @@ type Info struct {
 	// exitBits is the cheap variants' per-region exposed-after set.
 	exitBits map[*region.Region]map[*ir.Symbol]bool
 
-	encl  map[ir.Stmt]*region.Region // call/loop stmt -> region holding its After record
-	sites map[string][]ir.CallSite   // callee name -> call sites, one program walk
+	encl map[ir.Stmt]*region.Region // call/loop stmt -> region holding its After record
 	// keep, when non-nil, restricts the Full pass to scalars and these
 	// arrays (ScalarOracle); nil carries every symbol.
 	keep map[*ir.Symbol]bool
@@ -114,19 +113,6 @@ func newInfo(sum *summary.Analysis, v Variant) *Info {
 			in.encl[s] = r
 		}
 	}
-	// Index all call sites up front: the per-proc propagation below queries
-	// them once per procedure, and a fresh whole-program walk per query is
-	// quadratic at corpus scale.
-	in.sites = map[string][]ir.CallSite{}
-	for _, pr := range sum.Prog.Procs {
-		pr := pr
-		ir.WalkStmts(pr.Body, func(s ir.Stmt) bool {
-			if c, ok := s.(*ir.Call); ok {
-				in.sites[c.Name] = append(in.sites[c.Name], ir.CallSite{Caller: pr, Call: c})
-			}
-			return true
-		})
-	}
 	return in
 }
 
@@ -163,16 +149,9 @@ func (in *Info) restrictToScalars() {
 	}
 	for changed := true; changed; {
 		changed = false
-		for name, sites := range in.sites {
-			callee := in.Sum.Prog.ByName[name]
-			if callee == nil {
-				continue
-			}
-			for _, cs := range sites {
+		for _, callee := range in.Sum.Prog.Procs {
+			for _, cs := range in.Sum.Prog.Sites(callee.Name) {
 				for i, arg := range cs.Call.Args {
-					if i >= len(callee.Params) {
-						break
-					}
 					base := argBase(arg)
 					if base == nil || !in.carries(callee.Params[i]) {
 						continue
@@ -195,8 +174,7 @@ func (in *Info) carries(sym *ir.Symbol) bool {
 // ---- full variant ----
 
 func (in *Info) runFull() {
-	order, _ := in.Sum.Prog.TopDownOrder()
-	for _, p := range order {
+	for _, p := range in.Sum.Prog.TopDownOrder() {
 		top := in.Sum.Reg.ProcTop[p.Name]
 		if p.IsMain {
 			in.ExitSum[top] = Exposed{}
@@ -211,7 +189,7 @@ func (in *Info) runFull() {
 // call sites of the reads exposed after the call, mapped to callee space.
 func (in *Info) procExit(p *ir.Proc) Exposed {
 	acc := Exposed{} // never called: nothing follows
-	for _, cs := range in.sites[p.Name] {
+	for _, cs := range in.Sum.Prog.Sites(p.Name) {
 		r := in.encl[ir.Stmt(cs.Call)]
 		exit, ok := in.ExitSum[r]
 		if !ok {
@@ -444,12 +422,11 @@ func exposedBits(t *summary.Tuple) map[*ir.Symbol]bool {
 // runOneBit is §5.2.3.1: the top-down phase uses one exposed bit per
 // variable and its transfer function has no kill operator.
 func (in *Info) runOneBit() {
-	order, _ := in.Sum.Prog.TopDownOrder()
-	for _, p := range order {
+	for _, p := range in.Sum.Prog.TopDownOrder() {
 		top := in.Sum.Reg.ProcTop[p.Name]
 		bits := map[*ir.Symbol]bool{}
 		if !p.IsMain {
-			for _, cs := range in.sites[p.Name] {
+			for _, cs := range in.Sum.Prog.Sites(p.Name) {
 				r := in.encl[ir.Stmt(cs.Call)]
 				if r == nil {
 					continue
@@ -555,12 +532,11 @@ func (in *Info) regionSummary(r *region.Region) *summary.Tuple {
 
 // runFlowInsensitive is §5.2.3.2.
 func (in *Info) runFlowInsensitive() {
-	order, _ := in.Sum.Prog.TopDownOrder()
-	for _, p := range order {
+	for _, p := range in.Sum.Prog.TopDownOrder() {
 		top := in.Sum.Reg.ProcTop[p.Name]
 		bits := map[*ir.Symbol]bool{}
 		if !p.IsMain {
-			for _, cs := range in.sites[p.Name] {
+			for _, cs := range in.Sum.Prog.Sites(p.Name) {
 				r := in.encl[ir.Stmt(cs.Call)]
 				if r == nil {
 					continue

@@ -651,8 +651,10 @@ func (p *parser) scalar(n string) *ir.Symbol {
 }
 
 // checkCalls validates that every CALL target exists with a compatible
-// argument count, and that the program is non-recursive.
+// argument count, and links the program's call graph, which must be
+// non-recursive.
 func checkCalls(prog *ir.Program) error {
+	var sites []ir.CallSite
 	for _, pr := range prog.Procs {
 		var err error
 		ir.WalkStmts(pr.Body, func(s ir.Stmt) bool {
@@ -670,13 +672,14 @@ func checkCalls(prog *ir.Program) error {
 					prog.Name, c.Pos.Line, c.Name, len(c.Args), len(callee.Params))
 				return false
 			}
+			sites = append(sites, ir.CallSite{Caller: pr, Call: c})
 			return true
 		})
 		if err != nil {
 			return err
 		}
 	}
-	if _, ok := prog.BottomUpOrder(); !ok {
+	if !prog.Link(sites) {
 		return fmt.Errorf("%s: recursive call graph is not supported", prog.Name)
 	}
 	return nil

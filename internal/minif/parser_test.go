@@ -287,6 +287,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad-call", "      PROGRAM m\n      CALL nope\n      END\n", "undefined subroutine"},
 		{"arg-count", "      SUBROUTINE f(a)\n      END\n      PROGRAM m\n      CALL f\n      END\n", "wants 1"},
 		{"recursion", "      SUBROUTINE f\n      CALL f\n      END\n      PROGRAM m\n      CALL f\n      END\n", "recursive"},
+		{"mutual-recursion", "      SUBROUTINE f\n      CALL g\n      END\n      SUBROUTINE g\n      CALL f\n      END\n      PROGRAM m\n      CALL f\n      END\n", "recursive"},
+		{"three-cycle", "      PROGRAM m\n      CALL f\n      END\n      SUBROUTINE f\n      CALL g\n      END\n      SUBROUTINE g\n      CALL h\n      END\n      SUBROUTINE h\n      CALL f\n      END\n", "recursive"},
 		{"missing-do-label", "      PROGRAM m\n      INTEGER i\n      DO 10 i = 1, 5\n      x = 1\n      END\n", "labeled"},
 	}
 	for _, c := range cases {

@@ -61,11 +61,7 @@ func NewInfo(prog *ir.Program) *Info {
 // same result by running AnalyzeProc on a worker pool.
 func Analyze(prog *ir.Program) *Info {
 	info := NewInfo(prog)
-	order, ok := prog.BottomUpOrder()
-	if !ok {
-		order = prog.Procs // recursion rejected upstream; be defensive
-	}
-	for _, p := range order {
+	for _, p := range prog.BottomUpOrder() {
 		info.Merge(p.Name, info.AnalyzeProc(p, info.EffectsOf))
 	}
 	return info
@@ -145,9 +141,6 @@ func (info *Info) AnalyzeProc(p *ir.Proc, callee func(string) *Effects) *Effects
 // applyCall folds a callee's effects into the caller's summary through the
 // argument bindings and shared common blocks.
 func (info *Info) applyCall(c *ir.Call, eff *Effects, callee func(string) *Effects) {
-	if info.Prog.ByName[c.Name] == nil {
-		return
-	}
 	ce := callee(c.Name)
 	if ce == nil {
 		return // should not happen in bottom-up order
@@ -216,10 +209,6 @@ func (info *Info) CallRefs(caller *ir.Proc, c *ir.Call) []*ir.Symbol {
 }
 
 func (info *Info) callTouches(caller *ir.Proc, c *ir.Call, wantMod bool) []*ir.Symbol {
-	callee := info.Prog.ByName[c.Name]
-	if callee == nil {
-		return nil
-	}
 	ce := info.Effects[c.Name]
 	var out []*ir.Symbol
 	seen := map[*ir.Symbol]bool{}

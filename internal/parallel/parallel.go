@@ -135,19 +135,17 @@ func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty fu
 // the outermost parallelizable loops, and marks everything dynamically
 // nested inside them.
 func (res *Result) chooseOutermost() {
-	c := chooser{res: res, calls: res.Prog.CallGraph(), parallelCtx: map[string]bool{}}
-	order, _ := res.Prog.TopDownOrder()
-	for _, p := range order {
+	c := chooser{res: res, parallelCtx: map[string]bool{}}
+	for _, p := range res.Prog.TopDownOrder() {
 		top := res.Sum.Reg.ProcTop[p.Name]
 		c.chooseIn(top, c.parallelCtx[p.Name])
 	}
 }
 
-// chooser is the state of one chooseOutermost: the call graph, built once,
-// and the procedures reached from inside a chosen loop so far.
+// chooser is the state of one chooseOutermost: the procedures reached from
+// inside a chosen loop so far.
 type chooser struct {
 	res         *Result
-	calls       map[string][]string
 	parallelCtx map[string]bool
 }
 
@@ -160,31 +158,13 @@ func (c *chooser) chooseIn(r *region.Region, underParallel bool) {
 		li.UnderParallel = underParallel
 		if !underParallel && li.Dep.Parallelizable {
 			li.Chosen = true
-			c.markCalleesParallel(l)
+			for _, p := range c.res.Prog.Reachable(l.Loop.Body) {
+				c.parallelCtx[p.Name] = true
+			}
 			c.chooseIn(l.Body(), true)
 			continue
 		}
 		c.chooseIn(l.Body(), underParallel)
-	}
-}
-
-// markCalleesParallel records every procedure transitively reachable from
-// inside a chosen parallel loop.
-func (c *chooser) markCalleesParallel(r *region.Region) {
-	var visit func(name string)
-	visit = func(name string) {
-		if c.parallelCtx[name] {
-			return
-		}
-		c.parallelCtx[name] = true
-		for _, callee := range c.calls[name] {
-			visit(callee)
-		}
-	}
-	for _, site := range r.AllCallSites() {
-		if c.res.Prog.ByName[site.Name] != nil {
-			visit(site.Name)
-		}
 	}
 }
 

@@ -214,21 +214,10 @@ func (info *Info) LoopNest(r *Region) string {
 	if r.Kind != LoopRegion {
 		return ""
 	}
-	if info.loopHasCalls(r, map[string]bool{}) {
+	if len(r.AllCallSites()) > 0 {
 		return "inter"
 	}
 	return "intra"
-}
-
-func (info *Info) loopHasCalls(r *Region, seen map[string]bool) bool {
-	for _, c := range r.AllCallSites() {
-		callee := info.Prog.ByName[c.Name]
-		if callee == nil {
-			continue
-		}
-		return true
-	}
-	return false
 }
 
 // String renders the region tree of a procedure for debugging.

@@ -83,11 +83,7 @@ func NewAnalysis(prog *ir.Program, mr *modref.Info) *Analysis {
 // Merge in the same bottom-up order.
 func Analyze(prog *ir.Program) *Analysis {
 	a := NewAnalysis(prog, nil)
-	order, ok := prog.BottomUpOrder()
-	if !ok {
-		order = prog.Procs // recursion rejected upstream; be defensive
-	}
-	for _, p := range order {
+	for _, p := range prog.BottomUpOrder() {
 		a.Merge(a.AnalyzeProc(p, a.ProcSummary))
 	}
 	return a
@@ -177,10 +173,7 @@ func (a *Analysis) precomputeCanon() {
 			a.canonTab[key] = sym
 		}
 	}
-	order, ok := a.Prog.BottomUpOrder()
-	if !ok {
-		order = a.Prog.Procs
-	}
+	order := a.Prog.BottomUpOrder()
 	for _, p := range order {
 		ir.WalkStmts(p.Body, func(s ir.Stmt) bool {
 			if l, isLoop := s.(*ir.DoLoop); isLoop {

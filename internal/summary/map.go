@@ -15,9 +15,6 @@ import (
 func (w *walker) leafCall(c *ir.Call) *Tuple {
 	t := NewTuple()
 	callee := w.a.Prog.ByName[c.Name]
-	if callee == nil {
-		return t
-	}
 	// Value arguments (general expressions) are read at the call; reference
 	// arguments contribute their subscript reads only.
 	for _, arg := range c.Args {
