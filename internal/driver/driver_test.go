@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -117,11 +118,9 @@ func TestDriverMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMergeOrderIsBottomUp checks the schedule Incremental runs, on every
-// workload and ladder tier: its units are the sequential analyzers' merge
-// order, ir.Program.BottomUpOrder, with each procedure once, and each unit's
-// deps are its callees, in CallGraph order, at lower indices.
-func TestMergeOrderIsBottomUp(t *testing.T) {
+// scheduleProgs returns every workload and ladder tier (the quick ladder
+// under -short) by name, the programs the schedule tests run on.
+func scheduleProgs(t *testing.T) map[string]*ir.Program {
 	progs := map[string]*ir.Program{}
 	for _, w := range workloads.All() {
 		progs[w.Name] = w.Program()
@@ -133,29 +132,60 @@ func TestMergeOrderIsBottomUp(t *testing.T) {
 	for _, tier := range tiers {
 		progs["tier-"+tier.Name] = tierProgram(t, tier.Name)
 	}
-	for name, prog := range progs {
+	return progs
+}
+
+// TestCondenseBottomUp checks the condensation of the call graph into
+// scheduling units, units, on every workload and ladder tier: each
+// procedure is in exactly one unit, and each unit's deps are its callees,
+// in CallGraph order, at lower indices.
+func TestCondenseBottomUp(t *testing.T) {
+	for name, prog := range scheduleProgs(t) {
+		pos, deps := units(prog)
+		order := make([]string, len(deps))
+		for p, i := range pos {
+			if i < 0 || i >= len(deps) || order[i] != "" {
+				t.Fatalf("%s: proc %s at unit %d, shared or out of range", name, p, i)
+			}
+			order[i] = p
+		}
+		if len(pos) != len(prog.Procs) || len(deps) != len(prog.Procs) {
+			t.Fatalf("%s: %d units cover %d of %d procs", name, len(deps), len(pos), len(prog.Procs))
+		}
+		for i, ds := range deps {
+			callees := prog.CallGraph()[order[i]]
+			if len(ds) != len(callees) {
+				t.Fatalf("%s: %s has deps %v for callees %v", name, order[i], ds, callees)
+			}
+			for j, d := range ds {
+				if d >= i {
+					t.Fatalf("%s: unit %d depends on %d (not bottom-up)", name, i, d)
+				}
+				if order[d] != callees[j] {
+					t.Fatalf("%s: %s dep %d is %s, want %s", name, order[i], j, order[d], callees[j])
+				}
+			}
+		}
+	}
+}
+
+// TestMergeOrderIsBottomUp checks the order Incremental merges results in
+// against the sequential analyzers' order, ir.Program.BottomUpOrder, on
+// every workload and ladder tier, and that its unit index and dependency
+// lists are the ones units condenses the call graph into.
+func TestMergeOrderIsBottomUp(t *testing.T) {
+	for name, prog := range scheduleProgs(t) {
 		inc := newIncrementalShell(prog, Options{})
 		if want := prog.BottomUpOrder(); !slices.Equal(inc.order, want) {
 			t.Errorf("%s: merge order %v, want %v", name, procNames(inc.order), procNames(want))
 		}
-		if len(inc.pos) != len(prog.Procs) || len(inc.order) != len(prog.Procs) {
-			t.Fatalf("%s: %d units for %d procedures", name, len(inc.order), len(prog.Procs))
+		pos, deps := units(prog)
+		if !maps.Equal(inc.pos, pos) || !slices.EqualFunc(inc.deps, deps, slices.Equal) {
+			t.Fatalf("%s: Incremental's units differ from units(prog)", name)
 		}
 		for i, p := range inc.order {
 			if inc.pos[p.Name] != i {
 				t.Fatalf("%s: %s is unit %d, indexed as %d", name, p.Name, i, inc.pos[p.Name])
-			}
-			callees := prog.CallGraph()[p.Name]
-			if len(inc.deps[i]) != len(callees) {
-				t.Fatalf("%s: %s has deps %v for callees %v", name, p.Name, inc.deps[i], callees)
-			}
-			for j, d := range inc.deps[i] {
-				if d >= i {
-					t.Fatalf("%s: unit %d depends on %d (not bottom-up)", name, i, d)
-				}
-				if inc.order[d].Name != callees[j] {
-					t.Fatalf("%s: %s dep %d is %s, want %s", name, p.Name, j, inc.order[d].Name, callees[j])
-				}
 			}
 		}
 	}
