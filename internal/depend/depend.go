@@ -77,7 +77,8 @@ type Options struct {
 	// it reports that no element of sym written by loop r is read after r.
 	DeadAtExit func(r *region.Region, sym *ir.Symbol) bool
 	// AssertPrivate and AssertIndependent carry user assertions from the
-	// Explorer (§2.8); keys are canonical symbol names.
+	// Explorer (§2.8), keyed by the name the loop's procedure declares
+	// (ir.Proc.Own).
 	AssertPrivate     map[string]bool
 	AssertIndependent map[string]bool
 }
@@ -131,19 +132,22 @@ func AnalyzeLoop(a *summary.Analysis, r *region.Region, opts Options) *LoopResul
 				continue
 			}
 			vr := VarResult{Sym: x, Class: ClassDep,
-				Reason: "aliased with " + y.Name + " through common /" + x.Common + "/ with a different layout"}
+				Reason: "aliased with " + r.Proc.Own(y).Name + " through common /" + x.Common + "/ with a different layout"}
 			res.Vars = append(res.Vars, vr)
 			res.Blocking = append(res.Blocking, vr)
 		}
 	}
-	sort.SliceStable(res.Blocking, func(i, j int) bool { return res.Blocking[i].Sym.Name < res.Blocking[j].Sym.Name })
+	sort.SliceStable(res.Blocking, func(i, j int) bool {
+		return r.Proc.Own(res.Blocking[i].Sym).Name < r.Proc.Own(res.Blocking[j].Sym).Name
+	})
 	res.Parallelizable = !res.HasIO && len(res.Blocking) == 0
 	return res
 }
 
 func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summary.Access, idx string, variant []string, opts Options) VarResult {
 	vr := VarResult{Sym: sym}
-	if sym == r.Loop.Index {
+	name := r.Proc.Own(sym).Name
+	if sym == r.Loop.Index.Canon() {
 		vr.Class = ClassIndex
 		return vr
 	}
@@ -152,7 +156,7 @@ func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summar
 		vr.Class = ClassReadOnly
 		return vr
 	}
-	if opts.AssertIndependent[sym.Name] {
+	if opts.AssertIndependent[name] {
 		vr.Class = ClassParallel
 		vr.ByAssertion = true
 		return vr
@@ -177,7 +181,7 @@ func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summar
 			return vr
 		}
 	}
-	if opts.AssertPrivate[sym.Name] {
+	if opts.AssertPrivate[name] {
 		vr.Class = ClassPrivate
 		vr.ByAssertion = true
 		return vr

@@ -227,17 +227,18 @@ func sliceSizesFor(w *workloads.Workload) []SliceSizes {
 		// are averaged over the references examined.
 		nq := 0
 		for _, b := range li.Dep.Blocking {
-			lines := useLines(prog, g, li, b.Sym.Name)
+			name := li.Region.Proc.Own(b.Sym).Name
+			lines := useLines(prog, g, li, name)
 			for _, ln := range lines {
 				nq++
 				full := slice.New(g, slice.Config{Kind: slice.Program})
-				r := full.OfUse(rg.Proc, b.Sym.Name, ln)
+				r := full.OfUse(rg.Proc, name, ln)
 				row.ProgFull += r.Size()
 				row.ProgLoop += r.SizeIn(rg)
 				cr := slice.New(g, slice.Config{Kind: slice.Program, Region: &rg})
-				row.ProgCR += cr.OfUse(rg.Proc, b.Sym.Name, ln).SizeIn(rg)
+				row.ProgCR += cr.OfUse(rg.Proc, name, ln).SizeIn(rg)
 				ar := slice.New(g, slice.Config{Kind: slice.Program, Region: &rg, ArrayRestricted: true})
-				row.ProgAR += ar.OfUse(rg.Proc, b.Sym.Name, ln).SizeIn(rg)
+				row.ProgAR += ar.OfUse(rg.Proc, name, ln).SizeIn(rg)
 
 				cfull := slice.New(g, slice.Config{Kind: slice.Program})
 				c := cfull.ControlSliceOfLine(rg.Proc, ln)

@@ -66,11 +66,11 @@ func maskPlannedDead(res *parallel.Result, plan *exec.ParallelPlan, in *exec.Int
 		if plan.Loops[li.Region.Loop] == nil {
 			continue
 		}
-		proc := li.Region.Proc.Name
+		proc := li.Region.Proc
 		for _, vr := range li.Dep.Vars {
 			cls := vr.Class.String()
 			if cls == "private" || cls == "index" {
-				if lo, hi, ok := in.SymRange(proc, vr.Sym.Name); ok {
+				if lo, hi, ok := in.SymRange(proc.Name, proc.Own(vr.Sym).Name); ok {
 					mask(lo, hi)
 				}
 			}

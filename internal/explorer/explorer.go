@@ -193,12 +193,12 @@ func (s *Session) ignoreVarFn(in *exec.Interp) func(l *ir.DoLoop, addr int64) bo
 	type rng struct{ lo, hi int64 }
 	ignore := map[*ir.DoLoop][]rng{}
 	for _, li := range s.Par.Ordered {
-		proc := li.Region.Proc.Name
+		proc := li.Region.Proc
 		for _, vr := range li.Dep.Vars {
 			if vr.Class != depend.ClassIndex && vr.Class != depend.ClassReduction {
 				continue
 			}
-			if lo, hi, ok := in.SymRange(proc, vr.Sym.Name); ok {
+			if lo, hi, ok := in.SymRange(proc.Name, proc.Own(vr.Sym).Name); ok {
 				ignore[li.Region.Loop] = append(ignore[li.Region.Loop], rng{lo, hi})
 			}
 		}

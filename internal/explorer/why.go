@@ -86,15 +86,15 @@ func (s *Session) Why(loopID string) (*WhyReport, error) {
 	g := s.Graph()
 	blockedLines := map[int]bool{}
 	for _, b := range li.Dep.Blocking {
-		bv := BlockedVar{Var: b.Sym.Name, Reason: b.Reason}
+		bv := BlockedVar{Var: li.Region.Proc.Own(b.Sym).Name, Reason: b.Reason}
 		for ln := lo; ln <= hi; ln++ {
-			if len(g.FindUse(r.Proc, b.Sym.Name, ln)) > 0 {
+			if len(g.FindUse(r.Proc, bv.Var, ln)) > 0 {
 				bv.Lines = append(bv.Lines, ln)
 				blockedLines[ln] = true
 			}
 		}
 		if s.Dyn != nil && s.in != nil {
-			if alo, ahi, ok := s.in.SymRange(r.Proc, b.Sym.Name); ok {
+			if alo, ahi, ok := s.in.SymRange(r.Proc, bv.Var); ok {
 				bv.DynDeps = s.Dyn.CarriedInRange(li.Region.Loop, alo, ahi)
 			}
 		}

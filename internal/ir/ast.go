@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -148,6 +149,33 @@ func (e *Intrinsic) String() string {
 		parts[i] = x.String()
 	}
 	return e.Name + "(" + strings.Join(parts, ",") + ")"
+}
+
+// SameExpr reports whether a and b are the same expression: one shape,
+// with the same operators and intrinsics over the same symbols (by pointer)
+// and constant values.
+func SameExpr(a, b Expr) bool {
+	switch x := a.(type) {
+	case *Const:
+		y, ok := b.(*Const)
+		return ok && x.Val == y.Val
+	case *VarRef:
+		y, ok := b.(*VarRef)
+		return ok && x.Sym == y.Sym
+	case *ArrayRef:
+		y, ok := b.(*ArrayRef)
+		return ok && x.Sym == y.Sym && slices.EqualFunc(x.Idx, y.Idx, SameExpr)
+	case *Bin:
+		y, ok := b.(*Bin)
+		return ok && x.Op == y.Op && SameExpr(x.L, y.L) && SameExpr(x.R, y.R)
+	case *Un:
+		y, ok := b.(*Un)
+		return ok && x.Op == y.Op && SameExpr(x.X, y.X)
+	case *Intrinsic:
+		y, ok := b.(*Intrinsic)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Args, y.Args, SameExpr)
+	}
+	return false
 }
 
 // ---- Statements ----

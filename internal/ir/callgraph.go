@@ -20,8 +20,9 @@ type CallSite struct {
 // program in program order (procedures in declaration order, statements in
 // source order), each naming a procedure of the program. It reports false
 // and stores nothing when the graph is recursive, which MiniF (like the
-// paper's analysis, §5.2) does not support. The parser links every program
-// it returns.
+// paper's analysis, §5.2) does not support. Otherwise it then links the
+// storage model (storage.go), which needs the bottom-up order. The parser
+// links every program it returns.
 func (p *Program) Link(sites []CallSite) bool {
 	g := callGraph{
 		callees: make(map[string][]string, len(p.Procs)),
@@ -71,6 +72,7 @@ func (p *Program) Link(sites []CallSite) bool {
 		g.topDown[len(g.bottomUp)-1-i] = pr
 	}
 	p.calls = g
+	p.linkStorage()
 	return true
 }
 

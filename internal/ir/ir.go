@@ -55,6 +55,8 @@ type Symbol struct {
 	CommonOffset int64
 	IsParam      bool
 	ParamIndex   int // position in the parameter list when IsParam
+
+	canon *Symbol // representative of a common member's storage (Link)
 }
 
 // IsArray reports whether the symbol is an array.
@@ -88,6 +90,8 @@ type CommonBlock struct {
 	// Layouts maps procedure name to the symbols laid out over this block
 	// in that procedure, in declaration order.
 	Layouts map[string][]*Symbol
+
+	keys []*Symbol // one representative per storage key, by offset (Link)
 }
 
 // Proc is one procedure (PROGRAM or SUBROUTINE).
@@ -99,6 +103,8 @@ type Proc struct {
 	Body    []Stmt
 	Pos     Pos
 	EndLine int
+
+	own map[*Symbol]*Symbol // representative -> this procedure's member (Link)
 }
 
 // Lookup returns the symbol named n, or nil.

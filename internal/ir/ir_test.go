@@ -120,3 +120,24 @@ func TestLineCount(t *testing.T) {
 		t.Fatal("SourceLine")
 	}
 }
+
+func TestSameExpr(t *testing.T) {
+	a, a2, b := sym("A", Dim{1, 10}), sym("A", Dim{1, 10}), sym("B")
+	ref := func(s *Symbol, idx ...Expr) Expr { return &ArrayRef{Sym: s, Idx: idx} }
+	sum := func(l, r Expr) Expr { return &Bin{Op: OpAdd, L: l, R: r} }
+	for _, c := range []struct {
+		x, y Expr
+		same bool
+	}{
+		{ref(a, IntConst(1)), ref(a, &Const{Val: 1}), true},
+		{sum(&VarRef{Sym: b}, IntConst(2)), sum(&VarRef{Sym: b}, IntConst(2)), true},
+		{ref(a, IntConst(1)), ref(a2, IntConst(1)), false}, // one name, two symbols
+		{sum(&VarRef{Sym: b}, IntConst(2)), &Bin{Op: OpMul, L: &VarRef{Sym: b}, R: IntConst(2)}, false},
+		{&Un{Op: "-", X: IntConst(1)}, IntConst(-1), false},
+		{&Intrinsic{Name: "MIN", Args: []Expr{&VarRef{Sym: b}}}, &Intrinsic{Name: "MAX", Args: []Expr{&VarRef{Sym: b}}}, false},
+	} {
+		if got := SameExpr(c.x, c.y); got != c.same {
+			t.Errorf("SameExpr(%s, %s) = %v, want %v", c.x, c.y, got, c.same)
+		}
+	}
+}

@@ -86,7 +86,7 @@ type Graph struct {
 	MR    *modref.Info
 	Nodes []*Node
 	// FormalIn maps each procedure's entry values: formals and touched
-	// common variables (canonical keys).
+	// common variables (representatives, ir.Symbol.Canon).
 	FormalIn map[string]map[*ir.Symbol]*Node
 	// FinalDef maps each procedure's exit definitions for the same symbols.
 	FinalDef map[string]map[*ir.Symbol]*Node
@@ -96,12 +96,11 @@ type Graph struct {
 	// UseDefs maps each use occurrence (VarRef/ArrayRef expression) to the
 	// reaching definition(s) of the referenced variable.
 	UseDefs map[ir.Expr][]*Node
-	// touched lists the canonical common symbols each proc (transitively)
-	// accesses.
+	// touched lists the representative common symbols (ir.Symbol.Canon)
+	// each proc (transitively) accesses.
 	touched map[string][]*ir.Symbol
 
-	canon map[string]*ir.Symbol
-	next  int
+	next int
 }
 
 // Build constructs the ISSA graph for a program.
@@ -114,7 +113,6 @@ func Build(prog *ir.Program) *Graph {
 		Bindings: map[*Node][]Binding{},
 		UseDefs:  map[ir.Expr][]*Node{},
 		touched:  map[string][]*ir.Symbol{},
-		canon:    map[string]*ir.Symbol{},
 	}
 	order := prog.BottomUpOrder()
 	for _, p := range order {
@@ -126,45 +124,13 @@ func Build(prog *ir.Program) *Graph {
 	return g
 }
 
-// Canon unifies common-block members with identical layouts across procs:
-// it returns the representative Build chose for sym's layout (sym itself
-// for a local or a layout Build never saw). It only reads, so one built
-// Graph can serve concurrent slices.
-func (g *Graph) Canon(sym *ir.Symbol) *ir.Symbol {
-	if sym.Common == "" {
-		return sym
-	}
-	if c := g.canon[canonKey(sym)]; c != nil {
-		return c
-	}
-	return sym
-}
-
-// canonical is Canon while Build runs: the first symbol seen with a layout
-// becomes its representative.
-func (g *Graph) canonical(sym *ir.Symbol) *ir.Symbol {
-	if sym.Common == "" {
-		return sym
-	}
-	key := canonKey(sym)
-	if c := g.canon[key]; c != nil {
-		return c
-	}
-	g.canon[key] = sym
-	return sym
-}
-
-func canonKey(sym *ir.Symbol) string {
-	return fmt.Sprintf("%s+%d:%d:%v", sym.Common, sym.CommonOffset, sym.NElems(), sym.Dims)
-}
-
-// computeTouched collects the canonical common symbols a procedure or its
+// computeTouched collects the representative common symbols a procedure or its
 // callees access.
 func (g *Graph) computeTouched(p *ir.Proc) {
 	set := map[*ir.Symbol]bool{}
 	for _, s := range p.SortedSyms() {
 		if s.Common != "" {
-			set[g.canonical(s)] = true
+			set[s.Canon()] = true
 		}
 	}
 	for _, callee := range g.Prog.CallGraph()[p.Name] {
@@ -176,7 +142,7 @@ func (g *Graph) computeTouched(p *ir.Proc) {
 	for s := range set {
 		out = append(out, s)
 	}
-	// Two canonical symbols of one block share a name when procedures
+	// Two representatives of one block share a name when procedures
 	// declare the block in different shapes: the layout makes the order
 	// total, so node numbering does not follow map iteration.
 	slices.SortFunc(out, func(a, b *ir.Symbol) int {
@@ -238,7 +204,7 @@ func (g *Graph) buildProc(p *ir.Proc) {
 // lookup returns the current definition of sym, creating an implicit entry
 // definition for locals first used before assignment.
 func (b *builder) lookup(sym *ir.Symbol) *Node {
-	key := b.g.canonical(sym)
+	key := sym.Canon()
 	if n := b.env[key]; n != nil {
 		return n
 	}
@@ -247,7 +213,7 @@ func (b *builder) lookup(sym *ir.Symbol) *Node {
 	return n
 }
 
-func (b *builder) define(sym *ir.Symbol, n *Node) { b.env[b.g.canonical(sym)] = n }
+func (b *builder) define(sym *ir.Symbol, n *Node) { b.env[sym.Canon()] = n }
 
 // ctrlDefs flattens the current guard stack.
 func (b *builder) ctrl() (defs []*Node, stmts []ir.Stmt) {
@@ -294,13 +260,13 @@ func (b *builder) walk(stmts []ir.Stmt) {
 				}
 				// Weak update: the previous array value flows through.
 				ops = append(ops, b.lookup(ar.Sym))
-				n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(ar.Sym), s, st.Pos.Line)
+				n := b.g.newNode(KDef, b.proc.Name, ar.Sym.Canon(), s, st.Pos.Line)
 				n.Ops = ops
 				n.Weak = true
 				b.attachCtrl(n)
 				b.define(ar.Sym, n)
 			} else {
-				n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(st.Lhs.Symbol()), s, st.Pos.Line)
+				n := b.g.newNode(KDef, b.proc.Name, st.Lhs.Symbol().Canon(), s, st.Pos.Line)
 				n.Ops = ops
 				b.attachCtrl(n)
 				b.define(st.Lhs.Symbol(), n)
@@ -332,7 +298,7 @@ func (b *builder) walk(stmts []ir.Stmt) {
 						}
 						ops = append(ops, b.lookup(ar.Sym))
 					}
-					n := b.g.newNode(KDef, b.proc.Name, b.g.canonical(r.Symbol()), s, st.Pos.Line)
+					n := b.g.newNode(KDef, b.proc.Name, r.Symbol().Canon(), s, st.Pos.Line)
 					n.Ops = ops
 					n.Weak = r.Symbol().IsArray()
 					b.attachCtrl(n)
@@ -396,7 +362,7 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 	if l.Step != nil {
 		boundDefs = append(boundDefs, b.useExpr(l.Step)...)
 	}
-	idx := b.g.newNode(KIndex, b.proc.Name, b.g.canonical(l.Index), l, l.Pos.Line)
+	idx := b.g.newNode(KIndex, b.proc.Name, l.Index.Canon(), l, l.Pos.Line)
 	idx.Ops = boundDefs
 	b.attachCtrl(idx)
 
@@ -429,11 +395,11 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 		if sym == l.Index {
 			continue
 		}
-		phi := b.g.newNode(KPhi, b.proc.Name, b.g.canonical(sym), l, l.Pos.Line)
+		phi := b.g.newNode(KPhi, b.proc.Name, sym.Canon(), l, l.Pos.Line)
 		phi.Ops = append(phi.Ops, b.lookup(sym))
 		phi.Ctrl = boundDefs
 		phi.CtrlStmts = []ir.Stmt{l}
-		phis[b.g.canonical(sym)] = phi
+		phis[sym.Canon()] = phi
 		b.define(sym, phi)
 	}
 	b.define(l.Index, idx)
@@ -493,7 +459,7 @@ func (b *builder) walkCall(c *ir.Call) {
 		if base == nil {
 			continue
 		}
-		out := b.g.newNode(KCallOut, b.proc.Name, b.g.canonical(base), c, c.Pos.Line)
+		out := b.g.newNode(KCallOut, b.proc.Name, base.Canon(), c, c.Pos.Line)
 		if fin := finals[f]; fin != nil {
 			out.CalleeFinal = []*Node{fin}
 		}

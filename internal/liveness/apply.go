@@ -1,7 +1,9 @@
 package liveness
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"suifx/internal/ir"
 	"suifx/internal/lin"
@@ -25,26 +27,30 @@ type Split struct {
 // the kill in the full top-down phase: the weaker variants cannot tell that
 // an intervening write covers the later reads, and report no splits.
 func (in *Info) CommonBlockSplits() []Split {
-	// Collect overlapping pairs of distinct canonical keys per block.
-	byBlock := map[string][]*ir.Symbol{}
-	seen := map[*ir.Symbol]bool{}
-	collect := func(t *summary.Tuple) {
-		if t == nil {
-			return
-		}
-		for sym := range t.Arrays {
-			if sym.Common != "" && sym.IsArray() && !seen[sym] {
-				seen[sym] = true
-				byBlock[sym.Common] = append(byBlock[sym.Common], sym)
+	// The array keys of each block that some procedure touches: a key no
+	// region accesses has no live range to split.
+	touched := func(sym *ir.Symbol) bool {
+		for _, p := range in.Sum.Prog.Procs {
+			if t := in.Sum.RegionSum[in.Sum.Reg.ProcTop[p.Name]]; t != nil && t.Lookup(sym) != nil {
+				return true
 			}
 		}
+		return false
 	}
-	for _, p := range in.Sum.Prog.Procs {
-		collect(in.Sum.RegionSum[in.Sum.Reg.ProcTop[p.Name]])
+	blocks := make([]string, 0, len(in.Sum.Prog.Commons))
+	for blk := range in.Sum.Prog.Commons {
+		blocks = append(blocks, blk)
 	}
+	sort.Strings(blocks)
 	var out []Split
-	for blk, syms := range byBlock {
-		sort.Slice(syms, func(i, j int) bool { return syms[i].Name < syms[j].Name })
+	for _, blk := range blocks {
+		var syms []*ir.Symbol
+		for _, sym := range in.Sum.Prog.Commons[blk].Keys() {
+			if sym.IsArray() && touched(sym) {
+				syms = append(syms, sym)
+			}
+		}
+		slices.SortStableFunc(syms, func(a, b *ir.Symbol) int { return strings.Compare(a.Name, b.Name) })
 		for i, x := range syms {
 			for _, y := range syms[i+1:] {
 				if !summary.Overlaps(x, y) {
@@ -56,12 +62,6 @@ func (in *Info) CommonBlockSplits() []Split {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Block != out[j].Block {
-			return out[i].Block < out[j].Block
-		}
-		return out[i].A.Name < out[j].A.Name
-	})
 	return out
 }
 

@@ -125,20 +125,8 @@ func newInfo(sum *summary.Analysis, v Variant) *Info {
 // until nothing changes: that array may itself be a formal of the caller.
 func (in *Info) restrictToScalars() {
 	in.keep = map[*ir.Symbol]bool{}
-	byBlock := map[string][]*ir.Symbol{}
-	seen := map[*ir.Symbol]bool{}
-	for _, p := range in.Sum.Prog.Procs {
-		for _, s := range p.Syms {
-			if s.Common == "" {
-				continue
-			}
-			if c := in.Sum.Canon(s); !seen[c] {
-				seen[c] = true
-				byBlock[c.Common] = append(byBlock[c.Common], c)
-			}
-		}
-	}
-	for _, keys := range byBlock {
+	for _, blk := range in.Sum.Prog.Commons {
+		keys := blk.Keys()
 		for _, x := range keys {
 			for _, y := range keys {
 				if !x.IsArray() && y.IsArray() && summary.Overlaps(x, y) {
@@ -156,7 +144,7 @@ func (in *Info) restrictToScalars() {
 					if base == nil || !in.carries(callee.Params[i]) {
 						continue
 					}
-					if actual := in.Sum.Canon(base); !in.carries(actual) {
+					if actual := base.Canon(); !in.carries(actual) {
 						in.keep[actual] = true
 						changed = true
 					}
@@ -288,13 +276,13 @@ func argBase(arg ir.Expr) *ir.Symbol {
 
 // mapToCallee maps caller-space exposed reads into the callee's name space
 // (the paper's MapToCallee): every formal picks up its actual's section
-// (reshaped; one actual may bind several formals, CALL F(A,A)), canonical
-// common keys pass through, caller-local symbols are dropped, and
-// caller-specific symbolic names are projected away (widening — conservative
-// for liveness).
+// (reshaped; one actual may bind several formals, CALL F(A,A)), common keys
+// pass through — also a member passed as an actual, which the callee may
+// reach through its COMMON as well as through the formal — caller-local
+// symbols are dropped, and caller-specific symbolic names are projected away
+// (widening — conservative for liveness).
 func (in *Info) mapToCallee(cs ir.CallSite, callee *ir.Proc, t Exposed) Exposed {
 	out := Exposed{}
-	bound := map[*ir.Symbol]bool{}
 	for i, arg := range cs.Call.Args {
 		if i >= len(callee.Params) {
 			break
@@ -303,14 +291,13 @@ func (in *Info) mapToCallee(cs ir.CallSite, callee *ir.Proc, t Exposed) Exposed 
 		if base == nil {
 			continue
 		}
-		actual := in.Sum.Canon(base)
-		bound[actual] = true
+		actual := base.Canon()
 		if e := t[actual]; e != nil && in.carries(callee.Params[i]) {
 			out.set(callee.Params[i], toFormal(e, callee.Params[i], actual))
 		}
 	}
 	for sym, e := range t {
-		if sym.Common != "" && !bound[sym] {
+		if sym.Common != "" {
 			out.set(sym, widenCallerNames(e))
 		}
 		// Caller locals invisible to the callee are dropped.
@@ -458,7 +445,7 @@ func (in *Info) markCallee(bits map[*ir.Symbol]bool, cs ir.CallSite, callee *ir.
 		if i >= len(callee.Params) {
 			break
 		}
-		if base := argBase(arg); base != nil && in.Sum.Canon(base) == sym {
+		if base := argBase(arg); base != nil && base.Canon() == sym {
 			bits[callee.Params[i]] = true
 			bound = true
 		}

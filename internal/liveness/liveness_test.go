@@ -52,8 +52,8 @@ const tmpArraySrc = `
 func TestDeadAtExitTemporary(t *testing.T) {
 	sum, infos := analyzeAll(t, tmpArraySrc)
 	outer := findLoop(t, sum, "MAIN/10")
-	tmp := sum.Canon(sum.Prog.Main().Lookup("TMP"))
-	outv := sum.Canon(sum.Prog.Main().Lookup("OUT"))
+	tmp := sum.Prog.Main().Lookup("TMP").Canon()
+	outv := sum.Prog.Main().Lookup("OUT").Canon()
 	for _, v := range []Variant{Full, OneBit} {
 		if !infos[v].DeadAtExit(outer, tmp) {
 			t.Errorf("%v: tmp should be dead at MAIN/10 exit", v)
@@ -77,7 +77,7 @@ func TestInnerLoopLiveness(t *testing.T) {
 	sum, infos := analyzeAll(t, tmpArraySrc)
 	l5 := findLoop(t, sum, "MAIN/5")
 	l8 := findLoop(t, sum, "MAIN/8")
-	tmp := sum.Canon(sum.Prog.Main().Lookup("TMP"))
+	tmp := sum.Prog.Main().Lookup("TMP").Canon()
 	full := infos[Full]
 	if full.DeadAtExit(l5, tmp) {
 		t.Error("tmp is read by loop 8: live at loop 5 exit")
@@ -276,7 +276,7 @@ func TestProcExitMeetOverCallSites(t *testing.T) {
 	sum, infos := analyzeAll(t, src)
 	full := infos[Full]
 	ftop := sum.Reg.ProcTop["F"]
-	w := sum.Canon(sum.Prog.Proc("F").Lookup("W"))
+	w := sum.Prog.Proc("F").Lookup("W").Canon()
 	if e := full.ExitSum[ftop][w]; e == nil || e.IsEmpty() {
 		t.Fatal("w must be exposed after F (read at first call site)")
 	}
@@ -304,7 +304,7 @@ func TestLiveAtExitSection(t *testing.T) {
 	sum, infos := analyzeAll(t, src)
 	full := infos[Full]
 	l10 := findLoop(t, sum, "MAIN/10")
-	w := sum.Canon(sum.Prog.Main().Lookup("W"))
+	w := sum.Prog.Main().Lookup("W").Canon()
 	live := full.LiveAtExit(l10, w)
 	if !live.ContainsIndex([]int64{3}, nil) {
 		t.Fatalf("live section %v should contain 3", live)

@@ -185,7 +185,7 @@ func TestRepeatedActualBindsEveryFormal(t *testing.T) {
 		loops[r.ID()] = r
 	}
 	f := prog.Proc("F")
-	written := map[string]*ir.Symbol{"F/10": sum.Canon(f.Lookup("P")), "F/20": sum.Canon(f.Lookup("Q"))}
+	written := map[string]*ir.Symbol{"F/10": f.Lookup("P").Canon(), "F/20": f.Lookup("Q").Canon()}
 	for _, v := range []liveness.Variant{liveness.Full, liveness.OneBit, liveness.FlowInsensitive} {
 		in := liveness.Analyze(sum, v)
 		for id, sym := range written {
@@ -215,7 +215,7 @@ func scalarOracleDiff(sum *summary.Analysis) (int, []string) {
 	for _, r := range allRegions(sum) {
 		syms := map[*ir.Symbol]bool{}
 		for _, s := range r.Proc.Syms {
-			syms[sum.Canon(s)] = true
+			syms[s.Canon()] = true
 		}
 		if rs := regionSyms(sum, r); rs != nil {
 			for s := range rs.Arrays {
@@ -248,7 +248,7 @@ func TestScalarOracleMatchesFull(t *testing.T) {
 			if q, ok := live[p.name]; ok {
 				full := liveness.Analyze(sum, liveness.Full)
 				for _, r := range sum.Reg.LoopRegions() {
-					if r.ID() == q[0] && full.DeadAtExit(r, sum.Canon(r.Proc.Lookup(q[1]))) {
+					if r.ID() == q[0] && full.DeadAtExit(r, r.Proc.Lookup(q[1]).Canon()) {
 						t.Fatalf("%s looks dead at %s under Full; the fixture no longer needs its closure step", q[1], q[0])
 					}
 				}

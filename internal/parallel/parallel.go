@@ -252,7 +252,8 @@ type LoopVerdict struct {
 
 // Verdicts builds the record of every loop, in Ordered order. A loop's
 // variables leave out the read-only ones and its own DO index, which no
-// clause of a parallel loop needs to name.
+// clause of a parallel loop needs to name, and go by the names the loop's
+// procedure declares (ir.Proc.Own).
 func (res *Result) Verdicts() []LoopVerdict {
 	var out []LoopVerdict
 	for _, li := range res.Ordered {
@@ -269,7 +270,7 @@ func (res *Result) Verdicts() []LoopVerdict {
 				continue
 			}
 			lv.Vars = append(lv.Vars, VarVerdict{
-				Name:        vr.Sym.Name,
+				Name:        li.Region.Proc.Own(vr.Sym).Name,
 				Class:       vr.Class.String(),
 				Reduction:   vr.RedOp,
 				ByAssertion: vr.ByAssertion,

@@ -165,7 +165,7 @@ func (s *Session) guruLocked() *GuruReport {
 			Important:     t.Important,
 		}
 		for _, b := range t.Loop.Dep.Blocking {
-			tg.Blocking = append(tg.Blocking, Blocker{Var: b.Sym.Name, Reason: b.Reason})
+			tg.Blocking = append(tg.Blocking, Blocker{Var: t.Loop.Region.Proc.Own(b.Sym).Name, Reason: b.Reason})
 		}
 		rep.Targets = append(rep.Targets, tg)
 	}

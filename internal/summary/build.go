@@ -1,7 +1,6 @@
 package summary
 
 import (
-	"fmt"
 	"maps"
 	"strings"
 
@@ -15,10 +14,10 @@ import (
 // Analysis holds the whole-program array data-flow results.
 //
 // The mutable result maps (ProcSum, RegionSum, ...) are filled by Merge;
-// everything else (Prog, MR, Reg, the canonical-symbol table) is built once
-// by NewAnalysis and is read-only afterwards, so AnalyzeProc calls for
-// different procedures may run concurrently as long as every callee's result
-// has been merged (or is reachable through the callee lookup) first.
+// everything else (Prog, MR, Reg) is built once by NewAnalysis and is
+// read-only afterwards, so AnalyzeProc calls for different procedures may
+// run concurrently as long as every callee's result has been merged (or is
+// reachable through the callee lookup) first.
 type Analysis struct {
 	Prog *ir.Program
 	MR   *modref.Info
@@ -38,8 +37,6 @@ type Analysis struct {
 	// After records, per region r and call/loop statement n directly in r,
 	// the summary from the end of n to the end of r (the paper's S_{r,n}).
 	After map[*region.Region]map[ir.Stmt]*Tuple
-
-	canonTab map[string]*ir.Symbol // precomputed by NewAnalysis, read-only
 }
 
 // ProcResult is one procedure's contribution to the whole-program analysis:
@@ -55,14 +52,15 @@ type ProcResult struct {
 }
 
 // NewAnalysis builds the shared read-only state of the bottom-up phase: the
-// mod/ref summaries (computed if mr is nil), the region graph, and the
-// canonical common-block symbol table. Procedure results are added with
-// AnalyzeProc + Merge.
+// mod/ref summaries (computed if mr is nil) and the region graph. Common
+// members are keyed by the representative the parser linked (ir.Symbol.Canon),
+// so accesses from different procedures unify. Procedure results are added
+// with AnalyzeProc + Merge.
 func NewAnalysis(prog *ir.Program, mr *modref.Info) *Analysis {
 	if mr == nil {
 		mr = modref.Analyze(prog)
 	}
-	a := &Analysis{
+	return &Analysis{
 		Prog:      prog,
 		MR:        mr,
 		Reg:       region.Build(prog),
@@ -71,10 +69,7 @@ func NewAnalysis(prog *ir.Program, mr *modref.Info) *Analysis {
 		BodySum:   map[*region.Region]*Tuple{},
 		Ctx:       map[*region.Region]*symbolic.LoopContext{},
 		After:     map[*region.Region]map[ir.Stmt]*Tuple{},
-		canonTab:  map[string]*ir.Symbol{},
 	}
-	a.precomputeCanon()
-	return a
 }
 
 // Analyze runs the bottom-up array data-flow phase over the whole program,
@@ -95,7 +90,7 @@ func (a *Analysis) ProcSummary(name string) *Tuple { return a.ProcSum[name] }
 
 // Clone returns an Analysis with fresh result maps sharing every merged
 // per-procedure value (Tuples are immutable once merged) and the same
-// read-only skeleton — program, region graph, canonical-symbol table. mr,
+// read-only skeleton — program and region graph. mr,
 // when non-nil, replaces the mod/ref info so the clone can track its own
 // re-merged effects. Merge on the clone never disturbs the original, which
 // lets the incremental driver branch a private re-analyzable copy off a
@@ -104,33 +99,16 @@ func (a *Analysis) Clone(mr *modref.Info) *Analysis {
 	if mr == nil {
 		mr = a.MR
 	}
-	out := &Analysis{
+	return &Analysis{
 		Prog:      a.Prog,
 		MR:        mr,
 		Reg:       a.Reg,
-		ProcSum:   make(map[string]*Tuple, len(a.ProcSum)),
-		RegionSum: make(map[*region.Region]*Tuple, len(a.RegionSum)),
-		BodySum:   make(map[*region.Region]*Tuple, len(a.BodySum)),
-		Ctx:       make(map[*region.Region]*symbolic.LoopContext, len(a.Ctx)),
-		After:     make(map[*region.Region]map[ir.Stmt]*Tuple, len(a.After)),
-		canonTab:  a.canonTab,
+		ProcSum:   maps.Clone(a.ProcSum),
+		RegionSum: maps.Clone(a.RegionSum),
+		BodySum:   maps.Clone(a.BodySum),
+		Ctx:       maps.Clone(a.Ctx),
+		After:     maps.Clone(a.After),
 	}
-	for k, v := range a.ProcSum {
-		out.ProcSum[k] = v
-	}
-	for k, v := range a.RegionSum {
-		out.RegionSum[k] = v
-	}
-	for k, v := range a.BodySum {
-		out.BodySum[k] = v
-	}
-	for k, v := range a.Ctx {
-		out.Ctx[k] = v
-	}
-	for k, v := range a.After {
-		out.After[k] = v
-	}
-	return out
 }
 
 // Merge folds one procedure's result into the whole-program maps. It must
@@ -139,77 +117,10 @@ func (a *Analysis) Clone(mr *modref.Info) *Analysis {
 // procedure starts.
 func (a *Analysis) Merge(r *ProcResult) {
 	a.ProcSum[r.Proc.Name] = r.ProcSum
-	for k, v := range r.RegionSum {
-		a.RegionSum[k] = v
-	}
-	for k, v := range r.BodySum {
-		a.BodySum[k] = v
-	}
-	for k, v := range r.Ctx {
-		a.Ctx[k] = v
-	}
-	for k, v := range r.After {
-		a.After[k] = v
-	}
-}
-
-func canonKey(sym *ir.Symbol) string {
-	return fmt.Sprintf("%s+%d:%d:%v", sym.Common, sym.CommonOffset, sym.NElems(), sym.Dims)
-}
-
-// precomputeCanon registers every common-block symbol of the program in the
-// canonical table up front, so Canon is a pure lookup during the (possibly
-// concurrent) analysis. Registration order mirrors the sequential analysis:
-// procedures bottom-up, references in statement-walk order, then declared
-// symbols — so the canonical representative matches what the sequential
-// first-touch rule used to pick.
-func (a *Analysis) precomputeCanon() {
-	reg := func(sym *ir.Symbol) {
-		if sym == nil || sym.Common == "" {
-			return
-		}
-		key := canonKey(sym)
-		if a.canonTab[key] == nil {
-			a.canonTab[key] = sym
-		}
-	}
-	order := a.Prog.BottomUpOrder()
-	for _, p := range order {
-		ir.WalkStmts(p.Body, func(s ir.Stmt) bool {
-			if l, isLoop := s.(*ir.DoLoop); isLoop {
-				reg(l.Index)
-			}
-			ir.WalkExprs(s, func(e ir.Expr) {
-				switch x := e.(type) {
-				case *ir.VarRef:
-					reg(x.Sym)
-				case *ir.ArrayRef:
-					reg(x.Sym)
-				}
-			})
-			return true
-		})
-	}
-	for _, p := range order {
-		for _, s := range p.SortedSyms() {
-			reg(s)
-		}
-	}
-}
-
-// Canon returns the canonical symbol for sym: common-block members with the
-// same block, offset and shape share one key across procedures, so accesses
-// from different procedures unify. Locals and parameters are their own keys.
-// The table is precomputed by NewAnalysis, so Canon is safe to call from
-// concurrent AnalyzeProc workers.
-func (a *Analysis) Canon(sym *ir.Symbol) *ir.Symbol {
-	if sym.Common == "" {
-		return sym
-	}
-	if c := a.canonTab[canonKey(sym)]; c != nil {
-		return c
-	}
-	return sym // unreachable: precomputeCanon covers every declared symbol
+	maps.Copy(a.RegionSum, r.RegionSum)
+	maps.Copy(a.BodySum, r.BodySum)
+	maps.Copy(a.Ctx, r.Ctx)
+	maps.Copy(a.After, r.After)
 }
 
 // Overlaps reports whether two distinct canonical symbols may alias: both in
@@ -244,7 +155,7 @@ type walker struct {
 }
 
 // AnalyzeProc computes one procedure's summaries. It only reads the shared
-// state of a (Prog, MR, Reg, canon table) plus the summaries of p's callees
+// state of a (Prog, MR, Reg) plus the summaries of p's callees
 // via the callee lookup; all results land in the returned ProcResult, so
 // calls for independent procedures may run concurrently.
 func (a *Analysis) AnalyzeProc(p *ir.Proc, callee func(string) *Tuple) *ProcResult {
@@ -301,7 +212,7 @@ func (w *walker) walkList(stmts []ir.Stmt) []*node {
 }
 
 func (w *walker) walkIf(st *ir.If) *node {
-	if op, upd := w.minMaxPattern(st); upd != nil {
+	if op, upd := ClassifyMinMaxIf(st); upd != nil {
 		// IF (x .LT. t) t = x — a commutative MIN/MAX update (§6.2.2.1).
 		// The condition's read of the accumulator is part of the update, so
 		// it must not land in Plain (addWrite subtracts it afterwards).
@@ -321,14 +232,9 @@ func (w *walker) walkIf(st *ir.If) *node {
 	return n
 }
 
-// minMaxPattern recognizes IF (x REL t) t = x with REL in LT/LE (MIN) or
-// GT/GE (MAX), including the reversed comparison.
-func (w *walker) minMaxPattern(st *ir.If) (op string, upd *ir.Assign) {
-	return ClassifyMinMaxIf(st)
-}
-
-// ClassifyMinMaxIf recognizes the guarded MIN/MAX update pattern (exported
-// for static reduction censuses, Fig 6-2).
+// ClassifyMinMaxIf recognizes the guarded MIN/MAX update IF (x REL t) t = x
+// with REL in LT/LE (MIN) or GT/GE (MAX), including the reversed comparison.
+// The walker and the static reduction census (Fig 6-2) share it.
 func ClassifyMinMaxIf(st *ir.If) (op string, upd *ir.Assign) {
 	if len(st.Then) != 1 || len(st.Else) != 0 {
 		return "", nil
@@ -341,17 +247,14 @@ func ClassifyMinMaxIf(st *ir.If) (op string, upd *ir.Assign) {
 	if !ok || !cond.Op.IsComparison() || cond.Op == ir.OpEQ || cond.Op == ir.OpNE {
 		return "", nil
 	}
-	lhsStr := refString(asg.Lhs)
-	rhsStr := asg.Rhs.String()
-	l, r := cond.L.String(), cond.R.String()
 	// x REL t with t = lhs, x = rhs.
 	switch {
-	case r == lhsStr && l == rhsStr:
+	case ir.SameExpr(cond.R, asg.Lhs) && ir.SameExpr(cond.L, asg.Rhs):
 		if cond.Op == ir.OpLT || cond.Op == ir.OpLE {
 			return RedMin, asg
 		}
 		return RedMax, asg
-	case l == lhsStr && r == rhsStr:
+	case ir.SameExpr(cond.L, asg.Lhs) && ir.SameExpr(cond.R, asg.Rhs):
 		if cond.Op == ir.OpGT || cond.Op == ir.OpGE {
 			return RedMin, asg
 		}
@@ -389,7 +292,7 @@ func (w *walker) walkLoop(l *ir.DoLoop) *node {
 
 	// The DO index itself is written by the loop (before any body read, so
 	// its reads are never upwards exposed outside the loop).
-	idx := w.a.Canon(l.Index)
+	idx := l.Index.Canon()
 	idxAcc := closed.view(idx)
 	idxAcc.M, idxAcc.E = fullScalar, lin.EmptySection(0)
 	idxAcc.Plain, idxAcc.PlainW = fullScalar, fullScalar
@@ -406,15 +309,13 @@ func (w *walker) walkLoop(l *ir.DoLoop) *node {
 // 0-dimensional array. Nobody writes a section, so every scalar shares it.
 var fullScalar = lin.NewSection(0, lin.NewSystem())
 
-func refString(r ir.Ref) string { return ir.Expr(r).String() }
-
 // addReads adds every read in expr (array elements and scalars) to t.
 func addReads(t *Tuple, w *walker, expr ir.Expr) {
 	ir.WalkExpr(expr, func(e ir.Expr) {
 		switch x := e.(type) {
 		case *ir.VarRef:
 			if !x.Sym.IsArray() {
-				acc := t.Get(w.a.Canon(x.Sym))
+				acc := t.Get(x.Sym.Canon())
 				acc.R = acc.R.Union(fullScalar)
 				acc.E = acc.E.Union(fullScalar)
 				acc.Plain = acc.Plain.Union(fullScalar)
@@ -424,7 +325,7 @@ func addReads(t *Tuple, w *walker, expr ir.Expr) {
 				return // bare array argument; handled at the call
 			}
 			sec := w.sectionOf(x)
-			acc := t.Get(w.a.Canon(x.Sym))
+			acc := t.Get(x.Sym.Canon())
 			acc.R = acc.R.Union(sec)
 			acc.E = acc.E.Union(sec)
 			acc.Plain = acc.Plain.Union(sec)
@@ -461,7 +362,7 @@ func (w *walker) sectionOf(x *ir.ArrayRef) *lin.Section {
 // leafAssign builds the summary of a single assignment, classifying
 // commutative updates for reduction recognition.
 func (w *walker) leafAssign(st *ir.Assign) *Tuple {
-	if op, ok := w.commutativeUpdate(st); ok {
+	if op, ok := ClassifyUpdate(st); ok {
 		return w.leafCommutative(st, op)
 	}
 	t := NewTuple()
@@ -502,7 +403,7 @@ func (w *walker) leafCommutative(st *ir.Assign, op string, extra ...ir.Expr) *Tu
 // previous value) but is removed from Plain, since only non-reduction
 // accesses should block reduction parallelization (§6.2.2.1 criterion 2).
 func (w *walker) addWrite(t *Tuple, lhs ir.Ref, commutative bool, op string) {
-	sym := w.a.Canon(lhs.Symbol())
+	sym := lhs.Symbol().Canon()
 	acc := t.Get(sym)
 	var sec *lin.Section
 	if ar, ok := lhs.(*ir.ArrayRef); ok {
@@ -526,18 +427,13 @@ func (w *walker) addWrite(t *Tuple, lhs ir.Ref, commutative bool, op string) {
 	}
 }
 
-// commutativeUpdate reports whether st has the form  x = x op e  (with op
-// commutative: +, * — including x = x - e as +) or x = MIN/MAX(x, e...),
-// where e does not reference x's array at all.
-func (w *walker) commutativeUpdate(st *ir.Assign) (string, bool) {
-	return ClassifyUpdate(st)
-}
-
-// ClassifyUpdate recognizes x = x op e commutative updates (exported for
-// static reduction censuses, Fig 6-2).
+// ClassifyUpdate reports whether st has the form x = x op e (op commutative:
+// +, * — including x = x - e as +) or x = MIN/MAX(x, e...), where e does not
+// reference x's array at all. Expressions compare structurally
+// (ir.SameExpr). The walker and the static reduction census (Fig 6-2)
+// share it.
 func ClassifyUpdate(st *ir.Assign) (string, bool) {
-	self := refString(st.Lhs)
-	sym := st.Lhs.Symbol()
+	self, sym := st.Lhs, st.Lhs.Symbol()
 	switch rhs := st.Rhs.(type) {
 	case *ir.Bin:
 		switch rhs.Op {
@@ -548,7 +444,7 @@ func ClassifyUpdate(st *ir.Assign) (string, bool) {
 			}
 			selfCount := 0
 			for _, tm := range terms {
-				if tm.pos && tm.e.String() == self {
+				if tm.pos && ir.SameExpr(tm.e, self) {
 					selfCount++
 				} else if referencesSym(tm.e, sym) {
 					return "", false
@@ -559,10 +455,10 @@ func ClassifyUpdate(st *ir.Assign) (string, bool) {
 			}
 		case ir.OpMul:
 			l, r := rhs.L, rhs.R
-			if l.String() == self && !referencesSym(r, sym) {
+			if ir.SameExpr(l, self) && !referencesSym(r, sym) {
 				return RedMul, true
 			}
-			if r.String() == self && !referencesSym(l, sym) {
+			if ir.SameExpr(r, self) && !referencesSym(l, sym) {
 				return RedMul, true
 			}
 		}
@@ -570,7 +466,7 @@ func ClassifyUpdate(st *ir.Assign) (string, bool) {
 		if rhs.Name == "MIN" || rhs.Name == "MAX" {
 			selfCount := 0
 			for _, a := range rhs.Args {
-				if a.String() == self {
+				if ir.SameExpr(a, self) {
 					selfCount++
 				} else if referencesSym(a, sym) {
 					return "", false
@@ -639,7 +535,7 @@ func (w *walker) leafIO(st *ir.IO) *Tuple {
 	for _, a := range st.Args {
 		switch r := a.(type) {
 		case *ir.VarRef:
-			acc := t.Get(w.a.Canon(r.Sym))
+			acc := t.Get(r.Sym.Canon())
 			acc.M = acc.M.Union(fullScalar)
 			acc.Plain = acc.Plain.Union(fullScalar)
 			acc.PlainW = acc.PlainW.Union(fullScalar)
@@ -648,7 +544,7 @@ func (w *walker) leafIO(st *ir.IO) *Tuple {
 				addReads(t, w, ix)
 			}
 			sec := w.sectionOf(r)
-			acc := t.Get(w.a.Canon(r.Sym))
+			acc := t.Get(r.Sym.Canon())
 			if sec.Exact {
 				acc.M = acc.M.Union(sec)
 			} else {

@@ -64,7 +64,7 @@ func (m *callMapper) mapAccess(out *Tuple, sym *ir.Symbol, acc *Access) {
 	case sym.Common != "":
 		// Canonical common keys are shared across procedures; only the
 		// symbolic variables need mapping.
-		target := out.Get(m.w.a.Canon(sym))
+		target := out.Get(sym.Canon())
 		m.mergeSections(target, acc, m.substVars)
 	}
 }
@@ -77,7 +77,7 @@ func (m *callMapper) mapParamAccess(out *Tuple, formal *ir.Symbol, acc *Access) 
 	switch x := arg.(type) {
 	case *ir.VarRef:
 		// Scalar (or whole-array via scalar ref — arrays parse as ArrayRef).
-		target := out.Get(m.w.a.Canon(x.Sym))
+		target := out.Get(x.Sym.Canon())
 		m.mergeSections(target, acc, m.substVars)
 	case *ir.ArrayRef:
 		m.mapArrayArg(out, formal, acc, x)
@@ -91,7 +91,7 @@ func (m *callMapper) mapParamAccess(out *Tuple, formal *ir.Symbol, acc *Access) 
 // handling the 1-D subarray-offset case exactly and degrading other
 // reshapes to the whole actual array.
 func (m *callMapper) mapArrayArg(out *Tuple, formal *ir.Symbol, acc *Access, actual *ir.ArrayRef) {
-	asym := m.w.a.Canon(actual.Sym)
+	asym := actual.Sym.Canon()
 	target := out.Get(asym)
 
 	sameShape := len(formal.Dims) == len(actual.Sym.Dims) && len(actual.Idx) == 0

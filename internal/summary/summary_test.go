@@ -35,7 +35,7 @@ func findSym(t *testing.T, a *Analysis, proc, name string) *ir.Symbol {
 	if s == nil {
 		t.Fatalf("no symbol %s in %s", name, proc)
 	}
-	return a.Canon(s)
+	return s.Canon()
 }
 
 func TestSimpleLoopWriteSummary(t *testing.T) {

@@ -34,7 +34,7 @@ const (
 // it has returned, so tuples share the records a transfer function leaves
 // alone.
 type Access struct {
-	Sym *ir.Symbol // canonical symbol (see Analysis.Canon)
+	Sym *ir.Symbol // representative of its storage (ir.Symbol.Canon)
 	R   *lin.Section
 	E   *lin.Section
 	W   *lin.Section
@@ -50,7 +50,7 @@ type Access struct {
 // Writes returns W ∪ M, the full may-write section.
 func (a *Access) Writes() *lin.Section { return a.W.Union(a.M) }
 
-// Tuple is a whole-region summary: one Access per touched canonical symbol.
+// Tuple is a whole-region summary: one Access per touched representative symbol.
 type Tuple struct {
 	Arrays map[*ir.Symbol]*Access
 }

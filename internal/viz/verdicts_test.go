@@ -14,6 +14,7 @@ import (
 	"suifx/internal/corpus"
 	"suifx/internal/driver"
 	"suifx/internal/ir"
+	"suifx/internal/liveness"
 	"suifx/internal/minif"
 	"suifx/internal/parallel"
 	"suifx/internal/workloads"
@@ -21,20 +22,26 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/verdicts")
 
-// verdictInput is one program with a golden file: every workload and
-// corpus tier 1k. Tiers 5k and 20k are hashed in the driver's
-// analysis.digests instead; thousands of loops are not reviewable text.
+// verdictInput is one program with a golden file: every workload, corpus
+// tier 1k and the fixtures under testdata/fixtures. Tiers 5k and 20k are
+// hashed in the driver's analysis.digests instead; thousands of loops are
+// not reviewable text. live marks a fixture rendered as suifpar -liveness
+// prints it.
 type verdictInput struct {
 	name  string
 	parse func(*testing.T) *ir.Program
+	live  bool
 }
+
+// liveFixtures are the fixtures whose verdicts depend on array liveness.
+var liveFixtures = map[string]bool{"common-actual": true}
 
 func verdictInputs() []verdictInput {
 	var inputs []verdictInput
 	for _, w := range workloads.All() {
-		inputs = append(inputs, verdictInput{w.Name, func(*testing.T) *ir.Program { return w.Fresh() }})
+		inputs = append(inputs, verdictInput{name: w.Name, parse: func(*testing.T) *ir.Program { return w.Fresh() }})
 	}
-	return append(inputs, verdictInput{"tier-1k", func(t *testing.T) *ir.Program {
+	inputs = append(inputs, verdictInput{name: "tier-1k", parse: func(t *testing.T) *ir.Program {
 		tier, _ := corpus.TierByName("1k")
 		p := tier.Generate()
 		prog, err := minif.Parse(p.Name, p.Source)
@@ -43,11 +50,33 @@ func verdictInputs() []verdictInput {
 		}
 		return prog
 	}})
+	paths, _ := filepath.Glob(filepath.Join("testdata", "fixtures", "*.f"))
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".f")
+		inputs = append(inputs, verdictInput{name: name, live: liveFixtures[name], parse: func(t *testing.T) *ir.Program {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := minif.Parse(name, string(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prog
+		}})
+	}
+	return inputs
 }
 
-// defaultVerdicts parallelizes prog the way suifpar does without flags.
-func defaultVerdicts(prog *ir.Program) *parallel.Result {
-	return parallel.ParallelizeWith(driver.Analyze(prog, driver.Options{Workers: 2}), parallel.Config{UseReductions: true})
+// verdictsOf parallelizes prog the way suifpar does, without flags or, for
+// a live input, with -liveness.
+func (in verdictInput) verdictsOf(prog *ir.Program) *parallel.Result {
+	sum := driver.Analyze(prog, driver.Options{Workers: 2})
+	cfg := parallel.Config{UseReductions: true}
+	if in.live {
+		cfg.DeadAtExit = liveness.Analyze(sum, liveness.Full).Oracle()
+	}
+	return parallel.ParallelizeWith(sum, cfg)
 }
 
 func goldenPath(name string) string { return filepath.Join("testdata", "verdicts", name+".txt") }
@@ -61,7 +90,7 @@ func TestAnalysisVerdicts(t *testing.T) {
 	for _, in := range verdictInputs() {
 		t.Run(in.name, func(t *testing.T) {
 			prog := in.parse(t)
-			got := (&SourceView{Source: prog.Source, Verdicts: defaultVerdicts(prog).Verdicts()}).Render()
+			got := (&SourceView{Source: prog.Source, Verdicts: in.verdictsOf(prog).Verdicts()}).Render()
 			path := goldenPath(in.name)
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -206,11 +235,14 @@ func TestVerdictsRoundTrip(t *testing.T) {
 			}
 			lp := plan.Loops[li.Region.Loop]
 			var wantPriv, wantRed, gotPriv, gotRed []string
+			// The plan holds representatives; the text names each by the
+			// loop procedure's own declaration.
+			own := li.Region.Proc.Own
 			for _, s := range lp.Private {
-				wantPriv = append(wantPriv, s.Name)
+				wantPriv = append(wantPriv, own(s).Name)
 			}
 			for _, r := range lp.Reductions {
-				wantRed = append(wantRed, r.Op+":"+r.Sym.Name)
+				wantRed = append(wantRed, r.Op+":"+own(r.Sym).Name)
 			}
 			for _, v := range got[i].Vars {
 				switch v.Class {
@@ -235,7 +267,7 @@ func TestVerdictsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, defaultVerdicts(in.parse(t)), string(text))
+			check(t, in.verdictsOf(in.parse(t)), string(text))
 		})
 	}
 	t.Run("mdg-asserted", func(t *testing.T) {
