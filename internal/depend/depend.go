@@ -146,7 +146,6 @@ func AnalyzeLoop(a *summary.Analysis, r *region.Region, opts Options) *LoopResul
 
 func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summary.Access, idx string, variant []string, opts Options) VarResult {
 	vr := VarResult{Sym: sym}
-	name := r.Proc.Own(sym).Name
 	if sym == r.Loop.Index.Canon() {
 		vr.Class = ClassIndex
 		return vr
@@ -156,6 +155,7 @@ func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summar
 		vr.Class = ClassReadOnly
 		return vr
 	}
+	name := r.Proc.Own(sym).Name // assertions name storage as the user sees it
 	if opts.AssertIndependent[name] {
 		vr.Class = ClassParallel
 		vr.ByAssertion = true

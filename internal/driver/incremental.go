@@ -240,8 +240,8 @@ func (inc *Incremental) AnalyzeCtx(ctx context.Context) (*summary.Analysis, IncS
 	}
 
 	// Wave 2: array data-flow summaries. The Analysis skeleton (region
-	// graph, canonical symbols) is created once and kept, so region pointers
-	// stay stable across re-analyses.
+	// graph) is created once and kept, so region pointers stay stable
+	// across re-analyses.
 	if inc.sum == nil {
 		inc.sum = summary.NewAnalysis(inc.prog, inc.mr)
 	}

@@ -91,7 +91,7 @@ type CommonBlock struct {
 	// in that procedure, in declaration order.
 	Layouts map[string][]*Symbol
 
-	keys []*Symbol // one representative per storage key, by offset (Link)
+	keys []*Symbol // one representative per storage key (Link)
 }
 
 // Proc is one procedure (PROGRAM or SUBROUTINE).

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // The storage model, linked once by the parser like the call graph. A
 // common member's storage key is its block, offset and shape; Link picks
@@ -29,8 +26,8 @@ func (p *Proc) Own(sym *Symbol) *Symbol {
 	return sym
 }
 
-// Keys returns the representatives of the block's storage keys, by offset.
-// The slice is the program's own: never modify it.
+// Keys returns the representatives of the block's storage keys, in the
+// order Link picked them. The slice is the program's own: never modify it.
 func (b *CommonBlock) Keys() []*Symbol { return b.keys }
 
 // linkStorage picks the representative of every storage key: the first
@@ -86,8 +83,5 @@ func (p *Program) linkStorage() {
 				pr.own[s.canon] = s
 			}
 		}
-	}
-	for _, blk := range p.Commons {
-		slices.SortStableFunc(blk.keys, func(a, b *Symbol) int { return cmp.Compare(a.CommonOffset, b.CommonOffset) })
 	}
 }

@@ -7,9 +7,7 @@
 package issa
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"suifx/internal/ir"
 	"suifx/internal/modref"
@@ -124,38 +122,28 @@ func Build(prog *ir.Program) *Graph {
 	return g
 }
 
-// computeTouched collects the representative common symbols a procedure or its
-// callees access.
+// computeTouched collects the representative common symbols a procedure or
+// its callees access: the procedure's own in name order, then each
+// callee's in CallGraph order, so node numbering follows no map order.
 func (g *Graph) computeTouched(p *ir.Proc) {
-	set := map[*ir.Symbol]bool{}
+	seen := map[*ir.Symbol]bool{}
+	var out []*ir.Symbol
+	add := func(s *ir.Symbol) {
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
 	for _, s := range p.SortedSyms() {
 		if s.Common != "" {
-			set[s.Canon()] = true
+			add(s.Canon())
 		}
 	}
 	for _, callee := range g.Prog.CallGraph()[p.Name] {
 		for _, s := range g.touched[callee] {
-			set[s] = true
+			add(s)
 		}
 	}
-	out := make([]*ir.Symbol, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	// Two representatives of one block share a name when procedures
-	// declare the block in different shapes: the layout makes the order
-	// total, so node numbering does not follow map iteration.
-	slices.SortFunc(out, func(a, b *ir.Symbol) int {
-		return cmp.Or(
-			cmp.Compare(a.Name, b.Name),
-			cmp.Compare(a.Common, b.Common),
-			cmp.Compare(a.CommonOffset, b.CommonOffset),
-			cmp.Compare(a.NElems(), b.NElems()),
-			slices.CompareFunc(a.Dims, b.Dims, func(x, y ir.Dim) int {
-				return cmp.Or(cmp.Compare(x.Lo, y.Lo), cmp.Compare(x.Hi, y.Hi))
-			}),
-		)
-	})
 	g.touched[p.Name] = out
 }
 

@@ -50,11 +50,11 @@ func (v Variant) String() string {
 	}
 }
 
-// Exposed is the value the Full top-down pass carries: per canonical symbol,
-// the section still read before being overwritten (the E component of
-// "everything from here to the end of the program"). An absent symbol has
-// nothing exposed. Maps and sections are never updated once stored, so
-// regions a step does not touch share them.
+// Exposed is the value the Full top-down pass carries: per symbol (a common
+// member by its representative), the section still read before being
+// overwritten (the E component of "everything from here to the end of the
+// program"). An absent symbol has nothing exposed. Maps and sections are
+// never updated once stored, so regions a step does not touch share them.
 type Exposed map[*ir.Symbol]*lin.Section
 
 // Info holds liveness results for one program.

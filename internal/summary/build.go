@@ -99,16 +99,32 @@ func (a *Analysis) Clone(mr *modref.Info) *Analysis {
 	if mr == nil {
 		mr = a.MR
 	}
-	return &Analysis{
+	out := &Analysis{
 		Prog:      a.Prog,
 		MR:        mr,
 		Reg:       a.Reg,
-		ProcSum:   maps.Clone(a.ProcSum),
-		RegionSum: maps.Clone(a.RegionSum),
-		BodySum:   maps.Clone(a.BodySum),
-		Ctx:       maps.Clone(a.Ctx),
-		After:     maps.Clone(a.After),
+		ProcSum:   make(map[string]*Tuple, len(a.ProcSum)),
+		RegionSum: make(map[*region.Region]*Tuple, len(a.RegionSum)),
+		BodySum:   make(map[*region.Region]*Tuple, len(a.BodySum)),
+		Ctx:       make(map[*region.Region]*symbolic.LoopContext, len(a.Ctx)),
+		After:     make(map[*region.Region]map[ir.Stmt]*Tuple, len(a.After)),
 	}
+	for k, v := range a.ProcSum {
+		out.ProcSum[k] = v
+	}
+	for k, v := range a.RegionSum {
+		out.RegionSum[k] = v
+	}
+	for k, v := range a.BodySum {
+		out.BodySum[k] = v
+	}
+	for k, v := range a.Ctx {
+		out.Ctx[k] = v
+	}
+	for k, v := range a.After {
+		out.After[k] = v
+	}
+	return out
 }
 
 // Merge folds one procedure's result into the whole-program maps. It must
@@ -117,13 +133,21 @@ func (a *Analysis) Clone(mr *modref.Info) *Analysis {
 // procedure starts.
 func (a *Analysis) Merge(r *ProcResult) {
 	a.ProcSum[r.Proc.Name] = r.ProcSum
-	maps.Copy(a.RegionSum, r.RegionSum)
-	maps.Copy(a.BodySum, r.BodySum)
-	maps.Copy(a.Ctx, r.Ctx)
-	maps.Copy(a.After, r.After)
+	for k, v := range r.RegionSum {
+		a.RegionSum[k] = v
+	}
+	for k, v := range r.BodySum {
+		a.BodySum[k] = v
+	}
+	for k, v := range r.Ctx {
+		a.Ctx[k] = v
+	}
+	for k, v := range r.After {
+		a.After[k] = v
+	}
 }
 
-// Overlaps reports whether two distinct canonical symbols may alias: both in
+// Overlaps reports whether two distinct representatives may alias: both in
 // the same common block with overlapping flat element ranges.
 func Overlaps(x, y *ir.Symbol) bool {
 	if x == y {

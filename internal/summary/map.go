@@ -62,8 +62,8 @@ func (m *callMapper) mapAccess(out *Tuple, sym *ir.Symbol, acc *Access) {
 	case sym.IsParam:
 		m.mapParamAccess(out, sym, acc)
 	case sym.Common != "":
-		// Canonical common keys are shared across procedures; only the
-		// symbolic variables need mapping.
+		// Common members are keyed by their representative in every
+		// procedure; only the symbolic variables need mapping.
 		target := out.Get(sym.Canon())
 		m.mergeSections(target, acc, m.substVars)
 	}
