@@ -290,6 +290,7 @@ func TestParseErrors(t *testing.T) {
 		{"mutual-recursion", "      SUBROUTINE f\n      CALL g\n      END\n      SUBROUTINE g\n      CALL f\n      END\n      PROGRAM m\n      CALL f\n      END\n", "recursive"},
 		{"three-cycle", "      PROGRAM m\n      CALL f\n      END\n      SUBROUTINE f\n      CALL g\n      END\n      SUBROUTINE g\n      CALL h\n      END\n      SUBROUTINE h\n      CALL f\n      END\n", "recursive"},
 		{"missing-do-label", "      PROGRAM m\n      INTEGER i\n      DO 10 i = 1, 5\n      x = 1\n      END\n", "labeled"},
+		{"stop-in-subroutine", "      SUBROUTINE f\n      x = 1\n      STOP\n      END\n      PROGRAM m\n      CALL f\n      END\n", "line 3: STOP outside the main program"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.name, c.src)
