@@ -77,23 +77,27 @@ type Options struct {
 	// it reports that no element of sym written by loop r is read after r.
 	DeadAtExit func(r *region.Region, sym *ir.Symbol) bool
 	// AssertPrivate and AssertIndependent carry user assertions from the
-	// Explorer (§2.8), keyed by the name the loop's procedure declares
-	// (ir.Proc.Own).
-	AssertPrivate     map[string]bool
-	AssertIndependent map[string]bool
+	// Explorer (§2.8), keyed by the storage's representative
+	// (ir.Symbol.Canon).
+	AssertPrivate     map[*ir.Symbol]bool
+	AssertIndependent map[*ir.Symbol]bool
 }
 
 // LoopResult is the dependence verdict for one loop.
 type LoopResult struct {
 	Region *region.Region
 	// Parallelizable is true when every variable is resolved and the loop
-	// has no I/O.
+	// has no I/O and no early exit.
 	Parallelizable bool
 	// NeedsReduction is true when parallelization requires the reduction
 	// transformation for at least one variable.
 	NeedsReduction bool
 	HasIO          bool
-	Vars           []VarResult
+	// ExitLine is the line of the first RETURN or STOP in the loop's body,
+	// 0 when there is none: a parallel run would run every iteration and
+	// go on after the loop.
+	ExitLine int
+	Vars     []VarResult
 	// Blocking lists the unresolved variables (ClassDep).
 	Blocking []VarResult
 }
@@ -104,7 +108,18 @@ func AnalyzeLoop(a *summary.Analysis, r *region.Region, opts Options) *LoopResul
 	body := r.Body()
 	bt := a.BodySum[body]
 	lc := a.Ctx[r]
-	res := &LoopResult{Region: r, HasIO: ir.HasIO(r.Loop.Body)}
+	res := &LoopResult{Region: r}
+	ir.WalkStmts(r.Loop.Body, func(s ir.Stmt) bool {
+		switch s.(type) {
+		case *ir.IO:
+			res.HasIO = true
+		case *ir.Return, *ir.Stop:
+			if res.ExitLine == 0 {
+				res.ExitLine = s.Position().Line
+			}
+		}
+		return true
+	})
 
 	syms := bt.SortedSyms()
 	if len(syms) > 0 {
@@ -140,7 +155,7 @@ func AnalyzeLoop(a *summary.Analysis, r *region.Region, opts Options) *LoopResul
 	sort.SliceStable(res.Blocking, func(i, j int) bool {
 		return r.Proc.Own(res.Blocking[i].Sym).Name < r.Proc.Own(res.Blocking[j].Sym).Name
 	})
-	res.Parallelizable = !res.HasIO && len(res.Blocking) == 0
+	res.Parallelizable = !res.HasIO && res.ExitLine == 0 && len(res.Blocking) == 0
 	return res
 }
 
@@ -155,8 +170,7 @@ func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summar
 		vr.Class = ClassReadOnly
 		return vr
 	}
-	name := r.Proc.Own(sym).Name // assertions name storage as the user sees it
-	if opts.AssertIndependent[name] {
+	if opts.AssertIndependent[sym] {
 		vr.Class = ClassParallel
 		vr.ByAssertion = true
 		return vr
@@ -181,7 +195,7 @@ func classify(a *summary.Analysis, r *region.Region, sym *ir.Symbol, acc *summar
 			return vr
 		}
 	}
-	if opts.AssertPrivate[name] {
+	if opts.AssertPrivate[sym] {
 		vr.Class = ClassPrivate
 		vr.ByAssertion = true
 		return vr

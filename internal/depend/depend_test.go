@@ -327,15 +327,15 @@ func TestUserAssertionPrivate(t *testing.T) {
 2365  CONTINUE
       END
 `
-	_, res := loopResult(t, src, "MAIN/2365", Options{})
+	a, res := loopResult(t, src, "MAIN/2365", Options{})
 	if res.Parallelizable {
 		t.Fatal("conditionally-written xps must block")
 	}
 	if c := classOf(t, res, "XPS").Class; c != ClassDep {
 		t.Fatalf("XPS = %v, want dependence", c)
 	}
-	_, res2 := loopResult(t, src, "MAIN/2365", Options{
-		AssertPrivate: map[string]bool{"XPS": true},
+	res2 := AnalyzeLoop(a, res.Region, Options{
+		AssertPrivate: map[*ir.Symbol]bool{res.Region.Proc.Lookup("XPS").Canon(): true},
 	})
 	v := classOf(t, res2, "XPS")
 	if v.Class != ClassPrivate || !v.ByAssertion {

@@ -65,7 +65,7 @@ func TestDDATwoActivations(t *testing.T) {
 		if err := in.Run(); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		lo, hi, ok := in.SymRange("S", "A")
+		lo, hi, ok := in.Cells(prog.ByName["S"].Lookup("A"))
 		if !ok {
 			t.Fatal("no storage for A in S")
 		}

@@ -768,16 +768,11 @@ func applyIntrinsic(name string, args []float64) (float64, error) {
 	return 0, fmt.Errorf("exec: unknown intrinsic %s", name)
 }
 
-// SymRange returns the arena address range of a named variable in a
-// procedure (commons resolve to their block storage). ok is false for
-// parameters, whose storage depends on the caller.
-func (in *Interp) SymRange(proc, name string) (lo, hi int64, ok bool) {
-	p := in.Prog.ByName[proc]
-	if p == nil {
-		return 0, 0, false
-	}
-	sym := p.Lookup(name)
-	if sym == nil || sym.IsParam {
+// Cells returns the arena address range of a variable's static storage:
+// its common block's cells for a member, its own for a local. ok is false
+// for a parameter, whose storage depends on the caller.
+func (in *Interp) Cells(sym *ir.Symbol) (lo, hi int64, ok bool) {
+	if sym.IsParam {
 		return 0, 0, false
 	}
 	base := in.staticBase(sym)

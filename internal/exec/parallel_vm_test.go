@@ -271,7 +271,7 @@ func TestPlannedCommonReduction(t *testing.T) {
 	if err := seq.Run(); err != nil {
 		t.Fatal(err)
 	}
-	lo, _, _ := seq.SymRange("MAIN", "G")
+	lo, _, _ := seq.Cells(seq.Prog.ByName["MAIN"].Lookup("G"))
 	for _, workers := range []int{2, 4} {
 		tree := runCommonRed(t, ModeTree, workers)
 		vm := runCommonRed(t, ModeAuto, workers)

@@ -6,7 +6,6 @@ import (
 
 	"suifx/internal/exec"
 	"suifx/internal/ir"
-	"suifx/internal/issa"
 	"suifx/internal/parallel"
 	"suifx/internal/region"
 	"suifx/internal/slice"
@@ -222,14 +221,15 @@ func sliceSizesFor(w *workloads.Workload) []SliceSizes {
 		lo, hi := li.Region.Lines()
 		rg := slice.Region{Proc: li.Region.Proc.Name, Lo: lo, Hi: hi}
 		row := SliceSizes{Loop: id, LoopLines: loopCodeLines(prog, li)}
-		// Up to two read references of each blocking variable inside the
-		// loop (the paper shows the pair sharing the dependence); metrics
-		// are averaged over the references examined.
+		// Up to two lines of the loop that read each blocking variable's
+		// storage (the paper shows the pair sharing the dependence; writes
+		// alone have no use to slice); metrics are averaged over the
+		// references examined.
 		nq := 0
 		for _, b := range li.Dep.Blocking {
 			name := li.Region.Proc.Own(b.Sym).Name
-			lines := useLines(prog, g, li, name)
-			for _, ln := range lines {
+			lines := ir.ReadLines(li.Region.Loop.Body, b.Sym)
+			for _, ln := range lines[:min(len(lines), 2)] {
 				nq++
 				full := slice.New(g, slice.Config{Kind: slice.Program})
 				r := full.OfUse(rg.Proc, name, ln)
@@ -262,38 +262,6 @@ func sliceSizesFor(w *workloads.Workload) []SliceSizes {
 		}
 		out = append(out, row)
 	}
-	return out
-}
-
-// useLines finds source lines inside the loop where the named variable is
-// read (up to 2, matching the paper's pair of references); only lines with
-// recorded reaching definitions qualify (writes alone have no use to slice).
-func useLines(prog *ir.Program, g *issa.Graph, li *parallel.LoopInfo, name string) []int {
-	seen := map[int]bool{}
-	var out []int
-	proc := li.Region.Proc.Name
-	ir.WalkStmts(li.Region.Loop.Body, func(s ir.Stmt) bool {
-		ir.WalkExprs(s, func(e ir.Expr) {
-			ir.WalkExpr(e, func(x ir.Expr) {
-				var sym *ir.Symbol
-				switch r := x.(type) {
-				case *ir.VarRef:
-					sym = r.Sym
-				case *ir.ArrayRef:
-					sym = r.Sym
-				}
-				if sym == nil || sym.Name != name {
-					return
-				}
-				ln := x.Position().Line
-				if !seen[ln] && len(out) < 2 && len(g.FindUse(proc, name, ln)) > 0 {
-					seen[ln] = true
-					out = append(out, ln)
-				}
-			})
-		})
-		return true
-	})
 	return out
 }
 

@@ -66,20 +66,18 @@ func maskPlannedDead(res *parallel.Result, plan *exec.ParallelPlan, in *exec.Int
 		if plan.Loops[li.Region.Loop] == nil {
 			continue
 		}
-		proc := li.Region.Proc
 		for _, vr := range li.Dep.Vars {
 			cls := vr.Class.String()
 			if cls == "private" || cls == "index" {
-				if lo, hi, ok := in.SymRange(proc.Name, proc.Own(vr.Sym).Name); ok {
+				if lo, hi, ok := in.Cells(vr.Sym); ok {
 					mask(lo, hi)
 				}
 			}
 		}
 		for _, c := range li.Region.AllCallSites() {
-			callee := in.Prog.ByName[c.Name]
-			for _, sym := range callee.SortedSyms() {
-				if sym.Common == "" && !sym.IsParam {
-					if lo, hi, ok := in.SymRange(callee.Name, sym.Name); ok {
+			for _, sym := range in.Prog.ByName[c.Name].SortedSyms() {
+				if sym.Common == "" {
+					if lo, hi, ok := in.Cells(sym); ok {
 						mask(lo, hi)
 					}
 				}

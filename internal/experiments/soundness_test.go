@@ -61,7 +61,7 @@ func TestQuickPipelineSoundness(t *testing.T) {
 			for _, vr := range li.Dep.Vars {
 				cls := vr.Class.String()
 				if cls == "private" || cls == "index" {
-					if lo, hi, ok := par.SymRange(li.Region.Proc.Name, vr.Sym.Name); ok {
+					if lo, hi, ok := par.Cells(vr.Sym); ok {
 						for i := lo; i <= hi && i < int64(n); i++ {
 							seqA[i], parA[i] = 0, 0
 						}

@@ -76,7 +76,7 @@ func TestGuruFindsTarget(t *testing.T) {
 	// The paper's key observation (§4.1.2): the compiler reports a static
 	// dependence on rl, but the Dynamic Dependence Analyzer sees deps only
 	// from the genuine chain recurrence, not from rl.
-	lo, hi, _ := s.in.SymRange("MDG", "RL")
+	lo, hi, _ := s.in.Cells(s.Prog.ByName["MDG"].Lookup("RL"))
 	if n := s.Dyn.CarriedInRange(top.Loop.Region.Loop, lo, hi); n != 0 {
 		t.Fatalf("rl should show no dynamic dependences, got %d", n)
 	}

@@ -3,6 +3,8 @@ package explorer
 import (
 	"fmt"
 	"strings"
+
+	"suifx/internal/ir"
 )
 
 // WhyReport is the Chapter-2 "why (not) parallel" explanation for one loop,
@@ -18,6 +20,8 @@ type WhyReport struct {
 	Chosen         bool `json:"chosen"`
 	UnderParallel  bool `json:"under_parallel,omitempty"`
 	HasIO          bool `json:"has_io,omitempty"`
+	// ExitLine is the line of the first RETURN or STOP in the loop's body.
+	ExitLine int `json:"exit_line,omitempty"`
 
 	CoveragePct   float64 `json:"coverage_pct"`
 	GranularityMs float64 `json:"granularity_ms"`
@@ -35,8 +39,8 @@ type WhyReport struct {
 type BlockedVar struct {
 	Var    string `json:"var"`
 	Reason string `json:"reason"`
-	// Lines are the source lines inside the loop referencing the variable —
-	// the anchors a slice or an annotated-source view starts from.
+	// Lines are the source lines inside the loop reading the variable's
+	// storage — the anchors a slice or an annotated-source view starts from.
 	Lines []int `json:"lines,omitempty"`
 	// DynDeps counts dynamic flow dependences observed on the variable's
 	// storage for the profiled input (0 is the paper's hint that a PRIVATE
@@ -70,6 +74,7 @@ func (s *Session) Why(loopID string) (*WhyReport, error) {
 		Chosen:         li.Chosen,
 		UnderParallel:  li.UnderParallel,
 		HasIO:          li.Dep.HasIO,
+		ExitLine:       li.Dep.ExitLine,
 	}
 	if s.Prof != nil {
 		if lp := s.Prof.Of(li.Region.Loop); lp != nil {
@@ -83,18 +88,18 @@ func (s *Session) Why(loopID string) (*WhyReport, error) {
 		r.DynDeps = s.Dyn.Carried(li.Region.Loop)
 	}
 
-	g := s.Graph()
 	blockedLines := map[int]bool{}
 	for _, b := range li.Dep.Blocking {
-		bv := BlockedVar{Var: li.Region.Proc.Own(b.Sym).Name, Reason: b.Reason}
-		for ln := lo; ln <= hi; ln++ {
-			if len(g.FindUse(r.Proc, bv.Var, ln)) > 0 {
-				bv.Lines = append(bv.Lines, ln)
-				blockedLines[ln] = true
-			}
+		bv := BlockedVar{
+			Var:    li.Region.Proc.Own(b.Sym).Name,
+			Reason: b.Reason,
+			Lines:  ir.ReadLines([]ir.Stmt{li.Region.Loop}, b.Sym),
+		}
+		for _, ln := range bv.Lines {
+			blockedLines[ln] = true
 		}
 		if s.Dyn != nil && s.in != nil {
-			if alo, ahi, ok := s.in.SymRange(r.Proc, bv.Var); ok {
+			if alo, ahi, ok := s.in.Cells(b.Sym); ok {
 				bv.DynDeps = s.Dyn.CarriedInRange(li.Region.Loop, alo, ahi)
 			}
 		}
@@ -122,6 +127,8 @@ func verdict(r *WhyReport) string {
 		return "parallelizable, but an enclosing loop was chosen instead"
 	case r.HasIO:
 		return "sequential: the loop performs I/O"
+	case r.ExitLine > 0:
+		return fmt.Sprintf("sequential: the loop exits early at line %d", r.ExitLine)
 	case len(r.Blocking) > 0:
 		names := make([]string, len(r.Blocking))
 		for i, b := range r.Blocking {

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func sym(name string, dims ...Dim) *Symbol {
 	return &Symbol{Name: name, Dims: dims}
@@ -80,8 +83,8 @@ func TestWalkersAndQueries(t *testing.T) {
 	if reach := p.Reachable(m.Body); len(reach) != 2 || reach[0].Name != "F" || reach[1].Name != "G" {
 		t.Fatalf("reachable: %v", reach)
 	}
-	if HasIO(m.Body) {
-		t.Fatal("no IO present")
+	if lines := ReadLines(m.Body, m.Syms["I"]); len(lines) != 0 {
+		t.Fatalf("the DO index is read at lines %v, want none", lines)
 	}
 	sites := p.Sites("G")
 	if len(sites) != 1 || sites[0].Caller.Name != "F" {
@@ -139,5 +142,35 @@ func TestSameExpr(t *testing.T) {
 		if got := SameExpr(c.x, c.y); got != c.same {
 			t.Errorf("SameExpr(%s, %s) = %v, want %v", c.x, c.y, got, c.same)
 		}
+	}
+}
+
+// TestReadLines: the reference an assignment or a READ stores to is a write
+// and its subscripts are reads; a common member is matched by its
+// representative, whatever its name.
+func TestReadLines(t *testing.T) {
+	a, k := sym("A", Dim{1, 10}), sym("K")
+	b := sym("B", Dim{1, 10})
+	b.canon = a // another procedure's name for A's storage
+	at := func(s *Symbol, line int, idx ...Expr) *ArrayRef {
+		return &ArrayRef{Sym: s, Idx: idx, Pos: Pos{Line: line}}
+	}
+	kAt := func(line int) *VarRef { return &VarRef{Sym: k, Pos: Pos{Line: line}} }
+	x := &VarRef{Sym: sym("X"), Pos: Pos{Line: 2}}
+	stmts := []Stmt{
+		&Assign{Lhs: at(a, 1, kAt(1)), Rhs: IntConst(0), Pos: Pos{Line: 1}},
+		&Assign{Lhs: x, Rhs: at(a, 2, IntConst(1)), Pos: Pos{Line: 2}},
+		&IO{Args: []Expr{at(b, 3, kAt(3))}, Pos: Pos{Line: 3}},
+		&IO{Write: true, Args: []Expr{at(b, 4, IntConst(2))}, Pos: Pos{Line: 4}},
+		&Assign{Lhs: at(a, 5, at(a, 5, IntConst(1))), Rhs: IntConst(1), Pos: Pos{Line: 5}},
+	}
+	if got, want := ReadLines(stmts, a), []int{2, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("A is read at lines %v, want %v", got, want)
+	}
+	if got, want := ReadLines(stmts, b), []int{2, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("B is read at lines %v, want A's %v", got, want)
+	}
+	if got, want := ReadLines(stmts, k), []int{1, 3}; !slices.Equal(got, want) {
+		t.Errorf("K is read at lines %v, want %v", got, want)
 	}
 }

@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // WalkStmts visits every statement in the list, recursing into loop bodies
 // and IF arms, in source order. Returning false from f stops descent into a
 // statement's children (but not its siblings).
@@ -105,14 +107,30 @@ func collectOuter(s Stmt, out *[]*DoLoop) {
 	}
 }
 
-// HasIO reports whether the statement list contains any I/O statement.
-func HasIO(stmts []Stmt) bool {
-	found := false
+// ReadLines returns, ascending, the lines of the statement list (nested
+// statements included) that read sym's storage: each reference to a symbol
+// with sym's representative (Symbol.Canon), except the reference an
+// assignment or a READ stores to, whose subscripts are still reads.
+func ReadLines(stmts []Stmt, sym *Symbol) []int {
+	key := sym.Canon()
+	var lines []int
 	WalkStmts(stmts, func(s Stmt) bool {
-		if _, ok := s.(*IO); ok {
-			found = true
+		var stored []Expr // the references s stores to
+		switch st := s.(type) {
+		case *Assign:
+			stored = []Expr{st.Lhs}
+		case *IO:
+			if !st.Write {
+				stored = st.Args
+			}
 		}
-		return !found
+		WalkExprs(s, func(e Expr) {
+			if r, ok := e.(Ref); ok && r.Symbol().Canon() == key && !slices.Contains(stored, e) {
+				lines = append(lines, e.Position().Line)
+			}
+		})
+		return true
 	})
-	return found
+	slices.Sort(lines)
+	return slices.Compact(lines)
 }

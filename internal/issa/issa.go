@@ -217,13 +217,8 @@ func (b *builder) ctrl() (defs []*Node, stmts []ir.Stmt) {
 func (b *builder) useExpr(e ir.Expr) []*Node {
 	var out []*Node
 	ir.WalkExpr(e, func(x ir.Expr) {
-		switch r := x.(type) {
-		case *ir.VarRef:
-			d := b.lookup(r.Sym)
-			b.g.UseDefs[x] = []*Node{d}
-			out = append(out, d)
-		case *ir.ArrayRef:
-			d := b.lookup(r.Sym)
+		if r, ok := x.(ir.Ref); ok {
+			d := b.lookup(r.Symbol())
 			b.g.UseDefs[x] = []*Node{d}
 			out = append(out, d)
 		}
@@ -262,12 +257,13 @@ func (b *builder) walk(stmts []ir.Stmt) {
 		case *ir.If:
 			condDefs := b.useExpr(st.Cond)
 			b.guard = append(b.guard, guardEntry{stmt: s, defs: condDefs})
+			from := len(b.g.Nodes)
 			thenB := b.fork()
 			thenB.walk(st.Then)
 			elseB := b.fork()
 			elseB.walk(st.Else)
 			b.guard = b.guard[:len(b.guard)-1]
-			b.join(s, thenB, elseB, condDefs)
+			b.join(s, thenB, elseB, condDefs, from)
 		case *ir.DoLoop:
 			b.walkLoop(st)
 		case *ir.Call:
@@ -308,16 +304,17 @@ func (b *builder) fork() *builder {
 	return &builder{g: b.g, proc: b.proc, env: env, guard: b.guard}
 }
 
-// join merges two branch environments with φ nodes.
-func (b *builder) join(at ir.Stmt, thenB, elseB *builder, condDefs []*Node) {
-	syms := map[*ir.Symbol]bool{}
-	for s := range thenB.env {
-		syms[s] = true
-	}
-	for s := range elseB.env {
-		syms[s] = true
-	}
-	for sym := range syms {
+// join merges two branch environments with φ nodes. Only a symbol an arm
+// defined can differ between them, and every definition an arm made is a
+// node from index from on, so the φs follow the arms' node order.
+func (b *builder) join(at ir.Stmt, thenB, elseB *builder, condDefs []*Node, from int) {
+	seen := map[*ir.Symbol]bool{}
+	for _, n := range b.g.Nodes[from:] {
+		sym := n.Sym
+		if seen[sym] {
+			continue
+		}
+		seen[sym] = true
 		td, ed := thenB.env[sym], elseB.env[sym]
 		if td == nil {
 			td = b.env[sym]
@@ -326,9 +323,6 @@ func (b *builder) join(at ir.Stmt, thenB, elseB *builder, condDefs []*Node) {
 			ed = b.env[sym]
 		}
 		if td == ed {
-			if td != nil {
-				b.env[sym] = td
-			}
 			continue
 		}
 		phi := b.g.newNode(KPhi, b.proc.Name, sym, at, at.Position().Line)
@@ -354,41 +348,43 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 	idx.Ops = boundDefs
 	b.attachCtrl(idx)
 
-	// Header φ for every variable the body may modify.
-	modified := b.g.MR.ModifiedScalars(b.proc, l.Body)
-	// Arrays and call-modified variables too.
+	// Header φ for every storage the body may modify, in the order the body
+	// first modifies it: one per representative.
+	var phis []*Node
+	modified := map[*ir.Symbol]bool{l.Index.Canon(): true}
+	mod := func(sym *ir.Symbol) {
+		if key := sym.Canon(); !modified[key] {
+			modified[key] = true
+			phi := b.g.newNode(KPhi, b.proc.Name, key, l, l.Pos.Line)
+			phi.Ops = append(phi.Ops, b.lookup(key))
+			phi.Ctrl = boundDefs
+			phi.CtrlStmts = []ir.Stmt{l}
+			phis = append(phis, phi)
+		}
+	}
 	ir.WalkStmts(l.Body, func(s ir.Stmt) bool {
 		switch st := s.(type) {
 		case *ir.Assign:
-			if st.Lhs.Symbol().IsArray() {
-				modified[st.Lhs.Symbol()] = true
-			}
+			mod(st.Lhs.Symbol())
+		case *ir.DoLoop:
+			mod(st.Index)
 		case *ir.Call:
 			for _, m := range b.g.MR.CallMods(b.proc, st) {
-				modified[m] = true
+				mod(m)
 			}
 		case *ir.IO:
 			if !st.Write {
 				for _, a := range st.Args {
 					if r, ok := a.(ir.Ref); ok {
-						modified[r.Symbol()] = true
+						mod(r.Symbol())
 					}
 				}
 			}
 		}
 		return true
 	})
-	phis := map[*ir.Symbol]*Node{}
-	for sym := range modified {
-		if sym == l.Index {
-			continue
-		}
-		phi := b.g.newNode(KPhi, b.proc.Name, sym.Canon(), l, l.Pos.Line)
-		phi.Ops = append(phi.Ops, b.lookup(sym))
-		phi.Ctrl = boundDefs
-		phi.CtrlStmts = []ir.Stmt{l}
-		phis[sym.Canon()] = phi
-		b.define(sym, phi)
+	for _, phi := range phis {
+		b.env[phi.Sym] = phi
 	}
 	b.define(l.Index, idx)
 
@@ -398,11 +394,11 @@ func (b *builder) walkLoop(l *ir.DoLoop) {
 	b.guard = b.guard[:len(b.guard)-1]
 
 	// Backpatch: the φ's second operand is the body's final definition.
-	for sym, phi := range phis {
-		if fin := body.env[sym]; fin != nil && fin != phi {
+	for _, phi := range phis {
+		if fin := body.env[phi.Sym]; fin != nil && fin != phi {
 			phi.Ops = append(phi.Ops, fin)
 		}
-		b.env[sym] = phi
+		b.env[phi.Sym] = phi
 	}
 }
 
@@ -479,7 +475,9 @@ func calleeModsCommon(eff *modref.Effects, sym *ir.Symbol) bool {
 }
 
 // FindUse locates, in proc, a use of the named variable at the given source
-// line, returning its recorded reaching defs (nil if none).
+// line, returning its recorded reaching defs (nil if none). The triple is a
+// slice query as the user types it; code that holds a symbol finds the
+// lines reading its storage with ir.ReadLines instead.
 func (g *Graph) FindUse(proc, name string, line int) []*Node {
 	p := g.Prog.ByName[proc]
 	if p == nil {
@@ -498,18 +496,8 @@ func (g *Graph) FindUse(proc, name string, line int) []*Node {
 	ir.WalkStmts(p.Body, func(s ir.Stmt) bool {
 		// WalkExprs pre-orders every sub-expression already.
 		ir.WalkExprs(s, func(x ir.Expr) {
-			if x.Position().Line != line {
-				return
-			}
-			switch r := x.(type) {
-			case *ir.VarRef:
-				if r.Sym.Name == name {
-					add(g.UseDefs[x])
-				}
-			case *ir.ArrayRef:
-				if r.Sym.Name == name {
-					add(g.UseDefs[x])
-				}
+			if r, ok := x.(ir.Ref); ok && r.Symbol().Name == name && x.Position().Line == line {
+				add(g.UseDefs[x])
 			}
 		})
 		return true

@@ -388,6 +388,9 @@ func (p *parser) parseStmt(l *srcLine) (ir.Stmt, error) {
 			p.i++
 			return &ir.Return{Pos: pos}, nil
 		case "STOP":
+			if !p.proc.IsMain {
+				return nil, p.errf(l.num, "STOP outside the main program")
+			}
 			p.i++
 			return &ir.Stop{Pos: pos}, nil
 		case "WRITE", "READ", "PRINT":

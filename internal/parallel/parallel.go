@@ -16,11 +16,24 @@ import (
 	"suifx/internal/summary"
 )
 
-// AssertSet carries the user assertions for one loop (§2.8), keyed by
-// variable name.
+// AssertSet carries the user assertions for one loop (§2.8), keyed by the
+// names the loop's procedure declares, as the user types them.
 type AssertSet struct {
 	Private     map[string]bool
 	Independent map[string]bool
+}
+
+// resolve keys each asserted name on the storage the loop's procedure
+// declares under it, its representative, as depend matches assertions. A
+// name the procedure does not declare asserts nothing.
+func resolve(p *ir.Proc, names map[string]bool) map[*ir.Symbol]bool {
+	out := map[*ir.Symbol]bool{}
+	for name, on := range names {
+		if sym := p.Lookup(name); sym != nil {
+			out[sym.Canon()] = on
+		}
+	}
+	return out
 }
 
 // Config controls a parallelization run.
@@ -122,8 +135,8 @@ func ReparallelizeWith(prev *Result, sum *summary.Analysis, cfg Config, dirty fu
 			DeadAtExit:    cfg.DeadAtExit,
 		}
 		if as, ok := cfg.Assertions[li.ID()]; ok {
-			opts.AssertPrivate = as.Private
-			opts.AssertIndependent = as.Independent
+			opts.AssertPrivate = resolve(li.Region.Proc, as.Private)
+			opts.AssertIndependent = resolve(li.Region.Proc, as.Independent)
 		}
 		li.Dep = depend.AnalyzeLoop(sum, li.Region, opts)
 	})

@@ -399,16 +399,7 @@ func (s *Slicer) materialize(sum *Summary, context []*ir.Call) *Result {
 // OfUse computes the slice of a variable use at a source line: the union of
 // slices of its reaching definitions.
 func (s *Slicer) OfUse(proc, name string, line int) *Result {
-	defs := s.G.FindUse(proc, name, line)
-	res := newResult(s.G)
-	for _, d := range defs {
-		sum := s.Of(d)
-		part := s.materialize(sum, nil)
-		for n := range part.Nodes {
-			res.Nodes[n] = true
-		}
-	}
-	return res
+	return s.OfUseInContext(proc, name, line, nil)
 }
 
 // OfUseInContext computes a calling-context-specific slice (the paper's
