@@ -19,7 +19,7 @@ import (
 // name order), then per-procedure static locals (in Procs order, symbols in
 // name order), then a fixed scratch region for value arguments. Both the
 // tree-walker and the bytecode engine use the same layout, so addresses —
-// and therefore DDA results and SymRange answers — are identical.
+// and therefore DDA results and Cells answers — are identical.
 type layout struct {
 	base     map[*ir.Symbol]int64
 	blockOff map[string]int64
